@@ -86,7 +86,8 @@ let disk_access () =
   let now = ref 0. in
   fun () ->
     let addr = C.Rng.int rng 1_000_000 * 1024 in
-    now := C.Array_model.access array ~now:!now ~kind:C.Array_model.Read ~extents:[ (addr, 65536) ]
+    C.Array_model.serve_extents array ~now:!now ~kind:C.Array_model.Read ~extents:[ (addr, 65536) ];
+    now := C.Array_model.last_finished array
 
 let tests =
   Test.make_grouped ~name:"rofs" ~fmt:"%s %s"

@@ -73,9 +73,9 @@ module Array_model = Rofs_disk.Array_model
 
 (** {1 Scheduling}
 
-    Per-drive request schedulers used by the array's dispatch-queue
-    path: FCFS (the default, equivalent to the original busy-clock
-    model), SSTF, SCAN and C-LOOK. *)
+    Per-drive request schedulers: FCFS (the default, served on the
+    original synchronous busy-clock path), and SSTF, SCAN and C-LOOK,
+    served through the array's dispatch queues. *)
 
 module Sched_policy = Rofs_sched.Policy
 module Scheduler = Rofs_sched.Scheduler
@@ -132,8 +132,5 @@ module Trace_codec = Rofs_trace_replay.Codec
 module Trace_import = Rofs_trace_replay.Import
 module Trace_recorder = Rofs_trace_replay.Recorder
 module Trace_replay = Rofs_trace_replay.Replay
-
-module Trace_runner = Rofs_trace_replay.Compat
-(** The retired thin runner's API, now backed by {!Trace_replay}. *)
 
 val version : string

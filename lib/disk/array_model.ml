@@ -13,9 +13,10 @@ type config =
 
 type kind = Read | Write
 
-(* Per-operation service-time decomposition, allocated only when a sink
-   is attached.  All-float record: the fields stay flat, so the
-   accumulating stores in [dispatch] never allocate. *)
+(* Per-operation service-time decomposition: one reusable record for the
+   synchronous path, one per queued operation only when a sink is
+   attached.  All-float record: the fields stay flat, so the
+   accumulating stores in [serve_chunk] never allocate. *)
 type op_obs = {
   mutable ob_seek : float;
   mutable ob_rotation : float;
@@ -62,11 +63,11 @@ type t = {
   media_on : bool;  (** media faults configured: consult [fault] per chunk *)
   all_drives : int list;  (** [0; ...; disks-1], the reconstruction group *)
   mutable obs : Sink.t option;  (** instrumentation sink; [None] ⇒ no recording *)
-  ob_scratch : float array;
-      (** sync-path accounting, live only while a sink is attached.
-          Slots 0-3: the current operation's seek / rotation / transfer /
-          fault-penalty totals; slots 4-6: the component totals of the
-          drive being issued to, read before the access. *)
+  op_obs : op_obs;  (** the last synchronous operation's breakdown *)
+  ob_before : float array;
+      (** seek / rotation / transfer totals of the drive being issued
+          to, read before the access; live only while a sink is
+          attached *)
   (* Chunk scratch buffer: the physical chunks of the operation being
      mapped, struct-of-arrays so that mapping an extent allocates
      nothing.  Chunks are appended in generation order — the order the
@@ -134,7 +135,8 @@ let create_mixed ?(seed = 0) ?(scheduler = Sched_policy.Fcfs) ?(faults = Fault_p
     media_on = Fault_plan.media_faults faults;
     all_drives = List.init disks Fun.id;
     obs = None;
-    ob_scratch = Array.make 7 0.;
+    op_obs = { ob_seek = 0.; ob_rotation = 0.; ob_transfer = 0.; ob_penalty = 0. };
+    ob_before = Array.make 3 0.;
     cb_disk = Array.make 64 0;
     cb_offset = Array.make 64 0;
     cb_bytes = Array.make 64 0;
@@ -166,6 +168,7 @@ let config t = t.config
 let disks t = Array.length t.drives
 let geometry t = t.geometry
 let scheduler t = t.scheduler
+let synchronous t = match t.scheduler with Sched_policy.Fcfs -> true | _ -> false
 let fault_state t = t.fault
 
 let drive_capacity t = t.drive_capacity
@@ -424,8 +427,6 @@ let gen_extents ?queued t ~kind extents =
   t.cb_len <- 0;
   List.iter (fun e -> gen_extent ?queued t ~kind e) extents
 
-type service = { began : float; finished : float }
-
 (* Extra service time charged by the media-fault model for one chunk
    request, pushed onto the drive's busy clock.  [0.] — and no fault-RNG
    draw — when media faults are off. *)
@@ -441,88 +442,85 @@ let media_stall t ~disk ~offset ~bytes ~default =
     Drive.stall drive ~ms:extra
   end
 
-let perform_buf t ~now =
-  (* Issue the buffered chunks drive by drive in generation order; each
-     drive's queue (its busy clock) serialises them, distinct drives
-     overlap.  [pc_began] is the moment the first chunk starts moving —
-     after any queueing behind earlier operations.
+(* Serve one chunk on [disk] from [start] (the caller passes
+   [max now busy_until]): [passes] back-to-back transfers (2 for a
+   read-modify-write), then any media stall.  Both service paths issue
+   every chunk through here, so the drive, RNG, fault and
+   instrumentation work per chunk is the same on either.  Data (non-
+   [parity]) bytes count toward [bytes_moved].  Returns the chunk's
+   completion time.
 
-     Instrumentation contract: every recording is guarded on [t.obs],
-     and the guarded reads feed fixed scratch slots, so the un-observed
-     path performs the same work (and the same RNG draws) as before a
-     sink existed — byte-identical results either way. *)
-  t.pc_finish <- now;
-  t.pc_began <- infinity;
+   Instrumentation contract: every recording is guarded on [t.obs], and
+   the guarded reads feed fixed scratch slots, so the un-observed path
+   performs the same work (and the same RNG draws) as the observed one
+   and allocates nothing extra — byte-identical results either way.
+   Under a sink the chunk's seek / rotation / transfer / penalty
+   accumulate into [o], and [op_id] labels its trace events ([-1] on
+   the synchronous path, which has no operation handle). *)
+let serve_chunk t o ~op_id ~disk ~start ~offset ~bytes ~passes ~parity =
+  let drive = t.drives.(disk) in
   (match t.obs with
   | None -> ()
   | Some _ ->
-      let s = t.ob_scratch in
-      s.(0) <- 0.;
-      s.(1) <- 0.;
-      s.(2) <- 0.;
-      s.(3) <- 0.);
+      let b = t.ob_before in
+      b.(0) <- Drive.seek_ms_total drive;
+      b.(1) <- Drive.rotation_ms_total drive;
+      b.(2) <- Drive.transfer_ms_total drive);
+  let served = Drive.serve drive ~start ~rng:t.rng ~offset ~bytes ~passes in
+  let finish = media_stall t ~disk ~offset ~bytes ~default:served in
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+      let b = t.ob_before in
+      o.ob_seek <- o.ob_seek +. (Drive.seek_ms_total drive -. b.(0));
+      o.ob_rotation <- o.ob_rotation +. (Drive.rotation_ms_total drive -. b.(1));
+      o.ob_transfer <- o.ob_transfer +. (Drive.transfer_ms_total drive -. b.(2));
+      let extra = finish -. served in
+      if extra > 0. then begin
+        o.ob_penalty <- o.ob_penalty +. extra;
+        Sink.record_fault_penalty sink extra
+      end;
+      let dist = Drive.last_seek_cylinders drive in
+      if dist > 0 then Sink.record_seek sink ~drive:disk ~cylinders:dist;
+      if Sink.tracing sink then begin
+        Sink.event sink
+          { Tr.at_ms = start; dur_ms = finish -. start; kind = Tr.Dispatch; drive = disk; op_id; bytes };
+        if extra > 0. then
+          Sink.event sink
+            { Tr.at_ms = served; dur_ms = extra; kind = Tr.Media; drive = disk; op_id; bytes = 0 }
+      end);
+  if not parity then t.bytes_moved <- t.bytes_moved + bytes;
+  finish
+
+(* Synchronous path: issue the buffered chunks in generation order, each
+   as soon as its drive's busy clock allows; each drive serialises its
+   chunks, distinct drives overlap.  [pc_began] is the moment the first
+   chunk starts moving — after any queueing behind earlier
+   operations. *)
+let perform_buf t ~now =
+  t.pc_finish <- now;
+  t.pc_began <- infinity;
+  let o = t.op_obs in
+  o.ob_seek <- 0.;
+  o.ob_rotation <- 0.;
+  o.ob_transfer <- 0.;
+  o.ob_penalty <- 0.;
   for i = 0 to t.cb_len - 1 do
     let disk = t.cb_disk.(i) in
-    let offset = t.cb_offset.(i) in
-    let bytes = t.cb_bytes.(i) in
-    let drive = t.drives.(disk) in
-    let start = Float.max now (Drive.busy_until drive) in
+    let start = Float.max now (Drive.busy_until t.drives.(disk)) in
     if start < t.pc_began then t.pc_began <- start;
-    (match t.obs with
-    | None -> ()
-    | Some _ ->
-        let s = t.ob_scratch in
-        s.(4) <- Drive.seek_ms_total drive;
-        s.(5) <- Drive.rotation_ms_total drive;
-        s.(6) <- Drive.transfer_ms_total drive);
-    let served =
-      let once = Drive.access drive ~now ~rng:t.rng ~offset ~bytes in
-      if t.cb_rmw.(i) then Drive.access drive ~now ~rng:t.rng ~offset ~bytes else once
+    let finish =
+      serve_chunk t o ~op_id:(-1) ~disk ~start ~offset:t.cb_offset.(i) ~bytes:t.cb_bytes.(i)
+        ~passes:(if t.cb_rmw.(i) then 2 else 1)
+        ~parity:t.cb_parity.(i)
     in
-    let done_at = media_stall t ~disk ~offset ~bytes ~default:served in
-    (match t.obs with
-    | None -> ()
-    | Some sink ->
-        let s = t.ob_scratch in
-        s.(0) <- s.(0) +. (Drive.seek_ms_total drive -. s.(4));
-        s.(1) <- s.(1) +. (Drive.rotation_ms_total drive -. s.(5));
-        s.(2) <- s.(2) +. (Drive.transfer_ms_total drive -. s.(6));
-        let extra = done_at -. served in
-        if extra > 0. then begin
-          s.(3) <- s.(3) +. extra;
-          Sink.record_fault_penalty sink extra
-        end;
-        let dist = Drive.last_seek_cylinders drive in
-        if dist > 0 then Sink.record_seek sink ~drive:disk ~cylinders:dist;
-        if Sink.tracing sink then begin
-          Sink.event sink
-            {
-              Tr.at_ms = start;
-              dur_ms = done_at -. start;
-              kind = Tr.Dispatch;
-              drive = disk;
-              op_id = -1;
-              bytes;
-            };
-          if extra > 0. then
-            Sink.event sink
-              {
-                Tr.at_ms = served;
-                dur_ms = extra;
-                kind = Tr.Media;
-                drive = disk;
-                op_id = -1;
-                bytes = 0;
-              }
-        end);
-    if done_at > t.pc_finish then t.pc_finish <- done_at;
-    if not t.cb_parity.(i) then t.bytes_moved <- t.bytes_moved + bytes
+    if finish > t.pc_finish then t.pc_finish <- finish
   done;
   if t.pc_began = infinity then t.pc_began <- now
 
 let last_breakdown t =
-  let s = t.ob_scratch in
-  (s.(0), s.(1), s.(2), s.(3))
+  let o = t.op_obs in
+  (o.ob_seek, o.ob_rotation, o.ob_transfer, o.ob_penalty)
 
 let serve_extents t ~now ~kind ~extents =
   gen_extents t ~kind extents;
@@ -531,31 +529,12 @@ let serve_extents t ~now ~kind ~extents =
 let last_began t = t.pc_began
 let last_finished t = t.pc_finish
 
-let service t ~now ~kind ~extents =
-  serve_extents t ~now ~kind ~extents;
-  { began = t.pc_began; finished = t.pc_finish }
-
-let access t ~now ~kind ~extents =
-  serve_extents t ~now ~kind ~extents;
-  t.pc_finish
-
 (* ------------------------------------------------------------------ *)
 (* Dispatch-queue path: requests are queued per drive and the scheduler
    policy picks which one the arm serves when it falls idle, so a
    later-arriving request can be reordered ahead of queued ones.  The
    engine drives this with one completion event per in-service request;
    the array never looks at a clock of its own. *)
-
-type dispatched = {
-  d_drive : int;
-  d_op_id : int;
-  d_started : float;
-  d_finished : float;
-  d_bytes : int;
-  d_parity : bool;
-}
-
-type completion = { c_op : op; c_op_done : bool }
 
 let op_id (op : op) = op.op_id
 let op_done (op : op) = op.chunks_left = 0
@@ -566,12 +545,6 @@ let op_breakdown (op : op) =
   match op.o_obs with
   | None -> None
   | Some o -> Some (o.ob_seek, o.ob_rotation, o.ob_transfer, o.ob_penalty)
-
-let op_service (op : op) =
-  {
-    began = (if op.began = infinity then op.submitted else op.began);
-    finished = Float.max op.last_finish op.submitted;
-  }
 
 let op_began (op : op) = if op.began = infinity then op.submitted else op.began
 let op_finished (op : op) = Float.max op.last_finish op.submitted
@@ -604,69 +577,23 @@ let dispatch_push t d ~now =
       match Squeue.take t.queues.(d) ~head:(Drive.head_cylinder drive) with
       | None -> ()
       | Some (_cyl, req) ->
+          let op = req.r_op in
           let start = Float.max now (Drive.busy_until drive) in
-          (match t.obs with
-          | None -> ()
-          | Some _ ->
-              let s = t.ob_scratch in
-              s.(4) <- Drive.seek_ms_total drive;
-              s.(5) <- Drive.rotation_ms_total drive;
-              s.(6) <- Drive.transfer_ms_total drive);
-          let served =
-            Drive.serve drive ~start ~rng:t.rng ~offset:req.r_offset ~bytes:req.r_bytes
-              ~passes:req.r_passes
-          in
+          (* An operation submitted before a sink was attached has no
+             breakdown record; its chunks accumulate into the scratch. *)
+          let o = match op.o_obs with Some o -> o | None -> t.op_obs in
           let finish =
-            media_stall t ~disk:d ~offset:req.r_offset ~bytes:req.r_bytes ~default:served
+            serve_chunk t o ~op_id:op.op_id ~disk:d ~start ~offset:req.r_offset
+              ~bytes:req.r_bytes ~passes:req.r_passes ~parity:req.r_parity
           in
-          (match t.obs with
-          | None -> ()
-          | Some sink ->
-              let s = t.ob_scratch in
-              (match req.r_op.o_obs with
-              | None -> ()
-              | Some o ->
-                  o.ob_seek <- o.ob_seek +. (Drive.seek_ms_total drive -. s.(4));
-                  o.ob_rotation <- o.ob_rotation +. (Drive.rotation_ms_total drive -. s.(5));
-                  o.ob_transfer <- o.ob_transfer +. (Drive.transfer_ms_total drive -. s.(6));
-                  let extra = finish -. served in
-                  if extra > 0. then begin
-                    o.ob_penalty <- o.ob_penalty +. extra;
-                    Sink.record_fault_penalty sink extra
-                  end);
-              let dist = Drive.last_seek_cylinders drive in
-              if dist > 0 then Sink.record_seek sink ~drive:d ~cylinders:dist;
-              if Sink.tracing sink then begin
-                Sink.event sink
-                  {
-                    Tr.at_ms = start;
-                    dur_ms = finish -. start;
-                    kind = Tr.Dispatch;
-                    drive = d;
-                    op_id = req.r_op.op_id;
-                    bytes = req.r_bytes;
-                  };
-                let extra = finish -. served in
-                if extra > 0. then
-                  Sink.event sink
-                    {
-                      Tr.at_ms = served;
-                      dur_ms = extra;
-                      kind = Tr.Media;
-                      drive = d;
-                      op_id = req.r_op.op_id;
-                      bytes = 0;
-                    }
-              end);
           req.r_start <- start;
           req.r_finish <- finish;
-          if start < req.r_op.began then req.r_op.began <- start;
-          if not req.r_parity then t.bytes_moved <- t.bytes_moved + req.r_bytes;
+          if start < op.began then op.began <- start;
           t.in_service.(d) <- Some req;
           db_grow t (t.db_len + 1);
           let i = t.db_len in
           t.db_drive.(i) <- d;
-          t.db_op_id.(i) <- req.r_op.op_id;
+          t.db_op_id.(i) <- op.op_id;
           t.db_started.(i) <- start;
           t.db_finished.(i) <- finish;
           t.db_bytes.(i) <- req.r_bytes;
@@ -760,29 +687,12 @@ let submit_flat t ~now ~kind ~extents =
   gen_extents ~queued:true t ~kind extents;
   submit_buf t ~now
 
-(* List-building wrapper kept for tests and offline tools; the engine
-   uses {!submit_flat} plus the dispatch-buffer accessors. *)
-let dispatched_list t =
-  List.init t.db_len (fun i ->
-      {
-        d_drive = t.db_drive.(i);
-        d_op_id = t.db_op_id.(i);
-        d_started = t.db_started.(i);
-        d_finished = t.db_finished.(i);
-        d_bytes = t.db_bytes.(i);
-        d_parity = t.db_parity.(i);
-      })
-
-let submit t ~now ~kind ~extents =
-  let op = submit_flat t ~now ~kind ~extents in
-  (op, dispatched_list t)
-
 let complete_flat t ~drive =
   match t.in_service.(drive) with
   | None ->
       invalid_arg
         (Printf.sprintf
-           "Array_model.complete: drive %d has nothing in service (queue depth %d)" drive
+           "Array_model.complete_flat: drive %d has nothing in service (queue depth %d)" drive
            (Squeue.length t.queues.(drive)))
   | Some req ->
       t.in_service.(drive) <- None;
@@ -792,11 +702,6 @@ let complete_flat t ~drive =
       t.db_len <- 0;
       dispatch_push t drive ~now:req.r_finish;
       op
-
-let complete t ~drive =
-  let op = complete_flat t ~drive in
-  let next = match dispatched_list t with [] -> None | d :: _ -> Some d in
-  ({ c_op = op; c_op_done = op.chunks_left = 0 }, next)
 
 let pending t ~drive = load t drive
 
@@ -838,9 +743,9 @@ type rebuild_step =
   | Rebuild_blocked
   | Rebuild_done
   | Rebuild_sync of float
-  | Rebuild_queued of op * dispatched list
+  | Rebuild_queued of op
 
-let rebuild_step t ~now ~queued ~drive =
+let rebuild_step t ~now ~drive =
   check_drive t drive;
   match Fault.status t.fault ~drive with
   | Fault.Healthy | Fault.Failed -> Rebuild_idle
@@ -875,21 +780,19 @@ let rebuild_step t ~now ~queued ~drive =
             sources;
           cb_push t ~disk:drive ~offset:pos ~bytes ~parity:true ~rmw:false;
           Fault.rebuild_advance t.fault ~drive ~bytes;
-          if queued then begin
-            let op = submit_buf t ~now in
-            Rebuild_queued (op, dispatched_list t)
-          end
-          else begin
+          if synchronous t then begin
             perform_buf t ~now;
             Rebuild_sync t.pc_finish
           end
+          else Rebuild_queued (submit_buf t ~now)
         end
       end
 
 let time_of t ~kind ~extents =
   let geometries = Array.to_list (Array.map Drive.geometry t.drives) in
   let scratch = create_mixed ~seed:0 ~geometries t.config in
-  access scratch ~now:0. ~kind ~extents
+  serve_extents scratch ~now:0. ~kind ~extents;
+  scratch.pc_finish
 
 let utilization t ~now =
   if now <= 0. then 0.

@@ -5,10 +5,14 @@
     of mirrored disks, a RAID (rotating block parity), or Gray's parity
     striping where files live on single disks but parity is spread.
 
-    The array exposes a flat byte address space of its {e data} capacity;
-    {!access} maps an operation on a list of logical extents to requests
-    on individual drives and returns the completion time (drives work in
-    parallel; each drive serialises its own queue). *)
+    The array exposes a flat byte address space of its {e data} capacity
+    and maps an operation on a list of logical extents to chunk requests
+    on individual drives (drives work in parallel; each drive serialises
+    its own requests).  It serves them on one of two paths, chosen by its
+    scheduler ({!synchronous}): FCFS arrays serve each operation whole on
+    submission ({!serve_extents}); the others queue its chunks per drive
+    ({!submit_flat} / {!complete_flat}).  Both paths issue every chunk
+    through one per-chunk service routine. *)
 
 type config =
   | Striped of { stripe_unit : int }
@@ -41,8 +45,8 @@ val create :
 (** [create ~disks config] builds an array of [disks] identical drives
     (default {!Geometry.cdc_wren_iv}).  [seed] (default 0) drives the
     rotational-latency draws.  [scheduler] (default [Fcfs]) selects the
-    per-drive dispatch policy used by the queued path ({!submit} /
-    {!complete}); the synchronous {!service} path is FCFS by
+    per-drive dispatch policy used by the queued path ({!submit_flat} /
+    {!complete_flat}); the synchronous {!serve_extents} path is FCFS by
     construction.  [faults] (default {!Rofs_fault.Plan.none}) configures
     the media-error model and rebuild pacing; with the default, the
     array behaves byte-identically to one without a fault subsystem. *)
@@ -67,6 +71,11 @@ val geometry : t -> Geometry.t
 val scheduler : t -> Rofs_sched.Policy.t
 (** Dispatch policy of the queued path. *)
 
+val synchronous : t -> bool
+(** The array serves on the synchronous path: its scheduler is FCFS.
+    Callers that drive an array (the engine) pick {!serve_extents} over
+    {!submit_flat} by this; {!rebuild_step} does too. *)
+
 val capacity_bytes : t -> int
 (** Usable data capacity (excludes mirrors and parity). *)
 
@@ -76,47 +85,42 @@ val max_bandwidth_bytes_per_ms : t -> float
     For the default 8-drive striped Wren IV array this is the paper's
     10.8 M/s. *)
 
-type service = { began : float; finished : float }
-(** [began] is when the operation's first byte starts moving (after any
-    queueing behind earlier operations); [finished] when its last drive
-    completes. *)
-
-val service : t -> now:float -> kind:kind -> extents:(int * int) list -> service
-(** Perform one logical operation touching the given [(offset, bytes)]
-    data extents (in order).  Chunks destined to distinct drives proceed
-    in parallel; chunks on one drive are serialised in extent order. *)
-
-val access : t -> now:float -> kind:kind -> extents:(int * int) list -> float
-(** [access t ~now ~kind ~extents] is [(service t ...).finished]. *)
-
 val serve_extents : t -> now:float -> kind:kind -> extents:(int * int) list -> unit
-(** Allocation-free {!service}: performs the operation and leaves its
-    window in {!last_began} / {!last_finished} instead of returning a
-    record.  The engine's synchronous hot path uses this. *)
+(** Synchronous path: perform one logical operation touching the given
+    [(offset, bytes)] data extents (in order), each chunk as soon as its
+    drive's busy clock allows.  Chunks destined to distinct drives
+    proceed in parallel; chunks on one drive are serialised in extent
+    order.  The operation's window is left in {!last_began} /
+    {!last_finished} rather than returned. *)
 
 val last_began : t -> float
-(** [began] of the last {!serve_extents} / {!service} operation. *)
+(** When the last {!serve_extents} operation's first byte started moving
+    (after any queueing behind earlier operations). *)
 
 val last_finished : t -> float
-(** [finished] of the last {!serve_extents} / {!service} operation. *)
+(** When the last {!serve_extents} operation's last drive completed. *)
 
 val time_of : t -> kind:kind -> extents:(int * int) list -> float
-(** Duration [access] would take on an otherwise idle, just-reset,
-    {e fault-free} array; convenience for unit tests and analytic
-    checks (no state change). *)
+(** Duration {!serve_extents} would take on an otherwise idle,
+    just-reset, {e fault-free} array; convenience for unit tests and
+    analytic checks (no state change). *)
 
 (** {1 Dispatch-queue path}
 
-    The alternative to {!service} for engines that model per-drive
-    queueing for real: {!submit} splits an operation into per-drive
+    The alternative to {!serve_extents} for engines that model per-drive
+    queueing for real: {!submit_flat} splits an operation into per-drive
     chunk requests and leaves them on each drive's dispatch queue; the
     scheduler policy picks which pending request an idle arm serves
     next, so a later-arriving request can be reordered ahead of queued
-    ones (SSTF / SCAN / C-LOOK).  The caller owns the clock: it receives
-    one {!dispatched} record per request an idle drive starts, must call
-    {!complete} when that request's [d_finished] time arrives, and gets
-    back the next dispatch (if any) to schedule.  Do not mix {!service}
-    and {!submit} on one array: both move the same arms. *)
+    ones (SSTF / SCAN / C-LOOK).  The caller owns the clock: the requests
+    a call started sit in an internal flat buffer read through the
+    [dispatched_*] accessors (valid indices are
+    [0 .. dispatched_len - 1], until the next [submit_flat] /
+    [complete_flat] on this array); the caller must call
+    {!complete_flat} on [dispatched_drive] when [dispatched_finished]
+    arrives, and schedule whatever that call starts in turn.  Do not mix
+    {!serve_extents} and {!submit_flat} on one array: both move the same
+    arms. *)
 
 type op
 (** Handle on one submitted logical operation. *)
@@ -126,11 +130,6 @@ val op_id : op -> int
 
 val op_done : op -> bool
 (** All chunk requests of the operation have completed. *)
-
-val op_service : op -> service
-(** Service window of a completed (or empty) operation: first dispatch
-    start to last chunk completion.  An operation with no chunks
-    began and finished at its submission time. *)
 
 val op_submitted : op -> float
 (** Time the operation entered the dispatch queues. *)
@@ -143,63 +142,40 @@ val op_breakdown : op -> (float * float * float * float) option
     the operation's chunks, in ms.  [None] unless a sink was attached
     when the operation was submitted. *)
 
-type dispatched = {
-  d_drive : int;
-  d_op_id : int;
-  d_started : float;
-  d_finished : float;  (** when to call {!complete} on [d_drive] *)
-  d_bytes : int;
-  d_parity : bool;  (** redundancy traffic: excluded from data-byte accounting *)
-}
-(** One chunk request an idle drive just started servicing. *)
-
-type completion = {
-  c_op : op;  (** the operation the retired request belonged to *)
-  c_op_done : bool;  (** that operation just completed entirely *)
-}
-
-val submit : t -> now:float -> kind:kind -> extents:(int * int) list -> op * dispatched list
-(** Enqueue one logical operation's chunks on their drives' dispatch
-    queues and start every idle drive that received work.  Returns the
-    operation handle and the newly started requests (at most one per
-    drive). *)
-
-val complete : t -> drive:int -> completion * dispatched option
-(** Retire [drive]'s in-service request — the caller invokes this when
-    the request's [d_finished] time arrives — and start the drive's next
-    pending request per the scheduler, if any.  Raises
-    [Invalid_argument] naming the drive and its queue depth if the drive
-    has nothing in service. *)
-
-(** {2 Allocation-free dispatch surface}
-
-    {!submit_flat} / {!complete_flat} are {!submit} / {!complete} minus
-    the per-call [dispatched] records: the requests started by the last
-    call sit in an internal flat buffer read through the
-    [dispatched_*] accessors (valid indices are
-    [0 .. dispatched_len - 1], until the next [submit_flat] /
-    [complete_flat] on this array).  Observationally identical to the
-    list-returning calls — same dispatch order, same clocks. *)
-
 val submit_flat : t -> now:float -> kind:kind -> extents:(int * int) list -> op
+(** Enqueue one logical operation's chunks on their drives' dispatch
+    queues and start every idle drive that received work (at most one
+    request per drive, in first-touch drive order, into the dispatch
+    buffer). *)
 
 val complete_flat : t -> drive:int -> op
-(** Returns the operation the retired request belonged to (check
-    {!op_done}); the follow-on dispatch, if any, is in the buffer. *)
+(** Retire [drive]'s in-service request — the caller invokes this when
+    the request's [dispatched_finished] time arrives — and start the
+    drive's next pending request per the scheduler, if any, into the
+    dispatch buffer.  Returns the operation the retired request belonged
+    to (check {!op_done}).  Raises [Invalid_argument] naming the drive
+    and its queue depth if the drive has nothing in service. *)
 
 val dispatched_len : t -> int
 val dispatched_op_id : t -> int -> int
 val dispatched_drive : t -> int -> int
 val dispatched_started : t -> int -> float
+
 val dispatched_finished : t -> int -> float
+(** When to call {!complete_flat} on the request's drive. *)
+
 val dispatched_bytes : t -> int -> int
+
 val dispatched_parity : t -> int -> bool
+(** Redundancy traffic: excluded from data-byte accounting. *)
 
 val op_began : op -> float
-(** [(op_service op).began] without building the record. *)
+(** When the operation's first chunk started moving; its submission time
+    if it has no chunks. *)
 
 val op_finished : op -> float
-(** [(op_service op).finished] without building the record. *)
+(** When the operation's last chunk completed (valid once {!op_done});
+    its submission time if it has no chunks. *)
 
 val pending : t -> drive:int -> int
 (** Requests on [drive]'s dispatch queue, including the one in
@@ -248,18 +224,19 @@ type rebuild_step =
   | Rebuild_blocked  (** a reconstruction source is unavailable; retry later *)
   | Rebuild_done  (** sweep complete; the drive is healthy again *)
   | Rebuild_sync of float  (** synchronous path: the rebuild I/O's completion time *)
-  | Rebuild_queued of op * dispatched list
-      (** queued path: the rebuild I/O went through the dispatch queues *)
+  | Rebuild_queued of op
+      (** queued path: the rebuild I/O went through the dispatch queues;
+          what it started is in the dispatch buffer *)
 
-val rebuild_step : t -> now:float -> queued:bool -> drive:int -> rebuild_step
+val rebuild_step : t -> now:float -> drive:int -> rebuild_step
 (** Issue the next background rebuild I/O for [drive]: read the next
     [rebuild_chunk_bytes] region from every surviving redundancy-group
     member (the mirror partner, or all other drives for RAID-5 / parity
     striping) and write the reconstruction to [drive].  All of it is
     redundancy traffic — it never counts as data throughput, but it
-    competes with foreground work for the arms.  [queued] selects the
-    dispatch-queue path ({!submit}-style) over the synchronous one; the
-    caller paces successive calls ([rebuild_rate_bytes_per_ms]). *)
+    competes with foreground work for the arms.  The I/O takes the
+    array's own path ({!synchronous}); the caller paces successive calls
+    ([rebuild_rate_bytes_per_ms]). *)
 
 val utilization : t -> now:float -> float
 (** Fraction of elapsed time the drives spent busy, averaged over
@@ -308,7 +285,7 @@ val obs : t -> Rofs_obs.Sink.t option
 
 val last_breakdown : t -> float * float * float * float
 (** [(seek, rotation, transfer, fault_penalty)] totals in ms of the most
-    recent {!service} / {!access} call.  Only meaningful immediately
-    after that call and only while a sink is attached. *)
+    recent {!serve_extents} call.  Only meaningful immediately after that
+    call and only while a sink is attached. *)
 
 val pp_config : Format.formatter -> config -> unit

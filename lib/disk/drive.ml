@@ -134,14 +134,14 @@ let stall t ~ms =
 let serve t ~start ~rng ~offset ~bytes ~passes =
   if passes < 1 then invalid_arg "Drive.serve: passes < 1";
   if t.busy_until > start then invalid_arg "Drive.serve: drive still busy";
-  (* Each pass runs through [access] so the positioning regimes (and
-     their statistics) match the FCFS path exactly; the second pass of a
+  (* Each pass runs through [access], so the second pass of a
      read-modify-write re-targets the same bytes and therefore pays a
-     full reposition, as it does there. *)
-  let rec go i finish =
-    if i >= passes then finish else go (i + 1) (access t ~now:start ~rng ~offset ~bytes)
-  in
-  go 1 (access t ~now:start ~rng ~offset ~bytes)
+     full reposition.  A loop rather than a local recursive function:
+     without flambda the closure would be allocated on every call. *)
+  for _ = 2 to passes do
+    ignore (access t ~now:start ~rng ~offset ~bytes : float)
+  done;
+  access t ~now:start ~rng ~offset ~bytes
 
 let stats t =
   {

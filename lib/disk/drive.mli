@@ -48,12 +48,12 @@ val stall : t -> ms:float -> float
     busy time in the statistics; requires [ms >= 0]. *)
 
 val serve : t -> start:float -> rng:Rofs_util.Rng.t -> offset:int -> bytes:int -> passes:int -> float
-(** Dispatch-queue variant of {!access}: perform the transfer [passes]
-    times back to back (2 for a read-modify-write), beginning exactly at
-    [start], and return the completion time.  The caller — the array's
-    per-drive scheduler — guarantees the drive is idle at [start]
-    ([busy_until t <= start]); raises [Invalid_argument] otherwise or if
-    [passes < 1]. *)
+(** Perform the transfer [passes] times back to back (2 for a
+    read-modify-write), each pass an {!access}, beginning exactly at
+    [start], and return the completion time.  Both of the array's
+    service paths issue every chunk through this.  The caller guarantees
+    the drive is idle at [start] ([busy_until t <= start]); raises
+    [Invalid_argument] otherwise or if [passes < 1]. *)
 
 val service_time_ms : t -> rng:Rofs_util.Rng.t -> offset:int -> bytes:int -> float
 (** The duration [access] would charge, without performing the request

@@ -374,15 +374,29 @@ type drive_report = {
   dr_queue_max : int;
 }
 
-(* The FCFS policy keeps the seed's synchronous fast path: completion
-   times are computed at submission against each drive's busy clock,
-   which is equivalent to dispatching an arrival-ordered queue (the next
-   request's start never depends on later arrivals) and is byte-exact
-   with the seed implementation.  Any other policy must defer: which
-   request a drive serves next depends on what else has arrived by the
-   time its arm falls idle, so the engine posts per-drive completion
-   events and the array dispatches from real queues. *)
-let queued t = t.cfg.scheduler <> Sched_policy.Fcfs
+(* Two service paths, chosen by the array from its scheduler.  FCFS keeps
+   the seed's synchronous path: each operation is served whole on
+   submission against each drive's busy clock, byte-exact with the seed
+   implementation.  Any other policy must defer: which request a drive
+   serves next depends on what else has arrived by the time its arm
+   falls idle, so the engine posts per-drive completion events and the
+   array dispatches from real queues.
+
+   The queued path run FCFS is NOT equivalent to the synchronous one at
+   engine level, although the array serves every chunk of both through
+   one routine:
+   - throughput is credited per operation (first chunk start to last
+     chunk finish) on the synchronous path, per request on the queued
+     path;
+   - the shared service RNG is drawn in chunk-generation order on the
+     synchronous path, in dispatch order on the queued one, so the chunks
+     of overlapping operations draw in different orders;
+   - a mirrored read picks its arm by queue load on the queued path, by
+     the drives' busy clocks on the synchronous one.
+   The synchronous path also stays because it is far cheaper to
+   simulate: routing FCFS through the queues costs the TP benchmark
+   workload 3.3x the host time and 4.6x the peak heap (DESIGN.md). *)
+let queued t = not (Array_model.synchronous t.array)
 
 (* Credit one I/O's bytes over its service window.  Append-only into the
    flat arrays; growth doubles all three (plus the spare buffer, so the
@@ -604,7 +618,9 @@ let populate t =
    On the queued path, requests left on the dispatch queues by the
    previous test keep draining: their completion events are re-posted
    (the clear dropped them) and their orphaned operations — whose users
-   just got fresh start times — are forgotten by the waiter table. *)
+   just got fresh start times — are forgotten by the waiter table.  On
+   the synchronous path the waiter table is empty and nothing is ever
+   in service, so this is a no-op there. *)
 let seed_events t =
   Heap.clear t.heap;
   Array.iter
@@ -613,14 +629,12 @@ let seed_events t =
       let start = t.now +. Dist.uniform t.rng ~lo:0. ~hi:(Float.max spread 1.) in
       Heap.push t.heap ~prio:start user.wake_ev)
     t.users;
-  if queued t then begin
-    Hashtbl.reset t.waiters;
-    for d = 0 to Array_model.disks t.array - 1 do
-      match Array_model.in_service_finish t.array ~drive:d with
-      | Some finish -> Heap.push t.heap ~prio:finish t.drive_done_evs.(d)
-      | None -> ()
-    done
-  end;
+  Hashtbl.reset t.waiters;
+  for d = 0 to Array_model.disks t.array - 1 do
+    match Array_model.in_service_finish t.array ~drive:d with
+    | Some finish -> Heap.push t.heap ~prio:finish t.drive_done_evs.(d)
+    | None -> ()
+  done;
   (* The clear also dropped the fault tick and any rebuild ticks (and the
      waiter reset dropped rebuild continuations): re-post the pending
      fault event and re-kick the sweep of every drive still
@@ -817,6 +831,50 @@ let post_dispatched t ~credit =
         (Array_model.dispatched_bytes a i)
   done
 
+(* Instrumentation for one completed operation the application waited
+   on, on either path: latency and queue wait from [submitted], the
+   service breakdown, and its trace marks.  [op] is [None] for a
+   synchronous operation, whose breakdown the array keeps until the next
+   one and whose arrival is marked here; a queued operation's arrival
+   was marked at submission. *)
+let observe_op t ~op ~bytes ~submitted ~began ~finished =
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+      let seek, rotation, transfer =
+        match op with
+        | None ->
+            let s, r, x, _penalty = Array_model.last_breakdown t.array in
+            (s, r, x)
+        | Some op -> (
+            match Array_model.op_breakdown op with
+            | Some (s, r, x, _penalty) -> (s, r, x)
+            | None -> (0., 0., 0.))
+      in
+      Sink.record_op sink
+        ~latency:(finished -. submitted)
+        ~queue_wait:(began -. submitted)
+        ~seek ~rotation ~transfer;
+      if Sink.tracing sink then begin
+        let op_id =
+          match op with
+          | None ->
+              Sink.event sink
+                { Trc.at_ms = submitted; dur_ms = 0.; kind = Trc.Arrival; drive = -1; op_id = -1; bytes };
+              -1
+          | Some op -> Array_model.op_id op
+        in
+        Sink.event sink
+          { Trc.at_ms = finished; dur_ms = 0.; kind = Trc.Completion; drive = -1; op_id; bytes }
+      end);
+  match t.timeline with
+  | None -> ()
+  | Some tl -> Timeline.record_latency tl ~at:finished (finished -. submitted)
+
+let observe_queued t op ~finished =
+  observe_op t ~op:(Some op) ~bytes:(Array_model.op_bytes op)
+    ~submitted:(Array_model.op_submitted op) ~began:(Array_model.op_began op) ~finished
+
 (* Issue the physical transfer for a logical byte range; bytes are
    credited to the throughput accounting per service window.  An
    operation that needs data no surviving drive can provide is counted
@@ -831,37 +889,7 @@ let do_io_raw t ~kind ~file ~off ~len =
     let began = Array_model.last_began t.array in
     let finished = Array_model.last_finished t.array in
     t.io_ops <- t.io_ops + 1;
-    (match t.obs with
-    | None -> ()
-    | Some sink ->
-        let seek, rotation, transfer, _penalty = Array_model.last_breakdown t.array in
-        Sink.record_op sink
-          ~latency:(finished -. t.now)
-          ~queue_wait:(began -. t.now)
-          ~seek ~rotation ~transfer;
-        if Sink.tracing sink then begin
-          Sink.event sink
-            {
-              Trc.at_ms = t.now;
-              dur_ms = 0.;
-              kind = Trc.Arrival;
-              drive = -1;
-              op_id = -1;
-              bytes = physical;
-            };
-          Sink.event sink
-            {
-              Trc.at_ms = finished;
-              dur_ms = 0.;
-              kind = Trc.Completion;
-              drive = -1;
-              op_id = -1;
-              bytes = physical;
-            }
-        end);
-    (match t.timeline with
-    | None -> ()
-    | Some tl -> Timeline.record_latency tl ~at:finished (finished -. t.now));
+    observe_op t ~op:None ~bytes:physical ~submitted:t.now ~began ~finished;
     (* Credit bytes over the service window, not the queue wait. *)
     fl_push t ~issue:began ~finish:finished physical;
     Done finished
@@ -894,29 +922,35 @@ let record_cache_outcome t (o : Cache.outcome) =
       Sink.record_cache_op sink ~hits:o.Cache.o_page_hits ~misses:o.Cache.o_page_misses
         ~evictions:o.Cache.o_evictions ~prefetched:o.Cache.o_prefetched
 
-(* Push one coalesced dirty-page run to disk.  Nobody waits on cache
-   write-back and its bytes were already credited when the application's
-   write was absorbed, so — like metadata write-back — it occupies the
-   drives uncredited; the queued path routes it through the dispatch
-   queues like everything else. *)
+(* Background I/O — cache write-back, descriptor write-back, rebuild
+   sweeps: nobody waits on it and it never counts as data throughput,
+   but it occupies the drives.  [background t op] posts the completion
+   events of a queued background operation's started requests,
+   uncredited, and returns its outcome. *)
+let background t op =
+  post_dispatched t ~credit:false;
+  if Array_model.op_done op then Done (Array_model.op_finished op) else Wait op
+
+(* Write [extents] in the background, on the array's path. *)
+let write_background t ~extents =
+  try
+    if queued t then
+      ignore
+        (background t (Array_model.submit_flat t.array ~now:t.now ~kind:Array_model.Write ~extents)
+          : outcome)
+    else Array_model.serve_extents t.array ~now:t.now ~kind:Array_model.Write ~extents
+  with Fault.Data_loss _ -> t.data_loss <- t.data_loss + 1
+
+(* Push one coalesced dirty-page run to disk, in the background: its
+   bytes were already credited when the application's write was
+   absorbed. *)
 let submit_writeback t (run : Cache.run) =
   if Volume.file_exists t.volume ~file:run.Cache.r_file then begin
     let extents =
       Volume.slice_bytes t.volume ~file:run.Cache.r_file ~off:run.Cache.r_off
         ~len:run.Cache.r_len
     in
-    if extents <> [] then begin
-      try
-        if not (queued t) then
-          Array_model.serve_extents t.array ~now:t.now ~kind:Array_model.Write ~extents
-        else begin
-          ignore
-            (Array_model.submit_flat t.array ~now:t.now ~kind:Array_model.Write ~extents
-              : Array_model.op);
-          post_dispatched t ~credit:false
-        end
-      with Fault.Data_loss _ -> t.data_loss <- t.data_loss + 1
-    end
+    if extents <> [] then write_background t ~extents
   end
 
 let submit_writebacks t ~kind runs =
@@ -1090,21 +1124,7 @@ let charge_metadata t ~file ~new_extents =
     let capacity = Array_model.capacity_bytes t.array in
     let meta_units = ((new_extents - 1) / records_per_meta_unit) + 1 in
     let slot = (file * 2654435761) land max_int mod ((capacity / unit) - meta_units) in
-    let extents = [ (slot * unit, meta_units * unit) ] in
-    (* Nobody waits on descriptor write-back and it is not credited as
-       data throughput, but it still occupies the drives: the queued
-       path routes it through the dispatch queues like everything
-       else. *)
-    (try
-       if not (queued t) then
-         Array_model.serve_extents t.array ~now:t.now ~kind:Array_model.Write ~extents
-       else begin
-         ignore
-           (Array_model.submit_flat t.array ~now:t.now ~kind:Array_model.Write ~extents
-             : Array_model.op);
-         post_dispatched t ~credit:false
-       end
-     with Fault.Data_loss _ -> t.data_loss <- t.data_loss + 1);
+    write_background t ~extents:[ (slot * unit, meta_units * unit) ];
     t.meta_bytes <- t.meta_bytes + (meta_units * unit)
   end
 
@@ -1243,6 +1263,16 @@ let kick_rebuild t ~drive ~at =
     Heap.push t.heap ~prio:at t.rebuild_evs.(drive)
   end
 
+(* Count a rebuild I/O and re-arm the drive's sweep: the next chunk
+   issues once this one completes and the pacing gap has passed. *)
+let rebuild_issued t ~drive outcome =
+  t.rebuild_ios <- t.rebuild_ios + 1;
+  mark t ~kind:Trc.Rebuild ~drive;
+  let next_ok = t.now +. rebuild_gap_ms t in
+  match outcome with
+  | Done finish -> Heap.push t.heap ~prio:(Float.max finish next_ok) t.rebuild_evs.(drive)
+  | Wait op -> Hashtbl.replace t.waiters (Array_model.op_id op) (Rebuild_waiter { drive; next_ok })
+
 let apply_fault t = function
   | Fault_plan.Fail d ->
       Array_model.fail_drive t.array ~drive:d;
@@ -1267,38 +1297,6 @@ let apply_fault t = function
    [d]'s in-service request at its completion time, starts the drive's
    next queued request per the scheduler, and wakes the blocked user
    when the whole operation is done. *)
-(* Instrumentation for a queued-path operation that just completed with
-   a waiter attached (user or replay session). *)
-let observe_queued_completion t op ~id ~finished =
-  (match t.timeline with
-  | None -> ()
-  | Some tl ->
-      Timeline.record_latency tl ~at:finished (finished -. Array_model.op_submitted op));
-  match t.obs with
-  | None -> ()
-  | Some sink ->
-      let submitted = Array_model.op_submitted op in
-      let began = Array_model.op_began op in
-      let seek, rotation, transfer =
-        match Array_model.op_breakdown op with
-        | Some (s, r, x, _penalty) -> (s, r, x)
-        | None -> (0., 0., 0.)
-      in
-      Sink.record_op sink
-        ~latency:(finished -. submitted)
-        ~queue_wait:(began -. submitted)
-        ~seek ~rotation ~transfer;
-      if Sink.tracing sink then
-        Sink.event sink
-          {
-            Trc.at_ms = finished;
-            dur_ms = 0.;
-            kind = Trc.Completion;
-            drive = -1;
-            op_id = id;
-            bytes = Array_model.op_bytes op;
-          }
-
 let run_events t ~mode ~stop =
   (* Aging stretches think times so a simulated month stays tractable;
      [*. 1.] is exact, so every other mode's draws are bit-identical to
@@ -1338,11 +1336,11 @@ let run_events t ~mode ~stop =
            match Hashtbl.find_opt t.waiters id with
            | Some (User_waiter user) ->
                Hashtbl.remove t.waiters id;
-               observe_queued_completion t op ~id ~finished;
+               observe_queued t op ~finished;
                wake_after t user ~completion:finished
            | Some Replay_waiter ->
                Hashtbl.remove t.waiters id;
-               observe_queued_completion t op ~id ~finished;
+               observe_queued t op ~finished;
                (match t.replay with
                | Some rs ->
                    rs.rs_outstanding <- rs.rs_outstanding - 1;
@@ -1368,27 +1366,12 @@ let run_events t ~mode ~stop =
         if not (stop ~failed:false) then loop ()
       | Rebuild_tick d ->
         t.now <- Float.max t.now time;
-        (match Array_model.rebuild_step t.array ~now:t.now ~queued:(queued t) ~drive:d with
+        (match Array_model.rebuild_step t.array ~now:t.now ~drive:d with
         | Array_model.Rebuild_idle | Array_model.Rebuild_done -> t.rebuild_live.(d) <- false
         | Array_model.Rebuild_blocked ->
             Heap.push t.heap ~prio:(t.now +. rebuild_retry_ms) t.rebuild_evs.(d)
-        | Array_model.Rebuild_sync finish ->
-            t.rebuild_ios <- t.rebuild_ios + 1;
-            mark t ~kind:Trc.Rebuild ~drive:d;
-            Heap.push t.heap
-              ~prio:(Float.max finish (t.now +. rebuild_gap_ms t))
-              t.rebuild_evs.(d)
-        | Array_model.Rebuild_queued (op, _started) ->
-            t.rebuild_ios <- t.rebuild_ios + 1;
-            mark t ~kind:Trc.Rebuild ~drive:d;
-            post_dispatched t ~credit:false;
-            if Array_model.op_done op then
-              Heap.push t.heap
-                ~prio:(Float.max (Array_model.op_finished op) (t.now +. rebuild_gap_ms t))
-                t.rebuild_evs.(d)
-            else
-              Hashtbl.replace t.waiters (Array_model.op_id op)
-                (Rebuild_waiter { drive = d; next_ok = t.now +. rebuild_gap_ms t }));
+        | Array_model.Rebuild_sync finish -> rebuild_issued t ~drive:d (Done finish)
+        | Array_model.Rebuild_queued op -> rebuild_issued t ~drive:d (background t op));
         if not (stop ~failed:false) then loop ()
       | Flush_tick ->
         t.now <- Float.max t.now time;

@@ -37,9 +37,10 @@ type config = {
   scheduler : Rofs_sched.Policy.t;
       (** per-drive request scheduler (default [Fcfs]).  [Fcfs] keeps
           the seed semantics — completion times computed at submission
-          against each drive's busy clock, which is equivalent to
-          dispatching an arrival-ordered queue and byte-identical with
-          the original implementation.  [Sstf] / [Scan] / [Clook] switch
+          against each drive's busy clock, byte-identical with the
+          original implementation (not the same results as FCFS
+          dispatch queues: crediting, RNG draw order and mirrored arm
+          choice differ).  [Sstf] / [Scan] / [Clook] switch
           the engine to the dispatch-queue model: every drive owns a
           pending-request queue, the engine posts per-drive completion
           events into its event heap, and the policy reorders queued

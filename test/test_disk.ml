@@ -7,6 +7,11 @@ module Drive = Core.Drive
 module Array_model = Core.Array_model
 module Rng = Core.Rng
 
+(* One synchronous operation; its completion time. *)
+let access a ~now ~kind ~extents =
+  Array_model.serve_extents a ~now ~kind ~extents;
+  Array_model.last_finished a
+
 let wren = Geometry.cdc_wren_iv
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -163,7 +168,7 @@ let test_array_max_bandwidth () =
 let test_array_small_access_single_disk () =
   (* An 8K access within one stripe unit touches one drive. *)
   let a = striped () in
-  let finish = Array_model.access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 8 * 1024) ] in
+  let finish = access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 8 * 1024) ] in
   let busy = Array_model.drive_stats a in
   let touched = Array.to_list busy |> List.filter (fun s -> s.Drive.requests > 0) in
   check_int "one drive touched" 1 (List.length touched);
@@ -172,7 +177,7 @@ let test_array_small_access_single_disk () =
 let test_array_large_access_spans_disks () =
   let a = striped () in
   ignore
-    (Array_model.access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 8 * 24 * 1024) ]);
+    (access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 8 * 24 * 1024) ]);
   let touched =
     Array.to_list (Array_model.drive_stats a) |> List.filter (fun s -> s.Drive.requests > 0)
   in
@@ -203,27 +208,27 @@ let test_array_sequential_throughput_near_max () =
 
 let test_array_bytes_moved () =
   let a = striped () in
-  ignore (Array_model.access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 100 * 1024) ]);
+  ignore (access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 100 * 1024) ]);
   check_int "bytes accounted" (100 * 1024) (Array_model.bytes_moved a)
 
 let test_array_service_window () =
   let a = striped () in
-  let s1 = Array_model.service a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 24 * 1024) ] in
-  check_bool "starts immediately when idle" true (s1.Array_model.began = 0.);
+  let finished1 = access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 24 * 1024) ] in
+  check_bool "starts immediately when idle" true (Array_model.last_began a = 0.);
   (* second op on the same drive starts after the first finishes *)
-  let s2 = Array_model.service a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 24 * 1024) ] in
-  close "queued start" s1.Array_model.finished s2.Array_model.began
+  ignore (access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 24 * 1024) ]);
+  close "queued start" finished1 (Array_model.last_began a)
 
 let test_array_utilization () =
   let a = striped () in
   close "zero at t0" 0. (Array_model.utilization a ~now:0.);
-  let finish = Array_model.access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 24 * 1024) ] in
+  let finish = access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 24 * 1024) ] in
   let u = Array_model.utilization a ~now:finish in
   check_bool "some utilization" true (u > 0. && u <= 1.)
 
 let test_array_reset () =
   let a = striped () in
-  ignore (Array_model.access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 1024) ]);
+  ignore (access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 1024) ]);
   Array_model.reset a;
   check_int "bytes cleared" 0 (Array_model.bytes_moved a);
   check_bool "drives idle" true
@@ -234,7 +239,7 @@ let test_array_rejects_out_of_range () =
   Alcotest.check_raises "outside array" (Invalid_argument "Array_model: extent outside the array")
     (fun () ->
       ignore
-        (Array_model.access a ~now:0. ~kind:Array_model.Read
+        (access a ~now:0. ~kind:Array_model.Read
            ~extents:[ (Array_model.capacity_bytes a, 1) ]))
 
 let test_array_rejects_bad_config () =
@@ -253,7 +258,7 @@ let test_array_rejects_bad_config () =
 let test_mirrored_capacity_and_writes () =
   let a = Array_model.create ~disks:8 (Array_model.Mirrored { stripe_unit = 24 * 1024 }) in
   check_int "half capacity" (4 * Geometry.capacity_bytes wren) (Array_model.capacity_bytes a);
-  ignore (Array_model.access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 8 * 1024) ]);
+  ignore (access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 8 * 1024) ]);
   let touched =
     Array.to_list (Array_model.drive_stats a) |> List.filter (fun s -> s.Drive.requests > 0)
   in
@@ -263,7 +268,7 @@ let test_mirrored_capacity_and_writes () =
 
 let test_mirrored_read_single_arm () =
   let a = Array_model.create ~disks:8 (Array_model.Mirrored { stripe_unit = 24 * 1024 }) in
-  ignore (Array_model.access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 8 * 1024) ]);
+  ignore (access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 8 * 1024) ]);
   let touched =
     Array.to_list (Array_model.drive_stats a) |> List.filter (fun s -> s.Drive.requests > 0)
   in
@@ -278,7 +283,7 @@ let test_raid5_capacity_and_small_write_penalty () =
 
 let test_raid5_write_touches_parity_drive () =
   let a = Array_model.create ~disks:8 (Array_model.Raid5 { stripe_unit = 24 * 1024 }) in
-  ignore (Array_model.access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 8 * 1024) ]);
+  ignore (access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 8 * 1024) ]);
   let touched =
     Array.to_list (Array_model.drive_stats a) |> List.filter (fun s -> s.Drive.requests > 0)
   in
@@ -288,7 +293,7 @@ let test_parity_striped_places_file_on_one_disk () =
   let a = Array_model.create ~disks:8 Array_model.Parity_striped in
   (* A multi-megabyte read within one drive's data region touches only
      that drive: Gray's layout does not stripe files. *)
-  ignore (Array_model.access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4 * 1024 * 1024) ]);
+  ignore (access a ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4 * 1024 * 1024) ]);
   let touched =
     Array.to_list (Array_model.drive_stats a) |> List.filter (fun s -> s.Drive.requests > 0)
   in
@@ -296,7 +301,7 @@ let test_parity_striped_places_file_on_one_disk () =
 
 let test_parity_striped_write_updates_partner () =
   let a = Array_model.create ~disks:8 Array_model.Parity_striped in
-  ignore (Array_model.access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 64 * 1024) ]);
+  ignore (access a ~now:0. ~kind:Array_model.Write ~extents:[ (0, 64 * 1024) ]);
   let touched =
     Array.to_list (Array_model.drive_stats a) |> List.filter (fun s -> s.Drive.requests > 0)
   in
@@ -359,7 +364,7 @@ let prop_striped_mapping_covers_bytes =
     QCheck.(pair (int_bound 10_000_000) (int_range 1 5_000_000))
     (fun (addr, len) ->
       let a = striped () in
-      ignore (Array_model.access a ~now:0. ~kind:Array_model.Read ~extents:[ (addr, len) ]);
+      ignore (access a ~now:0. ~kind:Array_model.Read ~extents:[ (addr, len) ]);
       Array_model.bytes_moved a = len)
 
 let prop_striped_distributes_round_robin =
@@ -369,7 +374,7 @@ let prop_striped_distributes_round_robin =
       let unit = 24 * 1024 in
       let a = striped () in
       ignore
-        (Array_model.access a ~now:0. ~kind:Array_model.Read
+        (access a ~now:0. ~kind:Array_model.Read
            ~extents:[ (stripe_index * unit, unit) ]);
       let stats = Array_model.drive_stats a in
       let expected_disk = stripe_index mod 8 in
@@ -386,7 +391,7 @@ let prop_multi_extent_ops_accumulate =
       let extents = List.map (fun (addr, len) -> (addr, len)) extents in
       if extents = [] then true
       else begin
-        ignore (Array_model.access a ~now:0. ~kind:Array_model.Write ~extents);
+        ignore (access a ~now:0. ~kind:Array_model.Write ~extents);
         Array_model.bytes_moved a = List.fold_left (fun acc (_, l) -> acc + l) 0 extents
       end)
 
@@ -399,7 +404,7 @@ let test_array_deterministic () =
     let fin = ref 0. in
     for i = 0 to 49 do
       fin :=
-        Array_model.access a ~now:!fin ~kind:Array_model.Read
+        access a ~now:!fin ~kind:Array_model.Read
           ~extents:[ (i * 1024 * 1024, 64 * 1024) ]
     done;
     !fin

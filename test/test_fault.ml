@@ -46,6 +46,11 @@ let expect_invalid name ~substr f =
       check_bool (Printf.sprintf "%s: %S mentions %S" name msg substr) true (contains msg substr)
 
 let su = 24 * 1024
+
+(* One synchronous operation; its completion time. *)
+let access a ~now ~kind ~extents =
+  Array_model.serve_extents a ~now ~kind ~extents;
+  Array_model.last_finished a
 let drive_capacity = Geometry.capacity_bytes Geometry.cdc_wren_iv
 
 (* ------------------------------------------------------------------ *)
@@ -171,12 +176,12 @@ let test_striped_dead_drive_is_data_loss () =
   Array_model.fail_drive array ~drive:0;
   (* Offset 0 maps to drive 0; no redundancy covers it. *)
   expect_data_loss "striped read" ~drive:0 (fun () ->
-      Array_model.access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ]);
+      access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ]);
   expect_data_loss "striped write" ~drive:0 (fun () ->
-      Array_model.access array ~now:0. ~kind:Array_model.Write ~extents:[ (0, 4096) ]);
+      access array ~now:0. ~kind:Array_model.Write ~extents:[ (0, 4096) ]);
   (* The neighbouring unit lives on drive 1 and still serves. *)
   check_bool "survivors still serve" true
-    (Array_model.access array ~now:0. ~kind:Array_model.Read ~extents:[ (su, 4096) ] > 0.)
+    (access array ~now:0. ~kind:Array_model.Read ~extents:[ (su, 4096) ] > 0.)
 
 (* Mirror failover: with one arm of a pair dead, reads of any offset
    never touch it — pair-0 traffic fails over to drive 1, pair-1
@@ -190,7 +195,7 @@ let prop_mirror_failover_avoids_dead_arm =
       List.iter
         (fun b ->
           ignore
-            (Array_model.access array ~now:0. ~kind:Array_model.Read
+            (access array ~now:0. ~kind:Array_model.Read
                ~extents:[ (b * 4096, 4096) ]))
         blocks;
       requests array 0 = 0)
@@ -200,14 +205,14 @@ let test_mirror_degraded_write_skips_dead_arm () =
   Array_model.fail_drive array ~drive:0;
   (* Offset 0 is pair 0 (drives 0/1): the write lands on the surviving
      arm only and the miss is logged for the rebuild sweep. *)
-  ignore (Array_model.access array ~now:0. ~kind:Array_model.Write ~extents:[ (0, 8192) ]);
+  ignore (access array ~now:0. ~kind:Array_model.Write ~extents:[ (0, 8192) ]);
   check_int "dead arm untouched" 0 (requests array 0);
   check_int "surviving arm wrote" 1 (requests array 1);
   let fs = Array_model.fault_state array in
   check_int "dirty bytes logged" 8192 (Fault.dirty_bytes fs);
   check_int "degraded write counted" 1 (Fault.counters fs).Fault.degraded_writes;
   (* A degraded read of the same unit fails over to the same arm. *)
-  ignore (Array_model.access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ]);
+  ignore (access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ]);
   check_int "failover read counted" 1 (Fault.counters fs).Fault.reconstructed_reads;
   check_int "dead arm still untouched" 0 (requests array 0)
 
@@ -229,7 +234,7 @@ let prop_raid5_degraded_read_fans_out =
       let home = if pos < parity_disk then pos else pos + 1 in
       let addr = (idx * su) + within in
       let bytes = min 4096 (su - within) in
-      let s = Array_model.service array ~now:0. ~kind:Array_model.Read ~extents:[ (addr, bytes) ] in
+      let finished = access array ~now:0. ~kind:Array_model.Read ~extents:[ (addr, bytes) ] in
       let total = List.init n (requests array) |> List.fold_left ( + ) 0 in
       if home <> dead then total = 1 && requests array home = 1
       else
@@ -239,7 +244,7 @@ let prop_raid5_degraded_read_fans_out =
         in
         requests array dead = 0
         && total = n - 1
-        && Float.equal s.Array_model.finished slowest
+        && Float.equal finished slowest
         && (Fault.counters (Array_model.fault_state array)).Fault.reconstructed_reads = 1)
 
 let test_raid5_double_failure_is_data_loss () =
@@ -250,13 +255,13 @@ let test_raid5_double_failure_is_data_loss () =
   Array_model.fail_drive array ~drive:1;
   Array_model.fail_drive array ~drive:2;
   expect_data_loss "raid5 two dead drives" ~drive:1 (fun () ->
-      Array_model.access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ])
+      access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ])
 
 let test_parity_striped_degraded_read_reconstructs () =
   let array = Array_model.create ~disks:4 Array_model.Parity_striped in
   Array_model.fail_drive array ~drive:0;
   (* Offset 0 is drive 0's data region (drives are concatenated). *)
-  ignore (Array_model.access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ]);
+  ignore (access array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ]);
   check_int "dead drive untouched" 0 (requests array 0);
   for d = 1 to 3 do
     check_int (Printf.sprintf "survivor %d read once" d) 1 (requests array d)
@@ -269,18 +274,20 @@ let test_double_complete_names_drive_and_depth () =
     Array_model.create ~scheduler:Policy.Sstf ~disks:4 (Array_model.Striped { stripe_unit = su })
   in
   expect_invalid "complete on idle drive" ~substr:"drive 2" (fun () ->
-      Array_model.complete array ~drive:2);
+      Array_model.complete_flat array ~drive:2);
   expect_invalid "complete on idle drive" ~substr:"queue depth 0" (fun () ->
-      Array_model.complete array ~drive:2);
+      Array_model.complete_flat array ~drive:2);
+  expect_invalid "complete on idle drive" ~substr:"complete_flat" (fun () ->
+      Array_model.complete_flat array ~drive:2);
   (* The real regression: retiring the same request twice. *)
-  let _op, dispatched = Array_model.submit array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ] in
-  check_int "one dispatch" 1 (List.length dispatched);
-  let d = (List.hd dispatched).Array_model.d_drive in
-  let completion, next = Array_model.complete array ~drive:d in
-  check_bool "op retired" true completion.Array_model.c_op_done;
-  check_bool "queue drained" true (next = None);
+  ignore (Array_model.submit_flat array ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ]);
+  check_int "one dispatch" 1 (Array_model.dispatched_len array);
+  let d = Array_model.dispatched_drive array 0 in
+  let op = Array_model.complete_flat array ~drive:d in
+  check_bool "op retired" true (Array_model.op_done op);
+  check_bool "queue drained" true (Array_model.dispatched_len array = 0);
   expect_invalid "second complete" ~substr:(Printf.sprintf "drive %d" d) (fun () ->
-      Array_model.complete array ~drive:d)
+      Array_model.complete_flat array ~drive:d)
 
 (* ------------------------------------------------------------------ *)
 (* Media errors: retry, remap, relocation penalty                     *)
@@ -339,8 +346,8 @@ let test_media_error_stalls_the_drive () =
       ~faults:{ Plan.none with media_error_rate = 1.0; retry_fail_prob = 0. }
       config
   in
-  let t_clean = Array_model.access clean ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ] in
-  let t_faulty = Array_model.access faulty ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ] in
+  let t_clean = access clean ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ] in
+  let t_faulty = access faulty ~now:0. ~kind:Array_model.Read ~extents:[ (0, 4096) ] in
   check_exact_float "one revolution slower"
     (t_clean +. Geometry.cdc_wren_iv.Geometry.rotation_ms)
     t_faulty;
@@ -361,7 +368,7 @@ let test_mirror_rebuild_sweep_completes () =
   check_bool "rebuild starts at 0" true (Array_model.drive_state array ~drive:0 = `Rebuilding 0.);
   let steps = ref 0 and now = ref 0. in
   let rec sweep () =
-    match Array_model.rebuild_step array ~now:!now ~queued:false ~drive:0 with
+    match Array_model.rebuild_step array ~now:!now ~drive:0 with
     | Array_model.Rebuild_sync finished ->
         incr steps;
         now := finished;
@@ -391,7 +398,7 @@ let test_striped_repair_goes_straight_healthy () =
   Array_model.repair_drive array ~drive:2;
   check_bool "no rebuild phase" true (Array_model.drive_state array ~drive:2 = `Healthy);
   check_bool "nothing to sweep" true
-    (Array_model.rebuild_step array ~now:0. ~queued:false ~drive:2 = Array_model.Rebuild_idle)
+    (Array_model.rebuild_step array ~now:0. ~drive:2 = Array_model.Rebuild_idle)
 
 let test_rebuild_blocks_without_sources () =
   (* RAID-5 reconstruction needs every other drive; with a second drive
@@ -401,7 +408,7 @@ let test_rebuild_blocks_without_sources () =
   Array_model.fail_drive array ~drive:1;
   Array_model.repair_drive array ~drive:0;
   check_bool "blocked on dead source" true
-    (Array_model.rebuild_step array ~now:0. ~queued:false ~drive:0 = Array_model.Rebuild_blocked)
+    (Array_model.rebuild_step array ~now:0. ~drive:0 = Array_model.Rebuild_blocked)
 
 (* ------------------------------------------------------------------ *)
 (* Engine level                                                       *)

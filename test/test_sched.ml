@@ -4,11 +4,12 @@
      QCheck properties (conservation, FCFS order, SSTF nearness) and
      the hot-cylinder adversary showing SCAN / C-LOOK bound waiting
      where SSTF starves;
-   - array level: the dispatch-queue path ({!Array_model.submit} /
-     {!complete}) completes every operation exactly once, keeps each
-     drive serial, and — run FCFS with one operation in flight — lands
-     on exactly the same clock as the synchronous {!Array_model.access}
-     path;
+   - array level: the dispatch-queue path ({!Array_model.submit_flat} /
+     {!Array_model.complete_flat}) completes every operation exactly
+     once, keeps each drive serial, and — run FCFS with one operation in
+     flight and at most one chunk per drive — lands on exactly the same
+     clock, bytes and service breakdown as the synchronous
+     {!Array_model.serve_extents} path, on every layout;
    - engine level: a frozen FCFS run.  The golden numbers below were
      captured from the seed implementation (per-drive [busy_until]
      clocks, before this subsystem existed); exact float equality here
@@ -24,6 +25,7 @@ module Engine = C.Engine
 module Experiment = C.Experiment
 module Workload = C.Workload
 module File_type = C.File_type
+module Sink = C.Sink
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -217,15 +219,28 @@ let test_sstf_starves () =
 (* Array level                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One request a drive started, read back from the array's dispatch
+   buffer. *)
+type started = { s_drive : int; s_started : float; s_finished : float }
+
+(* Everything the last [submit_flat] / [complete_flat] started. *)
+let started array =
+  List.init (Array_model.dispatched_len array) (fun i ->
+      {
+        s_drive = Array_model.dispatched_drive array i;
+        s_started = Array_model.dispatched_started array i;
+        s_finished = Array_model.dispatched_finished array i;
+      })
+
 (* Drive the queued path the way the engine does: pop the earliest
    in-service completion, retire it, schedule the follow-on dispatch.
    Returns per-drive dispatch logs. *)
 let run_to_completion array dispatched =
   let heap = C.Heap.create () in
   let log = Array.make (Array_model.disks array) [] in
-  let post (d : Array_model.dispatched) =
-    log.(d.Array_model.d_drive) <- d :: log.(d.Array_model.d_drive);
-    C.Heap.push heap ~prio:d.Array_model.d_finished d.Array_model.d_drive
+  let post d =
+    log.(d.s_drive) <- d :: log.(d.s_drive);
+    C.Heap.push heap ~prio:d.s_finished d.s_drive
   in
   List.iter post dispatched;
   let finished = ref [] in
@@ -233,10 +248,9 @@ let run_to_completion array dispatched =
     match C.Heap.pop heap with
     | None -> ()
     | Some (_, drive) ->
-        let completion, next = Array_model.complete array ~drive in
-        Option.iter post next;
-        if completion.Array_model.c_op_done then
-          finished := Array_model.op_id completion.Array_model.c_op :: !finished;
+        let op = Array_model.complete_flat array ~drive in
+        List.iter post (started array);
+        if Array_model.op_done op then finished := Array_model.op_id op :: !finished;
         loop ()
   in
   loop ();
@@ -245,8 +259,8 @@ let run_to_completion array dispatched =
 let submit_batch array ~scheduler:_ ops =
   List.fold_left
     (fun (ids, disp) (kind, extents) ->
-      let op, started = Array_model.submit array ~now:0. ~kind ~extents in
-      (Array_model.op_id op :: ids, disp @ started))
+      let op = Array_model.submit_flat array ~now:0. ~kind ~extents in
+      (Array_model.op_id op :: ids, disp @ started array))
     ([], []) ops
 
 let batch_ops =
@@ -288,45 +302,93 @@ let test_queued_drives_stay_serial () =
       Array.iteri
         (fun d reqs ->
           let rec serial = function
-            | (a : Array_model.dispatched) :: (b :: _ as rest) ->
+            | a :: (b :: _ as rest) ->
                 check_bool
                   (Printf.sprintf "%s: drive %d starts %.3f after finish %.3f"
-                     (Policy.name scheduler) d b.Array_model.d_started a.Array_model.d_finished)
+                     (Policy.name scheduler) d b.s_started a.s_finished)
                   true
-                  (b.Array_model.d_started >= a.Array_model.d_finished);
+                  (b.s_started >= a.s_finished);
                 serial rest
             | _ -> ()
           in
           serial reqs;
           List.iter
-            (fun (r : Array_model.dispatched) ->
-              check_bool "finish after start" true
-                (r.Array_model.d_finished >= r.Array_model.d_started))
+            (fun r -> check_bool "finish after start" true (r.s_finished >= r.s_started))
             reqs)
         log)
     Policy.all
 
+(* Operations that put at most one chunk on any drive of every layout
+   below (each stays inside one 24 KB stripe unit, or spans two units on
+   distinct drives or contiguously on one), so both paths draw the
+   service RNG in the same order. *)
+let one_chunk_per_drive_ops =
+  let unit = 24 * 1024 and mb = 1024 * 1024 in
+  [
+    (Array_model.Read, [ (0, 16 * 1024) ]);
+    (Array_model.Write, [ ((5 * mb) + 4096, 8 * 1024) ]);
+    (Array_model.Read, [ (14 * unit, unit) ]);
+    (Array_model.Write, [ (4000 * unit, unit) ]);
+    (Array_model.Read, [ ((5 * mb) + 4096, 8 * 1024) ]);
+    (Array_model.Read, [ (1706 * unit, 2 * unit) ]);
+    (Array_model.Read, [ (8000 * unit, unit) ]);
+    (Array_model.Write, [ ((10_000 * unit) + 4096, 8 * 1024) ]);
+    (Array_model.Write, [ (1706 * unit, 4096) ]);
+  ]
+
 let test_queued_fcfs_matches_sync () =
   (* One operation in flight at a time: the dispatch-queue model and the
-     seed's busy-clock model must produce the same clock, RNG draw for
-     draw.  Single drive so chunk interleaving cannot differ. *)
-  let cfg = Array_model.Striped { stripe_unit = 24 * 1024 } in
-  let sync = Array_model.create ~disks:1 cfg in
-  let queued = Array_model.create ~scheduler:Policy.Fcfs ~disks:1 cfg in
-  let now = ref 0. in
+     seed's busy-clock model serve every chunk through the same routine
+     and must produce the same clock, bytes and service breakdown, RNG
+     draw for draw (media errors included).  A single drive takes any
+     operation; more drives take operations that put at most one chunk
+     on each. *)
+  let su = 24 * 1024 in
+  let media = { C.Fault_plan.none with C.Fault_plan.media_error_rate = 0.3 } in
   List.iter
-    (fun (kind, extents) ->
-      let sync_done = Array_model.access sync ~now:!now ~kind ~extents in
-      let op, dispatched = Array_model.submit queued ~now:!now ~kind ~extents in
-      let _, finished = run_to_completion queued dispatched in
-      check_bool "op retired" true (finished = [ Array_model.op_id op ]);
-      let queued_done = (Array_model.op_service op).Array_model.finished in
-      check_exact_float
-        (Printf.sprintf "completion at %.3f" sync_done)
-        sync_done queued_done;
-      now := sync_done +. 1.)
-    batch_ops;
-  check_int "same data bytes" (Array_model.bytes_moved sync) (Array_model.bytes_moved queued)
+    (fun ((name, disks, cfg, ops), faults) ->
+      let name = if faults == media then name ^ ", media errors" else name in
+      let make scheduler =
+        let a = Array_model.create ~scheduler ~faults ~disks cfg in
+        Array_model.attach_obs a (Sink.create ());
+        a
+      in
+      let sync = make Policy.Fcfs and queued = make Policy.Fcfs in
+      let now = ref 0. in
+      List.iteri
+        (fun i (kind, extents) ->
+          let label what = Printf.sprintf "%s op %d: %s" name i what in
+          Array_model.serve_extents sync ~now:!now ~kind ~extents;
+          let sync_done = Array_model.last_finished sync in
+          let op = Array_model.submit_flat queued ~now:!now ~kind ~extents in
+          let _, finished = run_to_completion queued (started queued) in
+          check_bool (label "op retired") true (finished = [ Array_model.op_id op ]);
+          check_exact_float (label "completion") sync_done (Array_model.op_finished op);
+          check_exact_float (label "first byte")
+            (Array_model.last_began sync) (Array_model.op_began op);
+          (match Array_model.op_breakdown op with
+          | None -> Alcotest.fail (label "no breakdown under a sink")
+          | Some (seek, rotation, transfer, penalty) ->
+              let s, r, x, p = Array_model.last_breakdown sync in
+              check_exact_float (label "seek") s seek;
+              check_exact_float (label "rotation") r rotation;
+              check_exact_float (label "transfer") x transfer;
+              check_exact_float (label "fault penalty") p penalty);
+          now := sync_done +. 1.)
+        ops;
+      check_int (name ^ ": same data bytes") (Array_model.bytes_moved sync)
+        (Array_model.bytes_moved queued);
+      check_bool (name ^ ": same drive statistics") true
+        (Array_model.drive_stats sync = Array_model.drive_stats queued))
+    (List.concat_map
+       (fun layout -> [ (layout, C.Fault_plan.none); (layout, media) ])
+       [
+         ("striped, 1 drive", 1, Array_model.Striped { stripe_unit = su }, batch_ops);
+         ("striped", 4, Array_model.Striped { stripe_unit = su }, one_chunk_per_drive_ops);
+         ("mirrored", 2, Array_model.Mirrored { stripe_unit = su }, one_chunk_per_drive_ops);
+         ("raid5", 3, Array_model.Raid5 { stripe_unit = su }, one_chunk_per_drive_ops);
+         ("parity striped", 2, Array_model.Parity_striped, one_chunk_per_drive_ops);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Engine level                                                       *)
