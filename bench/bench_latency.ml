@@ -37,8 +37,12 @@ let run () =
     Common.par_map
       (fun (sched, (w : C.Workload.t)) ->
         let config = { !Common.config with C.Engine.scheduler = sched } in
-        let obs = C.Experiment.run_throughput_obs ~config Common.rbuddy_selected w in
-        let sink = obs.C.Experiment.o_sink in
+        let r =
+          C.Experiment.run_sharded
+            ~config:{ config with C.Engine.shard_slices = 1 }
+            ~instrument:true Common.rbuddy_selected w
+        in
+        let sink = Option.get r.C.Experiment.s_sink in
         let mean = C.Hist.mean in
         let lat = C.Sink.latency sink in
         [

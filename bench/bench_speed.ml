@@ -54,8 +54,8 @@ let run () =
               let t0 = Unix.gettimeofday () in
               let r = C.Experiment.run_sharded ~config ~shards spec w in
               let wall = Unix.gettimeofday () -. t0 in
-              let app = r.C.Engine.s_application
-              and seq = r.C.Engine.s_sequential in
+              let app = r.C.Experiment.s_application
+              and seq = r.C.Experiment.s_sequential in
               let ops = app.C.Engine.io_ops + seq.C.Engine.io_ops in
               if !first then begin
                 first := false;
@@ -63,7 +63,7 @@ let run () =
                   [
                     pname;
                     w0.C.Workload.name;
-                    string_of_int r.C.Engine.s_slices;
+                    string_of_int r.C.Experiment.s_slices;
                     Common.pct_points app.C.Engine.pct_of_max;
                     Common.pct_points seq.C.Engine.pct_of_max;
                     string_of_int ops;

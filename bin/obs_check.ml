@@ -10,7 +10,8 @@
    numbers; a null row value is the serializer's stand-in for NaN/Inf
    and fails), timeline windows must be contiguous with well-formed
    quantiles and sub-objects, report metrics must expose latency
-   p50/p99; a bare metrics document (a "latency_ms" member) gets the
+   p50/p99 and list as many drives as the report's "drives" member
+   (when it has one); a bare metrics document (a "latency_ms" member) gets the
    same quantile check.  Exit status is 0 iff every file passes. *)
 
 module J = Rofs_obs.Json
@@ -181,6 +182,16 @@ let check_metrics file doc =
   | Some (J.Arr _) -> ()
   | _ -> problem file "missing drives array"
 
+(* A report's per-drive reports and its metrics' per-drive statistics
+   describe the same array, so they must list the same drives. *)
+let check_drive_counts file doc =
+  match (J.member "drives" doc, Option.bind (J.member "metrics" doc) (J.member "drives")) with
+  | Some (J.Arr reports), Some (J.Arr metrics) when List.length reports <> List.length metrics ->
+      problem file
+        (Printf.sprintf "drives has %d entries but metrics.drives has %d" (List.length reports)
+           (List.length metrics))
+  | _ -> ()
+
 let check_trace file doc =
   match J.member "traceEvents" doc with
   | Some (J.Arr events) ->
@@ -236,6 +247,7 @@ let check_file file =
             | _ -> (
                 check_cache file doc;
                 check_churn file (fun s -> s) doc;
+                check_drive_counts file doc;
                 match J.member "metrics" doc with
                 | Some m -> check_metrics file m
                 | None -> problem file "missing metrics object")));

@@ -76,24 +76,26 @@ let run_sweep ~config ~jobs ~seeds ~policy ~json ~metrics_file ~trace_file spec
     (String.concat "," (List.map string_of_int seeds))
     jobs
     (C.Sched_policy.name config.C.Engine.scheduler);
-  let instrumented = json || metrics_file <> "" in
-  let pairs, sink =
-    if instrumented then begin
-      let runs = C.Experiment.run_throughput_pairs_obs ~config ~jobs ~seeds spec workload in
-      ( Array.map
-          (fun (r : C.Experiment.obs_run) -> (r.C.Experiment.o_application, r.C.Experiment.o_sequential))
-          runs,
-        Some (C.Experiment.merge_sinks runs) )
-    end
-    else (C.Experiment.run_throughput_pairs ~config ~jobs ~seeds spec workload, None)
+  let runs =
+    C.Experiment.run_seeds ~config ~jobs ~instrument:(json || metrics_file <> "") ~seeds spec
+      workload
+  in
+  let sink =
+    Array.fold_left
+      (fun acc r ->
+        match (acc, r.C.Experiment.s_sink) with
+        | Some a, Some s -> Some (C.Sink.merge a s)
+        | acc, None -> acc
+        | None, s -> s)
+      None runs
   in
   let merged pick =
     Array.fold_left
-      (fun acc pair ->
+      (fun acc r ->
         let s = C.Stats.create () in
-        C.Stats.add s (pick pair);
+        C.Stats.add s (pick r).C.Engine.pct_of_max;
         C.Stats.merge acc s)
-      (C.Stats.create ()) pairs
+      (C.Stats.create ()) runs
   in
   let line label stats =
     let bound v = match v with Some x -> Printf.sprintf "%.1f" x | None -> "-" in
@@ -103,12 +105,8 @@ let run_sweep ~config ~jobs ~seeds ~policy ~json ~metrics_file ~trace_file spec
       (bound (C.Stats.max_value stats))
       (C.Stats.count stats)
   in
-  let app_stats =
-    merged (fun ((app : C.Engine.throughput_report), _) -> app.C.Engine.pct_of_max)
-  in
-  let seq_stats =
-    merged (fun (_, (seq : C.Engine.throughput_report)) -> seq.C.Engine.pct_of_max)
-  in
+  let app_stats = merged (fun r -> r.C.Experiment.s_application) in
+  let seq_stats = merged (fun r -> r.C.Experiment.s_sequential) in
   Printf.fprintf ch "%s / %s\n" workload.C.Workload.name policy;
   line "application" app_stats;
   line "sequential" seq_stats;
@@ -130,77 +128,102 @@ let run_sweep ~config ~jobs ~seeds ~policy ~json ~metrics_file ~trace_file spec
                 ])))
     sink
 
-(* --shards mode: one throughput run decomposed into
-   config.shard_slices independent slices (disks and workload
-   partitioned deterministically) executed on a domain pool and merged
-   in fixed slice order.  The merged report is byte-identical at every
-   shard count — Engine.run_sharded's contract, pinned by
-   test/test_speed.ml — so --shards only changes the wall clock; the
-   CI speed-smoke job cmps the --json output across shard counts. *)
-let run_sharded_cli ~config ~shards ~policy ~test ~json ~metrics_file ~trace_file
-    ~record_file ~timeline_file ~timeline_every ~ckpt_every ~ckpt_file ~resume_file spec
+(* Single-run mode: the allocation test and/or the throughput protocol,
+   driven by Experiment.run_sharded.  Without --shards the run is one
+   slice — the serial simulation itself.  With --shards N it is
+   config.shard_slices slices (disks and workload partitioned
+   deterministically) executed on N domains and merged in fixed slice
+   order, so the report is byte-identical at every N (pinned by
+   test/test_speed.ml; the CI speed-smoke job cmps the --json output
+   across shard counts). *)
+let run_single ~config ~shards ~policy ~test ~json ~metrics_file ~trace_file ~record_file
+    ~timeline_file ~timeline_every ~ckpt_every ~ckpt_file ~resume_file spec
     (workload : C.Workload.t) =
   let ch = if json then stderr else stdout in
-  if record_file <> "" then
-    prerr_endline "rofs_sim: --record is ignored with --shards (sharded runs record no trace)";
-  let instrumented = json || metrics_file <> "" || trace_file <> "" in
-  Printf.fprintf ch "sharded: slices=%d shards=%d scheduler=%s\n%!"
-    config.C.Engine.shard_slices shards
-    (C.Sched_policy.name config.C.Engine.scheduler);
+  let config =
+    match shards with None -> { config with C.Engine.shard_slices = 1 } | Some _ -> config
+  in
+  let slices = config.C.Engine.shard_slices in
+  let scheduler = C.Sched_policy.name config.C.Engine.scheduler in
+  let throughput = test = All || test = Throughput in
+  (match shards with
+  | None -> Printf.fprintf ch "seed=%d scheduler=%s\n%!" config.C.Engine.seed scheduler
+  | Some n ->
+      if record_file <> "" then
+        prerr_endline "rofs_sim: --record is ignored with --shards (sharded runs record no trace)";
+      Printf.fprintf ch "sharded: slices=%d shards=%d scheduler=%s\n%!" slices n scheduler);
+  let recorder =
+    if record_file = "" || shards <> None then None
+    else if not throughput then begin
+      prerr_endline "rofs_sim: --record needs the throughput test; nothing recorded";
+      None
+    end
+    else Some (C.Trace_recorder.create ~name:workload.C.Workload.name)
+  in
   let alloc =
     if test = All || test = Alloc then Some (C.Experiment.run_allocation ~config spec workload)
     else None
   in
-  (* Per-slice snapshots: slice i of FILE lives at FILE.i (a slice is a
-     complete serial engine, so each resumes independently). *)
-  let slice_path base slice = Printf.sprintf "%s.%d" base slice in
-  let ckpt_every_ms = if ckpt_every > 0. then Some ckpt_every else None in
+  (* One snapshot file per slice: FILE for a one-slice run, FILE.i for
+     slice i otherwise (a slice is a complete serial engine, so each
+     resumes independently). *)
+  let snapshot base slice = if slices = 1 then base else Printf.sprintf "%s.%d" base slice in
   let ckpt_save =
     if ckpt_file = "" then None
-    else Some (fun ~slice sections -> C.Ckpt.save_file (slice_path ckpt_file slice) sections)
+    else Some (fun ~slice sections -> C.Ckpt.save_file (snapshot ckpt_file slice) sections)
   in
   let ckpt_resume =
     if resume_file = "" then None
     else
       Some
         (fun ~slice ->
-          let path = slice_path resume_file slice in
+          let path = snapshot resume_file slice in
           match C.Ckpt.load_file path with
           | Ok sections -> Some sections
           | Error msg -> invalid_arg (Printf.sprintf "%s: %s" path msg))
   in
-  let timeline_every_ms = if timeline_file <> "" then Some timeline_every else None in
-  let sharded =
-    if test = All || test = Throughput then
+  let instrumented = json || metrics_file <> "" || trace_file <> "" in
+  let run =
+    if not throughput then None
+    else
       Some
-        (C.Experiment.run_sharded ~config ~shards ~instrument:instrumented
-           ~trace:(trace_file <> "") ?timeline_every_ms ?ckpt_every_ms ?ckpt_save
-           ?ckpt_resume spec workload)
+        (C.Experiment.run_sharded ~config ?shards ~instrument:instrumented
+           ~trace:(trace_file <> "")
+           ?recorder:(Option.map C.Trace_recorder.hook recorder)
+           ?timeline_every_ms:(if timeline_file <> "" then Some timeline_every else None)
+           ?ckpt_every_ms:(if ckpt_every > 0. then Some ckpt_every else None)
+           ?ckpt_save ?ckpt_resume spec workload)
+  in
+  let field f = Option.map f run in
+  let application = field (fun r -> r.C.Experiment.s_application) in
+  let sequential = field (fun r -> r.C.Experiment.s_sequential) in
+  let faults =
+    if C.Fault_plan.enabled config.C.Engine.faults then field (fun r -> r.C.Experiment.s_fault)
     else None
   in
-  let application = Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_application) sharded in
-  let sequential = Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_sequential) sharded in
-  let fault_report =
-    if C.Fault_plan.enabled config.C.Engine.faults then
-      Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_fault) sharded
-    else None
-  in
-  let cache_report = Option.bind sharded (fun r -> r.C.Engine.s_cache) in
-  let churn = Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_churn) sharded in
+  let cache = Option.bind run (fun r -> r.C.Experiment.s_cache) in
+  let drives = field (fun r -> r.C.Experiment.s_drives) in
+  let churn = field (fun r -> r.C.Experiment.s_churn) in
   let sink =
-    match sharded with
-    | Some { C.Engine.s_sink = Some s; _ } -> Some s
-    | _ -> if instrumented then Some (C.Sink.create ()) else None
+    match Option.bind run (fun r -> r.C.Experiment.s_sink) with
+    | Some s -> Some s
+    | None -> if instrumented then Some (C.Sink.create ~trace:(trace_file <> "") ()) else None
   in
   output_string ch
-    (C.Report.summary ?faults:fault_report ?cache:cache_report ?churn
-       ~workload:workload.C.Workload.name ~policy ~alloc ~application ~sequential ());
+    (C.Report.summary ?faults ?cache ?drives ?churn ~workload:workload.C.Workload.name ~policy
+       ~alloc ~application ~sequential ());
   flush ch;
   if timeline_file <> "" then begin
-    match Option.bind sharded (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_timeline) with
+    match Option.bind run (fun r -> r.C.Experiment.s_timeline) with
     | Some tl -> write_timeline_files timeline_file tl
     | None -> prerr_endline "rofs_sim: --timeline needs the throughput test; nothing written"
   end;
+  Option.iter
+    (fun r ->
+      C.Trace_codec.save_file record_file (C.Trace_recorder.trace r);
+      Printf.fprintf ch "recorded %d events to %s\n%!" (C.Trace_recorder.event_count r)
+        record_file)
+    recorder;
   Option.iter
     (fun sink ->
       if metrics_file <> "" then write_json_file metrics_file (C.Sink.to_json sink);
@@ -208,9 +231,8 @@ let run_sharded_cli ~config ~shards ~policy ~test ~json ~metrics_file ~trace_fil
       if json then
         print_endline
           (C.Obs.Json.to_string
-             (C.Report.to_json ?alloc ?application ?sequential ?faults:fault_report
-                ?cache:cache_report ~metrics:sink ?churn
-                ~workload:workload.C.Workload.name ~policy ())))
+             (C.Report.to_json ?alloc ?application ?sequential ?faults ?cache ?drives
+                ~metrics:sink ?churn ~workload:workload.C.Workload.name ~policy ())))
     sink
 
 (* --replay mode: drive a trace (text or binary, sniffed) through the
@@ -372,108 +394,8 @@ let run policy sizes grow unclustered fit ranges block workload_name test seed s
         run_sweep ~config ~jobs ~seeds ~policy ~json ~metrics_file ~trace_file spec workload
       end
       else
-        match shards with
-        | Some shards ->
-            run_sharded_cli ~config ~shards ~policy ~test ~json ~metrics_file ~trace_file
-              ~record_file ~timeline_file ~timeline_every ~ckpt_every ~ckpt_file
-              ~resume_file spec workload
-        | None -> begin
-        let ch = if json then stderr else stdout in
-        let instrumented = json || metrics_file <> "" || trace_file <> "" in
-        let sink =
-          if instrumented then Some (C.Sink.create ~trace:(trace_file <> "") ()) else None
-        in
-        Printf.fprintf ch "seed=%d scheduler=%s\n%!" seed (C.Sched_policy.name scheduler);
-        let recorder =
-          if record_file = "" then None
-          else if test = Alloc then begin
-            prerr_endline "rofs_sim: --record needs the throughput test; nothing recorded";
-            None
-          end
-          else Some (C.Trace_recorder.create ~name:workload.C.Workload.name)
-        in
-        let alloc =
-          if test = All || test = Alloc then
-            Some (C.Experiment.run_allocation ~config spec workload)
-          else None
-        in
-        let application, sequential, fault_report, cache_report, drives, timeline, churn =
-          if test = All || test = Throughput then begin
-            (* Drive the engine directly (same protocol as
-               Experiment.run_throughput) so the fault report and drive
-               reports of the measured system are available afterwards. *)
-            let engine =
-              C.Experiment.make_engine
-                ?recorder:(Option.map C.Trace_recorder.hook recorder)
-                ~config spec workload
-            in
-            Option.iter (C.Engine.attach_obs engine) sink;
-            if timeline_file <> "" then
-              C.Engine.attach_timeline engine ~every_ms:timeline_every;
-            (* Arm before restoring: Engine.restore replaces the event
-               heap wholesale, so the snapshot's own tick chain (and
-               cadence) wins over the freshly armed one — a resumed run
-               checkpoints at exactly the times the original would. *)
-            if ckpt_every > 0. then
-              C.Engine.set_checkpoint engine ~every_ms:ckpt_every (fun () ->
-                  C.Ckpt.save_file ckpt_file (C.Engine.checkpoint engine));
-            (if resume_file <> "" then
-               match C.Ckpt.load_file resume_file with
-               | Ok sections -> C.Engine.restore engine sections
-               | Error msg -> invalid_arg (Printf.sprintf "%s: %s" resume_file msg));
-            C.Engine.fill_to_lower_bound engine;
-            C.Engine.run_aging engine;
-            let app = C.Engine.run_application_test engine in
-            (* The sequential test re-reads whole files; the recorded
-               trace covers initialization + fill + application test,
-               the window the replay bench verifies against. *)
-            C.Engine.set_recorder engine None;
-            let seq = C.Engine.run_sequential_test engine in
-            (* Final snapshot: a completed run resumes instantly (both
-               reports are stored in the snapshot). *)
-            if ckpt_file <> "" then
-              C.Ckpt.save_file ckpt_file (C.Engine.checkpoint engine);
-            let faults_seen =
-              if C.Fault_plan.enabled faults then Some (C.Engine.fault_report engine) else None
-            in
-            ( Some app,
-              Some seq,
-              faults_seen,
-              C.Engine.cache_report engine,
-              Some (C.Engine.drive_reports engine),
-              C.Engine.timeline engine,
-              Some (C.Engine.churn_stats engine) )
-          end
-          else (None, None, None, None, None, None, None)
-        in
-        output_string ch
-          (C.Report.summary ?faults:fault_report ?cache:cache_report ?drives ?churn
-             ~workload:workload.C.Workload.name ~policy ~alloc ~application ~sequential ());
-        flush ch;
-        if timeline_file <> "" then begin
-          match timeline with
-          | Some tl -> write_timeline_files timeline_file tl
-          | None ->
-              prerr_endline "rofs_sim: --timeline needs the throughput test; nothing written"
-        end;
-        Option.iter
-          (fun r ->
-            C.Trace_codec.save_file record_file (C.Trace_recorder.trace r);
-            Printf.fprintf ch "recorded %d events to %s\n%!" (C.Trace_recorder.event_count r)
-              record_file)
-          recorder;
-        Option.iter
-          (fun sink ->
-            if metrics_file <> "" then write_json_file metrics_file (C.Sink.to_json sink);
-            if trace_file <> "" then write_trace_file trace_file sink;
-            if json then
-              print_endline
-                (C.Obs.Json.to_string
-                   (C.Report.to_json ?alloc ?application ?sequential ?faults:fault_report
-                      ?cache:cache_report ?drives ~metrics:sink ?churn
-                      ~workload:workload.C.Workload.name ~policy ())))
-          sink
-      end
+        run_single ~config ~shards ~policy ~test ~json ~metrics_file ~trace_file ~record_file
+          ~timeline_file ~timeline_every ~ckpt_every ~ckpt_file ~resume_file spec workload
 
 let policy_arg =
   Arg.(

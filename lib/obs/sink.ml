@@ -189,27 +189,30 @@ let ckpt_load t blob =
   | Some _, None | None, Some _ ->
       invalid_arg "Sink.ckpt_load: trace configuration mismatch"
 
-let merge a b =
+let copy_drive x =
+  { seek_dist = Hist.copy x.seek_dist; qd_sum = x.qd_sum; qd_n = x.qd_n; qd_max = x.qd_max }
+
+let merge ?drive_offset a b =
+  let na = Array.length a.drives and nb = Array.length b.drives in
   let drives =
-    let n = max (Array.length a.drives) (Array.length b.drives) in
-    Array.init n (fun i ->
-        let pick arr = if i < Array.length arr then Some arr.(i) else None in
-        match (pick a.drives, pick b.drives) with
-        | Some x, Some y ->
-            {
-              seek_dist = Hist.merge x.seek_dist y.seek_dist;
-              qd_sum = x.qd_sum + y.qd_sum;
-              qd_n = x.qd_n + y.qd_n;
-              qd_max = max x.qd_max y.qd_max;
-            }
-        | Some x, None | None, Some x ->
-            {
-              seek_dist = Hist.copy x.seek_dist;
-              qd_sum = x.qd_sum;
-              qd_n = x.qd_n;
-              qd_max = x.qd_max;
-            }
-        | None, None -> fresh_drive ())
+    match drive_offset with
+    | Some offset ->
+        if na > offset then invalid_arg "Sink.merge: drive_offset is below the first sink's drives";
+        Array.init (offset + nb) (fun i ->
+            if i < na then copy_drive a.drives.(i)
+            else if i < offset then fresh_drive ()
+            else copy_drive b.drives.(i - offset))
+    | None ->
+        Array.init (max na nb) (fun i ->
+            if i < na && i < nb then
+              let x = a.drives.(i) and y = b.drives.(i) in
+              {
+                seek_dist = Hist.merge x.seek_dist y.seek_dist;
+                qd_sum = x.qd_sum + y.qd_sum;
+                qd_n = x.qd_n + y.qd_n;
+                qd_max = max x.qd_max y.qd_max;
+              }
+            else copy_drive (if i < na then a.drives.(i) else b.drives.(i)))
   in
   let trace =
     match (a.trace, b.trace) with
@@ -221,7 +224,7 @@ let merge a b =
         in
         let merged = Trace.create ~capacity () in
         Option.iter (fun ring -> Trace.merge_into merged ring) ta;
-        Option.iter (fun ring -> Trace.merge_into merged ring) tb;
+        Option.iter (fun ring -> Trace.merge_into ?drive_offset merged ring) tb;
         Some merged
   in
   {

@@ -90,9 +90,17 @@ val cache_totals : t -> cache_totals
 
 val trace_ref : t -> Trace.t option
 
-val merge : t -> t -> t
+val merge : ?drive_offset:int -> t -> t -> t
 (** Fresh sink combining both; neither argument is mutated.  Traces
-    merge when present on either side (capacity = max of the two). *)
+    merge when present on either side (capacity = max of the two).
+
+    Without [drive_offset] both sinks observed the same drives (one
+    seed each): per-drive counters merge index by index.  With
+    [drive_offset] they observed disjoint drives (one shard slice
+    each): [b]'s drive [i] becomes drive [drive_offset + i], after
+    [a]'s drives padded with empty ones, and [b]'s trace events shift
+    by the same offset.  Raises [Invalid_argument] if [a] has more than
+    [drive_offset] drives. *)
 
 val ckpt_save : t -> string
 (** Opaque snapshot of every histogram, per-drive counter, cache

@@ -81,8 +81,12 @@ let events t =
 (* Events [src] already dropped stay dropped: carry the count across so
    a merged trace reports the union's true truncation, not just what
    overflowed [dst]'s ring during the merge itself. *)
-let merge_into dst src =
-  List.iter (record dst) (events src);
+let merge_into ?(drive_offset = 0) dst src =
+  List.iter
+    (fun e ->
+      record dst
+        (if drive_offset = 0 || e.drive < 0 then e else { e with drive = e.drive + drive_offset }))
+    (events src);
   dst.dropped <- dst.dropped + src.dropped
 
 let event_json e =

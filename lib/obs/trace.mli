@@ -58,10 +58,11 @@ val dropped : t -> int
 val events : t -> event list
 (** Held events sorted by [at_ms] (ties keep insertion order). *)
 
-val merge_into : t -> t -> unit
+val merge_into : ?drive_offset:int -> t -> t -> unit
 (** [merge_into dst src] records all of [src]'s events into [dst] and
     adds [src]'s dropped count to [dst]'s, so the merged trace reports
-    the union's true truncation. *)
+    the union's true truncation.  [drive_offset] (default 0) is added
+    to every [src] event's drive index; [-1] stays [-1]. *)
 
 val ckpt_restore : dst:t -> src:t -> unit
 (** Overwrite [dst]'s ring and cursors with [src]'s, in place.  Raises

@@ -2022,293 +2022,3 @@ let fault_report t =
 
 (* Allocator-internal write accounting, straight from the policy. *)
 let churn_stats t = (Volume.policy t.volume).Rofs_alloc.Policy.churn_stats ()
-
-(* ------------------------------------------------------------------ *)
-(* Sharded intra-run parallelism                                       *)
-
-type sharded_report = {
-  s_application : throughput_report;
-  s_sequential : throughput_report;
-  s_cache : cache_report option;
-  s_fault : fault_report;
-  s_churn : Rofs_alloc.Policy.churn_stats;
-  s_sink : Sink.t option;
-  s_timeline : Timeline.t option;
-  s_slices : int;
-  s_shards : int;
-}
-
-(* One slice's raw results, plus the weights its reports merge under. *)
-type slice_result = {
-  sl_app : throughput_report;
-  sl_seq : throughput_report;
-  sl_cache : cache_report option;
-  sl_fault : fault_report;
-  sl_churn : Rofs_alloc.Policy.churn_stats;
-  sl_sink : Sink.t option;
-  sl_timeline : Timeline.t option;
-  sl_max_bw : float;
-  sl_capacity : float;
-  sl_files : int;
-}
-
-(* The decomposition is a pure function of the config alone: slice [i]
-   gets [disks/slices] drives (+1 for the first [disks mod slices]
-   slices) and an engine / fault seed derived from [(seed, i)] — never
-   from the execution width, so every [--shards] count simulates the
-   identical set of slices. *)
-let slice_configs cfg =
-  let slices = cfg.shard_slices in
-  Array.init slices (fun i ->
-      let disks = (cfg.disks / slices) + if i < cfg.disks mod slices then 1 else 0 in
-      let seed = Rng.derive_seed ~seed:cfg.seed ~stream:i in
-      let faults =
-        { cfg.faults with Fault_plan.seed = Rng.derive_seed ~seed:cfg.faults.Fault_plan.seed ~stream:i }
-      in
-      { cfg with seed; disks; faults; shard_slices = 1 })
-
-(* Fold the per-slice reports in fixed slice order: additive counters
-   sum, rates sum (the slices ran side by side), the percentage is the
-   summed rate against the summed bandwidth, durations take the max, and
-   the dimensionless ratios merge under their natural weights (capacity
-   for utilization, file count for extents per file). *)
-let merge_throughput pick results =
-  let rate = ref 0. and max_bw = ref 0. in
-  let measured = ref 0. and checkpoints = ref 0 in
-  let stabilized = ref true in
-  let io_ops = ref 0 and disk_fulls = ref 0 and meta = ref 0 in
-  let util_w = ref 0. and cap = ref 0. in
-  let mepf_w = ref 0. and files = ref 0. in
-  Array.iter
-    (fun sl ->
-      let (r : throughput_report) = pick sl in
-      rate := !rate +. r.bytes_per_ms;
-      max_bw := !max_bw +. sl.sl_max_bw;
-      measured := Float.max !measured r.measured_ms;
-      checkpoints := max !checkpoints r.checkpoints;
-      stabilized := !stabilized && r.stabilized;
-      io_ops := !io_ops + r.io_ops;
-      disk_fulls := !disk_fulls + r.disk_fulls;
-      meta := !meta + r.meta_bytes;
-      util_w := !util_w +. (r.utilization *. sl.sl_capacity);
-      cap := !cap +. sl.sl_capacity;
-      mepf_w := !mepf_w +. (r.mean_extents_per_file *. float_of_int sl.sl_files);
-      files := !files +. float_of_int sl.sl_files)
-    results;
-  {
-    pct_of_max = (if !max_bw > 0. then 100. *. !rate /. !max_bw else 0.);
-    bytes_per_ms = !rate;
-    measured_ms = !measured;
-    checkpoints = !checkpoints;
-    stabilized = !stabilized;
-    io_ops = !io_ops;
-    disk_fulls = !disk_fulls;
-    utilization = (if !cap > 0. then !util_w /. !cap else 0.);
-    mean_extents_per_file = (if !files > 0. then !mepf_w /. !files else 0.);
-    meta_bytes = !meta;
-  }
-
-(* Cache counters sum; the per-type rows merge by type name in
-   first-seen slice order (a slice only lists the types its partition
-   gave it). *)
-let merge_cache results =
-  if Array.exists (fun sl -> sl.sl_cache = None) results then None
-  else begin
-    let base = match results.(0).sl_cache with Some c -> c | None -> assert false in
-    let lookups = ref 0 and hits = ref 0 and misses = ref 0 in
-    let hit_bytes = ref 0 and insertions = ref 0 and evictions = ref 0 in
-    let dirty_ev = ref 0 and flushes = ref 0 and wb_bytes = ref 0 in
-    let prefetched = ref 0 and invalidations = ref 0 in
-    let per_type = ref [] in
-    Array.iter
-      (fun sl ->
-        let c = match sl.sl_cache with Some c -> c | None -> assert false in
-        lookups := !lookups + c.cr_lookups;
-        hits := !hits + c.cr_hits;
-        misses := !misses + c.cr_misses;
-        hit_bytes := !hit_bytes + c.cr_hit_bytes;
-        insertions := !insertions + c.cr_insertions;
-        evictions := !evictions + c.cr_evictions;
-        dirty_ev := !dirty_ev + c.cr_dirty_evictions;
-        flushes := !flushes + c.cr_flushes;
-        wb_bytes := !wb_bytes + c.cr_writeback_bytes;
-        prefetched := !prefetched + c.cr_prefetched_pages;
-        invalidations := !invalidations + c.cr_invalidations;
-        Array.iter
-          (fun (name, h, m) ->
-            match List.assoc_opt name !per_type with
-            | Some (h0, m0) ->
-                per_type :=
-                  List.map
-                    (fun (n, hm) -> if n = name then (n, (h0 + h, m0 + m)) else (n, hm))
-                    !per_type
-            | None -> per_type := !per_type @ [ (name, (h, m)) ])
-          c.cr_per_type)
-      results;
-    Some
-      {
-        base with
-        cr_lookups = !lookups;
-        cr_hits = !hits;
-        cr_misses = !misses;
-        cr_hit_rate =
-          (if !lookups > 0 then float_of_int !hits /. float_of_int !lookups else 0.);
-        cr_hit_bytes = !hit_bytes;
-        cr_insertions = !insertions;
-        cr_evictions = !evictions;
-        cr_dirty_evictions = !dirty_ev;
-        cr_flushes = !flushes;
-        cr_writeback_bytes = !wb_bytes;
-        cr_prefetched_pages = !prefetched;
-        cr_invalidations = !invalidations;
-        cr_per_type =
-          Array.of_list (List.map (fun (n, (h, m)) -> (n, h, m)) !per_type);
-      }
-  end
-
-(* Drive states concatenate in slice order (slice 0's drives first);
-   every counter sums. *)
-let merge_fault results =
-  let sum f = Array.fold_left (fun acc sl -> acc + f sl.sl_fault) 0 results in
-  {
-    drive_states =
-      Array.concat (Array.to_list (Array.map (fun sl -> sl.sl_fault.drive_states) results));
-    data_loss = sum (fun f -> f.data_loss);
-    media_errors = sum (fun f -> f.media_errors);
-    retries = sum (fun f -> f.retries);
-    remaps = sum (fun f -> f.remaps);
-    remap_hits = sum (fun f -> f.remap_hits);
-    reconstructed_reads = sum (fun f -> f.reconstructed_reads);
-    degraded_writes = sum (fun f -> f.degraded_writes);
-    dirty_bytes = sum (fun f -> f.dirty_bytes);
-    rebuild_ios = sum (fun f -> f.rebuild_ios);
-  }
-
-(* Churn counters are plain integers: sum in slice order. *)
-let merge_churn results =
-  Array.fold_left
-    (fun acc sl ->
-      {
-        Rofs_alloc.Policy.cs_user_units =
-          acc.Rofs_alloc.Policy.cs_user_units + sl.sl_churn.Rofs_alloc.Policy.cs_user_units;
-        cs_moved_units =
-          acc.Rofs_alloc.Policy.cs_moved_units + sl.sl_churn.Rofs_alloc.Policy.cs_moved_units;
-        cs_cleaner_passes =
-          acc.Rofs_alloc.Policy.cs_cleaner_passes
-          + sl.sl_churn.Rofs_alloc.Policy.cs_cleaner_passes;
-      })
-    Rofs_alloc.Policy.no_churn results
-
-let merge_slice_sinks results =
-  let acc = ref None in
-  Array.iter
-    (fun sl ->
-      match (sl.sl_sink, !acc) with
-      | None, _ -> ()
-      | Some s, None -> acc := Some s
-      | Some s, Some a -> acc := Some (Sink.merge a s))
-    results;
-  !acc
-
-(* Fold slice timelines in fixed slice order, like the sinks: windows
-   merge elementwise (counters sum, histograms merge, per-drive columns
-   concatenate with slice 0's drives first), so the result is
-   byte-identical at every [--shards] width. *)
-let merge_slice_timelines results =
-  let acc = ref None in
-  Array.iter
-    (fun sl ->
-      match (sl.sl_timeline, !acc) with
-      | None, _ -> ()
-      | Some tl, None -> acc := Some tl
-      | Some tl, Some a -> acc := Some (Timeline.merge a tl))
-    results;
-  !acc
-
-let run_sharded ?(shards = 1) ?(instrument = false) ?(trace = false) ?timeline_every_ms
-    ?ckpt_every_ms ?ckpt_save ?ckpt_resume cfg ~policy ~workload =
-  validate_config ~shards cfg;
-  Workload.validate workload;
-  if cfg.shard_slices > cfg.disks then
-    invalid_arg "Engine.config: shard_slices must not exceed disks";
-  let slices = cfg.shard_slices in
-  (* [shard_slices = 1] short-circuits the decomposition entirely: the
-     one slice reuses the base config and workload verbatim, so its run
-     — and, below, its unmerged reports — are byte-identical to the
-     serial path. *)
-  let cfgs = if slices = 1 then [| cfg |] else slice_configs cfg in
-  let weights = Array.map (fun (c : config) -> c.disks) cfgs in
-  let parts = Workload.partition workload ~weights in
-  let run_slice i =
-    let slice_cfg = cfgs.(i) in
-    let w = parts.(i) in
-    let p = policy ~slice:i slice_cfg w in
-    let engine = create slice_cfg ~policy:p ~workload:w in
-    let sink = if instrument then Some (Sink.create ~trace ()) else None in
-    Option.iter (attach_obs engine) sink;
-    (* Arm before restoring: [restore] replaces the heap wholesale, so
-       the initial ticks [attach_timeline] / [set_checkpoint] post are
-       superseded by the snapshot's own tick chains on resume. *)
-    (match timeline_every_ms with
-    | Some every -> attach_timeline engine ~every_ms:every
-    | None -> ());
-    (match (ckpt_every_ms, ckpt_save) with
-    | Some every, Some save ->
-        set_checkpoint engine ~every_ms:every (fun () -> save ~slice:i (checkpoint engine))
-    | _ -> ());
-    (match ckpt_resume with
-    | Some load -> (
-        match load ~slice:i with
-        | Some sections -> restore engine sections
-        | None -> ())
-    | None -> ());
-    fill_to_lower_bound engine;
-    run_aging engine;
-    let app = run_application_test engine in
-    let seq = run_sequential_test engine in
-    (* Final snapshot: a slice that already finished resumes instantly
-       from its stored reports instead of re-simulating. *)
-    (match ckpt_save with Some save -> save ~slice:i (checkpoint engine) | None -> ());
-    {
-      sl_app = app;
-      sl_seq = seq;
-      sl_cache = cache_report engine;
-      sl_fault = fault_report engine;
-      sl_churn = churn_stats engine;
-      sl_sink = sink;
-      sl_timeline = engine.timeline;
-      sl_max_bw = max_bandwidth_pct_base engine;
-      sl_capacity = float_of_int (Array_model.capacity_bytes engine.array);
-      sl_files =
-        List.fold_left
-          (fun acc (ft : File_type.t) -> acc + ft.File_type.count)
-          0 w.Workload.types;
-    }
-  in
-  let results = Rofs_par.Pool.map ~jobs:shards run_slice (Array.init slices (fun i -> i)) in
-  let s_sink = merge_slice_sinks results in
-  let s_timeline = merge_slice_timelines results in
-  if slices = 1 then
-    {
-      s_application = results.(0).sl_app;
-      s_sequential = results.(0).sl_seq;
-      s_cache = results.(0).sl_cache;
-      s_fault = results.(0).sl_fault;
-      s_churn = results.(0).sl_churn;
-      s_sink;
-      s_timeline;
-      s_slices = 1;
-      s_shards = shards;
-    }
-  else
-    {
-      s_application = merge_throughput (fun sl -> sl.sl_app) results;
-      s_sequential = merge_throughput (fun sl -> sl.sl_seq) results;
-      s_cache = merge_cache results;
-      s_fault = merge_fault results;
-      s_churn = merge_churn results;
-      s_sink;
-      s_timeline;
-      s_slices = slices;
-      s_shards = shards;
-    }

@@ -84,7 +84,8 @@ type config = {
           [None] keeps every code path byte-identical to the seed —
           the frozen goldens pin this. *)
   shard_slices : int;
-      (** fixed decomposition width of {!run_sharded} (default 4): the
+      (** fixed decomposition width of [Experiment.run_sharded]
+          (default 4): the
           run is always split into exactly this many independent slices
           regardless of [--shards] (which only sets how many domains
           execute them), so sharded results are byte-identical at every
@@ -123,7 +124,7 @@ val validate_config : ?shards:int -> config -> unit
     nonsensical field (bounds out of order or outside (0, 1],
     non-positive interval / windows / caps, a read-ahead factor below 1,
     a non-positive [shard_slices], or an invalid fault plan).  [shards]
-    — a {!run_sharded} execution width to validate alongside the config
+    — an [Experiment.run_sharded] execution width to validate alongside the config
     (CLI front ends pass the [--shards] value here) — must be positive
     when given.  {!create} calls this. *)
 
@@ -372,93 +373,6 @@ val fingerprint : t -> string
     depend on (config scalars, array layout, scheduler, fault plan,
     cache config, policy identity and geometry, workload).  {!restore}
     refuses a snapshot whose fingerprint differs. *)
-
-(** {1 Sharded intra-run parallelism}
-
-    {!run_sharded} splits one throughput run into
-    [config.shard_slices] independent sub-simulations: the drives are
-    partitioned into contiguous index ranges (one per slice, sizes as
-    equal as integer division allows), the workload is partitioned with
-    {!Rofs_workload.Workload.partition} (weighted by each slice's disk
-    count), and each slice runs the full fill / application / sequential
-    protocol on its own engine, with its own event heap and an RNG
-    stream derived deterministically from [(config.seed, slice)].
-
-    The decomposition is a pure function of the config — [shards] only
-    sets how many domains execute the slices (via {!Rofs_par.Pool}) —
-    and the per-slice results are folded in fixed slice order, so the
-    merged report is {e byte-identical at every shard count}; the test
-    suite pins shards 1/2/4/8 against each other and [shard_slices = 1]
-    against the serial {!run_application_test} path bit for bit.
-
-    Because each slice derives its RNG stream from the same
-    [(seed, slice)] function on every run, a sharded run is exactly as
-    reproducible as a serial one — and trace record / replay inside a
-    slice works unchanged, since a slice {e is} a complete serial engine
-    over its sub-array and sub-workload. *)
-
-type sharded_report = {
-  s_application : throughput_report;  (** merged application-test report *)
-  s_sequential : throughput_report;  (** merged sequential-test report *)
-  s_cache : cache_report option;
-      (** summed cache counters; [None] when the config has no cache *)
-  s_fault : fault_report;
-      (** summed fault counters; [drive_states] concatenates the slices'
-          drives in slice order *)
-  s_churn : Rofs_alloc.Policy.churn_stats;
-      (** summed allocator churn counters (user units, cleaner-moved
-          units, cleaner passes) across the slices *)
-  s_sink : Rofs_obs.Sink.t option;
-      (** per-slice sinks folded with [Sink.merge] in slice order; [None]
-          unless [instrument] *)
-  s_timeline : Rofs_obs.Timeline.t option;
-      (** per-slice timelines folded with [Timeline.merge] in slice
-          order (windows merge elementwise; per-drive columns
-          concatenate with slice 0's drives first); [None] unless
-          [timeline_every_ms] *)
-  s_slices : int;  (** the decomposition width ([config.shard_slices]) *)
-  s_shards : int;  (** the execution width actually used *)
-}
-(** Merge rules: additive counters sum; rates sum (slices run side by
-    side) and [pct_of_max] is the summed rate against the summed
-    per-slice bandwidth; [measured_ms] / [checkpoints] take the max;
-    [stabilized] holds iff every slice stabilized; [utilization] is
-    capacity-weighted and [mean_extents_per_file] file-count-weighted. *)
-
-val run_sharded :
-  ?shards:int ->
-  ?instrument:bool ->
-  ?trace:bool ->
-  ?timeline_every_ms:float ->
-  ?ckpt_every_ms:float ->
-  ?ckpt_save:(slice:int -> (string * string) list -> unit) ->
-  ?ckpt_resume:(slice:int -> (string * string) list option) ->
-  config ->
-  policy:(slice:int -> config -> Rofs_workload.Workload.t -> Rofs_alloc.Policy.t) ->
-  workload:Rofs_workload.Workload.t ->
-  sharded_report
-(** [run_sharded ~shards cfg ~policy ~workload] runs the throughput
-    protocol sharded [cfg.shard_slices] ways on [shards] domains
-    (default 1 — serial execution of the same decomposition).  [policy]
-    builds each slice's allocation policy from the slice index, the
-    slice's config (its seed and disk count) and its sub-workload —
-    {!Experiment.run_sharded} supplies the standard spec-based builder.
-    [instrument] attaches one sink per slice ([trace] additionally
-    records each slice's bounded event trace) and merges them.
-    [timeline_every_ms] attaches one timeline per slice (windows
-    aligned to each slice's simulated clock, which all start at 0) and
-    merges them elementwise — byte-identical at every [shards] width.
-
-    Checkpointing is per slice (a slice is a complete serial engine):
-    with [ckpt_every_ms] and [ckpt_save] given, each slice arms
-    {!set_checkpoint} with a hook calling [ckpt_save ~slice:i] on its
-    own {!checkpoint} sections, and writes one final snapshot after its
-    sequential test so finished slices resume instantly.  [ckpt_resume]
-    is consulted once per slice before the run; returning [Some
-    sections] restores them ([None] starts the slice fresh).
-    @raise Invalid_argument if [shards < 1], [cfg] is invalid,
-    [cfg.shard_slices] exceeds [cfg.disks], or the workload is too small
-    to give every slice at least one file and user. *)
 
 val fail_drive : t -> drive:int -> unit
 (** Fail a drive explicitly (benchmarks; the fault plan does this by

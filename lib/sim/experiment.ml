@@ -1,5 +1,11 @@
 module Alloc = Rofs_alloc
 module Array_model = Rofs_disk.Array_model
+module Fault_plan = Rofs_fault.Plan
+module Rng = Rofs_util.Rng
+module Sink = Rofs_obs.Sink
+module Timeline = Rofs_obs.Timeline
+module File_type = Rofs_workload.File_type
+module Workload = Rofs_workload.Workload
 
 type policy_spec =
   | Buddy of Alloc.Buddy.config
@@ -35,7 +41,7 @@ let make_engine ?recorder ?(config = Engine.default_config) spec workload =
   let total_units = capacity_units config ~unit_bytes in
   (* A seed distinct from the engine's keeps policy-internal draws
      (extent sizes, free-list aging) decoupled from event scheduling. *)
-  let rng = Rofs_util.Rng.create ~seed:(config.Engine.seed + 0x5eed) in
+  let rng = Rng.create ~seed:(config.Engine.seed + 0x5eed) in
   let policy = build_policy spec ~total_units ~rng in
   Engine.create ?recorder config ~policy ~workload
 
@@ -43,45 +49,294 @@ let run_allocation ?config spec workload =
   let engine = make_engine ?config spec workload in
   Engine.run_allocation_test engine
 
-let run_throughput ?config spec workload =
-  let engine = make_engine ?config spec workload in
-  Engine.fill_to_lower_bound engine;
-  Engine.run_aging engine;
-  let application = Engine.run_application_test engine in
-  let sequential = Engine.run_sequential_test engine in
-  (application, sequential)
+(* ------------------------------------------------------------------ *)
+(* The throughput driver                                               *)
 
-(* Sharded throughput run: the per-slice policy builder mirrors
-   [make_engine] exactly — capacity sized to the slice's sub-array,
-   policy RNG seeded [slice seed + 0x5eed] — so a [shard_slices = 1]
-   sharded run is byte-identical to [run_throughput]. *)
-let run_sharded ?(config = Engine.default_config) ?shards ?instrument ?trace
-    ?timeline_every_ms ?ckpt_every_ms ?ckpt_save ?ckpt_resume spec workload =
-  Engine.run_sharded ?shards ?instrument ?trace ?timeline_every_ms ?ckpt_every_ms ?ckpt_save
-    ?ckpt_resume config
-    ~policy:(fun ~slice:_ (slice_cfg : Engine.config) _w ->
-      let unit_bytes = spec_unit_bytes spec in
-      let total_units = capacity_units slice_cfg ~unit_bytes in
-      let rng = Rofs_util.Rng.create ~seed:(slice_cfg.Engine.seed + 0x5eed) in
-      build_policy spec ~total_units ~rng)
-    ~workload
-
-type obs_run = {
-  o_application : Engine.throughput_report;
-  o_sequential : Engine.throughput_report;
-  o_sink : Rofs_obs.Sink.t;
-  o_drives : Engine.drive_report array;
+type sharded_report = {
+  s_application : Engine.throughput_report;
+  s_sequential : Engine.throughput_report;
+  s_cache : Engine.cache_report option;
+  s_fault : Engine.fault_report;
+  s_churn : Alloc.Policy.churn_stats;
+  s_drives : Engine.drive_report array;
+  s_sink : Sink.t option;
+  s_timeline : Timeline.t option;
+  s_slices : int;
+  s_shards : int;
 }
 
-let run_throughput_obs ?config ?(trace = false) ?trace_capacity spec workload =
-  let engine = make_engine ?config spec workload in
-  let sink = Rofs_obs.Sink.create ~trace ?trace_capacity () in
-  Engine.attach_obs engine sink;
-  Engine.fill_to_lower_bound engine;
-  Engine.run_aging engine;
-  let o_application = Engine.run_application_test engine in
-  let o_sequential = Engine.run_sequential_test engine in
-  { o_application; o_sequential; o_sink = sink; o_drives = Engine.drive_reports engine }
+(* One slice's unmerged report, plus the weights its reports merge
+   under. *)
+type slice_result = {
+  report : sharded_report;
+  max_bw : float;
+  capacity : float;
+  files : int;
+  disks : int;
+}
+
+(* The decomposition is a pure function of the config alone: slice [i]
+   gets [disks/slices] drives (+1 for the first [disks mod slices]
+   slices) and an engine / fault seed derived from [(seed, i)] — never
+   from the execution width, so every [--shards] count simulates the
+   identical set of slices. *)
+let slice_configs (cfg : Engine.config) =
+  let slices = cfg.Engine.shard_slices in
+  Array.init slices (fun i ->
+      let disks = (cfg.Engine.disks / slices) + if i < cfg.Engine.disks mod slices then 1 else 0 in
+      let seed = Rng.derive_seed ~seed:cfg.Engine.seed ~stream:i in
+      let faults =
+        {
+          cfg.Engine.faults with
+          Fault_plan.seed = Rng.derive_seed ~seed:cfg.Engine.faults.Fault_plan.seed ~stream:i;
+        }
+      in
+      { cfg with Engine.seed; disks; faults; shard_slices = 1 })
+
+let sum results f = Array.fold_left (fun acc sl -> acc + f sl) 0 results
+
+(* Fold the per-slice reports in fixed slice order: additive counters
+   sum, rates sum (the slices ran side by side), the percentage is the
+   summed rate against the summed bandwidth, durations take the max, and
+   the dimensionless ratios merge under their natural weights (capacity
+   for utilization, file count for extents per file). *)
+let merge_throughput pick results =
+  let rate = ref 0. and max_bw = ref 0. and measured = ref 0. and stabilized = ref true in
+  let util_w = ref 0. and cap = ref 0. and mepf_w = ref 0. and files = ref 0. in
+  Array.iter
+    (fun sl ->
+      let (r : Engine.throughput_report) = pick sl.report in
+      rate := !rate +. r.Engine.bytes_per_ms;
+      max_bw := !max_bw +. sl.max_bw;
+      measured := Float.max !measured r.Engine.measured_ms;
+      stabilized := !stabilized && r.Engine.stabilized;
+      util_w := !util_w +. (r.Engine.utilization *. sl.capacity);
+      cap := !cap +. sl.capacity;
+      mepf_w := !mepf_w +. (r.Engine.mean_extents_per_file *. float_of_int sl.files);
+      files := !files +. float_of_int sl.files)
+    results;
+  let count f = sum results (fun sl -> f (pick sl.report)) in
+  {
+    Engine.pct_of_max = (if !max_bw > 0. then 100. *. !rate /. !max_bw else 0.);
+    bytes_per_ms = !rate;
+    measured_ms = !measured;
+    checkpoints =
+      Array.fold_left (fun acc sl -> max acc (pick sl.report).Engine.checkpoints) 0 results;
+    stabilized = !stabilized;
+    io_ops = count (fun r -> r.Engine.io_ops);
+    disk_fulls = count (fun r -> r.Engine.disk_fulls);
+    utilization = (if !cap > 0. then !util_w /. !cap else 0.);
+    mean_extents_per_file = (if !files > 0. then !mepf_w /. !files else 0.);
+    meta_bytes = count (fun r -> r.Engine.meta_bytes);
+  }
+
+(* Cache counters sum; the per-type rows merge by type name in one pass,
+   first-seen slice order (a slice only lists the types its partition
+   gave it). *)
+let merge_cache results =
+  if Array.exists (fun sl -> sl.report.s_cache = None) results then None
+  else begin
+    let caches = Array.map (fun sl -> Option.get sl.report.s_cache) results in
+    let sum f = Array.fold_left (fun acc (c : Engine.cache_report) -> acc + f c) 0 caches in
+    let per_type = Hashtbl.create 8 and order = ref [] in
+    Array.iter
+      (fun (c : Engine.cache_report) ->
+        Array.iter
+          (fun (name, h, m) ->
+            match Hashtbl.find_opt per_type name with
+            | Some (h0, m0) -> Hashtbl.replace per_type name (h0 + h, m0 + m)
+            | None ->
+                Hashtbl.add per_type name (h, m);
+                order := name :: !order)
+          c.Engine.cr_per_type)
+      caches;
+    let lookups = sum (fun c -> c.Engine.cr_lookups) and hits = sum (fun c -> c.Engine.cr_hits) in
+    Some
+      {
+        (caches.(0)) with
+        Engine.cr_lookups = lookups;
+        cr_hits = hits;
+        cr_misses = sum (fun c -> c.Engine.cr_misses);
+        cr_hit_rate = (if lookups > 0 then float_of_int hits /. float_of_int lookups else 0.);
+        cr_hit_bytes = sum (fun c -> c.Engine.cr_hit_bytes);
+        cr_insertions = sum (fun c -> c.Engine.cr_insertions);
+        cr_evictions = sum (fun c -> c.Engine.cr_evictions);
+        cr_dirty_evictions = sum (fun c -> c.Engine.cr_dirty_evictions);
+        cr_flushes = sum (fun c -> c.Engine.cr_flushes);
+        cr_writeback_bytes = sum (fun c -> c.Engine.cr_writeback_bytes);
+        cr_prefetched_pages = sum (fun c -> c.Engine.cr_prefetched_pages);
+        cr_invalidations = sum (fun c -> c.Engine.cr_invalidations);
+        cr_per_type =
+          Array.of_list
+            (List.rev_map
+               (fun name ->
+                 let h, m = Hashtbl.find per_type name in
+                 (name, h, m))
+               !order);
+      }
+  end
+
+(* Drive states concatenate in slice order (slice 0's drives first);
+   every counter sums. *)
+let merge_fault results =
+  let sum f = sum results (fun sl -> f sl.report.s_fault) in
+  {
+    Engine.drive_states =
+      Array.concat
+        (Array.to_list (Array.map (fun sl -> sl.report.s_fault.Engine.drive_states) results));
+    data_loss = sum (fun f -> f.Engine.data_loss);
+    media_errors = sum (fun f -> f.Engine.media_errors);
+    retries = sum (fun f -> f.Engine.retries);
+    remaps = sum (fun f -> f.Engine.remaps);
+    remap_hits = sum (fun f -> f.Engine.remap_hits);
+    reconstructed_reads = sum (fun f -> f.Engine.reconstructed_reads);
+    degraded_writes = sum (fun f -> f.Engine.degraded_writes);
+    dirty_bytes = sum (fun f -> f.Engine.dirty_bytes);
+    rebuild_ios = sum (fun f -> f.Engine.rebuild_ios);
+  }
+
+let merge_churn results =
+  let sum f = sum results (fun sl -> f sl.report.s_churn) in
+  {
+    Alloc.Policy.cs_user_units = sum (fun c -> c.Alloc.Policy.cs_user_units);
+    cs_moved_units = sum (fun c -> c.Alloc.Policy.cs_moved_units);
+    cs_cleaner_passes = sum (fun c -> c.Alloc.Policy.cs_cleaner_passes);
+  }
+
+(* Per-drive results concatenate in slice order under array-wide drive
+   numbers, the rule [drive_states] follows: slice [i]'s local drive [d]
+   is drive [offsets.(i) + d]. *)
+let merge_drives results offsets =
+  Array.concat
+    (Array.to_list
+       (Array.mapi
+          (fun i sl ->
+            Array.map
+              (fun (d : Engine.drive_report) ->
+                { d with Engine.dr_drive = offsets.(i) + d.Engine.dr_drive })
+              sl.report.s_drives)
+          results))
+
+(* The optional observers fold in fixed slice order, so the result is
+   byte-identical at every [--shards] width: [merge acc ~offset x] adds
+   slice [x], whose first drive is array-wide drive [offset]. *)
+let merge_observers pick merge results offsets =
+  let acc = ref None in
+  Array.iteri
+    (fun i sl ->
+      acc :=
+        match (!acc, pick sl.report) with
+        | Some a, Some x -> Some (merge a ~offset:offsets.(i) x)
+        | a, None -> a
+        | None, x -> x)
+    results;
+  !acc
+
+let run_sharded ?(config = Engine.default_config) ?(shards = 1) ?(instrument = false)
+    ?(trace = false) ?recorder ?timeline_every_ms ?ckpt_every_ms ?ckpt_save ?ckpt_resume spec
+    workload =
+  Engine.validate_config ~shards config;
+  Workload.validate workload;
+  let slices = config.Engine.shard_slices in
+  if slices > config.Engine.disks then
+    invalid_arg "Engine.config: shard_slices must not exceed disks";
+  if recorder <> None && slices > 1 then
+    invalid_arg "Experiment.run_sharded: a recorder needs shard_slices = 1";
+  (* [shard_slices = 1] short-circuits the decomposition entirely: the
+     one slice reuses the base config and workload verbatim, so its run
+     — and, below, its unmerged reports — are the serial path's. *)
+  let cfgs = if slices = 1 then [| config |] else slice_configs config in
+  let parts = Workload.partition workload ~weights:(Array.map (fun c -> c.Engine.disks) cfgs) in
+  let run_slice i =
+    let w = parts.(i) in
+    let engine = make_engine ?recorder ~config:cfgs.(i) spec w in
+    let sink = if instrument then Some (Sink.create ~trace ()) else None in
+    Option.iter (Engine.attach_obs engine) sink;
+    (* Arm before restoring: [restore] replaces the heap wholesale, so
+       the initial ticks [attach_timeline] / [set_checkpoint] post are
+       superseded by the snapshot's own tick chains on resume. *)
+    Option.iter (fun every -> Engine.attach_timeline engine ~every_ms:every) timeline_every_ms;
+    (match (ckpt_every_ms, ckpt_save) with
+    | Some every, Some save ->
+        Engine.set_checkpoint engine ~every_ms:every (fun () ->
+            save ~slice:i (Engine.checkpoint engine))
+    | _ -> ());
+    Option.iter (fun load -> Option.iter (Engine.restore engine) (load ~slice:i)) ckpt_resume;
+    Engine.fill_to_lower_bound engine;
+    Engine.run_aging engine;
+    let app = Engine.run_application_test engine in
+    (* The recorded trace covers initialization, fill, aging and the
+       application test — the window trace replay verifies against; the
+       sequential test only re-reads whole files. *)
+    Engine.set_recorder engine None;
+    let seq = Engine.run_sequential_test engine in
+    (* Final snapshot: a slice that already finished resumes instantly
+       from its stored reports instead of re-simulating. *)
+    Option.iter (fun save -> save ~slice:i (Engine.checkpoint engine)) ckpt_save;
+    {
+      report =
+        {
+          s_application = app;
+          s_sequential = seq;
+          s_cache = Engine.cache_report engine;
+          s_fault = Engine.fault_report engine;
+          s_churn = Engine.churn_stats engine;
+          s_drives = Engine.drive_reports engine;
+          s_sink = sink;
+          s_timeline = Engine.timeline engine;
+          s_slices = 1;
+          s_shards = shards;
+        };
+      max_bw = Engine.max_bandwidth_pct_base engine;
+      capacity = float_of_int (Array_model.capacity_bytes (Engine.array_model engine));
+      files = List.fold_left (fun acc ft -> acc + ft.File_type.count) 0 w.Workload.types;
+      disks = cfgs.(i).Engine.disks;
+    }
+  in
+  let results = Rofs_par.Pool.map ~jobs:shards run_slice (Array.init slices Fun.id) in
+  if slices = 1 then results.(0).report
+  else begin
+    let offsets = Array.make slices 0 in
+    for i = 1 to slices - 1 do
+      offsets.(i) <- offsets.(i - 1) + results.(i - 1).disks
+    done;
+    {
+      s_application = merge_throughput (fun r -> r.s_application) results;
+      s_sequential = merge_throughput (fun r -> r.s_sequential) results;
+      s_cache = merge_cache results;
+      s_fault = merge_fault results;
+      s_churn = merge_churn results;
+      s_drives = merge_drives results offsets;
+      s_sink =
+        merge_observers
+          (fun r -> r.s_sink)
+          (fun a ~offset x -> Sink.merge ~drive_offset:offset a x)
+          results offsets;
+      s_timeline =
+        merge_observers
+          (fun r -> r.s_timeline)
+          (fun a ~offset:_ x -> Timeline.merge a x)
+          results offsets;
+      s_slices = slices;
+      s_shards = shards;
+    }
+  end
+
+(* The serial protocol is the one-slice driver run. *)
+let run_throughput ?(config = Engine.default_config) spec workload =
+  let r = run_sharded ~config:{ config with Engine.shard_slices = 1 } spec workload in
+  (r.s_application, r.s_sequential)
+
+let no_seeds fn = invalid_arg (Printf.sprintf "Experiment.%s: no seeds" fn)
+
+(* Each seed is an isolated one-slice driver run; [Pool.map] returns
+   them in seed order whatever the job count. *)
+let run_seeds ?(config = Engine.default_config) ?jobs ?instrument ~seeds spec workload =
+  if seeds = [] then no_seeds "run_seeds";
+  Rofs_par.Pool.map ?jobs
+    (fun seed ->
+      run_sharded ~config:{ config with Engine.seed; shard_slices = 1 } ?instrument spec workload)
+    (Array.of_list seeds)
 
 type summary = { mean : float; stddev : float; runs : int }
 
@@ -105,35 +360,12 @@ let summarize_pairs pairs =
     pairs;
   (summarize app_stats, summarize seq_stats)
 
-let run_throughput_pairs ?(config = Engine.default_config) ?jobs ~seeds spec workload =
-  if seeds = [] then invalid_arg "Experiment.run_throughput_seeds: no seeds";
-  Rofs_par.Pool.map ?jobs
-    (fun seed -> run_throughput ~config:{ config with Engine.seed } spec workload)
-    (Array.of_list seeds)
-
-(* Observability variant of the per-seed sweep: each cell carries its
-   own sink, so instrumentation stays isolated per seed; folding the
-   sinks with [Sink.merge] in seed order (see [merge_sinks]) yields
-   histograms that are bit-identical at every job count — counts are
-   integers and the fold order is fixed. *)
-let run_throughput_pairs_obs ?(config = Engine.default_config) ?jobs ~seeds spec workload =
-  if seeds = [] then invalid_arg "Experiment.run_throughput_pairs_obs: no seeds";
-  Rofs_par.Pool.map ?jobs
-    (fun seed -> run_throughput_obs ~config:{ config with Engine.seed } spec workload)
-    (Array.of_list seeds)
-
-let merge_sinks runs =
-  match Array.length runs with
-  | 0 -> Rofs_obs.Sink.create ()
-  | _ ->
-      let acc = ref runs.(0).o_sink in
-      for i = 1 to Array.length runs - 1 do
-        acc := Rofs_obs.Sink.merge !acc runs.(i).o_sink
-      done;
-      !acc
-
 let run_throughput_seeds ?config ?jobs ~seeds spec workload =
-  summarize_pairs (run_throughput_pairs ?config ?jobs ~seeds spec workload)
+  if seeds = [] then no_seeds "run_throughput_seeds";
+  summarize_pairs
+    (Array.map
+       (fun r -> (r.s_application, r.s_sequential))
+       (run_seeds ?config ?jobs ~seeds spec workload))
 
 type matrix_cell = {
   m_policy : string;
@@ -143,7 +375,7 @@ type matrix_cell = {
 }
 
 let run_matrix ?(config = Engine.default_config) ?jobs ~seeds ~policies workloads =
-  if seeds = [] then invalid_arg "Experiment.run_matrix: no seeds";
+  if seeds = [] then no_seeds "run_matrix";
   if policies = [] then invalid_arg "Experiment.run_matrix: no policies";
   if workloads = [] then invalid_arg "Experiment.run_matrix: no workloads";
   (* One flat task list over the whole grid so short and long cells
@@ -154,7 +386,7 @@ let run_matrix ?(config = Engine.default_config) ?jobs ~seeds ~policies workload
     List.concat_map
       (fun (pname, spec_of) ->
         List.concat_map
-          (fun (w : Rofs_workload.Workload.t) ->
+          (fun (w : Workload.t) ->
             let spec = spec_of w in
             List.map (fun seed -> (pname, spec, w, seed)) seeds)
           workloads)
@@ -170,12 +402,12 @@ let run_matrix ?(config = Engine.default_config) ?jobs ~seeds ~policies workload
     (List.mapi
        (fun pi (pname, _) ->
          List.mapi
-           (fun wi (w : Rofs_workload.Workload.t) ->
+           (fun wi (w : Workload.t) ->
              let block = Array.sub results (((pi * nworkloads) + wi) * nseeds) nseeds in
              let app, seq = summarize_pairs block in
              {
                m_policy = pname;
-               m_workload = w.Rofs_workload.Workload.name;
+               m_workload = w.Workload.name;
                m_application = app;
                m_sequential = seq;
              })

@@ -13,7 +13,7 @@
     The decision is a pure function of the per-user RNG, the user's
     file type and the volume's current utilization — no global state —
     so aging partitions exactly like the measurement workloads and
-    [Engine.run_sharded] stays byte-identical at every shard width. *)
+    [Experiment.run_sharded] stays byte-identical at every shard width. *)
 
 type op = Grow | Truncate | Delete
 

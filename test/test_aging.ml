@@ -459,8 +459,8 @@ let check_churn_equal name (a : Policy.churn_stats) (b : Policy.churn_stats) =
   check_int (name ^ " moved units") a.Policy.cs_moved_units b.Policy.cs_moved_units;
   check_int (name ^ " cleaner passes") a.Policy.cs_cleaner_passes b.Policy.cs_cleaner_passes
 
-let timeline_json (r : Engine.sharded_report) =
-  match r.Engine.s_timeline with
+let timeline_json (r : Experiment.sharded_report) =
+  match r.Experiment.s_timeline with
   | None -> Alcotest.fail "expected a merged timeline"
   | Some tl -> C.Obs.Json.to_string (C.Timeline.to_json tl)
 
@@ -474,14 +474,14 @@ let test_aged_sharded_invariance () =
       in
       let base = run 1 in
       check_bool (pname ^ " aged run produced churn") true
-        (base.Engine.s_churn.Policy.cs_user_units > 0);
+        (base.Experiment.s_churn.Policy.cs_user_units > 0);
       List.iter
         (fun shards ->
           let r = run shards in
           let name = Printf.sprintf "aged %s shards=%d" pname shards in
-          check_tp_equal (name ^ " app") base.Engine.s_application r.Engine.s_application;
-          check_tp_equal (name ^ " seq") base.Engine.s_sequential r.Engine.s_sequential;
-          check_churn_equal (name ^ " churn") base.Engine.s_churn r.Engine.s_churn;
+          check_tp_equal (name ^ " app") base.Experiment.s_application r.Experiment.s_application;
+          check_tp_equal (name ^ " seq") base.Experiment.s_sequential r.Experiment.s_sequential;
+          check_churn_equal (name ^ " churn") base.Experiment.s_churn r.Experiment.s_churn;
           check_bool (name ^ " timeline JSON identical") true
             (String.equal (timeline_json base) (timeline_json r)))
         [ 2; 4; 8 ])

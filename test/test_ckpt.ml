@@ -379,7 +379,7 @@ let test_sharded_resume () =
   let base =
     Experiment.run_sharded ~config ~shards:2 ~ckpt_every_ms:every_ms ~ckpt_save:save spec w
   in
-  check_int "slices" 4 base.Engine.s_slices;
+  check_int "slices" 4 base.Experiment.s_slices;
   check_bool "every slice snapshotted" true (Hashtbl.length first = 4);
   (* resume every slice from its first mid-run snapshot; the merged
      report must match the uninterrupted armed run bit-exactly — at a
@@ -391,8 +391,8 @@ let test_sharded_resume () =
         ~ckpt_resume:(fun ~slice -> Hashtbl.find_opt tbl slice)
         spec w
     in
-    check_tp_equal (name ^ " app") base.Engine.s_application r.Engine.s_application;
-    check_tp_equal (name ^ " seq") base.Engine.s_sequential r.Engine.s_sequential
+    check_tp_equal (name ^ " app") base.Experiment.s_application r.Experiment.s_application;
+    check_tp_equal (name ^ " seq") base.Experiment.s_sequential r.Experiment.s_sequential
   in
   resume first 4 "sharded resume (first snapshots)";
   (* the final snapshots were taken after each slice finished: resuming

@@ -679,8 +679,10 @@ let test_sweep_merge_job_invariant () =
   let config = { (engine_config ~scheduler:Policy.Fcfs) with Engine.max_measure_ms = 10_000. } in
   let seeds = [ 1; 2; 3 ] in
   let doc jobs =
-    let runs = Experiment.run_throughput_pairs_obs ~config ~jobs ~seeds buddy mini_tp in
-    Json.to_string (Sink.to_json (Experiment.merge_sinks runs))
+    let runs = Experiment.run_seeds ~config ~jobs ~instrument:true ~seeds buddy mini_tp in
+    let sinks = Array.map (fun r -> Option.get r.Experiment.s_sink) runs in
+    let rest = Array.sub sinks 1 (Array.length sinks - 1) in
+    Json.to_string (Sink.to_json (Array.fold_left Sink.merge sinks.(0) rest))
   in
   check_string "jobs=1 equals jobs=4" (doc 1) (doc 4)
 
@@ -697,7 +699,7 @@ let timeline_config = { (engine_config ~scheduler:Policy.Fcfs) with Engine.max_m
 
 let sharded_timeline shards =
   let r = Experiment.run_sharded ~config:timeline_config ~shards ~timeline_every_ms:1000. buddy mini_tp in
-  match r.Engine.s_timeline with
+  match r.Experiment.s_timeline with
   | Some tl -> (Json.to_string (Timeline.to_json tl), Timeline.to_csv tl)
   | None -> Alcotest.fail "sharded run produced no timeline"
 

@@ -426,6 +426,21 @@ let test_empty_seed_list_raises () =
           (Experiment.run_matrix ~config:golden_config ~seeds:[ 42 ]
              ~policies:[ ("fixed", fun _ -> edge_spec) ]
              []));
+    ];
+  (* each sweep entry point names itself *)
+  List.iter
+    (fun (expected, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s: no exception" expected
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "error names its caller" expected msg)
+    [
+      ( "Experiment.run_seeds: no seeds",
+        fun () -> ignore (Experiment.run_seeds ~config:golden_config ~seeds:[] edge_spec mini_sc) );
+      ( "Experiment.run_throughput_seeds: no seeds",
+        fun () ->
+          ignore (Experiment.run_throughput_seeds ~config:golden_config ~seeds:[] edge_spec mini_sc)
+      );
     ]
 
 let test_single_seed_stddev_zero () =

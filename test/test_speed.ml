@@ -10,9 +10,12 @@
      itself (slice configs, RNG stream derivation, workload partition,
      merge order) cannot drift silently;
    - serial equivalence: with shard_slices = 1 the sharded entry point
-     is byte-identical to Experiment.run_throughput, field for field;
+     is byte-identical to an engine driven through the protocol by
+     hand, field for field — sink, timeline, snapshots and recorded
+     trace included;
    - instrumented runs: attaching per-slice sinks (with tracing) merges
-     to the same Sink JSON at every shard count;
+     to the same Sink JSON at every shard count, with each slice's
+     per-drive statistics under array-wide drive numbers;
    - hot-path allocation: a queued-path (SSTF) run is bounded in minor
      words allocated per simulated operation — the regression guard for
      the engine's preallocated-scratch / pooled-event design;
@@ -229,12 +232,12 @@ let check_cache_equal name (a : Engine.cache_report option) (b : Engine.cache_re
       check_bool (name ^ " per_type") true (a.Engine.cr_per_type = b.Engine.cr_per_type)
   | _ -> Alcotest.failf "%s: cache report presence differs" name
 
-let check_sharded_equal name (a : Engine.sharded_report) (b : Engine.sharded_report) =
-  check_tp_equal (name ^ " app") a.Engine.s_application b.Engine.s_application;
-  check_tp_equal (name ^ " seq") a.Engine.s_sequential b.Engine.s_sequential;
-  check_fault_equal (name ^ " fault") a.Engine.s_fault b.Engine.s_fault;
-  check_cache_equal (name ^ " cache") a.Engine.s_cache b.Engine.s_cache;
-  check_int (name ^ " slices") a.Engine.s_slices b.Engine.s_slices
+let check_sharded_equal name (a : Experiment.sharded_report) (b : Experiment.sharded_report) =
+  check_tp_equal (name ^ " app") a.Experiment.s_application b.Experiment.s_application;
+  check_tp_equal (name ^ " seq") a.Experiment.s_sequential b.Experiment.s_sequential;
+  check_fault_equal (name ^ " fault") a.Experiment.s_fault b.Experiment.s_fault;
+  check_cache_equal (name ^ " cache") a.Experiment.s_cache b.Experiment.s_cache;
+  check_int (name ^ " slices") a.Experiment.s_slices b.Experiment.s_slices
 
 (* ------------------------------------------------------------------ *)
 (* Partition invariance: shards 1 / 2 / 4 / 8 bit-identical            *)
@@ -269,18 +272,18 @@ let test_shard_count_invariance () =
         (fun (pname, spec) ->
           let cell = Printf.sprintf "%s/%s" pname w.Workload.name in
           let base = Experiment.run_sharded ~config:sharded_config ~shards:1 spec w in
-          check_int (cell ^ " slices") 4 base.Engine.s_slices;
-          check_int (cell ^ " shards recorded") 1 base.Engine.s_shards;
-          check_bool (cell ^ " no sink unless instrumented") true (base.Engine.s_sink = None);
+          check_int (cell ^ " slices") 4 base.Experiment.s_slices;
+          check_int (cell ^ " shards recorded") 1 base.Experiment.s_shards;
+          check_bool (cell ^ " no sink unless instrumented") true (base.Experiment.s_sink = None);
           let ga, gs = List.assoc (pname, w.Workload.name) sharded_goldens in
           check_exact_float (cell ^ " app pct (vs golden)") ga
-            base.Engine.s_application.Engine.pct_of_max;
+            base.Experiment.s_application.Engine.pct_of_max;
           check_exact_float (cell ^ " seq pct (vs golden)") gs
-            base.Engine.s_sequential.Engine.pct_of_max;
+            base.Experiment.s_sequential.Engine.pct_of_max;
           List.iter
             (fun shards ->
               let r = Experiment.run_sharded ~config:sharded_config ~shards spec w in
-              check_int (cell ^ " shards recorded") shards r.Engine.s_shards;
+              check_int (cell ^ " shards recorded") shards r.Experiment.s_shards;
               check_sharded_equal (Printf.sprintf "%s shards=%d" cell shards) base r)
             [ 2; 4; 8 ])
         (policies w))
@@ -290,30 +293,161 @@ let test_shard_count_invariance () =
 (* shard_slices = 1: the sharded entry point IS the serial path        *)
 (* ------------------------------------------------------------------ *)
 
+(* Everything one throughput run reports, plus what its observers
+   captured: sink JSON and Chrome trace, timeline JSON and CSV, every
+   snapshot written, and the recorded trace. *)
+type full_run = {
+  f_app : Engine.throughput_report;
+  f_seq : Engine.throughput_report;
+  f_cache : Engine.cache_report option;
+  f_fault : Engine.fault_report;
+  f_churn : C.Policy.churn_stats;
+  f_drives : Engine.drive_report array;
+  f_sink : string;
+  f_timeline : string;
+  f_snapshots : (string * string) list list;
+  f_recorded : Engine.recorded list;
+}
+
+let sink_text sink =
+  C.Obs.Json.to_string (C.Sink.to_json sink)
+  ^ match C.Sink.trace_ref sink with
+    | Some tr -> C.Obs.Json.to_string (C.Obs.Trace.chrome_json tr)
+    | None -> ""
+
+let timeline_text = function
+  | Some tl -> C.Obs.Json.to_string (C.Timeline.to_json tl) ^ C.Timeline.to_csv tl
+  | None -> Alcotest.fail "expected a timeline"
+
+let every_ms = 4_000.
+
+(* The protocol driven by hand on one engine, the way the CLI's serial
+   mode used to: a tracing sink and a timeline always; a recorder
+   detached before the sequential test, or else periodic checkpoints
+   plus a final one (a recording engine cannot be checkpointed). *)
+let hand_driven ~config ~record spec w =
+  let recorded = ref [] and snapshots = ref [] in
+  let recorder = if record then Some (fun r -> recorded := r :: !recorded) else None in
+  let engine = Experiment.make_engine ?recorder ~config spec w in
+  let sink = C.Sink.create ~trace:true () in
+  Engine.attach_obs engine sink;
+  Engine.attach_timeline engine ~every_ms:1_000.;
+  let save () = snapshots := Engine.checkpoint engine :: !snapshots in
+  if not record then Engine.set_checkpoint engine ~every_ms save;
+  Engine.fill_to_lower_bound engine;
+  Engine.run_aging engine;
+  let f_app = Engine.run_application_test engine in
+  Engine.set_recorder engine None;
+  let f_seq = Engine.run_sequential_test engine in
+  if not record then save ();
+  {
+    f_app;
+    f_seq;
+    f_cache = Engine.cache_report engine;
+    f_fault = Engine.fault_report engine;
+    f_churn = Engine.churn_stats engine;
+    f_drives = Engine.drive_reports engine;
+    f_sink = sink_text sink;
+    f_timeline = timeline_text (Engine.timeline engine);
+    f_snapshots = !snapshots;
+    f_recorded = !recorded;
+  }
+
+let driven ~config ~shards ~record spec w =
+  let recorded = ref [] and snapshots = ref [] in
+  let r =
+    Experiment.run_sharded ~config ~shards ~instrument:true ~trace:true
+      ?recorder:(if record then Some (fun r -> recorded := r :: !recorded) else None)
+      ~timeline_every_ms:1_000.
+      ?ckpt_every_ms:(if record then None else Some every_ms)
+      ?ckpt_save:(if record then None else Some (fun ~slice:_ s -> snapshots := s :: !snapshots))
+      spec w
+  in
+  {
+    f_app = r.Experiment.s_application;
+    f_seq = r.Experiment.s_sequential;
+    f_cache = r.Experiment.s_cache;
+    f_fault = r.Experiment.s_fault;
+    f_churn = r.Experiment.s_churn;
+    f_drives = r.Experiment.s_drives;
+    f_sink = sink_text (Option.get r.Experiment.s_sink);
+    f_timeline = timeline_text r.Experiment.s_timeline;
+    f_snapshots = !snapshots;
+    f_recorded = !recorded;
+  }
+
+let check_full_equal name a b =
+  check_tp_equal (name ^ " app") a.f_app b.f_app;
+  check_tp_equal (name ^ " seq") a.f_seq b.f_seq;
+  check_cache_equal (name ^ " cache") a.f_cache b.f_cache;
+  check_fault_equal (name ^ " fault") a.f_fault b.f_fault;
+  check_bool (name ^ " churn") true (a.f_churn = b.f_churn);
+  check_bool (name ^ " drive reports") true (a.f_drives = b.f_drives);
+  check_bool (name ^ " sink JSON + trace") true (String.equal a.f_sink b.f_sink);
+  check_bool (name ^ " timeline") true (String.equal a.f_timeline b.f_timeline);
+  check_int (name ^ " snapshot count") (List.length a.f_snapshots) (List.length b.f_snapshots);
+  check_bool (name ^ " snapshots") true (a.f_snapshots = b.f_snapshots);
+  check_int (name ^ " recorded count") (List.length a.f_recorded) (List.length b.f_recorded);
+  check_bool (name ^ " recorded trace") true (a.f_recorded = b.f_recorded)
+
 let test_serial_equivalence () =
   let config = { sharded_config with Engine.shard_slices = 1 } in
   List.iter
     (fun (w, pname) ->
       let spec = List.assoc pname (policies w) in
       let cell = Printf.sprintf "%s/%s slices=1" pname w.Workload.name in
-      let app, seq = Experiment.run_throughput ~config spec w in
+      (* the protocol by hand, exactly as run_throughput once drove it *)
+      let engine = Experiment.make_engine ~config spec w in
+      Engine.fill_to_lower_bound engine;
+      Engine.run_aging engine;
+      let app = Engine.run_application_test engine in
+      let seq = Engine.run_sequential_test engine in
+      let tp_app, tp_seq = Experiment.run_throughput ~config spec w in
+      check_tp_equal (cell ^ " run_throughput app") app tp_app;
+      check_tp_equal (cell ^ " run_throughput seq") seq tp_seq;
       (* at any execution width: one slice just means one task *)
       List.iter
         (fun shards ->
           let r = Experiment.run_sharded ~config ~shards spec w in
           let name = Printf.sprintf "%s shards=%d" cell shards in
-          check_int (name ^ " slices") 1 r.Engine.s_slices;
-          check_tp_equal (name ^ " app (vs run_throughput)") app r.Engine.s_application;
-          check_tp_equal (name ^ " seq (vs run_throughput)") seq r.Engine.s_sequential)
+          check_int (name ^ " slices") 1 r.Experiment.s_slices;
+          check_tp_equal (name ^ " app (vs hand-driven)") app r.Experiment.s_application;
+          check_tp_equal (name ^ " seq (vs hand-driven)") seq r.Experiment.s_sequential)
         [ 1; 4 ])
-    [ (mini_ts, "restricted"); (mini_sc, "fixed"); (mini_tp, "lfs") ]
+    [ (mini_ts, "restricted"); (mini_sc, "fixed"); (mini_tp, "lfs") ];
+  (* Everything the CLI's serial mode used to drive by hand, on a
+     write-back cached array with media errors so every report section
+     has content. *)
+  let config =
+    {
+      config with
+      Engine.cache = Some (C.Cache.config ~mb:4 ~write_mode:C.Cache.Write_back ());
+      faults = { C.Fault_plan.none with C.Fault_plan.seed = 7; media_error_rate = 0.002 };
+    }
+  in
+  let spec = List.assoc "restricted" (policies mini_tp) in
+  List.iter
+    (fun record ->
+      let name = if record then "recorder" else "checkpoints" in
+      let hand = hand_driven ~config ~record spec mini_tp in
+      check_bool (name ^ ": observers captured something") true
+        (if record then hand.f_recorded <> [] else List.length hand.f_snapshots > 1);
+      check_bool (name ^ ": media errors injected") true (hand.f_fault.Engine.media_errors > 0);
+      List.iter
+        (fun shards ->
+          check_full_equal
+            (Printf.sprintf "%s shards=%d" name shards)
+            hand
+            (driven ~config ~shards ~record spec mini_tp))
+        [ 1; 2 ])
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented runs: merged sink JSON identical at any width          *)
 (* ------------------------------------------------------------------ *)
 
-let sink_json (r : Engine.sharded_report) =
-  match r.Engine.s_sink with
+let sink_json (r : Experiment.sharded_report) =
+  match r.Experiment.s_sink with
   | None -> Alcotest.fail "expected a merged sink"
   | Some sink -> C.Obs.Json.to_string (C.Sink.to_json sink)
 
@@ -325,11 +459,77 @@ let test_instrumented_invariance () =
   in
   let a = run 1 and b = run 4 in
   check_sharded_equal "instrumented shards=4 vs shards=1" a b;
-  check_bool "sink traces" true (C.Sink.tracing (Option.get a.Engine.s_sink));
+  check_bool "sink traces" true (C.Sink.tracing (Option.get a.Experiment.s_sink));
   check_bool "sink JSON identical" true (String.equal (sink_json a) (sink_json b));
   (* and instrumentation never changes simulated results *)
   let plain = Experiment.run_sharded ~config:sharded_config ~shards:1 spec mini_ts in
   check_sharded_equal "instrumented vs plain" plain a
+
+(* Per-drive sink statistics concatenate under array-wide numbers: on
+   8 disks / 4 slices the merged sink has 8 drives, each equal to its
+   own slice's drive, at every width.  The queued SSTF path gives every
+   drive non-trivial queue-depth samples. *)
+let test_sink_drives_concatenate () =
+  let config =
+    { sharded_config with Engine.disks = 8; scheduler = C.Sched_policy.Sstf }
+  in
+  let spec = edge_spec and w = mini_sc in
+  let run ~config w shards =
+    Experiment.run_sharded ~config ~shards ~instrument:true ~trace:true spec w
+  in
+  let merged = run ~config w 1 in
+  let sink = Option.get merged.Experiment.s_sink in
+  check_int "sink drives" 8 (C.Sink.drive_count sink);
+  check_int "drive reports" 8 (Array.length merged.Experiment.s_drives);
+  Array.iteri
+    (fun i (d : Engine.drive_report) -> check_int "array-wide drive number" i d.Engine.dr_drive)
+    merged.Experiment.s_drives;
+  (* each slice run alone: 2 disks, its derived seeds, its partition *)
+  let parts = Workload.partition w ~weights:[| 2; 2; 2; 2 |] in
+  Array.iteri
+    (fun slice part ->
+      let derive seed = C.Rng.derive_seed ~seed ~stream:slice in
+      let slice_config =
+        {
+          config with
+          Engine.disks = 2;
+          shard_slices = 1;
+          seed = derive config.Engine.seed;
+          faults =
+            {
+              config.Engine.faults with
+              C.Fault_plan.seed = derive config.Engine.faults.C.Fault_plan.seed;
+            };
+        }
+      in
+      let alone = run ~config:slice_config part 1 in
+      let own = Option.get alone.Experiment.s_sink in
+      for d = 0 to 1 do
+        let g = (2 * slice) + d in
+        let name = Printf.sprintf "drive %d (slice %d drive %d)" g slice d in
+        let hist s i = C.Obs.Json.to_string (C.Sink.hist_json (C.Sink.drive_seek_dist s i)) in
+        check_bool (name ^ " seek distances") true (String.equal (hist own d) (hist sink g));
+        check_bool (name ^ " queue depth") true
+          (C.Sink.drive_queue_depth own d = C.Sink.drive_queue_depth sink g);
+        check_bool (name ^ " queue was sampled") true (snd (C.Sink.drive_queue_depth sink g) > 0);
+        check_bool (name ^ " drive report") true
+          (alone.Experiment.s_drives.(d)
+          = { (merged.Experiment.s_drives.(g)) with Engine.dr_drive = d })
+      done)
+    parts;
+  let events = C.Obs.Trace.events (Option.get (C.Sink.trace_ref sink)) in
+  check_bool "trace drive ids span the array" true
+    (List.exists (fun e -> e.C.Obs.Trace.drive >= 4) events);
+  check_bool "op-level trace events keep drive -1" true
+    (List.exists (fun e -> e.C.Obs.Trace.drive = -1) events);
+  List.iter
+    (fun shards ->
+      let r = run ~config w shards in
+      check_bool (Printf.sprintf "sink JSON at shards=%d" shards) true
+        (String.equal (sink_json merged) (sink_json r));
+      check_bool (Printf.sprintf "drive reports at shards=%d" shards) true
+        (merged.Experiment.s_drives = r.Experiment.s_drives))
+    [ 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache counters merge deterministically                              *)
@@ -341,7 +541,7 @@ let test_cached_invariance () =
   let a = Experiment.run_sharded ~config ~shards:1 spec mini_tp in
   let b = Experiment.run_sharded ~config ~shards:4 spec mini_tp in
   check_sharded_equal "cached shards=4 vs shards=1" a b;
-  match a.Engine.s_cache with
+  match a.Experiment.s_cache with
   | None -> Alcotest.fail "expected a merged cache report"
   | Some c ->
       check_int "lookups = hits + misses" c.Engine.cr_lookups (c.Engine.cr_hits + c.Engine.cr_misses);
@@ -359,10 +559,10 @@ let prop_any_width_invariant =
     (fun shards ->
       let base = Lazy.force baseline in
       let r = Experiment.run_sharded ~config:sharded_config ~shards edge_spec mini_sc in
-      r.Engine.s_application = base.Engine.s_application
-      && r.Engine.s_sequential = base.Engine.s_sequential
-      && r.Engine.s_fault.Engine.drive_states = base.Engine.s_fault.Engine.drive_states
-      && r.Engine.s_shards = shards)
+      r.Experiment.s_application = base.Experiment.s_application
+      && r.Experiment.s_sequential = base.Experiment.s_sequential
+      && r.Experiment.s_fault.Engine.drive_states = base.Experiment.s_fault.Engine.drive_states
+      && r.Experiment.s_shards = shards)
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation budget (queued / SSTF path)                     *)
@@ -451,7 +651,8 @@ let capture_goldens () =
         (fun (pname, spec) ->
           let r = Experiment.run_sharded ~config:sharded_config ~shards:1 spec w in
           Printf.printf "    ((%S, %S), (%h, %h));\n" pname w.Workload.name
-            r.Engine.s_application.Engine.pct_of_max r.Engine.s_sequential.Engine.pct_of_max)
+            r.Experiment.s_application.Engine.pct_of_max
+            r.Experiment.s_sequential.Engine.pct_of_max)
         (policies w))
     [ mini_ts; mini_tp; mini_sc ]
 
@@ -473,6 +674,7 @@ let () =
         ( "instrumentation",
           [
             slow "merged sink JSON invariant under width" test_instrumented_invariance;
+            slow "sink drives concatenate in slice order" test_sink_drives_concatenate;
             slow "cache counters merge deterministically" test_cached_invariance;
           ] );
         ( "hot path",
