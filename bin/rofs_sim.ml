@@ -343,8 +343,10 @@ let run policy sizes grow unclustered fit ranges block workload_name test seed s
          cannot capture, a --seeds sweep is many runs, and the
          allocation test is a single unresumable sweep.  Conflicts are
          refused up front on the one-line exit-2 path. *)
-      let checkpointing = ckpt_every > 0. || ckpt_file <> "" || resume_file <> "" in
+      let checkpointing = ckpt_every <> 0. || ckpt_file <> "" || resume_file <> "" in
       if checkpointing then begin
+        if not (Float.is_finite ckpt_every && ckpt_every >= 0.) then
+          invalid_arg "--checkpoint-every needs a finite positive number of ms";
         if ckpt_every > 0. && ckpt_file = "" then
           invalid_arg "--checkpoint-every needs --checkpoint FILE";
         if replay_file <> "" then
@@ -358,8 +360,8 @@ let run policy sizes grow unclustered fit ranges block workload_name test seed s
       end;
       (* The timeline flags pair: a window width without a destination
          (or vice versa) is a config mistake, refused up front. *)
-      if timeline_file <> "" && timeline_every <= 0. then
-        invalid_arg "--timeline needs --timeline-every MS (a positive window width)";
+      if timeline_file <> "" && not (Float.is_finite timeline_every && timeline_every > 0.) then
+        invalid_arg "--timeline needs --timeline-every MS (a finite positive window width)";
       if timeline_every <> 0. && timeline_file = "" then
         invalid_arg "--timeline-every needs --timeline FILE";
       if replay_file <> "" then begin

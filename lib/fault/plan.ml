@@ -36,18 +36,24 @@ let enabled c = drive_faults c || media_faults c
 
 let validate c =
   let fail msg = invalid_arg ("Fault plan: " ^ msg) in
-  if c.mttf_ms < 0. then fail "mttf_ms must be >= 0 (0 disables drive faults)";
-  if c.mttf_ms > 0. && c.mttr_ms <= 0. then fail "mttr_ms must be positive when mttf_ms is set";
-  if c.media_error_rate < 0. || c.media_error_rate > 1. then
+  (* every float must be finite; the range checks below reject NaN too *)
+  let finite_nonneg v = Float.is_finite v && v >= 0. in
+  if not (finite_nonneg c.mttf_ms) then
+    fail "mttf_ms must be a finite number >= 0 (0 disables drive faults)";
+  if not (Float.is_finite c.mttr_ms) || (c.mttf_ms > 0. && c.mttr_ms <= 0.) then
+    fail "mttr_ms must be finite, and positive when mttf_ms is set";
+  if not (c.media_error_rate >= 0. && c.media_error_rate <= 1.) then
     fail "media_error_rate must lie in [0, 1]";
-  if c.retry_fail_prob < 0. || c.retry_fail_prob > 1. then
+  if not (c.retry_fail_prob >= 0. && c.retry_fail_prob <= 1.) then
     fail "retry_fail_prob must lie in [0, 1]";
   if c.max_retries < 0 then fail "max_retries must be >= 0";
-  if c.remap_penalty_ms < 0. then fail "remap_penalty_ms must be >= 0";
+  if not (finite_nonneg c.remap_penalty_ms) then fail "remap_penalty_ms must be a finite number >= 0";
   if c.rebuild_chunk_bytes <= 0 then fail "rebuild_chunk_bytes must be positive";
-  if c.rebuild_rate_bytes_per_ms < 0. then fail "rebuild_rate_bytes_per_ms must be >= 0";
+  if not (finite_nonneg c.rebuild_rate_bytes_per_ms) then
+    fail "rebuild_rate_bytes_per_ms must be a finite number >= 0";
   List.iter
-    (fun (at, _) -> if at < 0. then fail "scripted events must have non-negative times")
+    (fun (at, _) ->
+      if not (finite_nonneg at) then fail "scripted events must have finite non-negative times")
     c.script
 
 let action_drive = function Fail d | Repair d -> d

@@ -59,8 +59,9 @@ val enabled : config -> bool
 
 val validate : config -> unit
 (** Raises [Invalid_argument] with a one-line message on the first
-    nonsensical field (negative rates, probabilities outside [0, 1],
-    non-positive rebuild chunk, scripted events at negative times...). *)
+    nonsensical field (NaN or infinite floats, negative rates,
+    probabilities outside [0, 1], non-positive rebuild chunk, scripted
+    events at negative times...). *)
 
 type t
 (** A stateful event generator for one array. *)

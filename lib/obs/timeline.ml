@@ -35,38 +35,11 @@ type sample = {
   s_cleaner_passes : int;
 }
 
-let free_extents_of pairs = List.fold_left (fun acc (_, c) -> acc + c) 0 pairs
-
-type window = {
-  w_index : int;
-  w_io_ops : int;
-  w_alloc_ops : int;
-  w_bytes : int;
-  w_disk_fulls : int;
-  w_data_loss : int;
-  w_rebuild_ios : int;
-  w_cache_lookups : int;
-  w_cache_hits : int;
-  w_cache_misses : int;
-  w_cache_writeback_bytes : int;
-  w_cache_prefetched : int;
-  w_latency : Hist.t;
-  w_drive_busy_ms : float array;
-  w_queue_depths : int array;
-  w_failed_drives : int;
-  w_rebuilding_drives : int;
-  w_used_units : int;
-  w_total_units : int;
-  w_free_units : int;
-  w_largest_free : int;
-  w_free_extents : int;
-  w_free_sizes : Hist.t;
-  w_user_units : int;  (** units appended for user growth this window *)
-  w_moved_units : int;  (** units the allocator relocated this window *)
-  w_cleaner_passes : int;  (** cleaner passes this window *)
-  w_user_units_total : int;  (** cumulative user units at window close *)
-  w_moved_units_total : int;  (** cumulative moved units at window close *)
-}
+(* A closed window: the delta between its closing sample and the
+   previous one, plus the closing sample itself.  Counters and busy time
+   are read from [w_delta]; gauges and cumulative churn totals from
+   [w_at] (the gauge fields of [w_delta] are [w_at]'s, unread). *)
+type window = { w_index : int; w_delta : sample; w_at : sample; w_latency : Hist.t }
 
 type t = {
   every_ms : float;
@@ -77,7 +50,8 @@ type t = {
 }
 
 let create ~every_ms ~baseline =
-  if every_ms <= 0. then invalid_arg "Timeline.create: every_ms must be positive";
+  if not (Float.is_finite every_ms && every_ms > 0.) then
+    invalid_arg "Timeline.create: every_ms must be a finite positive number";
   { every_ms; closed_rev = []; nclosed = 0; lat = [||]; prev = baseline }
 
 let every_ms t = t.every_ms
@@ -101,52 +75,36 @@ let record_latency t ~at v =
   let idx = max t.nclosed (int_of_float (at /. t.every_ms)) in
   Hist.add (lat_hist t idx) v
 
-let free_sizes_hist pairs =
-  let h = Hist.create () in
-  List.iter (fun (size, count) -> Hist.add_n h (float_of_int size) count) pairs;
-  h
+(* [a] minus [b] on the cumulative fields; gauges are [a]'s.  A drive
+   [b] has not seen counts from zero. *)
+let diff a b =
+  let busy = b.s_drive_busy_ms in
+  {
+    a with
+    s_io_ops = a.s_io_ops - b.s_io_ops;
+    s_alloc_ops = a.s_alloc_ops - b.s_alloc_ops;
+    s_bytes_moved = a.s_bytes_moved - b.s_bytes_moved;
+    s_disk_fulls = a.s_disk_fulls - b.s_disk_fulls;
+    s_data_loss = a.s_data_loss - b.s_data_loss;
+    s_rebuild_ios = a.s_rebuild_ios - b.s_rebuild_ios;
+    s_cache_lookups = a.s_cache_lookups - b.s_cache_lookups;
+    s_cache_hits = a.s_cache_hits - b.s_cache_hits;
+    s_cache_misses = a.s_cache_misses - b.s_cache_misses;
+    s_cache_writeback_bytes = a.s_cache_writeback_bytes - b.s_cache_writeback_bytes;
+    s_cache_prefetched = a.s_cache_prefetched - b.s_cache_prefetched;
+    s_drive_busy_ms =
+      Array.mapi
+        (fun d v -> v -. if d < Array.length busy then busy.(d) else 0.)
+        a.s_drive_busy_ms;
+    s_user_units = a.s_user_units - b.s_user_units;
+    s_moved_units = a.s_moved_units - b.s_moved_units;
+    s_cleaner_passes = a.s_cleaner_passes - b.s_cleaner_passes;
+  }
 
 let tick t sample =
   let idx = t.nclosed in
-  let p = t.prev in
-  let busy =
-    Array.init (Array.length sample.s_drive_busy_ms) (fun d ->
-        sample.s_drive_busy_ms.(d)
-        -. (if d < Array.length p.s_drive_busy_ms then p.s_drive_busy_ms.(d) else 0.))
-  in
-  let w =
-    {
-      w_index = idx;
-      w_io_ops = sample.s_io_ops - p.s_io_ops;
-      w_alloc_ops = sample.s_alloc_ops - p.s_alloc_ops;
-      w_bytes = sample.s_bytes_moved - p.s_bytes_moved;
-      w_disk_fulls = sample.s_disk_fulls - p.s_disk_fulls;
-      w_data_loss = sample.s_data_loss - p.s_data_loss;
-      w_rebuild_ios = sample.s_rebuild_ios - p.s_rebuild_ios;
-      w_cache_lookups = sample.s_cache_lookups - p.s_cache_lookups;
-      w_cache_hits = sample.s_cache_hits - p.s_cache_hits;
-      w_cache_misses = sample.s_cache_misses - p.s_cache_misses;
-      w_cache_writeback_bytes = sample.s_cache_writeback_bytes - p.s_cache_writeback_bytes;
-      w_cache_prefetched = sample.s_cache_prefetched - p.s_cache_prefetched;
-      w_latency =
-        (if idx < Array.length t.lat then t.lat.(idx) else Hist.create ());
-      w_drive_busy_ms = busy;
-      w_queue_depths = Array.copy sample.s_queue_depths;
-      w_failed_drives = sample.s_failed_drives;
-      w_rebuilding_drives = sample.s_rebuilding_drives;
-      w_used_units = sample.s_used_units;
-      w_total_units = sample.s_total_units;
-      w_free_units = sample.s_free_units;
-      w_largest_free = sample.s_largest_free;
-      w_free_extents = free_extents_of sample.s_free_hist;
-      w_free_sizes = free_sizes_hist sample.s_free_hist;
-      w_user_units = sample.s_user_units - p.s_user_units;
-      w_moved_units = sample.s_moved_units - p.s_moved_units;
-      w_cleaner_passes = sample.s_cleaner_passes - p.s_cleaner_passes;
-      w_user_units_total = sample.s_user_units;
-      w_moved_units_total = sample.s_moved_units;
-    }
-  in
+  let w_latency = if idx < Array.length t.lat then t.lat.(idx) else Hist.create () in
+  let w = { w_index = idx; w_delta = diff sample t.prev; w_at = sample; w_latency } in
   t.closed_rev <- w :: t.closed_rev;
   t.nclosed <- idx + 1;
   t.prev <- sample
@@ -155,83 +113,18 @@ let tick t sample =
 (* Merge                                                               *)
 
 (* Merge rules (the documented contract, pinned by the shard goldens):
-   counters and byte deltas sum; latency and free-size histograms merge
-   bucket-wise ([Hist.merge]); per-drive arrays concatenate in argument
-   order (slice 0's drives first, matching the fault report's
-   drive-state rule); used/total/free units and free-extent counts sum
-   (the slices manage disjoint sub-volumes); [largest_free] takes the
-   max; failed/rebuilding drive counts sum.  A timeline that closed
-   fewer windows than its peer contributes, for each missing window,
-   zero deltas, an empty latency histogram, and the gauge values of its
-   final cumulative sample — a finished slice's free space no longer
-   changes, so its last observation stands. *)
-
-let combine_windows a b =
-  {
-    w_index = a.w_index;
-    w_io_ops = a.w_io_ops + b.w_io_ops;
-    w_alloc_ops = a.w_alloc_ops + b.w_alloc_ops;
-    w_bytes = a.w_bytes + b.w_bytes;
-    w_disk_fulls = a.w_disk_fulls + b.w_disk_fulls;
-    w_data_loss = a.w_data_loss + b.w_data_loss;
-    w_rebuild_ios = a.w_rebuild_ios + b.w_rebuild_ios;
-    w_cache_lookups = a.w_cache_lookups + b.w_cache_lookups;
-    w_cache_hits = a.w_cache_hits + b.w_cache_hits;
-    w_cache_misses = a.w_cache_misses + b.w_cache_misses;
-    w_cache_writeback_bytes = a.w_cache_writeback_bytes + b.w_cache_writeback_bytes;
-    w_cache_prefetched = a.w_cache_prefetched + b.w_cache_prefetched;
-    w_latency = Hist.merge a.w_latency b.w_latency;
-    w_drive_busy_ms = Array.append a.w_drive_busy_ms b.w_drive_busy_ms;
-    w_queue_depths = Array.append a.w_queue_depths b.w_queue_depths;
-    w_failed_drives = a.w_failed_drives + b.w_failed_drives;
-    w_rebuilding_drives = a.w_rebuilding_drives + b.w_rebuilding_drives;
-    w_used_units = a.w_used_units + b.w_used_units;
-    w_total_units = a.w_total_units + b.w_total_units;
-    w_free_units = a.w_free_units + b.w_free_units;
-    w_largest_free = max a.w_largest_free b.w_largest_free;
-    w_free_extents = a.w_free_extents + b.w_free_extents;
-    w_free_sizes = Hist.merge a.w_free_sizes b.w_free_sizes;
-    w_user_units = a.w_user_units + b.w_user_units;
-    w_moved_units = a.w_moved_units + b.w_moved_units;
-    w_cleaner_passes = a.w_cleaner_passes + b.w_cleaner_passes;
-    w_user_units_total = a.w_user_units_total + b.w_user_units_total;
-    w_moved_units_total = a.w_moved_units_total + b.w_moved_units_total;
-  }
-
-(* The stand-in for a window a finished timeline never closed: gauges
-   from its final sample, everything rate-like zero. *)
-let tail_window t idx =
-  let p = t.prev in
-  {
-    w_index = idx;
-    w_io_ops = 0;
-    w_alloc_ops = 0;
-    w_bytes = 0;
-    w_disk_fulls = 0;
-    w_data_loss = 0;
-    w_rebuild_ios = 0;
-    w_cache_lookups = 0;
-    w_cache_hits = 0;
-    w_cache_misses = 0;
-    w_cache_writeback_bytes = 0;
-    w_cache_prefetched = 0;
-    w_latency = Hist.create ();
-    w_drive_busy_ms = Array.make (Array.length p.s_drive_busy_ms) 0.;
-    w_queue_depths = Array.copy p.s_queue_depths;
-    w_failed_drives = p.s_failed_drives;
-    w_rebuilding_drives = p.s_rebuilding_drives;
-    w_used_units = p.s_used_units;
-    w_total_units = p.s_total_units;
-    w_free_units = p.s_free_units;
-    w_largest_free = p.s_largest_free;
-    w_free_extents = free_extents_of p.s_free_hist;
-    w_free_sizes = free_sizes_hist p.s_free_hist;
-    w_user_units = 0;
-    w_moved_units = 0;
-    w_cleaner_passes = 0;
-    w_user_units_total = p.s_user_units;
-    w_moved_units_total = p.s_moved_units;
-  }
+   counters and byte deltas sum; latency histograms merge bucket-wise;
+   free-space distributions sum per size (the free-size histogram is
+   built from the sum at export, which gives the bytes [Hist.merge]
+   would: sizes and counts are integers); per-drive arrays concatenate
+   in argument order (slice 0's drives first, matching the fault
+   report's drive-state rule); used/total/free units and free-extent
+   counts sum (the slices manage disjoint sub-volumes); [largest_free]
+   takes the max; failed/rebuilding drive counts sum.  A timeline that
+   closed fewer windows than its peer contributes, for each missing
+   window, zero deltas, an empty latency histogram, and the gauge
+   values of its final cumulative sample — a finished slice's free
+   space no longer changes, so its last observation stands. *)
 
 (* Sum two sorted (size, count) free-space distributions. *)
 let rec merge_free_hists a b =
@@ -273,11 +166,22 @@ let merge a b =
   let wa = Array.of_list (List.rev a.closed_rev) in
   let wb = Array.of_list (List.rev b.closed_rev) in
   let n = max (Array.length wa) (Array.length wb) in
+  (* the stand-in for a window [t] never closed: zero deltas, final gauges *)
+  let get t ws i =
+    if i < Array.length ws then ws.(i)
+    else { w_index = i; w_delta = diff t.prev t.prev; w_at = t.prev; w_latency = Hist.create () }
+  in
   let closed_rev = ref [] in
   for i = 0 to n - 1 do
-    let x = if i < Array.length wa then wa.(i) else tail_window a i in
-    let y = if i < Array.length wb then wb.(i) else tail_window b i in
-    closed_rev := combine_windows x y :: !closed_rev
+    let x = get a wa i and y = get b wb i in
+    closed_rev :=
+      {
+        w_index = i;
+        w_delta = combine_samples x.w_delta y.w_delta;
+        w_at = combine_samples x.w_at y.w_at;
+        w_latency = Hist.merge x.w_latency y.w_latency;
+      }
+      :: !closed_rev
   done;
   {
     every_ms = a.every_ms;
@@ -310,79 +214,91 @@ let ckpt_load t blob =
 
 let schema = "rofs-timeline-v1"
 
+let utilization s =
+  if s.s_total_units > 0 then float_of_int s.s_used_units /. float_of_int s.s_total_units
+  else 0.
+
+(* Cumulative (user + moved) / user units: 1 until the cleaner moves data. *)
+let write_cost s =
+  if s.s_user_units > 0 then
+    float_of_int (s.s_user_units + s.s_moved_units) /. float_of_int s.s_user_units
+  else 1.
+
+let free_extents s = List.fold_left (fun acc (_, c) -> acc + c) 0 s.s_free_hist
+
+let free_sizes s =
+  let h = Hist.create () in
+  List.iter (fun (size, count) -> Hist.add_n h (float_of_int size) count) s.s_free_hist;
+  h
+
+let t_start_ms t w = float_of_int w.w_index *. t.every_ms
+let t_end_ms t w = float_of_int (w.w_index + 1) *. t.every_ms
+
 let window_json t w =
-  let util =
-    if w.w_total_units > 0 then float_of_int w.w_used_units /. float_of_int w.w_total_units
-    else 0.
-  in
+  let d = w.w_delta and a = w.w_at in
   Json.Obj
     [
       ("index", Json.Int w.w_index);
-      ("t_start_ms", Json.Float (float_of_int w.w_index *. t.every_ms));
-      ("t_end_ms", Json.Float (float_of_int (w.w_index + 1) *. t.every_ms));
-      ("io_ops", Json.Int w.w_io_ops);
-      ("alloc_ops", Json.Int w.w_alloc_ops);
-      ("bytes", Json.Int w.w_bytes);
-      ("disk_fulls", Json.Int w.w_disk_fulls);
+      ("t_start_ms", Json.Float (t_start_ms t w));
+      ("t_end_ms", Json.Float (t_end_ms t w));
+      ("io_ops", Json.Int d.s_io_ops);
+      ("alloc_ops", Json.Int d.s_alloc_ops);
+      ("bytes", Json.Int d.s_bytes_moved);
+      ("disk_fulls", Json.Int d.s_disk_fulls);
       ("latency_ms", Sink.hist_json w.w_latency);
       ( "cache",
         Json.Obj
           [
-            ("lookups", Json.Int w.w_cache_lookups);
-            ("hits", Json.Int w.w_cache_hits);
-            ("misses", Json.Int w.w_cache_misses);
-            ("writeback_bytes", Json.Int w.w_cache_writeback_bytes);
-            ("prefetched_pages", Json.Int w.w_cache_prefetched);
+            ("lookups", Json.Int d.s_cache_lookups);
+            ("hits", Json.Int d.s_cache_hits);
+            ("misses", Json.Int d.s_cache_misses);
+            ("writeback_bytes", Json.Int d.s_cache_writeback_bytes);
+            ("prefetched_pages", Json.Int d.s_cache_prefetched);
           ] );
       ( "fault",
         Json.Obj
           [
-            ("failed_drives", Json.Int w.w_failed_drives);
-            ("rebuilding_drives", Json.Int w.w_rebuilding_drives);
-            ("rebuild_ios", Json.Int w.w_rebuild_ios);
-            ("data_loss", Json.Int w.w_data_loss);
+            ("failed_drives", Json.Int a.s_failed_drives);
+            ("rebuilding_drives", Json.Int a.s_rebuilding_drives);
+            ("rebuild_ios", Json.Int d.s_rebuild_ios);
+            ("data_loss", Json.Int d.s_data_loss);
           ] );
       ( "alloc",
         Json.Obj
           [
-            ("used_units", Json.Int w.w_used_units);
-            ("total_units", Json.Int w.w_total_units);
-            ("utilization", Json.Float util);
-            ("free_units", Json.Int w.w_free_units);
-            ("largest_free_units", Json.Int w.w_largest_free);
-            ("free_extents", Json.Int w.w_free_extents);
-            ("free_size_units", Sink.hist_json w.w_free_sizes);
+            ("used_units", Json.Int a.s_used_units);
+            ("total_units", Json.Int a.s_total_units);
+            ("utilization", Json.Float (utilization a));
+            ("free_units", Json.Int a.s_free_units);
+            ("largest_free_units", Json.Int a.s_largest_free);
+            ("free_extents", Json.Int (free_extents a));
+            ("free_size_units", Sink.hist_json (free_sizes a));
           ] );
       ( "churn",
         Json.Obj
           [
-            ("user_units", Json.Int w.w_user_units);
-            ("moved_units", Json.Int w.w_moved_units);
-            ("cleaner_passes", Json.Int w.w_cleaner_passes);
-            ("user_units_total", Json.Int w.w_user_units_total);
-            ("moved_units_total", Json.Int w.w_moved_units_total);
-            ( "write_cost",
-              Json.Float
-                (if w.w_user_units_total > 0 then
-                   float_of_int (w.w_user_units_total + w.w_moved_units_total)
-                   /. float_of_int w.w_user_units_total
-                 else 1.) );
+            ("user_units", Json.Int d.s_user_units);
+            ("moved_units", Json.Int d.s_moved_units);
+            ("cleaner_passes", Json.Int d.s_cleaner_passes);
+            ("user_units_total", Json.Int a.s_user_units);
+            ("moved_units_total", Json.Int a.s_moved_units);
+            ("write_cost", Json.Float (write_cost a));
           ] );
       ( "drives",
         Json.Arr
           (Array.to_list
              (Array.mapi
-                (fun d busy ->
+                (fun i busy ->
                   Json.Obj
                     [
-                      ("drive", Json.Int d);
+                      ("drive", Json.Int i);
                       ("busy_ms", Json.Float busy);
                       ( "queue_depth",
                         Json.Int
-                          (if d < Array.length w.w_queue_depths then w.w_queue_depths.(d)
+                          (if i < Array.length a.s_queue_depths then a.s_queue_depths.(i)
                            else 0) );
                     ])
-                w.w_drive_busy_ms)) );
+                d.s_drive_busy_ms)) );
     ]
 
 let to_json t =
@@ -393,104 +309,58 @@ let to_json t =
       ("windows", Json.Arr (List.rev_map (window_json t) t.closed_rev));
     ]
 
-(* Flat CSV, one row per window; per-drive columns collapse to
-   mean / max so the width is independent of the array shape. *)
-let csv_header =
-  String.concat ","
-    [
-      "index";
-      "t_start_ms";
-      "t_end_ms";
-      "io_ops";
-      "alloc_ops";
-      "bytes";
-      "disk_fulls";
-      "lat_count";
-      "lat_mean_ms";
-      "lat_p50_ms";
-      "lat_p99_ms";
-      "cache_lookups";
-      "cache_hits";
-      "cache_misses";
-      "cache_writeback_bytes";
-      "cache_prefetched_pages";
-      "failed_drives";
-      "rebuilding_drives";
-      "rebuild_ios";
-      "data_loss";
-      "used_units";
-      "total_units";
-      "utilization";
-      "free_units";
-      "largest_free_units";
-      "free_extents";
-      "user_units";
-      "moved_units";
-      "cleaner_passes";
-      "write_cost";
-      "busy_ms_mean";
-      "busy_ms_max";
-      "queue_depth_mean";
-      "queue_depth_max";
-    ]
+(* Per-drive arrays collapse to mean / max (0 when empty), so the CSV's
+   width is independent of the array shape. *)
+let mean to_float arr =
+  if arr = [||] then 0.
+  else Array.fold_left (fun acc v -> acc +. to_float v) 0. arr /. float_of_int (Array.length arr)
 
-let float_mean_max arr =
-  let n = Array.length arr in
-  if n = 0 then (0., 0.)
-  else begin
-    let sum = ref 0. and mx = ref arr.(0) in
-    Array.iter
-      (fun v ->
-        sum := !sum +. v;
-        if v > !mx then mx := v)
-      arr;
-    (!sum /. float_of_int n, !mx)
-  end
+let max_of zero arr = if arr = [||] then zero else Array.fold_left max arr.(0) arr
 
-let int_mean_max arr =
-  let n = Array.length arr in
-  if n = 0 then (0., 0)
-  else begin
-    let sum = ref 0 and mx = ref arr.(0) in
-    Array.iter
-      (fun v ->
-        sum := !sum + v;
-        if v > !mx then mx := v)
-      arr;
-    (float_of_int !sum /. float_of_int n, !mx)
-  end
+(* The CSV's columns, header and cell together: one row per window. *)
+let csv_columns t =
+  let d name f = (name, fun w -> string_of_int (f w)) in
+  let g name f = (name, fun w -> Printf.sprintf "%g" (f w)) in
+  [
+    d "index" (fun w -> w.w_index);
+    g "t_start_ms" (t_start_ms t);
+    g "t_end_ms" (t_end_ms t);
+    d "io_ops" (fun w -> w.w_delta.s_io_ops);
+    d "alloc_ops" (fun w -> w.w_delta.s_alloc_ops);
+    d "bytes" (fun w -> w.w_delta.s_bytes_moved);
+    d "disk_fulls" (fun w -> w.w_delta.s_disk_fulls);
+    d "lat_count" (fun w -> Hist.count w.w_latency);
+    g "lat_mean_ms" (fun w -> Hist.mean w.w_latency);
+    g "lat_p50_ms" (fun w -> Hist.p50 w.w_latency);
+    g "lat_p99_ms" (fun w -> Hist.p99 w.w_latency);
+    d "cache_lookups" (fun w -> w.w_delta.s_cache_lookups);
+    d "cache_hits" (fun w -> w.w_delta.s_cache_hits);
+    d "cache_misses" (fun w -> w.w_delta.s_cache_misses);
+    d "cache_writeback_bytes" (fun w -> w.w_delta.s_cache_writeback_bytes);
+    d "cache_prefetched_pages" (fun w -> w.w_delta.s_cache_prefetched);
+    d "failed_drives" (fun w -> w.w_at.s_failed_drives);
+    d "rebuilding_drives" (fun w -> w.w_at.s_rebuilding_drives);
+    d "rebuild_ios" (fun w -> w.w_delta.s_rebuild_ios);
+    d "data_loss" (fun w -> w.w_delta.s_data_loss);
+    d "used_units" (fun w -> w.w_at.s_used_units);
+    d "total_units" (fun w -> w.w_at.s_total_units);
+    g "utilization" (fun w -> utilization w.w_at);
+    d "free_units" (fun w -> w.w_at.s_free_units);
+    d "largest_free_units" (fun w -> w.w_at.s_largest_free);
+    d "free_extents" (fun w -> free_extents w.w_at);
+    d "user_units" (fun w -> w.w_delta.s_user_units);
+    d "moved_units" (fun w -> w.w_delta.s_moved_units);
+    d "cleaner_passes" (fun w -> w.w_delta.s_cleaner_passes);
+    g "write_cost" (fun w -> write_cost w.w_at);
+    g "busy_ms_mean" (fun w -> mean Fun.id w.w_delta.s_drive_busy_ms);
+    g "busy_ms_max" (fun w -> max_of 0. w.w_delta.s_drive_busy_ms);
+    g "queue_depth_mean" (fun w -> mean float_of_int w.w_at.s_queue_depths);
+    d "queue_depth_max" (fun w -> max_of 0 w.w_at.s_queue_depths);
+  ]
 
 let to_csv t =
-  let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer csv_header;
-  Buffer.add_char buffer '\n';
-  List.iter
-    (fun w ->
-      let busy_mean, busy_max = float_mean_max w.w_drive_busy_ms in
-      let qd_mean, qd_max = int_mean_max w.w_queue_depths in
-      let util =
-        if w.w_total_units > 0 then
-          float_of_int w.w_used_units /. float_of_int w.w_total_units
-        else 0.
-      in
-      let write_cost =
-        if w.w_user_units_total > 0 then
-          float_of_int (w.w_user_units_total + w.w_moved_units_total)
-          /. float_of_int w.w_user_units_total
-        else 1.
-      in
-      Buffer.add_string buffer
-        (Printf.sprintf "%d,%g,%g,%d,%d,%d,%d,%d,%g,%g,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%g,%d,%d,%d,%d,%d,%d,%g,%g,%g,%g,%d\n"
-           w.w_index
-           (float_of_int w.w_index *. t.every_ms)
-           (float_of_int (w.w_index + 1) *. t.every_ms)
-           w.w_io_ops w.w_alloc_ops w.w_bytes w.w_disk_fulls
-           (Hist.count w.w_latency) (Hist.mean w.w_latency) (Hist.p50 w.w_latency)
-           (Hist.p99 w.w_latency) w.w_cache_lookups w.w_cache_hits w.w_cache_misses
-           w.w_cache_writeback_bytes w.w_cache_prefetched w.w_failed_drives
-           w.w_rebuilding_drives w.w_rebuild_ios w.w_data_loss w.w_used_units
-           w.w_total_units util w.w_free_units w.w_largest_free w.w_free_extents
-           w.w_user_units w.w_moved_units w.w_cleaner_passes write_cost
-           busy_mean busy_max qd_mean qd_max))
-    (List.rev t.closed_rev);
-  Buffer.contents buffer
+  let columns = csv_columns t in
+  let row cells = String.concat "," cells ^ "\n" in
+  String.concat ""
+    (row (List.map fst columns)
+    :: List.rev_map (fun w -> row (List.map (fun (_, cell) -> cell w) columns)) t.closed_rev)

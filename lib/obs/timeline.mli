@@ -10,16 +10,21 @@
        fast path records operations at issue time with a completion
        several windows ahead — attribution stays exact);}
     {- {!tick} once per window boundary, carrying the {e cumulative}
-       counters and the instantaneous gauges; the closing window's
-       per-window counters are the deltas against the previous tick.}}
+       counters and the instantaneous gauges.}}
+
+    A closed window is the difference of two samples plus the closing
+    sample: its counters (and per-drive busy time) are the closing
+    sample minus the previous tick's, and its gauges and cumulative
+    churn totals are read from the closing sample itself.
 
     Because windows are aligned to absolute time and all per-window
     state is integer counters, exact-merging histograms ({!Hist}) or
     gauges with a documented combination rule, two timelines from
     disjoint shard slices merge {e elementwise per window} into a
     result that is byte-identical however the slices were executed.
-    Merge rules: counters and byte deltas sum; histograms
-    [Hist.merge]; per-drive arrays concatenate in argument order;
+    Merge rules: counters and byte deltas sum; latency histograms
+    [Hist.merge]; free-space size distributions sum per size;
+    per-drive arrays concatenate in argument order;
     used/total/free units and free-extent counts sum; [largest_free]
     takes the max; failed/rebuilding drive counts sum.  A timeline
     that closed fewer windows contributes zero deltas and its final
@@ -68,7 +73,7 @@ type t
 val create : every_ms:float -> baseline:sample -> t
 (** A timeline with no closed windows.  [baseline] is the cumulative
     state at attach time (window 0's deltas are taken against it).
-    Raises [Invalid_argument] when [every_ms <= 0]. *)
+    Raises [Invalid_argument] unless [every_ms] is finite and positive. *)
 
 val every_ms : t -> float
 

@@ -78,10 +78,12 @@ let validate_config ?shards cfg =
     fail "upper_bound must lie in (0, 1]";
   if cfg.lower_bound >= cfg.upper_bound then
     fail "lower_bound must be strictly below upper_bound";
-  if cfg.interval_ms <= 0. then fail "interval_ms must be positive";
+  let finite_pos v = Float.is_finite v && v > 0. in
+  if not (finite_pos cfg.interval_ms) then fail "interval_ms must be a finite positive number";
   if cfg.stable_windows <= 0 then fail "stable_windows must be positive";
-  if cfg.tolerance_pct <= 0. then fail "tolerance_pct must be positive";
-  if cfg.max_measure_ms <= 0. then fail "max_measure_ms must be positive";
+  if not (finite_pos cfg.tolerance_pct) then fail "tolerance_pct must be a finite positive number";
+  if not (finite_pos cfg.max_measure_ms) then
+    fail "max_measure_ms must be a finite positive number";
   if cfg.max_alloc_ops <= 0 then fail "max_alloc_ops must be positive";
   if cfg.readahead_factor < 1 then fail "readahead_factor must be >= 1";
   if cfg.warmup_checkpoints < 0 then fail "warmup_checkpoints must be >= 0";
@@ -486,7 +488,8 @@ let set_recorder t recorder = t.recorder <- recorder
    armed runs: an armed run resumed from any of its snapshots is
    byte-identical to the same armed run left uninterrupted. *)
 let set_checkpoint t ~every_ms hook =
-  if every_ms <= 0. then invalid_arg "Engine.set_checkpoint: every_ms must be positive";
+  if not (Float.is_finite every_ms && every_ms > 0.) then
+    invalid_arg "Engine.set_checkpoint: every_ms must be a finite positive number";
   t.ckpt_every_ms <- every_ms;
   t.ckpt_hook <- Some hook;
   t.ckpt_next <- t.now +. every_ms;
@@ -556,7 +559,8 @@ let timeline_sample t =
    armed runs; runs without a timeline stay bit-exact against the
    frozen goldens. *)
 let attach_timeline t ~every_ms =
-  if every_ms <= 0. then invalid_arg "Engine.attach_timeline: every_ms must be positive";
+  if not (Float.is_finite every_ms && every_ms > 0.) then
+    invalid_arg "Engine.attach_timeline: every_ms must be a finite positive number";
   if t.timeline <> None then invalid_arg "Engine.attach_timeline: a timeline is already attached";
   t.timeline <- Some (Timeline.create ~every_ms ~baseline:(timeline_sample t));
   t.tl_every_ms <- every_ms;
@@ -1762,7 +1766,7 @@ let fingerprint t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( 1 (* fingerprint layout version *),
+          ( 2 (* fingerprint layout version *),
             (c.seed, c.disks, c.stripe_unit_bytes, array_desc, c.scheduler),
             ( c.lower_bound,
               c.upper_bound,

@@ -122,8 +122,9 @@ val default_config : config
 val validate_config : ?shards:int -> config -> unit
 (** Raises [Invalid_argument] with a one-line message on the first
     nonsensical field (bounds out of order or outside (0, 1],
-    non-positive interval / windows / caps, a read-ahead factor below 1,
-    a non-positive [shard_slices], or an invalid fault plan).  [shards]
+    non-positive or non-finite interval / tolerance / caps, non-positive
+    windows, a read-ahead factor below 1, a non-positive
+    [shard_slices], or an invalid fault plan).  [shards]
     — an [Experiment.run_sharded] execution width to validate alongside the config
     (CLI front ends pass the [--shards] value here) — must be positive
     when given.  {!create} calls this. *)
@@ -366,7 +367,7 @@ val set_checkpoint : t -> every_ms:float -> (unit -> unit) -> unit
     the live tick chain and resumed runs keep the exact cadence.  Call
     {e before} {!restore} when resuming: the restore supersedes the
     initial tick with the snapshot's own chain.
-    @raise Invalid_argument if [every_ms <= 0]. *)
+    @raise Invalid_argument unless [every_ms] is finite and positive. *)
 
 val fingerprint : t -> string
 (** Digest of everything fixed at construction that simulated results
@@ -423,8 +424,8 @@ val attach_timeline : t -> every_ms:float -> unit
     untouched); when resuming, call this before {!restore} with the
     original cadence — the snapshot's own tick chain supersedes the
     initial tick.
-    @raise Invalid_argument if [every_ms <= 0] or a timeline is already
-    attached. *)
+    @raise Invalid_argument if [every_ms] is not finite and positive
+    or a timeline is already attached. *)
 
 val timeline : t -> Rofs_obs.Timeline.t option
 (** The attached timeline, for export after the run. *)

@@ -217,7 +217,8 @@ let with_counts t ~f =
   map_types t ~f:(fun ft -> { ft with File_type.count = f ft })
 
 let scaled t ~factor =
-  if factor <= 0. then invalid_arg "Workload.scaled: factor must be positive";
+  if not (Float.is_finite factor && factor > 0.) then
+    invalid_arg "Workload.scaled: factor must be a finite positive number";
   with_counts t ~f:(fun ft ->
       max 1 (int_of_float (Float.round (float_of_int ft.File_type.count *. factor))))
 

@@ -58,7 +58,8 @@ val with_counts : t -> f:(File_type.t -> int) -> t
 val scaled : t -> factor:float -> t
 (** Multiply every type's file count by [factor] (at least 1 file per
     type) — a cheap way to shrink a workload for fast tests while
-    keeping its shape. *)
+    keeping its shape.  Raises [Invalid_argument] unless [factor] is
+    finite and positive. *)
 
 val partition : t -> weights:int array -> t array
 (** [partition t ~weights] splits [t] into [Array.length weights]

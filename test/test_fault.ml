@@ -78,6 +78,23 @@ let test_validate_rejects_bad_plans () =
       ( "scripted event in the past",
         { Plan.none with script = [ (-5., Plan.Fail 0) ] },
         "non-negative" );
+      ("nan mttf", { Plan.none with mttf_ms = Float.nan }, "mttf_ms");
+      ("infinite mttf", { Plan.none with mttf_ms = Float.infinity }, "mttf_ms");
+      ("nan mttr", { Plan.none with mttf_ms = 10.; mttr_ms = Float.nan }, "mttr_ms");
+      ("infinite mttr", { Plan.none with mttf_ms = 10.; mttr_ms = Float.infinity }, "mttr_ms");
+      ("nan media rate", { Plan.none with media_error_rate = Float.nan }, "media_error_rate");
+      ("nan retry prob", { Plan.none with retry_fail_prob = Float.nan }, "retry_fail_prob");
+      ("nan remap penalty", { Plan.none with remap_penalty_ms = Float.nan }, "remap_penalty_ms");
+      ( "infinite remap penalty",
+        { Plan.none with remap_penalty_ms = Float.infinity },
+        "remap_penalty_ms" );
+      ("nan rebuild rate", { Plan.none with rebuild_rate_bytes_per_ms = Float.nan }, "rebuild_rate");
+      ( "infinite rebuild rate",
+        { Plan.none with rebuild_rate_bytes_per_ms = Float.infinity },
+        "rebuild_rate" );
+      ( "scripted event at nan",
+        { Plan.none with script = [ (Float.nan, Plan.Fail 0) ] },
+        "non-negative" );
     ]
   in
   List.iter
@@ -152,6 +169,15 @@ let test_engine_config_validation () =
       ( "invalid fault plan",
         { d with Engine.faults = { Plan.none with media_error_rate = 2. } },
         "media_error_rate" );
+      ("nan interval", { d with Engine.interval_ms = Float.nan }, "interval_ms");
+      ("infinite interval", { d with Engine.interval_ms = Float.infinity }, "interval_ms");
+      ("nan tolerance", { d with Engine.tolerance_pct = Float.nan }, "tolerance_pct");
+      ("infinite tolerance", { d with Engine.tolerance_pct = Float.infinity }, "tolerance_pct");
+      ("nan measure cap", { d with Engine.max_measure_ms = Float.nan }, "max_measure_ms");
+      ("infinite measure cap", { d with Engine.max_measure_ms = Float.infinity }, "max_measure_ms");
+      ( "nan fault plan",
+        { d with Engine.faults = { Plan.none with mttf_ms = Float.nan } },
+        "mttf_ms" );
     ]
   in
   List.iter

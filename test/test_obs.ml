@@ -25,7 +25,7 @@
      timeline is byte-identical at every shard width (digest golden)
      and across checkpoint/resume.
 
-   Regenerate the timeline digest golden after an intentional behavior
+   Regenerate the timeline digest goldens after an intentional behavior
    change with:
      ROFS_GOLDEN_CAPTURE=1 dune exec test/test_obs.exe 2>/dev/null *)
 
@@ -714,6 +714,100 @@ let test_timeline_shard_width_invariant () =
   check_string "digest matches frozen golden" timeline_digest_golden
     (Digest.to_hex (Digest.string (j1 ^ c1)))
 
+(* The golden above runs FCFS buddy with no cache and no faults, so its
+   cache, fault and churn columns are all zero.  This one turns every
+   subsystem on: a write-back cache, SSTF, mirrored pairs under MTTF/MTTR
+   drive faults and media errors, and LFS aged to 90% occupancy so the
+   cleaner moves data.  Its two slices stabilize at different times and
+   close different window counts, so the merge's tail rule runs too. *)
+let rich_timeline_digest_golden = "7879ff409d0f8e273f68fadd2057373c"
+
+let mini_ts =
+  let ft name count users ~rw ~hint ~trunc ~size ~dev ~rwe:(read, write, extend) ~del =
+    {
+      File_type.name;
+      count;
+      users;
+      process_time_ms = 20.;
+      hit_freq_ms = 40.;
+      rw_mean_bytes = rw;
+      rw_dev_bytes = rw / 3;
+      alloc_hint_bytes = hint;
+      truncate_bytes = trunc;
+      initial_mean_bytes = size;
+      initial_dev_bytes = dev;
+      read_pct = read;
+      write_pct = write;
+      extend_pct = extend;
+      delete_pct_of_deallocs = del;
+      pattern = File_type.Sequential;
+    }
+  in
+  {
+    Workload.name = "MINI-TS";
+    description = "scaled timesharing workload";
+    types =
+      [
+        ft "small" 200 6 ~rw:(12 * 1024) ~hint:(16 * 1024) ~trunc:(8 * 1024) ~size:(32 * 1024)
+          ~dev:(8 * 1024) ~rwe:(40, 20, 30) ~del:70;
+        ft "large" 100 3 ~rw:(24 * 1024) ~hint:(1024 * 1024) ~trunc:(96 * 1024)
+          ~size:(2 * 1024 * 1024) ~dev:(256 * 1024) ~rwe:(60, 15, 15) ~del:20;
+      ];
+  }
+
+let rich_timeline_config =
+  {
+    timeline_config with
+    Engine.disks = 4;
+    shard_slices = 2;
+    lower_bound = 0.25;
+    upper_bound = 0.95;
+    interval_ms = 1_000.;
+    tolerance_pct = 1.0;
+    scheduler = Policy.Sstf;
+    array_config = (fun stripe_unit -> Array_model.Mirrored { stripe_unit });
+    faults =
+      {
+        C.Fault_plan.none with
+        C.Fault_plan.seed = 42;
+        mttf_ms = 60_000.;
+        mttr_ms = 15_000.;
+        media_error_rate = 0.001;
+      };
+    cache = Some (C.Cache.config ~mb:16 ~write_mode:C.Cache.Write_back ());
+    age_ms = 60_000.;
+    age_occupancy = 0.90;
+  }
+
+let rich_sharded_timeline shards =
+  let r =
+    Experiment.run_sharded ~config:rich_timeline_config ~shards ~timeline_every_ms:1000.
+      (Experiment.Log_structured (C.Log_structured.config ()))
+      mini_ts
+  in
+  match r.Experiment.s_timeline with
+  | Some tl -> tl
+  | None -> Alcotest.fail "sharded run produced no timeline"
+
+let timeline_exports tl = (Json.to_string (Timeline.to_json tl), Timeline.to_csv tl)
+
+let test_rich_timeline_golden () =
+  let tl = rich_sharded_timeline 1 in
+  let j1, c1 = timeline_exports tl in
+  List.iter
+    (fun shards ->
+      let j, c = timeline_exports (rich_sharded_timeline shards) in
+      check_string (Printf.sprintf "json identical at shards=%d" shards) j1 j;
+      check_string (Printf.sprintf "csv identical at shards=%d" shards) c1 c)
+    [ 2; 4 ];
+  let ws = List.init (Timeline.window_count tl) (fun i -> window i tl) in
+  let total f = List.fold_left (fun acc w -> acc + f w) 0 ws in
+  check_bool "cache hits" true (total (fun w -> wsub w "cache" "hits") > 0);
+  check_bool "rebuilding drives" true (total (fun w -> wsub w "fault" "rebuilding_drives") > 0);
+  check_bool "cleaner-moved units" true (total (fun w -> wsub w "churn" "moved_units") > 0);
+  check_string "digest matches frozen golden" rich_timeline_digest_golden
+    (Digest.to_hex (Digest.string (j1 ^ c1)))
+
 (* Interrupted-and-resumed armed runs emit byte-identical timelines.
    The resume protocol is arm-before-restore: re-attach the timeline at
    the original cadence, then let the snapshot supersede the open-window
@@ -755,11 +849,24 @@ let test_timeline_ckpt_resume_identity () =
 
 let test_attach_timeline_refusals () =
   let engine = Experiment.make_engine ~config:timeline_config buddy mini_tp in
-  check_bool "non-positive cadence refused" true
-    (try
-       Engine.attach_timeline engine ~every_ms:0.;
-       false
-     with Invalid_argument _ -> true);
+  List.iter
+    (fun (name, every_ms) ->
+      check_bool (name ^ " cadence refused") true
+        (try
+           Engine.attach_timeline engine ~every_ms;
+           false
+         with Invalid_argument _ -> true);
+      check_bool (name ^ " timeline width refused") true
+        (try
+           ignore (Timeline.create ~every_ms ~baseline:(sample ()) : Timeline.t);
+           false
+         with Invalid_argument _ -> true);
+      check_bool (name ^ " checkpoint cadence refused") true
+        (try
+           Engine.set_checkpoint engine ~every_ms ignore;
+           false
+         with Invalid_argument _ -> true))
+    [ ("non-positive", 0.); ("nan", Float.nan); ("infinite", Float.infinity) ];
   Engine.attach_timeline engine ~every_ms:1000.;
   check_bool "double attach refused" true
     (try
@@ -770,9 +877,11 @@ let test_attach_timeline_refusals () =
 (* ------------------------------------------------------------------ *)
 
 let capture_goldens () =
-  (* regenerate [timeline_digest_golden] (see header comment) *)
+  (* regenerate both timeline digest goldens (see header comment) *)
   let j1, c1 = sharded_timeline 1 in
-  Printf.printf "let timeline_digest_golden = %S\n" (Digest.to_hex (Digest.string (j1 ^ c1)))
+  Printf.printf "let timeline_digest_golden = %S\n" (Digest.to_hex (Digest.string (j1 ^ c1)));
+  let j, c = timeline_exports (rich_sharded_timeline 1) in
+  Printf.printf "let rich_timeline_digest_golden = %S\n" (Digest.to_hex (Digest.string (j ^ c)))
 
 let () =
   if Sys.getenv_opt "ROFS_GOLDEN_CAPTURE" <> None then capture_goldens ()
@@ -827,6 +936,7 @@ let () =
             slow "instrumented run matches frozen goldens" test_instrumented_run_matches_goldens;
             slow "sweep merge is job-count invariant" test_sweep_merge_job_invariant;
             slow "sharded timeline is shard-width invariant" test_timeline_shard_width_invariant;
+            slow "rich sharded timeline matches its golden" test_rich_timeline_golden;
             slow "interrupted timeline resumes byte-identically"
               test_timeline_ckpt_resume_identity;
           ] );

@@ -214,6 +214,14 @@ let test_extent_ranges_tables () =
     (Invalid_argument "Workload.extent_ranges: expected 1..5") (fun () ->
       ignore (Workload.extent_ranges Workload.ts 6))
 
+let test_scaled_rejects_bad_factors () =
+  List.iter
+    (fun factor ->
+      Alcotest.check_raises (Printf.sprintf "factor %g" factor)
+        (Invalid_argument "Workload.scaled: factor must be a finite positive number") (fun () ->
+          ignore (Workload.scaled Workload.ts ~factor)))
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
 (* ------------------------------------------------------------------ *)
 (* Traces *)
 
@@ -317,6 +325,7 @@ let () =
           quick "initial populations fit" test_initial_bytes_fit_array;
           quick "user counts" test_total_users;
           quick "extent range tables (Section 4.3)" test_extent_ranges_tables;
+          quick "scaled rejects bad factors" test_scaled_rejects_bad_factors;
         ] );
       ( "traces",
         [
