@@ -49,9 +49,11 @@ type stats = {
   invalidations : int;
 }
 
-type t = {
-  cfg : config;
-  repl : Replacement.t;
+(* Everything the cache checkpoints apart from its replacement policy,
+   in one closure-free record behind one mutable slot: a snapshot
+   marshals it beside the policy's own save, and a restore swaps it
+   in. *)
+type state = {
   frame_file : int array;  (** -1 = frame free *)
   frame_page : int array;
   frame_dirty : bool array;
@@ -75,32 +77,37 @@ type t = {
   type_misses : int array;
 }
 
+type t = { cfg : config; repl : Replacement.t; mutable st : state }
+
 let create ?(ntypes = 0) cfg =
   validate cfg;
   {
     cfg;
     repl = Replacement.make cfg.policy ~capacity:cfg.pages;
-    frame_file = Array.make cfg.pages (-1);
-    frame_page = Array.make cfg.pages (-1);
-    frame_dirty = Array.make cfg.pages false;
-    index = Hashtbl.create (min cfg.pages 4096);
-    resident = Hashtbl.create 64;
-    seq_next = Hashtbl.create 64;
-    unused = 0;
-    free = [];
-    dirty = 0;
-    s_hits = 0;
-    s_misses = 0;
-    s_hit_bytes = 0;
-    s_insertions = 0;
-    s_evictions = 0;
-    s_dirty_evictions = 0;
-    s_flushes = 0;
-    s_writeback_bytes = 0;
-    s_prefetched = 0;
-    s_invalidations = 0;
-    type_hits = Array.make (max ntypes 0) 0;
-    type_misses = Array.make (max ntypes 0) 0;
+    st =
+      {
+        frame_file = Array.make cfg.pages (-1);
+        frame_page = Array.make cfg.pages (-1);
+        frame_dirty = Array.make cfg.pages false;
+        index = Hashtbl.create (min cfg.pages 4096);
+        resident = Hashtbl.create 64;
+        seq_next = Hashtbl.create 64;
+        unused = 0;
+        free = [];
+        dirty = 0;
+        s_hits = 0;
+        s_misses = 0;
+        s_hit_bytes = 0;
+        s_insertions = 0;
+        s_evictions = 0;
+        s_dirty_evictions = 0;
+        s_flushes = 0;
+        s_writeback_bytes = 0;
+        s_prefetched = 0;
+        s_invalidations = 0;
+        type_hits = Array.make (max ntypes 0) 0;
+        type_misses = Array.make (max ntypes 0) 0;
+      };
   }
 
 let write_back t = t.cfg.write_mode = Write_back
@@ -119,13 +126,13 @@ type outcome = {
 }
 
 let incr_resident t file =
-  Hashtbl.replace t.resident file
-    (match Hashtbl.find_opt t.resident file with Some n -> n + 1 | None -> 1)
+  Hashtbl.replace t.st.resident file
+    (match Hashtbl.find_opt t.st.resident file with Some n -> n + 1 | None -> 1)
 
 let decr_resident t file =
-  match Hashtbl.find_opt t.resident file with
-  | Some n when n > 1 -> Hashtbl.replace t.resident file (n - 1)
-  | Some _ -> Hashtbl.remove t.resident file
+  match Hashtbl.find_opt t.st.resident file with
+  | Some n when n > 1 -> Hashtbl.replace t.st.resident file (n - 1)
+  | Some _ -> Hashtbl.remove t.st.resident file
   | None -> ()
 
 (* Coalesce (file, page) pairs into maximal page-aligned runs.  The
@@ -141,7 +148,7 @@ let coalesce t pairs =
       let emit () =
         let len = (!last - !first + 1) * pb in
         runs := { r_file = !file; r_off = !first * pb; r_len = len } :: !runs;
-        t.s_writeback_bytes <- t.s_writeback_bytes + len
+        t.st.s_writeback_bytes <- t.st.s_writeback_bytes + len
       in
       List.iter
         (fun (f, p) ->
@@ -159,26 +166,26 @@ let coalesce t pairs =
 (* Claim a frame: a never-used one, an invalidated one, or the
    policy's victim (whose dirty page joins [evicted]). *)
 let take_frame t evicted =
-  match t.free with
+  match t.st.free with
   | f :: rest ->
-      t.free <- rest;
+      t.st.free <- rest;
       f
   | [] ->
-      if t.unused < t.cfg.pages then begin
-        let f = t.unused in
-        t.unused <- f + 1;
+      if t.st.unused < t.cfg.pages then begin
+        let f = t.st.unused in
+        t.st.unused <- f + 1;
         f
       end
       else begin
         let f = Replacement.victim t.repl in
-        let file = t.frame_file.(f) and page = t.frame_page.(f) in
-        Hashtbl.remove t.index (file, page);
+        let file = t.st.frame_file.(f) and page = t.st.frame_page.(f) in
+        Hashtbl.remove t.st.index (file, page);
         decr_resident t file;
-        t.s_evictions <- t.s_evictions + 1;
-        if t.frame_dirty.(f) then begin
-          t.frame_dirty.(f) <- false;
-          t.dirty <- t.dirty - 1;
-          t.s_dirty_evictions <- t.s_dirty_evictions + 1;
+        t.st.s_evictions <- t.st.s_evictions + 1;
+        if t.st.frame_dirty.(f) then begin
+          t.st.frame_dirty.(f) <- false;
+          t.st.dirty <- t.st.dirty - 1;
+          t.st.s_dirty_evictions <- t.st.s_dirty_evictions + 1;
           evicted := (file, page) :: !evicted
         end;
         f
@@ -186,21 +193,21 @@ let take_frame t evicted =
 
 let insert_page t ~file ~page ~dirty evicted =
   let f = take_frame t evicted in
-  t.frame_file.(f) <- file;
-  t.frame_page.(f) <- page;
-  t.frame_dirty.(f) <- dirty;
-  if dirty then t.dirty <- t.dirty + 1;
-  Hashtbl.replace t.index (file, page) f;
+  t.st.frame_file.(f) <- file;
+  t.st.frame_page.(f) <- page;
+  t.st.frame_dirty.(f) <- dirty;
+  if dirty then t.st.dirty <- t.st.dirty + 1;
+  Hashtbl.replace t.st.index (file, page) f;
   incr_resident t file;
   Replacement.on_insert t.repl f;
-  t.s_insertions <- t.s_insertions + 1
+  t.st.s_insertions <- t.st.s_insertions + 1
 
 let count_access t ~type_idx ~hits ~misses =
-  t.s_hits <- t.s_hits + hits;
-  t.s_misses <- t.s_misses + misses;
-  if type_idx >= 0 && type_idx < Array.length t.type_hits then begin
-    t.type_hits.(type_idx) <- t.type_hits.(type_idx) + hits;
-    t.type_misses.(type_idx) <- t.type_misses.(type_idx) + misses
+  t.st.s_hits <- t.st.s_hits + hits;
+  t.st.s_misses <- t.st.s_misses + misses;
+  if type_idx >= 0 && type_idx < Array.length t.st.type_hits then begin
+    t.st.type_hits.(type_idx) <- t.st.type_hits.(type_idx) + hits;
+    t.st.type_misses.(type_idx) <- t.st.type_misses.(type_idx) + misses
   end
 
 let read t ~type_idx ~file ~off ~len ~logical =
@@ -211,15 +218,15 @@ let read t ~type_idx ~file ~off ~len ~logical =
      end of file).  The recorded position is the page holding the next
      unread byte — a burst ending mid-page resumes in that same page. *)
   let seq =
-    match Hashtbl.find_opt t.seq_next file with Some next -> next = p0 | None -> false
+    match Hashtbl.find_opt t.st.seq_next file with Some next -> next = p0 | None -> false
   in
-  Hashtbl.replace t.seq_next file ((off + len) / pb);
+  Hashtbl.replace t.st.seq_next file ((off + len) / pb);
   let last_page = (logical - 1) / pb in
   let hit_bytes = ref 0 and page_hits = ref 0 and page_misses = ref 0 in
   let prefetched = ref 0 in
   let fetch_lo = ref (-1) and fetch_hi = ref (-1) in
   for p = p0 to p1 do
-    match Hashtbl.find_opt t.index (file, p) with
+    match Hashtbl.find_opt t.st.index (file, p) with
     | Some f ->
         Replacement.on_hit t.repl f;
         incr page_hits;
@@ -240,21 +247,21 @@ let read t ~type_idx ~file ~off ~len ~logical =
     let ahead = max t.cfg.prefetch_pages ((t.cfg.prefetch_factor - 1) * (p1 - p0 + 1)) in
     let want_hi = min last_page (p1 + ahead) in
     for p = p1 + 1 to want_hi do
-      if not (Hashtbl.mem t.index (file, p)) then begin
+      if not (Hashtbl.mem t.st.index (file, p)) then begin
         incr prefetched;
         fetch_hi := p
       end
     done
   end;
   let evicted = ref [] in
-  let evictions_before = t.s_evictions in
+  let evictions_before = t.st.s_evictions in
   if !fetch_lo >= 0 then
     for p = !fetch_lo to !fetch_hi do
-      if not (Hashtbl.mem t.index (file, p)) then insert_page t ~file ~page:p ~dirty:false evicted
+      if not (Hashtbl.mem t.st.index (file, p)) then insert_page t ~file ~page:p ~dirty:false evicted
     done;
   count_access t ~type_idx ~hits:!page_hits ~misses:!page_misses;
-  t.s_hit_bytes <- t.s_hit_bytes + !hit_bytes;
-  t.s_prefetched <- t.s_prefetched + !prefetched;
+  t.st.s_hit_bytes <- t.st.s_hit_bytes + !hit_bytes;
+  t.st.s_prefetched <- t.st.s_prefetched + !prefetched;
   {
     o_fetch =
       (match !fetch_lo with
@@ -267,7 +274,7 @@ let read t ~type_idx ~file ~off ~len ~logical =
     o_page_hits = !page_hits;
     o_page_misses = !page_misses;
     o_prefetched = !prefetched;
-    o_evictions = t.s_evictions - evictions_before;
+    o_evictions = t.st.s_evictions - evictions_before;
   }
 
 let write t ~type_idx ~file ~off ~len =
@@ -276,15 +283,15 @@ let write t ~type_idx ~file ~off ~len =
   let dirty = t.cfg.write_mode = Write_back in
   let page_hits = ref 0 and page_misses = ref 0 in
   let evicted = ref [] in
-  let evictions_before = t.s_evictions in
+  let evictions_before = t.st.s_evictions in
   for p = p0 to p1 do
-    match Hashtbl.find_opt t.index (file, p) with
+    match Hashtbl.find_opt t.st.index (file, p) with
     | Some f ->
         Replacement.on_hit t.repl f;
         incr page_hits;
-        if dirty && not t.frame_dirty.(f) then begin
-          t.frame_dirty.(f) <- true;
-          t.dirty <- t.dirty + 1
+        if dirty && not t.st.frame_dirty.(f) then begin
+          t.st.frame_dirty.(f) <- true;
+          t.st.dirty <- t.st.dirty + 1
         end
     | None ->
         incr page_misses;
@@ -292,7 +299,7 @@ let write t ~type_idx ~file ~off ~len =
   done;
   (* Writes advance the scan position too, so an alternating
      sequential read/write stream keeps its prefetch. *)
-  Hashtbl.replace t.seq_next file ((off + len) / pb);
+  Hashtbl.replace t.st.seq_next file ((off + len) / pb);
   count_access t ~type_idx ~hits:!page_hits ~misses:!page_misses;
   {
     o_fetch = None;
@@ -301,149 +308,83 @@ let write t ~type_idx ~file ~off ~len =
     o_page_hits = !page_hits;
     o_page_misses = !page_misses;
     o_prefetched = 0;
-    o_evictions = t.s_evictions - evictions_before;
+    o_evictions = t.st.s_evictions - evictions_before;
   }
 
 let flush t =
-  if t.dirty = 0 then []
+  if t.st.dirty = 0 then []
   else begin
     let pairs = ref [] in
-    for f = 0 to t.unused - 1 do
-      if t.frame_file.(f) >= 0 && t.frame_dirty.(f) then begin
-        t.frame_dirty.(f) <- false;
-        pairs := (t.frame_file.(f), t.frame_page.(f)) :: !pairs
+    for f = 0 to t.st.unused - 1 do
+      if t.st.frame_file.(f) >= 0 && t.st.frame_dirty.(f) then begin
+        t.st.frame_dirty.(f) <- false;
+        pairs := (t.st.frame_file.(f), t.st.frame_page.(f)) :: !pairs
       end
     done;
-    t.dirty <- 0;
-    t.s_flushes <- t.s_flushes + 1;
+    t.st.dirty <- 0;
+    t.st.s_flushes <- t.st.s_flushes + 1;
     coalesce t !pairs
   end
 
 let drop_frame t f =
-  let file = t.frame_file.(f) and page = t.frame_page.(f) in
-  Hashtbl.remove t.index (file, page);
+  let file = t.st.frame_file.(f) and page = t.st.frame_page.(f) in
+  Hashtbl.remove t.st.index (file, page);
   decr_resident t file;
-  if t.frame_dirty.(f) then begin
-    t.frame_dirty.(f) <- false;
-    t.dirty <- t.dirty - 1
+  if t.st.frame_dirty.(f) then begin
+    t.st.frame_dirty.(f) <- false;
+    t.st.dirty <- t.st.dirty - 1
   end;
-  t.frame_file.(f) <- -1;
-  t.frame_page.(f) <- -1;
+  t.st.frame_file.(f) <- -1;
+  t.st.frame_page.(f) <- -1;
   Replacement.on_remove t.repl f;
-  t.free <- f :: t.free;
-  t.s_invalidations <- t.s_invalidations + 1
+  t.st.free <- f :: t.st.free;
+  t.st.s_invalidations <- t.st.s_invalidations + 1
 
 let invalidate_file t ~file =
-  Hashtbl.remove t.seq_next file;
-  if Hashtbl.mem t.resident file then
-    for f = 0 to t.unused - 1 do
-      if t.frame_file.(f) = file then drop_frame t f
+  Hashtbl.remove t.st.seq_next file;
+  if Hashtbl.mem t.st.resident file then
+    for f = 0 to t.st.unused - 1 do
+      if t.st.frame_file.(f) = file then drop_frame t f
     done
 
 let truncate_file t ~file ~logical =
   let pb = t.cfg.page_bytes in
-  if Hashtbl.mem t.resident file then
-    for f = 0 to t.unused - 1 do
-      if t.frame_file.(f) = file && t.frame_page.(f) * pb >= logical then drop_frame t f
+  if Hashtbl.mem t.st.resident file then
+    for f = 0 to t.st.unused - 1 do
+      if t.st.frame_file.(f) = file && t.st.frame_page.(f) * pb >= logical then drop_frame t f
     done;
-  match Hashtbl.find_opt t.seq_next file with
-  | Some next when next * pb > logical -> Hashtbl.remove t.seq_next file
+  match Hashtbl.find_opt t.st.seq_next file with
+  | Some next when next * pb > logical -> Hashtbl.remove t.st.seq_next file
   | _ -> ()
 
-(* Checkpoint.  No result path iterates a hash table (coalesce sorts;
-   flush scans frames), so re-adding the marshalled twins' bindings
-   restores behaviour exactly; [free] is a LIFO list whose order IS the
-   frame-claim order and survives marshalling verbatim; the replacement
-   policy snapshots itself. *)
-type ckpt = {
-  k_repl : string;
-  k_frame_file : int array;
-  k_frame_page : int array;
-  k_frame_dirty : bool array;
-  k_index : (int * int, int) Hashtbl.t;
-  k_resident : (int, int) Hashtbl.t;
-  k_seq_next : (int, int) Hashtbl.t;
-  k_unused : int;
-  k_free : int list;
-  k_dirty : int;
-  k_counters : int array;
-  k_type_hits : int array;
-  k_type_misses : int array;
-}
-
-let ckpt_save t =
-  Marshal.to_string
-    {
-      k_repl = Replacement.save t.repl;
-      k_frame_file = t.frame_file;
-      k_frame_page = t.frame_page;
-      k_frame_dirty = t.frame_dirty;
-      k_index = t.index;
-      k_resident = t.resident;
-      k_seq_next = t.seq_next;
-      k_unused = t.unused;
-      k_free = t.free;
-      k_dirty = t.dirty;
-      k_counters =
-        [|
-          t.s_hits; t.s_misses; t.s_hit_bytes; t.s_insertions; t.s_evictions;
-          t.s_dirty_evictions; t.s_flushes; t.s_writeback_bytes; t.s_prefetched;
-          t.s_invalidations;
-        |];
-      k_type_hits = t.type_hits;
-      k_type_misses = t.type_misses;
-    }
-    []
+(* Checkpoint: the replacement policy snapshots itself; the rest is
+   [st], marshalled whole.  No result path iterates a hash table
+   (coalesce sorts; flush scans frames), and [free] is a LIFO list
+   whose order IS the frame-claim order. *)
+let ckpt_save t = Marshal.to_string (Replacement.save t.repl, t.st) []
 
 let ckpt_load t blob =
-  let k = (Marshal.from_string blob 0 : ckpt) in
-  Replacement.load t.repl k.k_repl;
-  Array.blit k.k_frame_file 0 t.frame_file 0 (Array.length t.frame_file);
-  Array.blit k.k_frame_page 0 t.frame_page 0 (Array.length t.frame_page);
-  Array.blit k.k_frame_dirty 0 t.frame_dirty 0 (Array.length t.frame_dirty);
-  let refill dst src =
-    Hashtbl.reset dst;
-    Hashtbl.iter (fun key v -> Hashtbl.replace dst key v) src
-  in
-  refill t.index k.k_index;
-  refill t.resident k.k_resident;
-  refill t.seq_next k.k_seq_next;
-  t.unused <- k.k_unused;
-  t.free <- k.k_free;
-  t.dirty <- k.k_dirty;
-  (match k.k_counters with
-  | [| h; m; hb; ins; ev; dev; fl; wb; pf; inv |] ->
-      t.s_hits <- h;
-      t.s_misses <- m;
-      t.s_hit_bytes <- hb;
-      t.s_insertions <- ins;
-      t.s_evictions <- ev;
-      t.s_dirty_evictions <- dev;
-      t.s_flushes <- fl;
-      t.s_writeback_bytes <- wb;
-      t.s_prefetched <- pf;
-      t.s_invalidations <- inv
-  | _ -> invalid_arg "Cache.ckpt_load: counter shape mismatch");
-  Array.blit k.k_type_hits 0 t.type_hits 0 (Array.length t.type_hits);
-  Array.blit k.k_type_misses 0 t.type_misses 0 (Array.length t.type_misses)
+  let repl, st = (Marshal.from_string blob 0 : string * state) in
+  Replacement.load t.repl repl;
+  t.st <- st
 
 let stats t =
   {
-    lookups = t.s_hits + t.s_misses;
-    hits = t.s_hits;
-    misses = t.s_misses;
-    hit_bytes = t.s_hit_bytes;
-    insertions = t.s_insertions;
-    evictions = t.s_evictions;
-    dirty_evictions = t.s_dirty_evictions;
-    flushes = t.s_flushes;
-    writeback_bytes = t.s_writeback_bytes;
-    prefetched_pages = t.s_prefetched;
-    invalidations = t.s_invalidations;
+    lookups = t.st.s_hits + t.st.s_misses;
+    hits = t.st.s_hits;
+    misses = t.st.s_misses;
+    hit_bytes = t.st.s_hit_bytes;
+    insertions = t.st.s_insertions;
+    evictions = t.st.s_evictions;
+    dirty_evictions = t.st.s_dirty_evictions;
+    flushes = t.st.s_flushes;
+    writeback_bytes = t.st.s_writeback_bytes;
+    prefetched_pages = t.st.s_prefetched;
+    invalidations = t.st.s_invalidations;
   }
 
-let dirty_pages t = t.dirty
-let resident_pages t = Hashtbl.length t.index
+let dirty_pages t = t.st.dirty
+let resident_pages t = Hashtbl.length t.st.index
 
 let per_type t =
-  Array.init (Array.length t.type_hits) (fun i -> (t.type_hits.(i), t.type_misses.(i)))
+  Array.init (Array.length t.st.type_hits) (fun i -> (t.st.type_hits.(i), t.st.type_misses.(i)))

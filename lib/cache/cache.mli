@@ -127,7 +127,8 @@ val ckpt_save : t -> string
     for checkpoint/restore. *)
 
 val ckpt_load : t -> string -> unit
-(** Restore a {!ckpt_save} snapshot into [t], in place.  [t] must have
+(** Restore a {!ckpt_save} snapshot into [t]; [t] stays the value its
+    holders share.  [t] must have
     been built from the same config (same frame count, page size,
     policy); the engine validates this with a config fingerprint. *)
 

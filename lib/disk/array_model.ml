@@ -59,7 +59,7 @@ type t = {
   queues : req Squeue.t array;  (** pending requests, one dispatch queue per drive *)
   in_service : req option array;  (** the request each drive is currently moving *)
   mutable next_op_id : int;
-  fault : Fault.t;  (** drive health, media-error and dirty-region state *)
+  mutable fault : Fault.t;  (** drive health, media-error and dirty-region state *)
   media_on : bool;  (** media faults configured: consult [fault] per chunk *)
   all_drives : int list;  (** [0; ...; disks-1], the reconstruction group *)
   mutable obs : Sink.t option;  (** instrumentation sink; [None] ⇒ no recording *)
@@ -803,24 +803,36 @@ let utilization t ~now =
 
 let bytes_moved t = t.bytes_moved
 
-(* Checkpoint.  Drives, dispatch queues and in-service slots go in ONE
-   Marshal blob: queued requests share their [op] records (and an
-   in-service request shares its op with still-queued siblings), and
-   Marshal preserves sharing within a single blob, so completions after
-   restore decrement the same [chunks_left] the originals did.  The
-   engine references operations only by integer id, never by pointer,
-   so rebuilt op records need no external fix-up.  The fault state is
-   checkpointed separately ({!Fault.ckpt_save}); the scratch buffers
-   are dead between events and simply reset. *)
+(* Checkpoint.  Drives, dispatch queues, in-service slots and the fault
+   state go in ONE Marshal blob: queued requests share their [op]
+   records (and an in-service request shares its op with still-queued
+   siblings), and Marshal preserves sharing within a single blob, so
+   completions after restore decrement the same [chunks_left] the
+   originals did.  The engine references operations only by integer
+   id, never by pointer, so rebuilt op records need no external
+   fix-up.  The restored fault state replaces [t.fault] wholesale; the
+   scratch buffers are dead between events and simply reset. *)
 let ckpt_save t =
   Marshal.to_string
-    (t.drives, Rofs_util.Rng.copy t.rng, t.bytes_moved, t.queues, t.in_service, t.next_op_id)
+    ( t.drives,
+      Rofs_util.Rng.copy t.rng,
+      t.bytes_moved,
+      t.queues,
+      t.in_service,
+      t.next_op_id,
+      t.fault )
     []
 
 let ckpt_load t blob =
-  let drives, rng, bytes_moved, queues, in_service, next_op_id =
+  let drives, rng, bytes_moved, queues, in_service, next_op_id, fault =
     (Marshal.from_string blob 0
-      : Drive.t array * Rofs_util.Rng.t * int * req Squeue.t array * req option array * int)
+      : Drive.t array
+        * Rofs_util.Rng.t
+        * int
+        * req Squeue.t array
+        * req option array
+        * int
+        * Fault.t)
   in
   Array.iteri (fun i d -> t.drives.(i) <- d) drives;
   Rofs_util.Rng.assign ~dst:t.rng ~src:rng;
@@ -828,6 +840,7 @@ let ckpt_load t blob =
   Array.iteri (fun i q -> t.queues.(i) <- q) queues;
   Array.blit in_service 0 t.in_service 0 (Array.length t.in_service);
   t.next_op_id <- next_op_id;
+  t.fault <- fault;
   t.cb_len <- 0;
   t.db_len <- 0;
   t.touched_len <- 0;

@@ -217,7 +217,9 @@ val drive_state : t -> drive:int -> [ `Healthy | `Failed | `Rebuilding of float 
 val fault_state : t -> Rofs_fault.State.t
 (** The array's fault state: per-drive status, media-error counters,
     dirty-region log.  Read-mostly for reporting; transitions go through
-    {!fail_drive} / {!repair_drive}. *)
+    {!fail_drive} / {!repair_drive}.  {!ckpt_load} replaces it with the
+    snapshot's, so call this again after a restore rather than keeping
+    the value. *)
 
 type rebuild_step =
   | Rebuild_idle  (** the drive is not rebuilding *)
@@ -249,14 +251,15 @@ val bytes_moved : t -> int
 val ckpt_save : t -> string
 (** Opaque snapshot of the array's mutable state: drive clocks and
     statistics, dispatch queues, in-service requests (with their shared
-    operation records), the service RNG and the data-byte counter.  The
-    fault state is snapshotted separately via {!fault_state} and
-    {!Rofs_fault.State.ckpt_save}. *)
+    operation records), the service RNG, the data-byte counter and the
+    whole fault state. *)
 
 val ckpt_load : t -> string -> unit
-(** Restore a {!ckpt_save} snapshot into [t], in place.  [t] must have
-    been built with the same geometry, disk count, scheduler and
-    config; the engine validates this with a config fingerprint. *)
+(** Restore a {!ckpt_save} snapshot into [t]: [t] itself stays the
+    value callers hold, while its fault state is swapped for the
+    snapshot's (see {!fault_state}).  [t] must have been built with the
+    same geometry, disk count, scheduler, fault config and layout; the
+    engine validates this with a config fingerprint. *)
 
 val reset : t -> unit
 (** Reset every drive's clock, arm and statistics. *)

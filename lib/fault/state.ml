@@ -176,67 +176,6 @@ let counters t =
     degraded_writes = t.degraded_writes;
   }
 
-(* Checkpoint.  [remap_hits] counting folds over the remap tables, but
-   the fold is a commutative sum, so re-marshalled tables (whatever
-   their bucket layout) behave identically; statuses blit element-wise
-   so [Rebuilding] records are fresh (nobody aliases them outside this
-   array); the media RNG restores in place. *)
-let ckpt_save t =
-  Marshal.to_string
-    ( t.statuses,
-      t.impaired,
-      Rng.copy t.media_rng,
-      t.remapped,
-      t.dirty,
-      t.dirty_total,
-      t.media_errors,
-      t.retries,
-      t.remaps,
-      t.remap_hits,
-      t.reconstructed_reads,
-      t.degraded_writes )
-    []
-
-let ckpt_load t blob =
-  let ( statuses,
-        impaired,
-        media_rng,
-        remapped,
-        dirty,
-        dirty_total,
-        media_errors,
-        retries,
-        remaps,
-        remap_hits,
-        reconstructed_reads,
-        degraded_writes ) =
-    (Marshal.from_string blob 0
-      : status array
-        * int
-        * Rng.t
-        * (int, unit) Hashtbl.t array
-        * (int * int) list array
-        * int
-        * int
-        * int
-        * int
-        * int
-        * int
-        * int)
-  in
-  Array.blit statuses 0 t.statuses 0 (Array.length t.statuses);
-  t.impaired <- impaired;
-  Rng.assign ~dst:t.media_rng ~src:media_rng;
-  Array.iteri (fun i tbl -> t.remapped.(i) <- tbl) remapped;
-  Array.iteri (fun i l -> t.dirty.(i) <- l) dirty;
-  t.dirty_total <- dirty_total;
-  t.media_errors <- media_errors;
-  t.retries <- retries;
-  t.remaps <- remaps;
-  t.remap_hits <- remap_hits;
-  t.reconstructed_reads <- reconstructed_reads;
-  t.degraded_writes <- degraded_writes
-
 let pp_status ppf = function
   | Healthy -> Format.pp_print_string ppf "healthy"
   | Failed -> Format.pp_print_string ppf "failed"

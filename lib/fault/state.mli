@@ -94,13 +94,4 @@ val note_degraded_write : t -> unit
 
 val counters : t -> counters
 
-val ckpt_save : t -> string
-(** Opaque snapshot of the mutable fault state (statuses, remap tables,
-    dirty logs, media RNG, counters) for checkpoint/restore. *)
-
-val ckpt_load : t -> string -> unit
-(** Restore a snapshot taken by {!ckpt_save} into [t], in place.  [t]
-    must have been built from the same {!Plan.config} and drive count;
-    the engine validates this with a config fingerprint. *)
-
 val pp_status : Format.formatter -> status -> unit

@@ -138,14 +138,6 @@ let merge a b =
     }
   end
 
-(* Checkpoint restore: reporters may alias [t], so restore in place. *)
-let ckpt_restore ~dst ~src =
-  Array.blit src.counts 0 dst.counts 0 (Array.length dst.counts);
-  dst.n <- src.n;
-  dst.sum <- src.sum;
-  dst.minimum <- src.minimum;
-  dst.maximum <- src.maximum
-
 let buckets t =
   let acc = ref [] in
   for i = bucket_count - 1 downto 0 do

@@ -66,10 +66,6 @@ val merge : t -> t -> t
 
 val copy : t -> t
 
-val ckpt_restore : dst:t -> src:t -> unit
-(** Overwrite [dst]'s contents with [src]'s, in place — for
-    checkpoint/restore where other structures alias [dst]. *)
-
 val buckets : t -> (float * float * int) list
 (** Non-empty buckets as [(lower, upper_exclusive, count)], ascending. *)
 

@@ -17,7 +17,11 @@ type cache_totals = {
   ct_flushed_bytes : int;
 }
 
-type t = {
+(* Everything a sink records, in one closure-free record behind one
+   mutable slot: a checkpoint marshals it and a restore swaps the
+   decoded record in, so the sink the engine, the array and the caller
+   hold stays the same value across a restore. *)
+type metrics = {
   latency : Hist.t;
   queue_wait : Hist.t;
   seek : Hist.t;
@@ -34,165 +38,121 @@ type t = {
   trace : Trace.t option;
 }
 
+type t = { mutable m : metrics }
+
 let create ?(trace = false) ?trace_capacity () =
   {
-    latency = Hist.create ();
-    queue_wait = Hist.create ();
-    seek = Hist.create ();
-    rotation = Hist.create ();
-    transfer = Hist.create ();
-    fault_penalty = Hist.create ();
-    drives = [||];
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
-    cache_prefetched = 0;
-    cache_flushes = 0;
-    cache_flushed_bytes = 0;
-    trace = (if trace then Some (Trace.create ?capacity:trace_capacity ()) else None);
+    m =
+      {
+        latency = Hist.create ();
+        queue_wait = Hist.create ();
+        seek = Hist.create ();
+        rotation = Hist.create ();
+        transfer = Hist.create ();
+        fault_penalty = Hist.create ();
+        drives = [||];
+        cache_hits = 0;
+        cache_misses = 0;
+        cache_evictions = 0;
+        cache_prefetched = 0;
+        cache_flushes = 0;
+        cache_flushed_bytes = 0;
+        trace = (if trace then Some (Trace.create ?capacity:trace_capacity ()) else None);
+      };
   }
 
-let record_op t ~latency ~queue_wait ~seek ~rotation ~transfer =
-  Hist.add t.latency latency;
-  Hist.add t.queue_wait queue_wait;
-  Hist.add t.seek seek;
-  Hist.add t.rotation rotation;
-  Hist.add t.transfer transfer
+let record_op { m } ~latency ~queue_wait ~seek ~rotation ~transfer =
+  Hist.add m.latency latency;
+  Hist.add m.queue_wait queue_wait;
+  Hist.add m.seek seek;
+  Hist.add m.rotation rotation;
+  Hist.add m.transfer transfer
 
-let record_fault_penalty t ms = Hist.add t.fault_penalty ms
+let record_fault_penalty { m } ms = Hist.add m.fault_penalty ms
 
-let record_cache_op t ~hits ~misses ~evictions ~prefetched =
-  t.cache_hits <- t.cache_hits + hits;
-  t.cache_misses <- t.cache_misses + misses;
-  t.cache_evictions <- t.cache_evictions + evictions;
-  t.cache_prefetched <- t.cache_prefetched + prefetched
+let record_cache_op { m } ~hits ~misses ~evictions ~prefetched =
+  m.cache_hits <- m.cache_hits + hits;
+  m.cache_misses <- m.cache_misses + misses;
+  m.cache_evictions <- m.cache_evictions + evictions;
+  m.cache_prefetched <- m.cache_prefetched + prefetched
 
-let record_cache_flush t ~bytes =
-  t.cache_flushes <- t.cache_flushes + 1;
-  t.cache_flushed_bytes <- t.cache_flushed_bytes + bytes
+let record_cache_flush { m } ~bytes =
+  m.cache_flushes <- m.cache_flushes + 1;
+  m.cache_flushed_bytes <- m.cache_flushed_bytes + bytes
 
-let cache_totals t =
+let cache_totals { m } =
   {
-    ct_lookups = t.cache_hits + t.cache_misses;
-    ct_hits = t.cache_hits;
-    ct_misses = t.cache_misses;
-    ct_evictions = t.cache_evictions;
-    ct_prefetched = t.cache_prefetched;
-    ct_flushes = t.cache_flushes;
-    ct_flushed_bytes = t.cache_flushed_bytes;
+    ct_lookups = m.cache_hits + m.cache_misses;
+    ct_hits = m.cache_hits;
+    ct_misses = m.cache_misses;
+    ct_evictions = m.cache_evictions;
+    ct_prefetched = m.cache_prefetched;
+    ct_flushes = m.cache_flushes;
+    ct_flushed_bytes = m.cache_flushed_bytes;
   }
 
-let drive t d =
-  let len = Array.length t.drives in
+let drive m d =
+  let len = Array.length m.drives in
   if d >= len then begin
     let grown = Array.make (d + 1) (fresh_drive ()) in
-    Array.blit t.drives 0 grown 0 len;
+    Array.blit m.drives 0 grown 0 len;
     for i = len to d do
       grown.(i) <- fresh_drive ()
     done;
-    t.drives <- grown
+    m.drives <- grown
   end;
-  t.drives.(d)
+  m.drives.(d)
 
-let record_seek t ~drive:d ~cylinders =
-  if d >= 0 then Hist.add (drive t d).seek_dist (float_of_int cylinders)
+let record_seek { m } ~drive:d ~cylinders =
+  if d >= 0 then Hist.add (drive m d).seek_dist (float_of_int cylinders)
 
-let record_queue_depth t ~drive:d ~depth =
+let record_queue_depth { m } ~drive:d ~depth =
   if d >= 0 then begin
-    let ds = drive t d in
+    let ds = drive m d in
     ds.qd_sum <- ds.qd_sum + depth;
     ds.qd_n <- ds.qd_n + 1;
     if depth > ds.qd_max then ds.qd_max <- depth
   end
 
-let tracing t = t.trace <> None
-let event t e = match t.trace with None -> () | Some ring -> Trace.record ring e
+let tracing t = t.m.trace <> None
+let event t e = match t.m.trace with None -> () | Some ring -> Trace.record ring e
 
-let latency t = t.latency
-let queue_wait t = t.queue_wait
-let seek t = t.seek
-let rotation t = t.rotation
-let transfer t = t.transfer
-let fault_penalty t = t.fault_penalty
-let drive_count t = Array.length t.drives
+let latency t = t.m.latency
+let queue_wait t = t.m.queue_wait
+let seek t = t.m.seek
+let rotation t = t.m.rotation
+let transfer t = t.m.transfer
+let fault_penalty t = t.m.fault_penalty
+let drive_count t = Array.length t.m.drives
 
-let drive_seek_dist t d =
-  if d >= 0 && d < Array.length t.drives then t.drives.(d).seek_dist else Hist.create ()
+let drive_seek_dist { m } d =
+  if d >= 0 && d < Array.length m.drives then m.drives.(d).seek_dist else Hist.create ()
 
-let drive_queue_depth t d =
-  if d >= 0 && d < Array.length t.drives && t.drives.(d).qd_n > 0 then begin
-    let ds = t.drives.(d) in
+let drive_queue_depth { m } d =
+  if d >= 0 && d < Array.length m.drives && m.drives.(d).qd_n > 0 then begin
+    let ds = m.drives.(d) in
     (float_of_int ds.qd_sum /. float_of_int ds.qd_n, ds.qd_max)
   end
   else (0., 0)
 
-let trace_ref t = t.trace
+let trace_ref t = t.m.trace
 
-(* Checkpoint.  The engine's recorder closures and reporters alias the
-   six histograms and the trace ring, so those restore in place; the
-   drives array is only reached through [t] and swaps wholesale. *)
-let ckpt_save t =
-  Marshal.to_string
-    ( t.latency,
-      t.queue_wait,
-      t.seek,
-      t.rotation,
-      t.transfer,
-      t.fault_penalty,
-      t.drives,
-      ( t.cache_hits,
-        t.cache_misses,
-        t.cache_evictions,
-        t.cache_prefetched,
-        t.cache_flushes,
-        t.cache_flushed_bytes ),
-      t.trace )
-    []
+let ckpt_save t = Marshal.to_string t.m []
 
 let ckpt_load t blob =
-  let ( latency,
-        queue_wait,
-        seek,
-        rotation,
-        transfer,
-        fault_penalty,
-        drives,
-        (cache_hits, cache_misses, cache_evictions, cache_prefetched, cache_flushes, cache_flushed_bytes),
-        trace ) =
-    (Marshal.from_string blob 0
-      : Hist.t
-        * Hist.t
-        * Hist.t
-        * Hist.t
-        * Hist.t
-        * Hist.t
-        * drive_stats array
-        * (int * int * int * int * int * int)
-        * Trace.t option)
-  in
-  Hist.ckpt_restore ~dst:t.latency ~src:latency;
-  Hist.ckpt_restore ~dst:t.queue_wait ~src:queue_wait;
-  Hist.ckpt_restore ~dst:t.seek ~src:seek;
-  Hist.ckpt_restore ~dst:t.rotation ~src:rotation;
-  Hist.ckpt_restore ~dst:t.transfer ~src:transfer;
-  Hist.ckpt_restore ~dst:t.fault_penalty ~src:fault_penalty;
-  t.drives <- drives;
-  t.cache_hits <- cache_hits;
-  t.cache_misses <- cache_misses;
-  t.cache_evictions <- cache_evictions;
-  t.cache_prefetched <- cache_prefetched;
-  t.cache_flushes <- cache_flushes;
-  t.cache_flushed_bytes <- cache_flushed_bytes;
-  match (t.trace, trace) with
+  let m = (Marshal.from_string blob 0 : metrics) in
+  (match (t.m.trace, m.trace) with
   | None, None -> ()
-  | Some dst, Some src -> Trace.ckpt_restore ~dst ~src
-  | Some _, None | None, Some _ ->
-      invalid_arg "Sink.ckpt_load: trace configuration mismatch"
+  | Some ring, Some saved ->
+      if Trace.capacity ring <> Trace.capacity saved then
+        invalid_arg "Sink.ckpt_load: trace ring capacity mismatch"
+  | Some _, None | None, Some _ -> invalid_arg "Sink.ckpt_load: trace configuration mismatch");
+  t.m <- m
 
 let copy_drive x =
   { seek_dist = Hist.copy x.seek_dist; qd_sum = x.qd_sum; qd_n = x.qd_n; qd_max = x.qd_max }
 
-let merge ?drive_offset a b =
+let merge ?drive_offset { m = a } { m = b } =
   let na = Array.length a.drives and nb = Array.length b.drives in
   let drives =
     match drive_offset with
@@ -228,20 +188,23 @@ let merge ?drive_offset a b =
         Some merged
   in
   {
-    latency = Hist.merge a.latency b.latency;
-    queue_wait = Hist.merge a.queue_wait b.queue_wait;
-    seek = Hist.merge a.seek b.seek;
-    rotation = Hist.merge a.rotation b.rotation;
-    transfer = Hist.merge a.transfer b.transfer;
-    fault_penalty = Hist.merge a.fault_penalty b.fault_penalty;
-    drives;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    cache_evictions = a.cache_evictions + b.cache_evictions;
-    cache_prefetched = a.cache_prefetched + b.cache_prefetched;
-    cache_flushes = a.cache_flushes + b.cache_flushes;
-    cache_flushed_bytes = a.cache_flushed_bytes + b.cache_flushed_bytes;
-    trace;
+    m =
+      {
+        latency = Hist.merge a.latency b.latency;
+        queue_wait = Hist.merge a.queue_wait b.queue_wait;
+        seek = Hist.merge a.seek b.seek;
+        rotation = Hist.merge a.rotation b.rotation;
+        transfer = Hist.merge a.transfer b.transfer;
+        fault_penalty = Hist.merge a.fault_penalty b.fault_penalty;
+        drives;
+        cache_hits = a.cache_hits + b.cache_hits;
+        cache_misses = a.cache_misses + b.cache_misses;
+        cache_evictions = a.cache_evictions + b.cache_evictions;
+        cache_prefetched = a.cache_prefetched + b.cache_prefetched;
+        cache_flushes = a.cache_flushes + b.cache_flushes;
+        cache_flushed_bytes = a.cache_flushed_bytes + b.cache_flushed_bytes;
+        trace;
+      };
   }
 
 let hist_json h =
@@ -270,12 +233,12 @@ let to_json t =
                ("queue_depth_mean", Json.Float mean_qd);
                ("queue_depth_max", Json.Int max_qd);
              ])
-         t.drives)
+         t.m.drives)
   in
   (* The cache member only appears when a cache was active: the
      metrics document of an uncached run keeps its frozen key set. *)
   let cache =
-    if t.cache_hits + t.cache_misses + t.cache_flushes = 0 then []
+    if t.m.cache_hits + t.m.cache_misses + t.m.cache_flushes = 0 then []
     else begin
       let c = cache_totals t in
       [
@@ -301,7 +264,7 @@ let to_json t =
   (* Likewise the trace member: only traced runs carry it, so the
      frozen key set of untraced metrics documents is unchanged. *)
   let trace =
-    match t.trace with
+    match t.m.trace with
     | None -> []
     | Some ring ->
         [
@@ -315,12 +278,12 @@ let to_json t =
   in
   Json.Obj
     ([
-       ("latency_ms", hist_json t.latency);
-       ("queue_wait_ms", hist_json t.queue_wait);
-       ("seek_ms", hist_json t.seek);
-       ("rotation_ms", hist_json t.rotation);
-       ("transfer_ms", hist_json t.transfer);
-       ("fault_penalty_ms", hist_json t.fault_penalty);
+       ("latency_ms", hist_json t.m.latency);
+       ("queue_wait_ms", hist_json t.m.queue_wait);
+       ("seek_ms", hist_json t.m.seek);
+       ("rotation_ms", hist_json t.m.rotation);
+       ("transfer_ms", hist_json t.m.transfer);
+       ("fault_penalty_ms", hist_json t.m.fault_penalty);
        ("drives", Json.Arr drives);
      ]
     @ cache @ trace)

@@ -107,9 +107,12 @@ val ckpt_save : t -> string
     counter and the trace ring, for checkpoint/restore. *)
 
 val ckpt_load : t -> string -> unit
-(** Restore a {!ckpt_save} snapshot into [t], in place (aliases to the
-    histograms and trace ring stay valid).  Raises [Invalid_argument]
-    when tracing configuration differs from the snapshot's. *)
+(** Restore a {!ckpt_save} snapshot into [t].  [t] stays the value its
+    holders share, but its histograms and trace ring are replaced by
+    the snapshot's: read them through [t] ({!latency}, {!trace_ref},
+    ...) after a restore rather than keeping earlier results.  Raises
+    [Invalid_argument], leaving [t] untouched, when one side traces and
+    the other does not, or when the trace rings' capacities differ. *)
 
 (** {1 Serialization} *)
 

@@ -55,15 +55,7 @@ let record t e =
 let length t = t.stored
 let dropped t = t.dropped
 
-(* Checkpoint restore in place (the engine's recorder closures alias
-   the ring).  Capacities must match — same trace config on resume. *)
-let ckpt_restore ~dst ~src =
-  if dst.capacity <> src.capacity then
-    invalid_arg "Trace.ckpt_restore: capacity mismatch";
-  Array.blit src.ring 0 dst.ring 0 dst.capacity;
-  dst.next <- src.next;
-  dst.stored <- src.stored;
-  dst.dropped <- src.dropped
+let capacity t = t.capacity
 
 let events t =
   (* Oldest-first read of the ring, then a stable sort by timestamp so

@@ -64,9 +64,8 @@ val merge_into : ?drive_offset:int -> t -> t -> unit
     the union's true truncation.  [drive_offset] (default 0) is added
     to every [src] event's drive index; [-1] stays [-1]. *)
 
-val ckpt_restore : dst:t -> src:t -> unit
-(** Overwrite [dst]'s ring and cursors with [src]'s, in place.  Raises
-    [Invalid_argument] on a capacity mismatch. *)
+val capacity : t -> int
+(** Most events the ring holds before it starts dropping the oldest. *)
 
 val to_jsonl : t -> string
 (** One compact JSON object per event, one per line, timestamp order,

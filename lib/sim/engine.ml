@@ -283,18 +283,20 @@ type meas_state = {
   mutable ms_checkpoints : int;
 }
 
-type t = {
-  cfg : config;
-  workload : Workload.t;
-  types : File_type.t array;
-  volume : Volume.t;
-  array : Array_model.t;
+(* Everything a snapshot carries, in one closure-free record: the
+   engine section of a checkpoint is [Marshal.to_string t.s []] and a
+   restore swaps a decoded record in.  Marshal keeps the sharing inside
+   one value, so a restored heap's [Wake u] events and the waiter
+   table's [User_waiter u] cells still point at the very [users]
+   records, and the heap's [Drive_done d] / [Rebuild_tick d] at the
+   pooled ones.  A field added here is checkpointed by construction,
+   and changes the section's layout: bump the version in [fingerprint]. *)
+type state = {
   rng : Rng.t;
   heap : event Heap.t;
   users : user array;
   waiters : (int, waiter) Hashtbl.t;
       (** queued path: op id -> whoever is blocked on that operation *)
-  fault_plan : Fault_plan.t option;  (** drive fail/repair generator, if any *)
   mutable pending_fault : (float * Fault_plan.action) option;
       (** the popped-but-unapplied next fault event; its [Fault_tick]
           sits in the heap (re-posted after heap clears) *)
@@ -324,6 +326,35 @@ type t = {
   mutable meta_bytes : int;
   mutable rebuild_ios : int;
   mutable data_loss : int;
+  (* [phase] reifies the fill -> aging -> application -> sequential
+     protocol (0 / 1 / 2 / 3; 4 = done) so a restored engine knows which
+     runner to re-enter. *)
+  fill_st : fill_state;
+  meas_st : meas_state;
+  mutable phase : int;
+  mutable age_until : float;
+      (** absolute end time of the aging churn phase, so a resumed aged
+          run stops at the original horizon *)
+  mutable app_report : throughput_report option;
+  mutable seq_report : throughput_report option;
+  (* Snapshot and telemetry cadences: [<= 0] means disarmed; the next
+     tick times live outside the heap because [seed_events] clears it. *)
+  mutable ckpt_every_ms : float;
+  mutable ckpt_next : float;
+  mutable tl_every_ms : float;
+  mutable tl_next : float;
+}
+
+(* The wiring around the state: fixed at construction, or (the sink,
+   recorder, hook, timeline) attached by the caller, which keeps the
+   same [t] across a restore. *)
+type t = {
+  cfg : config;
+  workload : Workload.t;
+  types : File_type.t array;
+  volume : Volume.t;
+  array : Array_model.t;
+  fault_plan : Fault_plan.t option;  (** drive fail/repair generator, if any *)
   cache : Cache.t option;
       (** the shared buffer cache; [None] (the default) keeps the
           uncached paths byte-identical to the seed *)
@@ -335,31 +366,12 @@ type t = {
           the sink, never changes simulated results *)
   mutable replay : replay_session option;
       (** the active replay session on a [create_replay] engine *)
-  (* Checkpointing.  [phase] reifies the fill -> aging -> application ->
-     sequential protocol (0 / 1 / 2 / 3; 4 = done) so a restored engine
-     knows which runner to re-enter; [resuming] makes the next phase
-     entry continue from the restored [fill_st] / [meas_st] instead of
-     reinitialising.  [ckpt_next] is the absolute time of the next
-     armed snapshot tick — kept outside the heap because [seed_events]
-     clears it. *)
-  fill_st : fill_state;
-  meas_st : meas_state;
-  mutable phase : int;
   mutable resuming : bool;
-  mutable age_until : float;
-      (** absolute end time of the aging churn phase; restored from the
-          snapshot so a resumed aged run stops at the original horizon *)
-  mutable app_report : throughput_report option;
-  mutable seq_report : throughput_report option;
-  mutable ckpt_every_ms : float;  (** <= 0 means disarmed *)
-  mutable ckpt_next : float;
+      (** the next phase entry continues from the restored [fill_st] /
+          [meas_st] instead of reinitialising *)
   mutable ckpt_hook : (unit -> unit) option;
-  (* Time-series telemetry.  Like checkpointing: [tl_every_ms <= 0]
-     means disarmed, and [tl_next] lives outside the heap because
-     [seed_events] clears it between phases. *)
   mutable timeline : Timeline.t option;
-  mutable tl_every_ms : float;
-  mutable tl_next : float;
+  mutable s : state;
 }
 
 type drive_report = {
@@ -404,28 +416,27 @@ let queued t = not (Array_model.synchronous t.array)
    flat arrays; growth doubles all three (plus the spare buffer, so the
    checkpoint sweep never reallocates mid-run). *)
 let fl_push t ~issue ~finish bytes =
-  let n = t.fl_len in
-  if n = Array.length t.fl_bytes then begin
+  let n = t.s.fl_len in
+  if n = Array.length t.s.fl_bytes then begin
     let cap = 2 * n in
     let gi = Array.make cap 0. and gf = Array.make cap 0. and gb = Array.make cap 0 in
-    Array.blit t.fl_issue 0 gi 0 n;
-    Array.blit t.fl_finish 0 gf 0 n;
-    Array.blit t.fl_bytes 0 gb 0 n;
-    t.fl_issue <- gi;
-    t.fl_finish <- gf;
-    t.fl_bytes <- gb;
-    t.fl2_issue <- Array.make cap 0.;
-    t.fl2_finish <- Array.make cap 0.;
-    t.fl2_bytes <- Array.make cap 0
+    Array.blit t.s.fl_issue 0 gi 0 n;
+    Array.blit t.s.fl_finish 0 gf 0 n;
+    Array.blit t.s.fl_bytes 0 gb 0 n;
+    t.s.fl_issue <- gi;
+    t.s.fl_finish <- gf;
+    t.s.fl_bytes <- gb;
+    t.s.fl2_issue <- Array.make cap 0.;
+    t.s.fl2_finish <- Array.make cap 0.;
+    t.s.fl2_bytes <- Array.make cap 0
   end;
-  t.fl_issue.(n) <- issue;
-  t.fl_finish.(n) <- finish;
-  t.fl_bytes.(n) <- bytes;
-  t.fl_len <- n + 1
+  t.s.fl_issue.(n) <- issue;
+  t.s.fl_finish.(n) <- finish;
+  t.s.fl_bytes.(n) <- bytes;
+  t.s.fl_len <- n + 1
 
 let volume t = t.volume
 let array_model t = t.array
-let now_ms t = t.now
 let max_bandwidth_pct_base t = Array_model.max_bandwidth_bytes_per_ms t.array
 
 let attach_obs t sink =
@@ -448,9 +459,9 @@ let drive_reports t =
         dr_busy_ms = s.Drive.busy_ms;
         dr_utilization =
           (* The sync path serves whole operations eagerly, so a drive's
-             busy clock can outrun [t.now]; measure busy time against
+             busy clock can outrun [t.s.now]; measure busy time against
              the drive's own horizon, not the engine clock. *)
-          (let horizon = Float.max t.now (Array_model.drive_busy_until t.array ~drive:i) in
+          (let horizon = Float.max t.s.now (Array_model.drive_busy_until t.array ~drive:i) in
            if horizon > 0. then s.Drive.busy_ms /. horizon else 0.);
         dr_seek_ms = s.Drive.seek_ms;
         dr_rotation_ms = s.Drive.rotation_ms;
@@ -467,7 +478,7 @@ let mark t ~kind ~drive =
   | Some sink ->
       if Sink.tracing sink then
         Sink.event sink
-          { Trc.at_ms = t.now; dur_ms = 0.; kind; drive; op_id = -1; bytes = 0 }
+          { Trc.at_ms = t.s.now; dur_ms = 0.; kind; drive; op_id = -1; bytes = 0 }
 
 (* Trace-recording hook: a no-op unless a recorder is attached, so the
    recorded engine's simulated results are untouched (no RNG draws, no
@@ -475,7 +486,7 @@ let mark t ~kind ~drive =
 let record t ~file op =
   match t.recorder with
   | None -> ()
-  | Some f -> f { rec_time_ms = t.now; rec_file = file; rec_op = op }
+  | Some f -> f { rec_time_ms = t.s.now; rec_file = file; rec_op = op }
 
 let set_recorder t recorder = t.recorder <- recorder
 
@@ -490,10 +501,10 @@ let set_recorder t recorder = t.recorder <- recorder
 let set_checkpoint t ~every_ms hook =
   if not (Float.is_finite every_ms && every_ms > 0.) then
     invalid_arg "Engine.set_checkpoint: every_ms must be a finite positive number";
-  t.ckpt_every_ms <- every_ms;
+  t.s.ckpt_every_ms <- every_ms;
   t.ckpt_hook <- Some hook;
-  t.ckpt_next <- t.now +. every_ms;
-  Heap.push t.heap ~prio:t.ckpt_next Ckpt_tick
+  t.s.ckpt_next <- t.s.now +. every_ms;
+  Heap.push t.s.heap ~prio:t.s.ckpt_next Ckpt_tick
 
 (* One telemetry observation: the engine's cumulative counters plus the
    instantaneous gauges of every subsystem.  Pure reads — no RNG draws,
@@ -526,12 +537,12 @@ let timeline_sample t =
   let free = p.Rofs_alloc.Policy.free_units () in
   let cs = p.Rofs_alloc.Policy.churn_stats () in
   {
-    Timeline.s_io_ops = t.io_ops;
-    s_alloc_ops = t.alloc_ops;
+    Timeline.s_io_ops = t.s.io_ops;
+    s_alloc_ops = t.s.alloc_ops;
     s_bytes_moved = !bytes;
-    s_disk_fulls = t.disk_fulls;
-    s_data_loss = t.data_loss;
-    s_rebuild_ios = t.rebuild_ios;
+    s_disk_fulls = t.s.disk_fulls;
+    s_data_loss = t.s.data_loss;
+    s_rebuild_ios = t.s.rebuild_ios;
     s_cache_lookups = cache_lookups;
     s_cache_hits = cache_hits;
     s_cache_misses = cache_misses;
@@ -563,9 +574,9 @@ let attach_timeline t ~every_ms =
     invalid_arg "Engine.attach_timeline: every_ms must be a finite positive number";
   if t.timeline <> None then invalid_arg "Engine.attach_timeline: a timeline is already attached";
   t.timeline <- Some (Timeline.create ~every_ms ~baseline:(timeline_sample t));
-  t.tl_every_ms <- every_ms;
-  t.tl_next <- t.now +. every_ms;
-  Heap.push t.heap ~prio:t.tl_next Stat_tick
+  t.s.tl_every_ms <- every_ms;
+  t.s.tl_next <- t.s.now +. every_ms;
+  Heap.push t.s.heap ~prio:t.s.tl_next Stat_tick
 
 let timeline t = t.timeline
 
@@ -587,7 +598,7 @@ let populate t =
           Volume.create_file t.volume ~type_idx ~hint_bytes:ft.File_type.alloc_hint_bytes
         in
         record t ~file (R_create { hint = ft.File_type.alloc_hint_bytes; ty = type_idx });
-        let size = File_type.draw_initial_bytes ft t.rng in
+        let size = File_type.draw_initial_bytes ft t.s.rng in
         if size > 0 then Queue.add (ft, file, size) waiting
       done)
     t.types;
@@ -604,7 +615,7 @@ let populate t =
     (* Write-behind batches requests, so growth lands in readahead-sized
        chunks rather than single bursts. *)
     let step =
-      min remaining (max 1 (t.cfg.readahead_factor * File_type.draw_rw_bytes ft t.rng))
+      min remaining (max 1 (t.cfg.readahead_factor * File_type.draw_rw_bytes ft t.s.rng))
     in
     record t ~file (R_grow step);
     match Volume.grow t.volume ~file ~bytes:step with
@@ -626,50 +637,50 @@ let populate t =
    the synchronous path the waiter table is empty and nothing is ever
    in service, so this is a no-op there. *)
 let seed_events t =
-  Heap.clear t.heap;
+  Heap.clear t.s.heap;
   Array.iter
     (fun user ->
       let spread = float_of_int user.ft.File_type.users *. user.ft.File_type.hit_freq_ms in
-      let start = t.now +. Dist.uniform t.rng ~lo:0. ~hi:(Float.max spread 1.) in
-      Heap.push t.heap ~prio:start user.wake_ev)
-    t.users;
-  Hashtbl.reset t.waiters;
+      let start = t.s.now +. Dist.uniform t.s.rng ~lo:0. ~hi:(Float.max spread 1.) in
+      Heap.push t.s.heap ~prio:start user.wake_ev)
+    t.s.users;
+  Hashtbl.reset t.s.waiters;
   for d = 0 to Array_model.disks t.array - 1 do
     match Array_model.in_service_finish t.array ~drive:d with
-    | Some finish -> Heap.push t.heap ~prio:finish t.drive_done_evs.(d)
+    | Some finish -> Heap.push t.s.heap ~prio:finish t.s.drive_done_evs.(d)
     | None -> ()
   done;
   (* The clear also dropped the fault tick and any rebuild ticks (and the
      waiter reset dropped rebuild continuations): re-post the pending
      fault event and re-kick the sweep of every drive still
      resynchronising. *)
-  (match t.pending_fault with
-  | Some (at, _) -> Heap.push t.heap ~prio:(Float.max at t.now) Fault_tick
+  (match t.s.pending_fault with
+  | Some (at, _) -> Heap.push t.s.heap ~prio:(Float.max at t.s.now) Fault_tick
   | None -> ());
   (* The clear also dropped the cache's flush tick: restart the chain
      (one tick outstanding at a time, like the fault tick). *)
   (match t.cache with
   | Some cache when Cache.write_back cache ->
-      Heap.push t.heap ~prio:(t.now +. Cache.flush_interval_ms cache) Flush_tick
+      Heap.push t.s.heap ~prio:(t.s.now +. Cache.flush_interval_ms cache) Flush_tick
   | Some _ | None -> ());
   Array.iteri
     (fun d _ ->
       let live =
         match Array_model.drive_state t.array ~drive:d with
         | `Rebuilding _ ->
-            Heap.push t.heap ~prio:t.now t.rebuild_evs.(d);
+            Heap.push t.s.heap ~prio:t.s.now t.s.rebuild_evs.(d);
             true
         | `Healthy | `Failed -> false
       in
-      t.rebuild_live.(d) <- live)
-    t.rebuild_live;
+      t.s.rebuild_live.(d) <- live)
+    t.s.rebuild_live;
   (* The clear also dropped the armed checkpoint tick: re-post it at its
      scheduled time, keeping the snapshot cadence independent of phase
      boundaries. *)
-  if t.ckpt_every_ms > 0. then Heap.push t.heap ~prio:t.ckpt_next Ckpt_tick;
+  if t.s.ckpt_every_ms > 0. then Heap.push t.s.heap ~prio:t.s.ckpt_next Ckpt_tick;
   (* Same for the telemetry tick: windows stay aligned to absolute
      simulated time across phase boundaries. *)
-  if t.tl_every_ms > 0. then Heap.push t.heap ~prio:t.tl_next Stat_tick
+  if t.s.tl_every_ms > 0. then Heap.push t.s.heap ~prio:t.s.tl_next Stat_tick
 
 let make cfg ~policy ~workload ~with_users =
   validate_config cfg;
@@ -710,21 +721,12 @@ let make cfg ~policy ~workload ~with_users =
                     u))
               workload.Workload.types))
   in
-  let t =
+  let s =
     {
-      cfg;
-      workload;
-      types;
-      volume = Volume.create policy ~ntypes:(Array.length types);
-      array;
       rng;
       heap = Heap.create ();
       users;
       waiters = Hashtbl.create 64;
-      fault_plan =
-        (if Fault_plan.drive_faults cfg.faults then
-           Some (Fault_plan.create cfg.faults ~drives:cfg.disks)
-         else None);
       pending_fault = None;
       rebuild_live = Array.make cfg.disks false;
       drive_done_evs = Array.init cfg.disks (fun d -> Drive_done d);
@@ -744,10 +746,6 @@ let make cfg ~policy ~workload ~with_users =
       meta_bytes = 0;
       rebuild_ios = 0;
       data_loss = 0;
-      cache = Option.map (fun c -> Cache.create ~ntypes:(Array.length types) c) cfg.cache;
-      obs = None;
-      recorder = None;
-      replay = None;
       fill_st = { fs_ops_at_start = 0; fs_best_used = 0; fs_fails = 0 };
       meas_st =
         {
@@ -761,20 +759,36 @@ let make cfg ~policy ~workload ~with_users =
           ms_checkpoints = 0;
         };
       phase = 0;
-      resuming = false;
       age_until = 0.;
       app_report = None;
       seq_report = None;
       ckpt_every_ms = 0.;
       ckpt_next = 0.;
-      ckpt_hook = None;
-      timeline = None;
       tl_every_ms = 0.;
       tl_next = 0.;
     }
   in
-  (match t.fault_plan with Some plan -> t.pending_fault <- Fault_plan.pop plan | None -> ());
-  t
+  let fault_plan =
+    if Fault_plan.drive_faults cfg.faults then Some (Fault_plan.create cfg.faults ~drives:cfg.disks)
+    else None
+  in
+  Option.iter (fun plan -> s.pending_fault <- Fault_plan.pop plan) fault_plan;
+  {
+    cfg;
+    workload;
+    types;
+    volume = Volume.create policy ~ntypes:(Array.length types);
+    array;
+    fault_plan;
+    cache = Option.map (fun c -> Cache.create ~ntypes:(Array.length types) c) cfg.cache;
+    obs = None;
+    recorder = None;
+    replay = None;
+    resuming = false;
+    ckpt_hook = None;
+    timeline = None;
+    s;
+  }
 
 let create ?recorder cfg ~policy ~workload =
   let t = make cfg ~policy ~workload ~with_users:true in
@@ -829,7 +843,7 @@ let post_dispatched t ~credit =
   let a = t.array in
   for i = 0 to Array_model.dispatched_len a - 1 do
     let finish = Array_model.dispatched_finished a i in
-    Heap.push t.heap ~prio:finish t.drive_done_evs.(Array_model.dispatched_drive a i);
+    Heap.push t.s.heap ~prio:finish t.s.drive_done_evs.(Array_model.dispatched_drive a i);
     if credit && not (Array_model.dispatched_parity a i) then
       fl_push t ~issue:(Array_model.dispatched_started a i) ~finish
         (Array_model.dispatched_bytes a i)
@@ -886,21 +900,21 @@ let observe_queued t op ~finished =
    I/O error, not the simulator. *)
 let do_io_raw t ~kind ~file ~off ~len =
   let extents = Volume.slice_bytes t.volume ~file ~off ~len in
-  if extents = [] then Done t.now
+  if extents = [] then Done t.s.now
   else if not (queued t) then begin
     let physical = List.fold_left (fun acc (_, l) -> acc + l) 0 extents in
-    Array_model.serve_extents t.array ~now:t.now ~kind ~extents;
+    Array_model.serve_extents t.array ~now:t.s.now ~kind ~extents;
     let began = Array_model.last_began t.array in
     let finished = Array_model.last_finished t.array in
-    t.io_ops <- t.io_ops + 1;
-    observe_op t ~op:None ~bytes:physical ~submitted:t.now ~began ~finished;
+    t.s.io_ops <- t.s.io_ops + 1;
+    observe_op t ~op:None ~bytes:physical ~submitted:t.s.now ~began ~finished;
     (* Credit bytes over the service window, not the queue wait. *)
     fl_push t ~issue:began ~finish:finished physical;
     Done finished
   end
   else begin
-    let op = Array_model.submit_flat t.array ~now:t.now ~kind ~extents in
-    t.io_ops <- t.io_ops + 1;
+    let op = Array_model.submit_flat t.array ~now:t.s.now ~kind ~extents in
+    t.s.io_ops <- t.s.io_ops + 1;
     post_dispatched t ~credit:true;
     if Array_model.op_done op then Done (Array_model.op_finished op) else Wait op
   end
@@ -908,8 +922,8 @@ let do_io_raw t ~kind ~file ~off ~len =
 let do_io t ~kind ~file ~off ~len =
   try do_io_raw t ~kind ~file ~off ~len
   with Fault.Data_loss _ ->
-    t.data_loss <- t.data_loss + 1;
-    Done t.now
+    t.s.data_loss <- t.s.data_loss + 1;
+    Done t.s.now
 
 (* Instantaneous cache trace mark (hits, fetches, write-back bursts). *)
 let cache_mark t ~kind ~bytes =
@@ -917,7 +931,7 @@ let cache_mark t ~kind ~bytes =
   | None -> ()
   | Some sink ->
       if Sink.tracing sink then
-        Sink.event sink { Trc.at_ms = t.now; dur_ms = 0.; kind; drive = -1; op_id = -1; bytes }
+        Sink.event sink { Trc.at_ms = t.s.now; dur_ms = 0.; kind; drive = -1; op_id = -1; bytes }
 
 let record_cache_outcome t (o : Cache.outcome) =
   match t.obs with
@@ -940,10 +954,10 @@ let write_background t ~extents =
   try
     if queued t then
       ignore
-        (background t (Array_model.submit_flat t.array ~now:t.now ~kind:Array_model.Write ~extents)
+        (background t (Array_model.submit_flat t.array ~now:t.s.now ~kind:Array_model.Write ~extents)
           : outcome)
-    else Array_model.serve_extents t.array ~now:t.now ~kind:Array_model.Write ~extents
-  with Fault.Data_loss _ -> t.data_loss <- t.data_loss + 1
+    else Array_model.serve_extents t.array ~now:t.s.now ~kind:Array_model.Write ~extents
+  with Fault.Data_loss _ -> t.s.data_loss <- t.s.data_loss + 1
 
 (* Push one coalesced dirty-page run to disk, in the background: its
    bytes were already credited when the application's write was
@@ -985,7 +999,7 @@ let do_cached_io t cache ~type_idx ~kind ~file ~off ~len ~logical =
       if o.Cache.o_hit_bytes > 0 then
         cache_mark t ~kind:Trc.Cache_hit ~bytes:o.Cache.o_hit_bytes;
       (match o.Cache.o_fetch with
-      | None -> Done t.now
+      | None -> Done t.s.now
       | Some (foff, flen) ->
           cache_mark t ~kind:Trc.Cache_miss ~bytes:flen;
           do_io t ~kind ~file ~off:foff ~len:flen)
@@ -994,9 +1008,9 @@ let do_cached_io t cache ~type_idx ~kind ~file ~off ~len ~logical =
       record_cache_outcome t o;
       submit_writebacks t ~kind:Trc.Cache_evict o.Cache.o_writebacks;
       if Cache.write_back cache then begin
-        fl_push t ~issue:t.now ~finish:t.now len;
+        fl_push t ~issue:t.s.now ~finish:t.s.now len;
         cache_mark t ~kind:Trc.Cache_hit ~bytes:len;
-        Done t.now
+        Done t.s.now
       end
       else do_io t ~kind ~file ~off ~len
 
@@ -1019,7 +1033,7 @@ let replay_issue t rs (io : replay_io) =
   | Done finished -> rs.rs_last_completion <- Float.max rs.rs_last_completion finished
   | Wait op ->
       rs.rs_outstanding <- rs.rs_outstanding + 1;
-      Hashtbl.replace t.waiters (Array_model.op_id op) Replay_waiter
+      Hashtbl.replace t.s.waiters (Array_model.op_id op) Replay_waiter
 
 (* Cache-coherence notifications for the replay driver, mirroring what
    [do_truncate] and [do_delete] do on the stochastic path. *)
@@ -1044,10 +1058,10 @@ let record_rw t ~kind ~file ~off ~len =
 
 let do_read_write t user ~kind ~whole =
   match pick_file t user with
-  | None -> Done t.now
+  | None -> Done t.s.now
   | Some file ->
       let logical = Volume.logical_bytes t.volume ~file in
-      if logical = 0 then Done t.now
+      if logical = 0 then Done t.s.now
       else begin
         let off, len =
           if whole then (0, logical)
@@ -1095,7 +1109,7 @@ let do_read_write t user ~kind ~whole =
             | Array_model.Read -> user.read_ahead_until
             | Array_model.Write -> user.write_behind_until
           in
-          if off + len <= window_end then Done t.now
+          if off + len <= window_end then Done t.s.now
           else begin
             let staged = min logical (off + (t.cfg.readahead_factor * max len 1)) in
             (match kind with
@@ -1129,13 +1143,13 @@ let charge_metadata t ~file ~new_extents =
     let meta_units = ((new_extents - 1) / records_per_meta_unit) + 1 in
     let slot = (file * 2654435761) land max_int mod ((capacity / unit) - meta_units) in
     write_background t ~extents:[ (slot * unit, meta_units * unit) ];
-    t.meta_bytes <- t.meta_bytes + (meta_units * unit)
+    t.s.meta_bytes <- t.s.meta_bytes + (meta_units * unit)
   end
 
 let do_extend t user ~with_io =
-  t.alloc_ops <- t.alloc_ops + 1;
+  t.s.alloc_ops <- t.s.alloc_ops + 1;
   match pick_file t user with
-  | None -> (Done t.now, false)
+  | None -> (Done t.s.now, false)
   | Some file ->
       let bytes = File_type.draw_rw_bytes user.ft user.rng in
       let old_logical = Volume.logical_bytes t.volume ~file in
@@ -1150,13 +1164,13 @@ let do_extend t user ~with_io =
               ~new_extents:(Volume.extent_count t.volume ~file - extents_before);
             (do_io t ~kind:Array_model.Write ~file ~off:old_logical ~len:bytes, false)
           end
-          else (Done t.now, false)
+          else (Done t.s.now, false)
       | Error `Disk_full ->
-          t.disk_fulls <- t.disk_fulls + 1;
-          (Done t.now, true))
+          t.s.disk_fulls <- t.s.disk_fulls + 1;
+          (Done t.s.now, true))
 
 let do_truncate t user =
-  t.alloc_ops <- t.alloc_ops + 1;
+  t.s.alloc_ops <- t.s.alloc_ops + 1;
   (match pick_file t user with
   | None -> ()
   | Some file ->
@@ -1167,7 +1181,7 @@ let do_truncate t user =
         (fun cache ->
           Cache.truncate_file cache ~file ~logical:(Volume.logical_bytes t.volume ~file))
         t.cache);
-  (Done t.now, false)
+  (Done t.s.now, false)
 
 (* Delete removes the file and immediately recreates it at the size it
    had — the paper's periodically deleted and recreated files.  The
@@ -1175,16 +1189,16 @@ let do_truncate t user =
    churn relocates data (and ages the free lists) without deflating the
    population back toward its initial size. *)
 let do_delete t user =
-  t.alloc_ops <- t.alloc_ops + 1;
+  t.s.alloc_ops <- t.s.alloc_ops + 1;
   match pick_file t user with
-  | None -> (Done t.now, false)
+  | None -> (Done t.s.now, false)
   | Some file ->
       let size = Volume.logical_bytes t.volume ~file in
       record t ~file R_delete;
       Volume.delete t.volume ~file;
       (* Deleted data has nowhere to go: its dirty pages die with it. *)
       Option.iter (fun cache -> Cache.invalidate_file cache ~file) t.cache;
-      Array.iter (fun u -> if u.file = file then u.file <- -1) t.users;
+      Array.iter (fun u -> if u.file = file then u.file <- -1) t.s.users;
       let fresh =
         Volume.create_file t.volume ~type_idx:user.type_idx
           ~hint_bytes:user.ft.File_type.alloc_hint_bytes
@@ -1193,10 +1207,10 @@ let do_delete t user =
         (R_create { hint = user.ft.File_type.alloc_hint_bytes; ty = user.type_idx });
       record t ~file:fresh (R_grow size);
       (match Volume.grow t.volume ~file:fresh ~bytes:size with
-      | Ok () -> (Done t.now, false)
+      | Ok () -> (Done t.s.now, false)
       | Error `Disk_full ->
-          t.disk_fulls <- t.disk_fulls + 1;
-          (Done t.now, true))
+          t.s.disk_fulls <- t.s.disk_fulls + 1;
+          (Done t.s.now, true))
 
 (* Perform one operation for [user]; returns (outcome, whether an
    allocation failed). *)
@@ -1262,20 +1276,20 @@ let rebuild_retry_ms = 1_000.
 (* Start a drive's rebuild tick chain unless one is already running
    (a heap tick or a queued-path continuation in [waiters]). *)
 let kick_rebuild t ~drive ~at =
-  if not t.rebuild_live.(drive) then begin
-    t.rebuild_live.(drive) <- true;
-    Heap.push t.heap ~prio:at t.rebuild_evs.(drive)
+  if not t.s.rebuild_live.(drive) then begin
+    t.s.rebuild_live.(drive) <- true;
+    Heap.push t.s.heap ~prio:at t.s.rebuild_evs.(drive)
   end
 
 (* Count a rebuild I/O and re-arm the drive's sweep: the next chunk
    issues once this one completes and the pacing gap has passed. *)
 let rebuild_issued t ~drive outcome =
-  t.rebuild_ios <- t.rebuild_ios + 1;
+  t.s.rebuild_ios <- t.s.rebuild_ios + 1;
   mark t ~kind:Trc.Rebuild ~drive;
-  let next_ok = t.now +. rebuild_gap_ms t in
+  let next_ok = t.s.now +. rebuild_gap_ms t in
   match outcome with
-  | Done finish -> Heap.push t.heap ~prio:(Float.max finish next_ok) t.rebuild_evs.(drive)
-  | Wait op -> Hashtbl.replace t.waiters (Array_model.op_id op) (Rebuild_waiter { drive; next_ok })
+  | Done finish -> Heap.push t.s.heap ~prio:(Float.max finish next_ok) t.s.rebuild_evs.(drive)
+  | Wait op -> Hashtbl.replace t.s.waiters (Array_model.op_id op) (Rebuild_waiter { drive; next_ok })
 
 let apply_fault t = function
   | Fault_plan.Fail d ->
@@ -1285,7 +1299,7 @@ let apply_fault t = function
       Array_model.repair_drive t.array ~drive:d;
       mark t ~kind:Trc.Fault_repair ~drive:d;
       match Array_model.drive_state t.array ~drive:d with
-      | `Rebuilding _ -> kick_rebuild t ~drive:d ~at:t.now
+      | `Rebuilding _ -> kick_rebuild t ~drive:d ~at:t.s.now
       | `Healthy | `Failed -> ()
     end
 
@@ -1310,22 +1324,22 @@ let run_events t ~mode ~stop =
     let think =
       Dist.exponential user.rng ~mean:(user.ft.File_type.process_time_ms *. think_scale)
     in
-    Heap.push t.heap ~prio:(completion +. think) user.wake_ev
+    Heap.push t.s.heap ~prio:(completion +. think) user.wake_ev
   in
   let rec loop () =
-    if Heap.is_empty t.heap then ()
+    if Heap.is_empty t.s.heap then ()
     else begin
-      let time = Heap.min_prio t.heap in
-      match Heap.take_min t.heap with
+      let time = Heap.min_prio t.s.heap in
+      match Heap.take_min t.s.heap with
       | Wake user ->
-        t.now <- Float.max t.now time;
+        t.s.now <- Float.max t.s.now time;
         let outcome, failed = perform t ~mode user in
         (match outcome with
         | Done completion -> wake_after t user ~completion
-        | Wait op -> Hashtbl.replace t.waiters (Array_model.op_id op) user.park);
+        | Wait op -> Hashtbl.replace t.s.waiters (Array_model.op_id op) user.park);
         if not (stop ~failed) then loop ()
       | Drive_done d ->
-        t.now <- Float.max t.now time;
+        t.s.now <- Float.max t.s.now time;
         let op = Array_model.complete_flat t.array ~drive:d in
         (* Credit the newly dispatched request only if its operation
            still counts: metadata write-back, rebuild traffic and
@@ -1333,17 +1347,17 @@ let run_events t ~mode ~stop =
            waiter (rebuild chunks are parity and never credit). *)
         if Array_model.dispatched_len t.array > 0 then
           post_dispatched t
-            ~credit:(Hashtbl.mem t.waiters (Array_model.dispatched_op_id t.array 0));
+            ~credit:(Hashtbl.mem t.s.waiters (Array_model.dispatched_op_id t.array 0));
         (if Array_model.op_done op then begin
            let id = Array_model.op_id op in
            let finished = Array_model.op_finished op in
-           match Hashtbl.find_opt t.waiters id with
+           match Hashtbl.find_opt t.s.waiters id with
            | Some (User_waiter user) ->
-               Hashtbl.remove t.waiters id;
+               Hashtbl.remove t.s.waiters id;
                observe_queued t op ~finished;
                wake_after t user ~completion:finished
            | Some Replay_waiter ->
-               Hashtbl.remove t.waiters id;
+               Hashtbl.remove t.s.waiters id;
                observe_queued t op ~finished;
                (match t.replay with
                | Some rs ->
@@ -1351,34 +1365,34 @@ let run_events t ~mode ~stop =
                    rs.rs_last_completion <- Float.max rs.rs_last_completion finished
                | None -> ())
            | Some (Rebuild_waiter { drive; next_ok }) ->
-               Hashtbl.remove t.waiters id;
-               Heap.push t.heap ~prio:(Float.max finished next_ok) t.rebuild_evs.(drive)
+               Hashtbl.remove t.s.waiters id;
+               Heap.push t.s.heap ~prio:(Float.max finished next_ok) t.s.rebuild_evs.(drive)
            | None -> ()
          end);
         if not (stop ~failed:false) then loop ()
       | Fault_tick ->
-        t.now <- Float.max t.now time;
-        (match t.pending_fault with
+        t.s.now <- Float.max t.s.now time;
+        (match t.s.pending_fault with
         | None -> ()
         | Some (_, action) ->
             apply_fault t action;
-            t.pending_fault <-
+            t.s.pending_fault <-
               (match t.fault_plan with Some plan -> Fault_plan.pop plan | None -> None);
-            (match t.pending_fault with
-            | Some (at, _) -> Heap.push t.heap ~prio:(Float.max at t.now) Fault_tick
+            (match t.s.pending_fault with
+            | Some (at, _) -> Heap.push t.s.heap ~prio:(Float.max at t.s.now) Fault_tick
             | None -> ()));
         if not (stop ~failed:false) then loop ()
       | Rebuild_tick d ->
-        t.now <- Float.max t.now time;
-        (match Array_model.rebuild_step t.array ~now:t.now ~drive:d with
-        | Array_model.Rebuild_idle | Array_model.Rebuild_done -> t.rebuild_live.(d) <- false
+        t.s.now <- Float.max t.s.now time;
+        (match Array_model.rebuild_step t.array ~now:t.s.now ~drive:d with
+        | Array_model.Rebuild_idle | Array_model.Rebuild_done -> t.s.rebuild_live.(d) <- false
         | Array_model.Rebuild_blocked ->
-            Heap.push t.heap ~prio:(t.now +. rebuild_retry_ms) t.rebuild_evs.(d)
+            Heap.push t.s.heap ~prio:(t.s.now +. rebuild_retry_ms) t.s.rebuild_evs.(d)
         | Array_model.Rebuild_sync finish -> rebuild_issued t ~drive:d (Done finish)
         | Array_model.Rebuild_queued op -> rebuild_issued t ~drive:d (background t op));
         if not (stop ~failed:false) then loop ()
       | Flush_tick ->
-        t.now <- Float.max t.now time;
+        t.s.now <- Float.max t.s.now time;
         (match t.cache with
         | Some cache ->
             let runs = Cache.flush cache in
@@ -1391,11 +1405,11 @@ let run_events t ~mode ~stop =
                 Sink.record_cache_flush sink ~bytes;
                 cache_mark t ~kind:Trc.Cache_flush ~bytes
             | Some _ | None -> ());
-            Heap.push t.heap ~prio:(t.now +. Cache.flush_interval_ms cache) Flush_tick
+            Heap.push t.s.heap ~prio:(t.s.now +. Cache.flush_interval_ms cache) Flush_tick
         | None -> ());
         if not (stop ~failed:false) then loop ()
       | Replay_tick ->
-        t.now <- Float.max t.now time;
+        t.s.now <- Float.max t.s.now time;
         (match t.replay with
         | None -> ()
         | Some rs -> (
@@ -1409,29 +1423,29 @@ let run_events t ~mode ~stop =
                 (match rs.rs_next () with
                 | Some (at, next_thunk) ->
                     rs.rs_pending <- Some next_thunk;
-                    Heap.push t.heap ~prio:(Float.max at t.now) Replay_tick
+                    Heap.push t.s.heap ~prio:(Float.max at t.s.now) Replay_tick
                 | None -> ())));
         if not (stop ~failed:false) then loop ()
       | Ckpt_tick ->
-        (* Never touches [t.now] and never consults [stop]: a snapshot
+        (* Never touches [t.s.now] and never consults [stop]: a snapshot
            tick must not change what the simulation computes.  The next
            tick is pushed before the hook runs, so the snapshot the hook
            writes already carries the live tick chain and a resumed run
            keeps the exact same cadence. *)
-        (if t.ckpt_every_ms > 0. then begin
-           t.ckpt_next <- time +. t.ckpt_every_ms;
-           Heap.push t.heap ~prio:t.ckpt_next Ckpt_tick;
+        (if t.s.ckpt_every_ms > 0. then begin
+           t.s.ckpt_next <- time +. t.s.ckpt_every_ms;
+           Heap.push t.s.heap ~prio:t.s.ckpt_next Ckpt_tick;
            match t.ckpt_hook with Some hook -> hook () | None -> ()
          end);
         loop ()
       | Stat_tick ->
-        (* Like [Ckpt_tick]: never touches [t.now], never consults
+        (* Like [Ckpt_tick]: never touches [t.s.now], never consults
            [stop], and pushes the next tick before sampling so a
            checkpoint taken by a later hook already carries the live
            chain. *)
-        (if t.tl_every_ms > 0. then begin
-           t.tl_next <- time +. t.tl_every_ms;
-           Heap.push t.heap ~prio:t.tl_next Stat_tick;
+        (if t.s.tl_every_ms > 0. then begin
+           t.s.tl_next <- time +. t.s.tl_every_ms;
+           Heap.push t.s.heap ~prio:t.s.tl_next Stat_tick;
            match t.timeline with
            | Some tl -> Timeline.tick tl (timeline_sample t)
            | None -> ()
@@ -1442,17 +1456,17 @@ let run_events t ~mode ~stop =
   loop ()
 
 let run_allocation_test t =
-  let ops_at_start = t.alloc_ops in
+  let ops_at_start = t.s.alloc_ops in
   let failed_once = ref false in
   let stop ~failed =
     if failed then failed_once := true;
-    failed || t.alloc_ops - ops_at_start > t.cfg.max_alloc_ops
+    failed || t.s.alloc_ops - ops_at_start > t.cfg.max_alloc_ops
   in
   run_events t ~mode:(Alloc_only { governed = false }) ~stop;
   {
     internal_frag = Volume.internal_fragmentation t.volume;
     external_frag = Volume.external_fragmentation t.volume;
-    alloc_ops = t.alloc_ops - ops_at_start;
+    alloc_ops = t.s.alloc_ops - ops_at_start;
     utilization_at_end = Volume.utilization t.volume;
     failed = !failed_once;
   }
@@ -1461,13 +1475,13 @@ let run_allocation_test t =
    fragmentation prevents that plateau out (a run of failed allocations
    with no net growth) and measurement starts where they stalled. *)
 let fill_to_lower_bound t =
-  if t.resuming && t.phase >= 1 then ()  (* the snapshot was taken past the fill *)
+  if t.resuming && t.s.phase >= 1 then ()  (* the snapshot was taken past the fill *)
   else begin
-    let fs = t.fill_st in
+    let fs = t.s.fill_st in
     if t.resuming then t.resuming <- false
     else begin
-      t.phase <- 0;
-      fs.fs_ops_at_start <- t.alloc_ops;
+      t.s.phase <- 0;
+      fs.fs_ops_at_start <- t.s.alloc_ops;
       fs.fs_best_used <- Volume.used_bytes t.volume;
       fs.fs_fails <- 0
     end;
@@ -1480,11 +1494,11 @@ let fill_to_lower_bound t =
       end;
       Volume.utilization t.volume >= t.cfg.lower_bound
       || fs.fs_fails > 500
-      || t.alloc_ops - fs.fs_ops_at_start > t.cfg.max_alloc_ops
+      || t.s.alloc_ops - fs.fs_ops_at_start > t.cfg.max_alloc_ops
     in
     run_events t ~mode:(Alloc_only { governed = true }) ~stop;
     seed_events t;
-    t.phase <- 1
+    t.s.phase <- 1
   end
 
 (* Fast-forward aging between the fill and the measured phases: churn
@@ -1497,18 +1511,18 @@ let fill_to_lower_bound t =
    With aging off this only advances the phase number: no events, no
    RNG draws, no [seed_events] — frozen goldens stay byte-identical. *)
 let run_aging t =
-  if t.resuming && t.phase >= 2 then ()  (* the snapshot was taken past the aging *)
-  else if t.cfg.age_ms <= 0. then t.phase <- 2
+  if t.resuming && t.s.phase >= 2 then ()  (* the snapshot was taken past the aging *)
+  else if t.cfg.age_ms <= 0. then t.s.phase <- 2
   else begin
     if t.resuming then t.resuming <- false  (* continue to the restored horizon *)
     else begin
-      t.phase <- 1;
-      t.age_until <- t.now +. t.cfg.age_ms
+      t.s.phase <- 1;
+      t.s.age_until <- t.s.now +. t.cfg.age_ms
     end;
-    let stop ~failed:_ = t.now >= t.age_until in
+    let stop ~failed:_ = t.s.now >= t.s.age_until in
     run_events t ~mode:Aging ~stop;
     seed_events t;
-    t.phase <- 2
+    t.s.phase <- 2
   end
 
 (* Bytes transferred by time [upto]: fully finished I/Os are folded into
@@ -1523,30 +1537,30 @@ let bytes_transferred_by t ~upto =
      bit-identical. *)
   let partial = ref 0. in
   let kept = ref 0 in
-  for i = t.fl_len - 1 downto 0 do
-    let finish = t.fl_finish.(i) in
-    if finish <= upto then t.bytes_completed <- t.bytes_completed + t.fl_bytes.(i)
+  for i = t.s.fl_len - 1 downto 0 do
+    let finish = t.s.fl_finish.(i) in
+    if finish <= upto then t.s.bytes_completed <- t.s.bytes_completed + t.s.fl_bytes.(i)
     else begin
-      let issue = t.fl_issue.(i) in
+      let issue = t.s.fl_issue.(i) in
       let j = !kept in
-      t.fl2_issue.(j) <- issue;
-      t.fl2_finish.(j) <- finish;
-      t.fl2_bytes.(j) <- t.fl_bytes.(i);
+      t.s.fl2_issue.(j) <- issue;
+      t.s.fl2_finish.(j) <- finish;
+      t.s.fl2_bytes.(j) <- t.s.fl_bytes.(i);
       kept := j + 1;
       if issue < upto && finish > issue then
         partial :=
-          !partial +. (float_of_int t.fl_bytes.(i) *. (upto -. issue) /. (finish -. issue))
+          !partial +. (float_of_int t.s.fl_bytes.(i) *. (upto -. issue) /. (finish -. issue))
     end
   done;
-  let si = t.fl_issue and sf = t.fl_finish and sb = t.fl_bytes in
-  t.fl_issue <- t.fl2_issue;
-  t.fl_finish <- t.fl2_finish;
-  t.fl_bytes <- t.fl2_bytes;
-  t.fl2_issue <- si;
-  t.fl2_finish <- sf;
-  t.fl2_bytes <- sb;
-  t.fl_len <- !kept;
-  float_of_int t.bytes_completed +. !partial
+  let si = t.s.fl_issue and sf = t.s.fl_finish and sb = t.s.fl_bytes in
+  t.s.fl_issue <- t.s.fl2_issue;
+  t.s.fl_finish <- t.s.fl2_finish;
+  t.s.fl_bytes <- t.s.fl2_bytes;
+  t.s.fl2_issue <- si;
+  t.s.fl2_finish <- sf;
+  t.s.fl2_bytes <- sb;
+  t.s.fl_len <- !kept;
+  float_of_int t.s.bytes_completed +. !partial
 
 (* Drive a replay session to exhaustion.  [next] yields the arrival
    time of the next trace event together with a thunk that executes its
@@ -1559,47 +1573,47 @@ let bytes_transferred_by t ~upto =
    [run_measured]. *)
 let run_replay t ~next =
   let rs =
-    { rs_next = next; rs_pending = None; rs_outstanding = 0; rs_last_completion = t.now }
+    { rs_next = next; rs_pending = None; rs_outstanding = 0; rs_last_completion = t.s.now }
   in
   t.replay <- Some rs;
-  t.bytes_completed <- 0;
-  t.fl_len <- 0;
-  let io_at_start = t.io_ops in
+  t.s.bytes_completed <- 0;
+  t.s.fl_len <- 0;
+  let io_at_start = t.s.io_ops in
   let first = ref None in
   (match next () with
   | Some (at, thunk) ->
       first := Some at;
       rs.rs_pending <- Some thunk;
-      Heap.push t.heap ~prio:(Float.max at t.now) Replay_tick
+      Heap.push t.s.heap ~prio:(Float.max at t.s.now) Replay_tick
   | None -> ());
   let stop ~failed:_ = rs.rs_pending = None && rs.rs_outstanding = 0 in
   if not (stop ~failed:false) then run_events t ~mode:Full_mix ~stop;
   t.replay <- None;
-  let first_ms = match !first with Some v -> v | None -> t.now in
+  let first_ms = match !first with Some v -> v | None -> t.s.now in
   let last_ms = Float.max rs.rs_last_completion first_ms in
-  let credited = bytes_transferred_by t ~upto:(Float.max last_ms t.now) in
+  let credited = bytes_transferred_by t ~upto:(Float.max last_ms t.s.now) in
   let elapsed = Float.max (last_ms -. first_ms) 1. in
   let rate = credited /. elapsed in
   {
     rp_pct_of_max = 100. *. rate /. max_bandwidth_pct_base t;
     rp_bytes_per_ms = rate;
-    rp_bytes_moved = t.bytes_completed;
+    rp_bytes_moved = t.s.bytes_completed;
     rp_elapsed_ms = elapsed;
     rp_first_ms = first_ms;
     rp_last_ms = last_ms;
-    rp_io_ops = t.io_ops - io_at_start;
+    rp_io_ops = t.s.io_ops - io_at_start;
   }
 
 let run_measured t ~mode =
-  let ms = t.meas_st in
+  let ms = t.s.meas_st in
   if t.resuming then t.resuming <- false  (* continue the restored measurement *)
   else begin
-    ms.ms_start <- t.now;
-    ms.ms_io_at_start <- t.io_ops;
-    ms.ms_fulls_at_start <- t.disk_fulls;
-    ms.ms_meta_at_start <- t.meta_bytes;
-    t.bytes_completed <- 0;
-    t.fl_len <- 0;
+    ms.ms_start <- t.s.now;
+    ms.ms_io_at_start <- t.s.io_ops;
+    ms.ms_fulls_at_start <- t.s.disk_fulls;
+    ms.ms_meta_at_start <- t.s.meta_bytes;
+    t.s.bytes_completed <- 0;
+    t.s.fl_len <- 0;
     ms.ms_series <-
       Stats.Series.create ~window:t.cfg.stable_windows ~tolerance:t.cfg.tolerance_pct;
     ms.ms_next_checkpoint <- ms.ms_start +. t.cfg.interval_ms;
@@ -1607,7 +1621,7 @@ let run_measured t ~mode =
   end;
   let max_bw = max_bandwidth_pct_base t in
   let stop ~failed:_ =
-    while t.now >= ms.ms_next_checkpoint do
+    while t.s.now >= ms.ms_next_checkpoint do
       let transferred = bytes_transferred_by t ~upto:ms.ms_next_checkpoint in
       let elapsed = ms.ms_next_checkpoint -. ms.ms_start in
       let pct = 100. *. transferred /. elapsed /. max_bw in
@@ -1617,11 +1631,11 @@ let run_measured t ~mode =
     done;
     (ms.ms_checkpoints > t.cfg.warmup_checkpoints + t.cfg.stable_windows
     && Stats.Series.is_stable ms.ms_series)
-    || t.now -. ms.ms_start >= t.cfg.max_measure_ms
+    || t.s.now -. ms.ms_start >= t.cfg.max_measure_ms
   in
   run_events t ~mode ~stop;
-  let transferred = bytes_transferred_by t ~upto:t.now in
-  let measured = Float.max (t.now -. ms.ms_start) 1. in
+  let transferred = bytes_transferred_by t ~upto:t.s.now in
+  let measured = Float.max (t.s.now -. ms.ms_start) 1. in
   let rate = transferred /. measured in
   {
     pct_of_max = 100. *. rate /. max_bw;
@@ -1631,39 +1645,39 @@ let run_measured t ~mode =
     stabilized =
       ms.ms_checkpoints > t.cfg.warmup_checkpoints + t.cfg.stable_windows
       && Stats.Series.is_stable ms.ms_series;
-    io_ops = t.io_ops - ms.ms_io_at_start;
-    disk_fulls = t.disk_fulls - ms.ms_fulls_at_start;
+    io_ops = t.s.io_ops - ms.ms_io_at_start;
+    disk_fulls = t.s.disk_fulls - ms.ms_fulls_at_start;
     utilization = Volume.utilization t.volume;
     mean_extents_per_file = Volume.mean_extents_per_file t.volume;
-    meta_bytes = t.meta_bytes - ms.ms_meta_at_start;
+    meta_bytes = t.s.meta_bytes - ms.ms_meta_at_start;
   }
 
 let run_application_test t =
-  if t.resuming && t.phase >= 3 then
-    match t.app_report with
+  if t.resuming && t.s.phase >= 3 then
+    match t.s.app_report with
     | Some r -> r
     | None -> invalid_arg "Engine: snapshot is past the application test but has no report"
   else begin
-    t.phase <- 2;
+    t.s.phase <- 2;
     let r = run_measured t ~mode:Full_mix in
-    t.app_report <- Some r;
-    t.phase <- 3;
+    t.s.app_report <- Some r;
+    t.s.phase <- 3;
     r
   end
 
 let run_sequential_test t =
-  if t.resuming && t.phase >= 4 then begin
+  if t.resuming && t.s.phase >= 4 then begin
     t.resuming <- false;
-    match t.seq_report with
+    match t.s.seq_report with
     | Some r -> r
     | None -> invalid_arg "Engine: snapshot is past the sequential test but has no report"
   end
   else begin
-    t.phase <- 3;
+    t.s.phase <- 3;
     if not t.resuming then seed_events t;
     let r = run_measured t ~mode:Whole_file_rw in
-    t.seq_report <- Some r;
-    t.phase <- 4;
+    t.s.seq_report <- Some r;
+    t.s.phase <- 4;
     r
   end
 
@@ -1671,87 +1685,15 @@ let run_sequential_test t =
 (* Checkpoint / restore                                                *)
 
 (* The engine snapshot is a list of named opaque sections; the CLI
-   wraps them in the checksummed [Rofs_ckpt.Ckpt] container.  Every
-   subsystem owning mutable state contributes its own section (policy,
-   volume, array + fault state, fault plan, cache, sink); this record
-   is the engine's own: clock, RNG streams, per-user twins, the event
-   heap (pooled events encoded as tag + index), the waiter table keyed
-   by operation id, the in-flight credit arrays and the phase machine.
-   Restores are aliasing-preserving throughout — the engine's pooled
-   events, recorder closures and report paths keep pointing at the same
-   records they did before the restore. *)
-type engine_ckpt = {
-  ck_now : float;
-  ck_rng : Rng.t;
-  ck_users : (Rng.t * int * int * int * int) array;
-      (** per user: rng, file, seq_offset, read_ahead_until, write_behind_until *)
-  ck_heap_prios : float array;
-  ck_heap_events : (int * int) array;
-  ck_waiters : (int * (int * int * float)) list;  (** op id -> encoded waiter *)
-  ck_pending_fault : (float * Fault_plan.action) option;
-  ck_rebuild_live : bool array;
-  ck_fl : float array * float array * int array;  (** issue / finish / bytes, live prefix *)
-  ck_counters : int * int * int * int * int * int * int;
-      (** disk_fulls, io_ops, alloc_ops, bytes_completed, meta_bytes,
-          rebuild_ios, data_loss *)
-  ck_phase : int;
-  ck_age_until : float;
-  ck_fill : int * int * int;
-  ck_meas : float * int * int * int * float * int;
-  ck_series : Stats.Series.t;
-  ck_app_report : throughput_report option;
-  ck_seq_report : throughput_report option;
-  ck_ckpt_every : float;
-  ck_ckpt_next : float;
-  ck_tl_every : float;
-  ck_tl_next : float;
-}
-
-let user_index t u =
-  let rec find i =
-    if i >= Array.length t.users then invalid_arg "Engine.checkpoint: unknown user"
-    else if t.users.(i) == u then i
-    else find (i + 1)
-  in
-  find 0
-
-let encode_event t = function
-  | Wake u -> (0, user_index t u)
-  | Drive_done d -> (1, d)
-  | Fault_tick -> (2, 0)
-  | Rebuild_tick d -> (3, d)
-  | Flush_tick -> (4, 0)
-  | Replay_tick -> (5, 0)
-  | Ckpt_tick -> (6, 0)
-  | Stat_tick -> (7, 0)
-
-(* Decoding reuses the pooled event records, so a restored heap aliases
-   exactly like a live one (one [Wake] per user, one [Drive_done] and
-   [Rebuild_tick] per drive). *)
-let decode_event t (tag, arg) =
-  match tag with
-  | 0 -> t.users.(arg).wake_ev
-  | 1 -> t.drive_done_evs.(arg)
-  | 2 -> Fault_tick
-  | 3 -> t.rebuild_evs.(arg)
-  | 4 -> Flush_tick
-  | 5 -> Replay_tick
-  | 6 -> Ckpt_tick
-  | 7 -> Stat_tick
-  | _ -> invalid_arg "snapshot: unknown event tag"
-
-let encode_waiter t = function
-  | User_waiter u -> (0, user_index t u, 0.)
-  | Rebuild_waiter { drive; next_ok } -> (1, drive, next_ok)
-  | Replay_waiter -> (2, 0, 0.)
-
-let decode_waiter t (tag, arg, f) =
-  match tag with
-  | 0 -> t.users.(arg).park
-  | 1 -> Rebuild_waiter { drive = arg; next_ok = f }
-  | 2 -> Replay_waiter
-  | _ -> invalid_arg "snapshot: unknown waiter tag"
-
+   wraps them in the checksummed [Rofs_ckpt.Ckpt] container.  One rule
+   for every section that can follow it: the owner's checkpointed data
+   is one closure-free record behind one mutable slot, saved with one
+   [Marshal] and restored by swapping the decoded record in.  The
+   engine's own section is [t.s]; the array section carries the fault
+   state; the sink and cache sections are their [m] / [st] records.
+   The allocators, the volume, the fault plan and the cache's
+   replacement policy keep hand-written save/load, because closures or
+   first-class modules capture their state. *)
 (* Everything the simulated results depend on that is fixed at engine
    construction: resuming under a different configuration, policy or
    workload would silently compute garbage, so [restore] refuses when
@@ -1766,7 +1708,7 @@ let fingerprint t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( 2 (* fingerprint layout version *),
+          ( 3 (* fingerprint layout version *),
             (c.seed, c.disks, c.stripe_unit_bytes, array_desc, c.scheduler),
             ( c.lower_bound,
               c.upper_bound,
@@ -1792,63 +1734,12 @@ let checkpoint t =
     invalid_arg "Engine.checkpoint: a replay session cannot be checkpointed";
   if t.recorder <> None then
     invalid_arg "Engine.checkpoint: a recording engine cannot be checkpointed";
-  let prios, events = Heap.snapshot t.heap in
-  let ms = t.meas_st in
-  let ck =
-    {
-      ck_now = t.now;
-      ck_rng = Rng.copy t.rng;
-      ck_users =
-        Array.map
-          (fun (u : user) ->
-            (Rng.copy u.rng, u.file, u.seq_offset, u.read_ahead_until, u.write_behind_until))
-          t.users;
-      ck_heap_prios = prios;
-      ck_heap_events = Array.map (encode_event t) events;
-      ck_waiters =
-        (* sorted by op id: canonical bytes for identical state *)
-        List.sort compare
-          (Hashtbl.fold (fun id w acc -> (id, encode_waiter t w) :: acc) t.waiters []);
-      ck_pending_fault = t.pending_fault;
-      ck_rebuild_live = Array.copy t.rebuild_live;
-      ck_fl =
-        ( Array.sub t.fl_issue 0 t.fl_len,
-          Array.sub t.fl_finish 0 t.fl_len,
-          Array.sub t.fl_bytes 0 t.fl_len );
-      ck_counters =
-        ( t.disk_fulls,
-          t.io_ops,
-          t.alloc_ops,
-          t.bytes_completed,
-          t.meta_bytes,
-          t.rebuild_ios,
-          t.data_loss );
-      ck_phase = t.phase;
-      ck_age_until = t.age_until;
-      ck_fill = (t.fill_st.fs_ops_at_start, t.fill_st.fs_best_used, t.fill_st.fs_fails);
-      ck_meas =
-        ( ms.ms_start,
-          ms.ms_io_at_start,
-          ms.ms_fulls_at_start,
-          ms.ms_meta_at_start,
-          ms.ms_next_checkpoint,
-          ms.ms_checkpoints );
-      ck_series = ms.ms_series;
-      ck_app_report = t.app_report;
-      ck_seq_report = t.seq_report;
-      ck_ckpt_every = t.ckpt_every_ms;
-      ck_ckpt_next = t.ckpt_next;
-      ck_tl_every = t.tl_every_ms;
-      ck_tl_next = t.tl_next;
-    }
-  in
   [
     ("fingerprint", fingerprint t);
-    ("engine", Marshal.to_string ck []);
+    ("engine", Marshal.to_string t.s []);
     ("policy", (Volume.policy t.volume).Rofs_alloc.Policy.ckpt_save ());
     ("volume", Volume.ckpt_save t.volume);
     ("array", Array_model.ckpt_save t.array);
-    ("fault", Fault.ckpt_save (Array_model.fault_state t.array));
     ("fault_plan", Marshal.to_string (Option.map Fault_plan.ckpt_save t.fault_plan) []);
     ("cache", Marshal.to_string (Option.map Cache.ckpt_save t.cache) []);
     ("obs", Marshal.to_string (Option.map Sink.ckpt_save t.obs) []);
@@ -1866,13 +1757,12 @@ let restore t sections =
     invalid_arg
       "snapshot: configuration fingerprint mismatch (resume must use the original run's \
        configuration, policy and workload)";
-  let ck = (Marshal.from_string (sec "engine") 0 : engine_ckpt) in
-  if Array.length ck.ck_users <> Array.length t.users then
+  let s = (Marshal.from_string (sec "engine") 0 : state) in
+  if Array.length s.users <> Array.length t.s.users then
     invalid_arg "snapshot: user population mismatch";
   (Volume.policy t.volume).Rofs_alloc.Policy.ckpt_load (sec "policy");
   Volume.ckpt_load t.volume (sec "volume");
   Array_model.ckpt_load t.array (sec "array");
-  Fault.ckpt_load (Array_model.fault_state t.array) (sec "fault");
   (match (t.fault_plan, (Marshal.from_string (sec "fault_plan") 0 : string option)) with
   | Some plan, Some blob -> Fault_plan.ckpt_load plan blob
   | None, None -> ()
@@ -1891,74 +1781,16 @@ let restore t sections =
   | None, None -> ()
   | Some _, None -> invalid_arg "snapshot: the original run had no timeline attached"
   | None, Some _ -> invalid_arg "snapshot: the original run had a timeline attached");
-  t.now <- ck.ck_now;
-  Rng.assign ~dst:t.rng ~src:ck.ck_rng;
-  Array.iteri
-    (fun i (rng, file, seq_offset, read_ahead_until, write_behind_until) ->
-      let u = t.users.(i) in
-      Rng.assign ~dst:u.rng ~src:rng;
-      u.file <- file;
-      u.seq_offset <- seq_offset;
-      u.read_ahead_until <- read_ahead_until;
-      u.write_behind_until <- write_behind_until)
-    ck.ck_users;
-  Heap.restore t.heap ~prios:ck.ck_heap_prios
-    ~data:(Array.map (decode_event t) ck.ck_heap_events);
-  Hashtbl.reset t.waiters;
-  List.iter (fun (id, ew) -> Hashtbl.replace t.waiters id (decode_waiter t ew)) ck.ck_waiters;
-  t.pending_fault <- ck.ck_pending_fault;
-  Array.blit ck.ck_rebuild_live 0 t.rebuild_live 0 (Array.length t.rebuild_live);
-  let fi, ff, fb = ck.ck_fl in
-  let len = Array.length fb in
-  let cap = max 64 len in
-  t.fl_issue <- Array.make cap 0.;
-  t.fl_finish <- Array.make cap 0.;
-  t.fl_bytes <- Array.make cap 0;
-  Array.blit fi 0 t.fl_issue 0 len;
-  Array.blit ff 0 t.fl_finish 0 len;
-  Array.blit fb 0 t.fl_bytes 0 len;
-  t.fl_len <- len;
-  t.fl2_issue <- Array.make cap 0.;
-  t.fl2_finish <- Array.make cap 0.;
-  t.fl2_bytes <- Array.make cap 0;
-  let disk_fulls, io_ops, alloc_ops, bytes_completed, meta_bytes, rebuild_ios, data_loss =
-    ck.ck_counters
-  in
-  t.disk_fulls <- disk_fulls;
-  t.io_ops <- io_ops;
-  t.alloc_ops <- alloc_ops;
-  t.bytes_completed <- bytes_completed;
-  t.meta_bytes <- meta_bytes;
-  t.rebuild_ios <- rebuild_ios;
-  t.data_loss <- data_loss;
-  t.phase <- ck.ck_phase;
-  t.age_until <- ck.ck_age_until;
-  let fs_ops_at_start, fs_best_used, fs_fails = ck.ck_fill in
-  t.fill_st.fs_ops_at_start <- fs_ops_at_start;
-  t.fill_st.fs_best_used <- fs_best_used;
-  t.fill_st.fs_fails <- fs_fails;
-  let ms_start, ms_io, ms_fulls, ms_meta, ms_next, ms_checkpoints = ck.ck_meas in
-  let ms = t.meas_st in
-  ms.ms_start <- ms_start;
-  ms.ms_io_at_start <- ms_io;
-  ms.ms_fulls_at_start <- ms_fulls;
-  ms.ms_meta_at_start <- ms_meta;
-  ms.ms_series <- ck.ck_series;
-  ms.ms_next_checkpoint <- ms_next;
-  ms.ms_checkpoints <- ms_checkpoints;
-  t.app_report <- ck.ck_app_report;
-  t.seq_report <- ck.ck_seq_report;
   (* The snapshot's cadence wins: the tick chain in the restored heap
      was scheduled under it, and keeping it preserves bit-identity with
      the uninterrupted armed run even if the caller re-armed with a
      different interval (or none — the chain then continues with a
-     no-op hook, keeping heap tie-breaking identical). *)
-  if ck.ck_ckpt_every > 0. then t.ckpt_every_ms <- ck.ck_ckpt_every;
-  t.ckpt_next <- ck.ck_ckpt_next;
-  (* Same rule for the telemetry cadence: the restored heap's tick
-     chain was scheduled under the snapshot's width, so it wins. *)
-  if ck.ck_tl_every > 0. then t.tl_every_ms <- ck.ck_tl_every;
-  t.tl_next <- ck.ck_tl_next;
+     no-op hook, keeping heap tie-breaking identical).  Only a snapshot
+     that never armed one keeps the caller's.  Same rule for the
+     telemetry cadence. *)
+  if s.ckpt_every_ms <= 0. then s.ckpt_every_ms <- t.s.ckpt_every_ms;
+  if s.tl_every_ms <= 0. then s.tl_every_ms <- t.s.tl_every_ms;
+  t.s <- s;
   t.resuming <- true
 
 (* ------------------------------------------------------------------ *)
@@ -1972,7 +1804,7 @@ let repair_drive t ~drive =
   Array_model.repair_drive t.array ~drive;
   mark t ~kind:Trc.Fault_repair ~drive;
   match Array_model.drive_state t.array ~drive with
-  | `Rebuilding _ -> kick_rebuild t ~drive ~at:t.now
+  | `Rebuilding _ -> kick_rebuild t ~drive ~at:t.s.now
   | `Healthy | `Failed -> ()
 
 let cache_report t =
@@ -2013,7 +1845,7 @@ let fault_report t =
   {
     drive_states =
       Array.init (Array_model.disks t.array) (fun d -> Array_model.drive_state t.array ~drive:d);
-    data_loss = t.data_loss;
+    data_loss = t.s.data_loss;
     media_errors = c.Fault.media_errors;
     retries = c.Fault.retries;
     remaps = c.Fault.remaps;
@@ -2021,7 +1853,7 @@ let fault_report t =
     reconstructed_reads = c.Fault.reconstructed_reads;
     degraded_writes = c.Fault.degraded_writes;
     dirty_bytes = Fault.dirty_bytes st;
-    rebuild_ios = t.rebuild_ios;
+    rebuild_ios = t.s.rebuild_ios;
   }
 
 (* Allocator-internal write accounting, straight from the policy. *)

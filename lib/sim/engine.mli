@@ -302,7 +302,6 @@ val cache_note_delete : t -> file:int -> unit
 
 val volume : t -> Volume.t
 val array_model : t -> Rofs_disk.Array_model.t
-val now_ms : t -> float
 val max_bandwidth_pct_base : t -> float
 (** Bytes/ms corresponding to 100%. *)
 
@@ -347,7 +346,9 @@ val churn_stats : t -> Rofs_alloc.Policy.churn_stats
 
 val checkpoint : t -> (string * string) list
 (** Snapshot the full simulation state as named sections.  Callable at
-    any point, including from a {!set_checkpoint} hook mid-run.
+    any point, including from a {!set_checkpoint} hook mid-run.  Taken
+    right after {!restore}, it reproduces the restored snapshot byte
+    for byte, section by section.
     @raise Invalid_argument on a replay or recording engine. *)
 
 val restore : t -> (string * string) list -> unit
@@ -355,7 +356,13 @@ val restore : t -> (string * string) list -> unit
     configuration, policy and workload; the next
     {!fill_to_lower_bound} / {!run_application_test} /
     {!run_sequential_test} calls skip completed phases (returning their
-    stored reports) and re-enter the interrupted phase mid-loop.
+    stored reports) and re-enter the interrupted phase mid-loop.  [t]
+    stays the value the caller holds, so hook closures capturing it and
+    the attached sink and timeline keep working; what they hold inside
+    is replaced by the snapshot's (the engine's state record, the
+    sink's histograms and trace ring, the cache contents, the array's
+    fault state), so values read from them before the restore are
+    stale.
     @raise Invalid_argument with a one-line message when the snapshot's
     configuration fingerprint, cache / fault-plan / sink presence or
     user population does not match [t]. *)

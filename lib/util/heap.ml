@@ -132,21 +132,6 @@ let pop t =
 
 let clear t = t.size <- 0
 
-(* Verbatim-layout snapshot for checkpointing: the live prefix of both
-   parallel arrays, in heap order.  Restoring with {!restore} reproduces
-   the exact internal array layout — not just the same multiset — so the
-   order in which equal-priority elements surface after a resume is
-   bit-identical to the uninterrupted run (rebuilding by pushes could
-   legally arrange ties differently). *)
-let snapshot t = (Array.sub t.prios 0 t.size, Array.sub t.data 0 t.size)
-
-let restore t ~prios ~data =
-  if Array.length prios <> Array.length data then
-    invalid_arg "Heap.restore: prios and data lengths differ";
-  t.prios <- prios;
-  t.data <- data;
-  t.size <- Array.length data
-
 let to_sorted_list t =
   let copy = { prios = Array.sub t.prios 0 t.size; data = Array.sub t.data 0 t.size; size = t.size } in
   let rec drain acc =

@@ -44,18 +44,6 @@ val peek : 'a t -> (float * 'a) option
 
 val clear : 'a t -> unit
 
-val snapshot : 'a t -> float array * 'a array
-(** The live (priority, value) prefix in internal heap-array order.
-    Feeding both arrays back through {!restore} reproduces the exact
-    array layout, so the surfacing order of equal-priority elements —
-    unspecified by this interface but pinned by the engine's frozen
-    goldens — survives a checkpoint/restore round trip bit for bit. *)
-
-val restore : 'a t -> prios:float array -> data:'a array -> unit
-(** Overwrite the heap's contents with a {!snapshot}'s arrays, taking
-    ownership of both.
-    @raise Invalid_argument if the arrays' lengths differ. *)
-
 val to_sorted_list : 'a t -> (float * 'a) list
 (** Non-destructive drain, in priority order; intended for tests and
     debugging (costs O(n log n)). *)

@@ -16,8 +16,12 @@
    - sharded runs: per-slice snapshots resume a shard_slices = 4 run to
      the identical merged report, and a completed run's final snapshots
      resume instantly;
-   - refusal: mismatched configuration, missing sections and recording
+   - refusal: mismatched configuration, missing sections, sink
+     presence / tracing / ring-capacity mismatches and recording
      engines are refused with Invalid_argument, never a wrong answer;
+   - round trip: with every subsystem live, restore-then-checkpoint
+     reproduces each captured snapshot section by section, and a run
+     finished from the re-taken snapshot matches the uninterrupted one;
    - trace codec: truncations and bit flips of a binary trace never
      raise out of Codec.decode.
 
@@ -446,7 +450,109 @@ let test_restore_refusals () =
       ~config:ckpt_config spec w
   in
   check_bool "recording engine refused" true
-    (raises_invalid (fun () -> Engine.checkpoint recording))
+    (raises_invalid (fun () -> Engine.checkpoint recording));
+  (* sink rows: presence both ways, traced vs untraced, ring capacity *)
+  let with_sink sink =
+    let e = fresh () in
+    Option.iter (Engine.attach_obs e) sink;
+    e
+  in
+  let untraced () = Some (C.Sink.create ()) in
+  let traced n = Some (C.Sink.create ~trace:true ~trace_capacity:n ()) in
+  let snap_with sink = Engine.checkpoint (with_sink sink) in
+  List.iter
+    (fun (name, snap, sink) ->
+      check_bool name true (raises_invalid (fun () -> Engine.restore (with_sink sink) snap)))
+    [
+      ("sink in snapshot, none attached: refused", snap_with (untraced ()), None);
+      ("no sink in snapshot, one attached: refused", snap, untraced ());
+      ("traced snapshot, untraced sink: refused", snap_with (traced 1024), untraced ());
+      ("untraced snapshot, traced sink: refused", snap_with (untraced ()), traced 1024);
+      ("trace ring capacity mismatch: refused", snap_with (traced 1024), traced 2048);
+    ];
+  check_bool "matching traced sink accepted" false
+    (raises_invalid (fun () -> Engine.restore (with_sink (traced 1024)) (snap_with (traced 1024))))
+
+(* ------------------------------------------------------------------ *)
+(* Round trip: restore then checkpoint reproduces every section        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every subsystem with a section is live: LFS on mirrored pairs under
+   SSTF, a write-back cache, drive failures and media errors, a tracing
+   sink and a timeline. *)
+let round_trip_config =
+  {
+    ckpt_config with
+    Engine.array_config = (fun stripe_unit -> C.Array_model.Mirrored { stripe_unit });
+    scheduler = C.Sched_policy.Sstf;
+    faults =
+      {
+        C.Fault_plan.none with
+        C.Fault_plan.seed = 42;
+        mttf_ms = 20_000.;
+        mttr_ms = 5_000.;
+        media_error_rate = 0.001;
+      };
+    cache = Some (C.Cache.config ~mb:16 ~write_mode:C.Cache.Write_back ());
+  }
+
+let round_trip_engine () =
+  let engine = Experiment.make_engine ~config:round_trip_config (spec_of "lfs") mini_tp in
+  let sink = C.Sink.create ~trace:true () in
+  Engine.attach_obs engine sink;
+  Engine.attach_timeline engine ~every_ms:2_000.;
+  (engine, sink)
+
+(* Finish the protocol; everything a resumed run reports or exports. *)
+let round_trip_finish (engine, sink) =
+  Engine.fill_to_lower_bound engine;
+  let app = Engine.run_application_test engine in
+  let seq = Engine.run_sequential_test engine in
+  let json = C.Obs.Json.to_string in
+  let trace =
+    match C.Sink.trace_ref sink with
+    | Some ring -> json (C.Obs.Trace.chrome_json ring)
+    | None -> ""
+  in
+  let timeline =
+    match Engine.timeline engine with
+    | Some tl -> json (C.Timeline.to_json tl) ^ C.Timeline.to_csv tl
+    | None -> ""
+  in
+  ( (app, seq),
+    (Engine.fault_report engine, Engine.cache_report engine),
+    (json (C.Sink.to_json sink), trace, timeline) )
+
+let test_restore_checkpoint_round_trip () =
+  let engine, sink = round_trip_engine () in
+  let snaps = ref [] in
+  Engine.set_checkpoint engine ~every_ms:3_000. (fun () ->
+      snaps := Engine.checkpoint engine :: !snaps);
+  let (app, seq), reports, exports = round_trip_finish (engine, sink) in
+  let snaps = List.rev !snaps in
+  check_bool "captured snapshots" true (List.length snaps >= 3);
+  List.iteri
+    (fun i s ->
+      let fresh = round_trip_engine () in
+      Engine.restore (fst fresh) s;
+      let again = Engine.checkpoint (fst fresh) in
+      Alcotest.(check (list string)) (Printf.sprintf "snapshot %d section names" i) (List.map fst s)
+        (List.map fst again);
+      List.iter2
+        (fun (name, a) (_, b) ->
+          if not (String.equal a b) then
+            Alcotest.failf "snapshot %d: section %S does not round-trip (%d vs %d bytes)" i name
+              (String.length a) (String.length b))
+        s again;
+      let resumed = round_trip_engine () in
+      Engine.restore (fst resumed) again;
+      let (rapp, rseq), rreports, rexports = round_trip_finish resumed in
+      let name = Printf.sprintf "snapshot %d resumed" i in
+      check_tp_equal (name ^ " app") app rapp;
+      check_tp_equal (name ^ " seq") seq rseq;
+      check_bool (name ^ ": fault and cache reports") true (reports = rreports);
+      check_bool (name ^ ": sink, trace and timeline exports") true (exports = rexports))
+    snaps
 
 (* ------------------------------------------------------------------ *)
 (* Container: round-trip, truncation sweep, bit-flip sweep             *)
@@ -647,6 +753,11 @@ let () =
         ( "refusal",
           [ slow "wrong config / damaged snapshot / recorder refused" test_restore_refusals ]
         );
+        ( "round trip",
+          [
+            slow "restore then checkpoint is byte-identical per section"
+              test_restore_checkpoint_round_trip;
+          ] );
         ( "trace codec",
           [ quick "corrupt traces never raise" test_trace_codec_corruption ] );
       ]
