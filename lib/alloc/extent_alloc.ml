@@ -1,5 +1,4 @@
 module Free_tree = Rofs_util.Free_tree
-module Units = Rofs_util.Units
 
 (* Secondary index for best fit: free extents ordered by (len, addr), so
    the first element with len >= want is the smallest adequate extent,
@@ -17,16 +16,11 @@ type config = { unit_bytes : int; fit : fit; range_means_bytes : int list }
 let config ?(unit_bytes = 1024) ?(fit = First_fit) ~range_means_bytes () =
   { unit_bytes; fit; range_means_bytes }
 
-type file = { fx : File_extents.t; extent_units : int }
-
-type t = {
+type space = {
   cfg : config;
-  total_units : int;
   mutable tree : Free_tree.t;
   mutable by_size : Size_set.t;
-  files : (int, file) Hashtbl.t;
-  rng : Rofs_util.Rng.t;
-  mutable user_units : int;  (** units handed out for user growth *)
+  rng : Rofs_util.Rng.t;  (** per-file extent-size draws *)
 }
 
 let insert_free t ~addr ~len =
@@ -70,7 +64,7 @@ let claim t want =
   | Some (addr, len) ->
       remove_free t ~addr ~len;
       if len > want then insert_free t ~addr:(addr + want) ~len:(len - want);
-      Some addr
+      Some (Extent.make ~addr ~len:want)
 
 (* A file's extent size: a draw from the range whose mean is nearest its
    allocation hint, std 10% of the mean, rounded to whole units. *)
@@ -91,117 +85,32 @@ let draw_extent_units t ~hint =
   let bytes = Rofs_util.Dist.normal_positive t.rng ~mean ~std:(0.1 *. mean) in
   max 1 (int_of_float (Float.round (bytes /. float_of_int t.cfg.unit_bytes)))
 
+let free_hist t =
+  (* [by_size] iterates in (len, addr) order, so runs of equal lengths
+     are consecutive — group them into (size, count). *)
+  let pairs =
+    Size_set.fold
+      (fun (len, _addr) acc ->
+        match acc with
+        | (l, c) :: rest when l = len -> (l, c + 1) :: rest
+        | _ -> (len, 1) :: acc)
+      t.by_size []
+  in
+  List.rev pairs
+
 let create cfg ~total_units ~rng =
   if cfg.unit_bytes <= 0 || total_units <= 0 then invalid_arg "Extent_alloc.create";
   if cfg.range_means_bytes = [] then invalid_arg "Extent_alloc.create: no extent ranges";
-  let t =
-    {
-      cfg;
-      total_units;
-      tree = Free_tree.empty;
-      by_size = Size_set.empty;
-      files = Hashtbl.create 256;
-      rng;
-      user_units = 0;
-    }
-  in
+  let t = { cfg; tree = Free_tree.empty; by_size = Size_set.empty; rng } in
   insert_free t ~addr:0 ~len:total_units;
-  let the_file file =
-    match Hashtbl.find_opt t.files file with
-    | Some f -> f
-    | None -> invalid_arg "Extent_alloc: unknown file"
-  in
-  let create_file ~file ~hint =
-    if Hashtbl.mem t.files file then invalid_arg "Extent_alloc: duplicate file";
-    Hashtbl.replace t.files file
-      { fx = File_extents.create (); extent_units = draw_extent_units t ~hint }
-  in
-  let ensure ~file ~target =
-    let f = the_file file in
-    let rec grow () =
-      if File_extents.allocated_units f.fx >= target then Ok ()
-      else begin
-        match claim t f.extent_units with
-        | None -> Error `Disk_full
-        | Some addr ->
-            File_extents.push f.fx (Extent.make ~addr ~len:f.extent_units);
-            t.user_units <- t.user_units + f.extent_units;
-            grow ()
-      end
-    in
-    grow ()
-  in
-  let shrink_to ~file ~target =
-    let f = the_file file in
-    let rec drop () =
-      match File_extents.last f.fx with
-      | Some e when File_extents.allocated_units f.fx - e.Extent.len >= target -> begin
-          match File_extents.pop f.fx with
-          | Some e ->
-              release t ~addr:e.Extent.addr ~len:e.Extent.len;
-              drop ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
-    in
-    drop ()
-  in
-  let delete ~file =
-    let f = the_file file in
-    File_extents.iter f.fx (fun e -> release t ~addr:e.Extent.addr ~len:e.Extent.len);
-    Hashtbl.remove t.files file
-  in
   let name =
     Printf.sprintf "extent(%s, %d ranges)"
       (match cfg.fit with First_fit -> "first-fit" | Best_fit -> "best-fit")
       (List.length cfg.range_means_bytes)
   in
-  (* Checkpoint: tree and by_size are functional (assign); the RNG is
-     aliased by the engine's policy builder, so restore it in place. *)
-  let ckpt_save () =
-    Marshal.to_string (t.tree, t.by_size, t.files, Rofs_util.Rng.copy t.rng, t.user_units) []
-  in
-  let ckpt_load blob =
-    let tree, by_size, files, rng, user_units =
-      (Marshal.from_string blob 0
-        : Free_tree.t * Size_set.t * (int, file) Hashtbl.t * Rofs_util.Rng.t * int)
-    in
-    t.tree <- tree;
-    t.by_size <- by_size;
-    Hashtbl.reset t.files;
-    Hashtbl.iter (fun k v -> Hashtbl.replace t.files k v) files;
-    Rofs_util.Rng.assign ~dst:t.rng ~src:rng;
-    t.user_units <- user_units
-  in
-  {
-    Policy.name;
-    unit_bytes = cfg.unit_bytes;
-    total_units;
-    create_file;
-    file_exists = (fun ~file -> Hashtbl.mem t.files file);
-    ensure;
-    shrink_to;
-    delete;
-    allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
-    extent_count = (fun ~file -> File_extents.count (the_file file).fx);
-    extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
-    free_units = (fun () -> Free_tree.total_len t.tree);
-    largest_free = (fun () -> Free_tree.max_len t.tree);
-    free_hist =
-      (fun () ->
-        (* [by_size] iterates in (len, addr) order, so runs of equal
-           lengths are consecutive — group them into (size, count). *)
-        let pairs =
-          Size_set.fold
-            (fun (len, _addr) acc ->
-              match acc with
-              | (l, c) :: rest when l = len -> (l, c + 1) :: rest
-              | _ -> (len, 1) :: acc)
-            t.by_size []
-        in
-        List.rev pairs);
-    churn_stats = (fun () -> { Policy.no_churn with cs_user_units = t.user_units });
-    ckpt_save;
-    ckpt_load;
-  }
+  Policy.make ~name ~unit_bytes:cfg.unit_bytes ~total_units ~new_file:draw_extent_units
+    ~take:(fun st ~file:_ f ~target:_ -> claim st.Policy.space f.Policy.data)
+    ~give:(fun t _ e -> release t ~addr:e.Extent.addr ~len:e.Extent.len)
+    ~free_units:(fun t -> Free_tree.total_len t.tree)
+    ~largest_free:(fun t -> Free_tree.max_len t.tree)
+    ~free_hist t

@@ -2,8 +2,6 @@ type config = { unit_bytes : int; block_bytes : int; aged : bool }
 
 let config ?(unit_bytes = 1024) ?(aged = true) ~block_bytes () = { unit_bytes; block_bytes; aged }
 
-type file = { fx : File_extents.t }
-
 let create cfg ~total_units ~rng =
   if cfg.unit_bytes <= 0 || total_units <= 0 then invalid_arg "Fixed_block.create";
   if cfg.block_bytes <= 0 || cfg.block_bytes mod cfg.unit_bytes <> 0 then
@@ -19,88 +17,21 @@ let create cfg ~total_units ~rng =
       order.(i) <- order.(j);
       order.(j) <- tmp
     done;
+  (* The free list's FIFO order is the allocation order: blocks come off
+     the head and go back on the tail. *)
   let free_list = Queue.create () in
   Array.iter (fun addr -> Queue.add addr free_list) order;
-  let files : (int, file) Hashtbl.t = Hashtbl.create 256 in
-  let user_units = ref 0 in
-  let the_file file =
-    match Hashtbl.find_opt files file with
-    | Some f -> f
-    | None -> invalid_arg "Fixed_block: unknown file"
-  in
-  let create_file ~file ~hint:_ =
-    if Hashtbl.mem files file then invalid_arg "Fixed_block: duplicate file";
-    Hashtbl.replace files file { fx = File_extents.create () }
-  in
-  let ensure ~file ~target =
-    let f = the_file file in
-    let rec grow () =
-      if File_extents.allocated_units f.fx >= target then Ok ()
-      else begin
-        match Queue.take_opt free_list with
-        | None -> Error `Disk_full
-        | Some addr ->
-            File_extents.push f.fx (Extent.make ~addr ~len:block_units);
-            user_units := !user_units + block_units;
-            grow ()
-      end
-    in
-    grow ()
-  in
-  let shrink_to ~file ~target =
-    let f = the_file file in
-    let rec drop () =
-      match File_extents.last f.fx with
-      | Some e when File_extents.allocated_units f.fx - e.Extent.len >= target -> begin
-          match File_extents.pop f.fx with
-          | Some e ->
-              Queue.add e.Extent.addr free_list;
-              drop ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
-    in
-    drop ()
-  in
-  let delete ~file =
-    let f = the_file file in
-    File_extents.iter f.fx (fun e -> Queue.add e.Extent.addr free_list);
-    Hashtbl.remove files file
-  in
-  (* Checkpoint: the free list's FIFO order IS the allocation order, so
-     restore transfers the marshalled twin element by element (Queue
-     marshalling preserves order); the file table is lookup-only. *)
-  let ckpt_save () = Marshal.to_string (free_list, files, !user_units) [] in
-  let ckpt_load blob =
-    let twin_free, twin_files, twin_user =
-      (Marshal.from_string blob 0 : int Queue.t * (int, file) Hashtbl.t * int)
-    in
-    Queue.clear free_list;
-    Queue.transfer twin_free free_list;
-    Hashtbl.reset files;
-    Hashtbl.iter (fun k v -> Hashtbl.replace files k v) twin_files;
-    user_units := twin_user
-  in
-  {
-    Policy.name = Printf.sprintf "fixed(%s)" (Rofs_util.Units.to_string cfg.block_bytes);
-    unit_bytes = cfg.unit_bytes;
-    total_units;
-    create_file;
-    file_exists = (fun ~file -> Hashtbl.mem files file);
-    ensure;
-    shrink_to;
-    delete;
-    allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
-    extent_count = (fun ~file -> File_extents.count (the_file file).fx);
-    extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
-    free_units = (fun () -> Queue.length free_list * block_units);
-    largest_free = (fun () -> if Queue.is_empty free_list then 0 else block_units);
-    free_hist =
-      (fun () ->
-        let n = Queue.length free_list in
-        if n = 0 then [] else [ (block_units, n) ]);
-    churn_stats = (fun () -> { Policy.no_churn with cs_user_units = !user_units });
-    ckpt_save;
-    ckpt_load;
-  }
+  Policy.make
+    ~name:(Printf.sprintf "fixed(%s)" (Rofs_util.Units.to_string cfg.block_bytes))
+    ~unit_bytes:cfg.unit_bytes ~total_units
+    ~new_file:(fun _ ~hint:_ -> ())
+    ~take:(fun st ~file:_ _ ~target:_ ->
+      let q = st.Policy.space in
+      if Queue.is_empty q then None else Some (Extent.make ~addr:(Queue.take q) ~len:block_units))
+    ~give:(fun q () e -> Queue.add e.Extent.addr q)
+    ~free_units:(fun q -> Queue.length q * block_units)
+    ~largest_free:(fun q -> if Queue.is_empty q then 0 else block_units)
+    ~free_hist:(fun q ->
+      let n = Queue.length q in
+      if n = 0 then [] else [ (block_units, n) ])
+    free_list

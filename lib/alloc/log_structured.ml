@@ -26,18 +26,13 @@ type segment = {
   residents : (int, unit) Hashtbl.t;  (** files that may own live extents here *)
 }
 
-type file = { fx : File_extents.t }
-
-type t = {
+type space = {
   cfg : config;
   seg_units : int;
-  nsegs : int;
   segments : segment array;
   mutable head : int;  (** index of the active (log head) segment; -1 before first use *)
   mutable clean : IntSet.t;
   mutable dirty : Dirty_set.t;  (** segments with any garbage, keyed by garbage volume *)
-  files : (int, file) Hashtbl.t;
-  mutable user_units : int;  (** units appended for user growth *)
   mutable moved_units : int;  (** live units the cleaner relocated *)
   mutable cleaner_passes : int;  (** successful [clean_one] passes *)
 }
@@ -70,7 +65,7 @@ let maybe_reclaim t s =
     t.clean <- IntSet.add s t.clean
   end
 
-let retire_extent t (e : Extent.t) =
+let retire_extent t () (e : Extent.t) =
   let s = segment_of t e.Extent.addr in
   let seg = t.segments.(s) in
   let old_dead = seg.dead in
@@ -119,7 +114,7 @@ let append_whole t ~file len =
 
 (* Copy one dirty segment's live extents to the log head.  Returns false
    when no suitable candidate exists or space would not permit. *)
-let clean_one t =
+let clean_one t (files : (int, unit Policy.file) Hashtbl.t) =
   (* The victim is the dirtiest non-head segment; cleaning is only
      worthwhile when at least a quarter of it is garbage (reclaiming
      less copies almost a whole segment of live data for nothing, and
@@ -153,9 +148,9 @@ let clean_one t =
       let movers = Hashtbl.fold (fun f () acc -> f :: acc) seg.residents [] in
       List.iter
         (fun f ->
-          match Hashtbl.find_opt t.files f with
+          match Hashtbl.find_opt files f with
           | None -> ()
-          | Some { fx } ->
+          | Some { Policy.fx; _ } ->
               File_extents.relocate fx (fun e ->
                   if e.Extent.addr >= lo && e.Extent.addr < hi then begin
                     match append_whole t ~file:f e.Extent.len with
@@ -181,13 +176,40 @@ let clean_one t =
       true
     end
 
-let maybe_clean t =
+let maybe_clean (st : (unit, space) Policy.state) =
+  let t = st.space in
   if IntSet.cardinal t.clean <= t.cfg.clean_threshold then begin
     let continue_ = ref true in
     while !continue_ && IntSet.cardinal t.clean < t.cfg.clean_target do
-      continue_ := clean_one t
+      continue_ := clean_one t st.files
     done
   end
+
+(* The next extent for a file still short of [target] units: as much of
+   the request as the head segment holds. *)
+let rec take (st : (unit, space) Policy.state) ~file (f : unit Policy.file) ~target =
+  let t = st.space in
+  (* Keep the clean-segment reserve topped up as we consume it: once
+     the log runs out of clean segments, cleaning itself has nowhere to
+     copy survivors (the classic LFS deadlock). *)
+  if IntSet.cardinal t.clean <= t.cfg.clean_threshold then ignore (clean_one t st.files : bool);
+  let remaining = target - File_extents.allocated_units f.fx in
+  let room = if head_space t > 0 then head_space t else t.seg_units in
+  let len = min remaining room in
+  if free_units t < len then
+    (* one more cleaning attempt before giving up *)
+    if clean_one t st.files then take st ~file f ~target else None
+  else append_whole t ~file len
+
+let free_hist t =
+  (* Clean segments are seg-sized free extents; the head's unfilled
+     tail is one more (possibly seg-sized when the head is empty). *)
+  let clean = IntSet.cardinal t.clean in
+  let head = head_space t in
+  if head = 0 then if clean = 0 then [] else [ (t.seg_units, clean) ]
+  else if head = t.seg_units then [ (t.seg_units, clean + 1) ]
+  else if clean = 0 then [ (head, 1) ]
+  else [ (head, 1); (t.seg_units, clean) ]
 
 let create cfg ~total_units =
   if cfg.unit_bytes <= 0 || total_units <= 0 then invalid_arg "Log_structured.create";
@@ -202,138 +224,21 @@ let create cfg ~total_units =
     {
       cfg;
       seg_units;
-      nsegs;
       segments = Array.init nsegs (fun _ -> fresh_segment ());
       head = -1;
       clean = IntSet.of_list (List.init nsegs (fun i -> i));
       dirty = Dirty_set.empty;
-      files = Hashtbl.create 256;
-      user_units = 0;
       moved_units = 0;
       cleaner_passes = 0;
     }
   in
   ignore (switch_head t : bool);
-  let the_file file =
-    match Hashtbl.find_opt t.files file with
-    | Some f -> f
-    | None -> invalid_arg "Log_structured: unknown file"
-  in
-  let create_file ~file ~hint:_ =
-    if Hashtbl.mem t.files file then invalid_arg "Log_structured: duplicate file";
-    Hashtbl.replace t.files file { fx = File_extents.create () }
-  in
-  let ensure ~file ~target =
-    let f = the_file file in
-    maybe_clean t;
-    let rec grow () =
-      let allocated = File_extents.allocated_units f.fx in
-      if allocated >= target then Ok ()
-      else begin
-        (* Keep the clean-segment reserve topped up as we consume it:
-           once the log runs out of clean segments, cleaning itself has
-           nowhere to copy survivors (the classic LFS deadlock). *)
-        if IntSet.cardinal t.clean <= t.cfg.clean_threshold then
-          ignore (clean_one t : bool);
-        let remaining = target - allocated in
-        let room = if head_space t > 0 then head_space t else t.seg_units in
-        let len = min remaining room in
-        if free_units t < len then begin
-          (* one more cleaning attempt before giving up *)
-          if clean_one t then grow () else Error `Disk_full
-        end
-        else begin
-          match append_whole t ~file len with
-          | Some e ->
-              File_extents.push f.fx e;
-              t.user_units <- t.user_units + e.Extent.len;
-              grow ()
-          | None -> Error `Disk_full
-        end
-      end
-    in
-    grow ()
-  in
-  let shrink_to ~file ~target =
-    let f = the_file file in
-    let rec drop () =
-      match File_extents.last f.fx with
-      | Some e when File_extents.allocated_units f.fx - e.Extent.len >= target -> begin
-          match File_extents.pop f.fx with
-          | Some e ->
-              retire_extent t e;
-              drop ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
-    in
-    drop ()
-  in
-  let delete ~file =
-    let f = the_file file in
-    File_extents.iter f.fx (fun e -> retire_extent t e);
-    Hashtbl.remove t.files file
-  in
-  (* Checkpoint: the cleaner folds over each segment's [residents]
-     table, so restore must reproduce the exact bucket layout — element-
-     assigning the marshalled twin segments does (Marshal round-trips a
-     Hashtbl's internal structure verbatim).  The file table itself is
-     lookup-only and re-adds safely. *)
-  let ckpt_save () =
-    Marshal.to_string
-      (t.segments, t.head, t.clean, t.dirty, t.files, t.user_units, t.moved_units,
-       t.cleaner_passes)
-      []
-  in
-  let ckpt_load blob =
-    let segments, head, clean, dirty, files, user_units, moved_units, cleaner_passes =
-      (Marshal.from_string blob 0
-        : segment array * int * IntSet.t * Dirty_set.t * (int, file) Hashtbl.t * int * int
-          * int)
-    in
-    Array.iteri (fun i sg -> t.segments.(i) <- sg) segments;
-    t.head <- head;
-    t.clean <- clean;
-    t.dirty <- dirty;
-    Hashtbl.reset t.files;
-    Hashtbl.iter (fun k v -> Hashtbl.replace t.files k v) files;
-    t.user_units <- user_units;
-    t.moved_units <- moved_units;
-    t.cleaner_passes <- cleaner_passes
-  in
-  {
-    Policy.name =
-      Printf.sprintf "log-structured(%s segments)" (Rofs_util.Units.to_string cfg.segment_bytes);
-    unit_bytes = cfg.unit_bytes;
-    total_units = nsegs * seg_units;
-    create_file;
-    file_exists = (fun ~file -> Hashtbl.mem t.files file);
-    ensure;
-    shrink_to;
-    delete;
-    allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
-    extent_count = (fun ~file -> File_extents.count (the_file file).fx);
-    extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
-    free_units = (fun () -> free_units t);
-    largest_free = (fun () -> max (head_space t) (if IntSet.is_empty t.clean then 0 else t.seg_units));
-    free_hist =
-      (fun () ->
-        (* Clean segments are seg-sized free extents; the head's unfilled
-           tail is one more (possibly seg-sized when the head is empty). *)
-        let clean = IntSet.cardinal t.clean in
-        let head = head_space t in
-        if head = 0 then if clean = 0 then [] else [ (t.seg_units, clean) ]
-        else if head = t.seg_units then [ (t.seg_units, clean + 1) ]
-        else if clean = 0 then [ (head, 1) ]
-        else [ (head, 1); (t.seg_units, clean) ]);
-    churn_stats =
-      (fun () ->
-        {
-          Policy.cs_user_units = t.user_units;
-          cs_moved_units = t.moved_units;
-          cs_cleaner_passes = t.cleaner_passes;
-        });
-    ckpt_save;
-    ckpt_load;
-  }
+  Policy.make
+    ~name:(Printf.sprintf "log-structured(%s segments)" (Rofs_util.Units.to_string cfg.segment_bytes))
+    ~unit_bytes:cfg.unit_bytes ~total_units:(nsegs * seg_units) ~prepare:maybe_clean
+    ~moved:(fun t -> (t.moved_units, t.cleaner_passes))
+    ~new_file:(fun _ ~hint:_ -> ())
+    ~take ~give:retire_extent ~free_units
+    ~largest_free:(fun t ->
+      max (head_space t) (if IntSet.is_empty t.clean then 0 else t.seg_units))
+    ~free_hist t

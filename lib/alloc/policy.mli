@@ -1,9 +1,12 @@
 (** The common face of an allocation policy.
 
-    Each policy (buddy, restricted buddy, extent-based, fixed-block)
-    exposes a value of this record type so the simulator can drive any of
-    them through one interface.  All sizes are in the policy's disk
-    units; {!val-units_of_bytes} / {!val-bytes_of_units} convert.
+    Each policy (buddy, restricted buddy, extent-based, fixed-block,
+    log-structured) exposes a value of this record type so the simulator
+    can drive any of them through one interface.  All sizes are in the
+    policy's disk units; {!val-units_of_bytes} / {!val-bytes_of_units}
+    convert.  Every policy is built by {!make}: the per-file table and
+    the grow/shrink/delete loops are written once here, and a policy
+    module supplies only its free-space structure.
 
     Semantics shared by all policies:
     {ul
@@ -70,18 +73,63 @@ type t = {
           appends vs. data the policy moved on its own), feeding the
           write-cost-per-byte metric.  Counters survive checkpoints. *)
   ckpt_save : unit -> string;
-      (** Opaque serialization of the policy's complete mutable state
-          (free structures, per-file extent maps, internal RNG streams),
-          for checkpointing.  Loading the string back with {!ckpt_load}
-          on a policy built from the same config restores behaviour bit
-          for bit — including iteration order of any internal hash
-          tables whose fold order shapes allocation decisions. *)
+      (** One [Marshal] of the policy's {!state} (file table, counters,
+          free structure, internal RNG streams).  Saving again right
+          after a {!ckpt_load} of the result yields the same bytes. *)
   ckpt_load : string -> unit;
-      (** Restore state produced by this policy shape's [ckpt_save],
-          mutating in place.  Feeding it a blob from a different policy
-          or config is undefined (the engine guards against this with a
-          config fingerprint before calling). *)
+      (** Swap in the state a [ckpt_save] of this policy shape produced;
+          nothing is mutated in place, so every hash table keeps its
+          bucket layout and fold order.  Feeding it a blob from a
+          different policy or config is undefined (the engine guards
+          against this with a config fingerprint before calling). *)
 }
+
+(** {1 Building a policy from its free-space half} *)
+
+type 'f file = { fx : File_extents.t; data : 'f }
+(** One file: its extent list and the policy's own per-file data (the
+    extent size drawn at creation, tier totals, …). *)
+
+type ('f, 's) state = {
+  files : (int, 'f file) Hashtbl.t;
+  mutable user_units : int;  (** units appended by [ensure] *)
+  space : 's;  (** the policy's free-space structure *)
+}
+(** All of a policy's mutable state: one closure-free value, which is
+    what [ckpt_save] marshals and [ckpt_load] swaps in. *)
+
+val make :
+  name:string ->
+  unit_bytes:int ->
+  total_units:int ->
+  ?prepare:(('f, 's) state -> unit) ->
+  ?moved:('s -> int * int) ->
+  new_file:('s -> hint:int -> 'f) ->
+  take:(('f, 's) state -> file:int -> 'f file -> target:int -> Extent.t option) ->
+  give:('s -> 'f -> Extent.t -> unit) ->
+  free_units:('s -> int) ->
+  largest_free:('s -> int) ->
+  free_hist:('s -> (int * int) list) ->
+  's ->
+  t
+(** [make … space] is a policy over the free-space structure [space].
+    [make] owns the file table ([create_file], the lookups, [delete]),
+    the [ensure] loop, the trailing-extent [shrink_to] loop, the
+    [user_units] counter and the checkpoint.  The policy supplies:
+    {ul
+    {- [new_file space ~hint]: the per-file data for a new file;}
+    {- [take st ~file f ~target]: the next extent for [f], which is
+       still short of [target] units, already removed from free space;
+       [None] when none can be had ([`Disk_full]);}
+    {- [give space data e]: return one of the file's extents to free
+       space (on shrink, trailing extents last first; on delete, every
+       extent in logical order);}
+    {- [free_units], [largest_free], [free_hist]: see {!t};}
+    {- [prepare st] (default: nothing): run once per [ensure] before
+       the first [take];}
+    {- [moved space] (default [(0, 0)]): [(cs_moved_units,
+       cs_cleaner_passes)] for {!churn_stats}.}}
+    Unknown or duplicate files raise [Invalid_argument]. *)
 
 val allocated_total : t -> files:int list -> int
 (** Sum of [allocated_units] over [files]. *)

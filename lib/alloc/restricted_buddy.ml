@@ -24,12 +24,11 @@ let paper_block_sizes n =
   | _ -> invalid_arg "Restricted_buddy.paper_block_sizes: expected 2..5"
 
 type file = {
-  fx : File_extents.t;
   tier_totals : int array;  (** units currently allocated per block-size tier *)
   fd_region : int;
 }
 
-type t = {
+type space = {
   cfg : config;
   total_units : int;
   sizes : int array;  (** block sizes in units, increasing; sizes.(0) = 1 *)
@@ -37,9 +36,7 @@ type t = {
   free : IntSet.t array;  (** free.(k): start addresses of free tier-k blocks *)
   mutable free_units : int;
   region_units : int;
-  files : (int, file) Hashtbl.t;
   mutable next_fd_region : int;
-  mutable user_units : int;  (** units handed out for user growth *)
 }
 
 let validate cfg =
@@ -75,8 +72,7 @@ let seed t =
       place (addr + t.sizes.(k))
     end
   in
-  place 0;
-  t.free_units <- t.total_units
+  place 0
 
 let region_of t addr = addr / t.region_units
 let region_start t r = r * t.region_units
@@ -112,21 +108,23 @@ let split t ~j ~k addr =
   done;
   t.free_units <- t.free_units + (t.sizes.(j) - t.sizes.(k))
 
-(* The exact-size-then-split search within one address window.  Returns
-   the allocated tier-k block address, or None. *)
+(* The allocation searches below return the allocated tier-k block
+   address, or -1 when they find none. *)
+
+(* The exact-size-then-split search within one address window. *)
 let alloc_in_window t k ~lo ~hi ~prefer =
   match find_in t k ~lo ~hi ~prefer with
   | Some addr ->
       take t k addr;
-      Some addr
+      addr
   | None ->
       let rec try_split j =
-        if j > t.top then None
+        if j > t.top then -1
         else begin
           match find_in t j ~lo ~hi ~prefer with
           | Some addr ->
               split t ~j ~k addr;
-              Some addr
+              addr
           | None -> try_split (j + 1)
         end
       in
@@ -136,17 +134,17 @@ let alloc_in_window t k ~lo ~hi ~prefer =
 let alloc_exact_anywhere t k ~prefer =
   let pick addr =
     take t k addr;
-    Some addr
+    addr
   in
   match
     if prefer > 0 then IntSet.find_first_opt (fun a -> a >= prefer) t.free.(k) else None
   with
   | Some addr -> pick addr
-  | None -> ( match IntSet.min_elt_opt t.free.(k) with Some addr -> pick addr | None -> None)
+  | None -> ( match IntSet.min_elt_opt t.free.(k) with Some addr -> pick addr | None -> -1)
 
 let split_anywhere t k ~prefer =
   let rec try_split j =
-    if j > t.top then None
+    if j > t.top then -1
     else begin
       let candidate =
         match
@@ -158,7 +156,7 @@ let split_anywhere t k ~prefer =
       match candidate with
       | Some addr ->
           split t ~j ~k addr;
-          Some addr
+          addr
       | None -> try_split (j + 1)
     end
   in
@@ -169,18 +167,15 @@ let split_anywhere t k ~prefer =
    anywhere. *)
 let alloc_clustered t k ~optimal_region ~prefer =
   let lo = region_start t optimal_region and hi = region_end t optimal_region in
-  match alloc_in_window t k ~lo ~hi ~prefer with
-  | Some _ as hit -> hit
-  | None -> begin
-      match alloc_exact_anywhere t k ~prefer with
-      | Some _ as hit -> hit
-      | None -> split_anywhere t k ~prefer
-    end
+  let addr = alloc_in_window t k ~lo ~hi ~prefer in
+  if addr >= 0 then addr
+  else
+    let addr = alloc_exact_anywhere t k ~prefer in
+    if addr >= 0 then addr else split_anywhere t k ~prefer
 
 let alloc_unclustered t k ~prefer =
-  match alloc_exact_anywhere t k ~prefer with
-  | Some _ as hit -> hit
-  | None -> split_anywhere t k ~prefer
+  let addr = alloc_exact_anywhere t k ~prefer in
+  if addr >= 0 then addr else split_anywhere t k ~prefer
 
 (* Eager coalescing: whenever every sibling inside the parent block of
    the next tier is free, replace them with the parent and recurse. *)
@@ -209,9 +204,15 @@ let rec coalesce t k addr =
     end
   end
 
-let release t addr k =
-  coalesce t k addr;
-  t.free_units <- t.free_units + t.sizes.(k)
+let tier_of_size t units =
+  let rec scan k = if t.sizes.(k) = units then k else scan (k + 1) in
+  scan 0
+
+let give t f (e : Extent.t) =
+  let k = tier_of_size t e.len in
+  f.tier_totals.(k) <- f.tier_totals.(k) - e.len;
+  coalesce t k e.addr;
+  t.free_units <- t.free_units + e.len
 
 (* Tier whose blocks the file should allocate next: advance past tier i
    once the file holds grow_factor * sizes.(i+1) units in tier-i
@@ -224,9 +225,70 @@ let tier_of t f =
   in
   scan 0
 
-let tier_of_size t units =
-  let rec scan k = if t.sizes.(k) = units then k else scan (k + 1) in
-  scan 0
+let new_file t ~hint:_ =
+  let fd_region = t.next_fd_region in
+  t.next_fd_region <- (t.next_fd_region + 1) mod region_count t;
+  { tier_totals = Array.make (t.top + 1) 0; fd_region }
+
+let allocate_block t fx f k =
+  let prefer =
+    match File_extents.last fx with
+    | Some e when Extent.end_ e mod t.sizes.(k) = 0 -> Extent.end_ e
+    | Some _ | None -> -1
+  in
+  if t.cfg.clustered then begin
+    let optimal_region =
+      match File_extents.last fx with
+      | Some e -> region_of t e.Extent.addr
+      | None -> f.fd_region
+    in
+    alloc_clustered t k ~optimal_region ~prefer
+  end
+  else alloc_unclustered t k ~prefer
+
+(* The next block for a file still short of [target] units. *)
+let take_block t fx f ~target =
+  let allocated = File_extents.allocated_units fx in
+  (* The grow policy sets the ceiling.  In the (default) tail-bounded
+     mode the block is at most the largest size not exceeding the
+     remaining request — so files do not round up to a whole next-tier
+     block, which is what keeps Figure 1's fragmentation under 6% — but
+     at least the largest size not exceeding an eighth of the file's
+     current allocation: block size keeps growing with the file (the
+     policy's stated principle), appends to big files land in big
+     blocks, and the worst-case waste per file stays near 1/8.  With
+     [tail_bounded] off, the literal grow rule applies — "any file over
+     72K requires a 64K block" (Figure 3) — at the cost of internal
+     fragmentation up to half the top block size per file. *)
+  let k =
+    if t.cfg.tail_bounded then begin
+      let floor_tier limit =
+        let rec scan k = if k = 0 then 0 else if t.sizes.(k) <= limit then k else scan (k - 1) in
+        scan t.top
+      in
+      let remaining = target - allocated in
+      min (tier_of t f) (max (floor_tier remaining) (floor_tier (allocated / 8)))
+    end
+    else tier_of t f
+  in
+  let addr = allocate_block t fx f k in
+  if addr < 0 then None
+  else begin
+    f.tier_totals.(k) <- f.tier_totals.(k) + t.sizes.(k);
+    Some (Extent.make ~addr ~len:t.sizes.(k))
+  end
+
+let largest_free t =
+  let rec scan k = if k < 0 then 0 else if IntSet.is_empty t.free.(k) then scan (k - 1) else t.sizes.(k) in
+  scan t.top
+
+let free_hist t =
+  let acc = ref [] in
+  for k = t.top downto 0 do
+    let c = IntSet.cardinal t.free.(k) in
+    if c > 0 then acc := (t.sizes.(k), c) :: !acc
+  done;
+  !acc
 
 let create cfg ~total_units =
   validate cfg;
@@ -240,157 +302,18 @@ let create cfg ~total_units =
       sizes;
       top;
       free = Array.make (top + 1) IntSet.empty;
-      free_units = 0;
+      free_units = total_units;
       region_units = cfg.region_bytes / cfg.unit_bytes;
-      files = Hashtbl.create 256;
       next_fd_region = 0;
-      user_units = 0;
     }
   in
   seed t;
-  let the_file file =
-    match Hashtbl.find_opt t.files file with
-    | Some f -> f
-    | None -> invalid_arg "Restricted_buddy: unknown file"
-  in
-  let create_file ~file ~hint:_ =
-    if Hashtbl.mem t.files file then invalid_arg "Restricted_buddy: duplicate file";
-    let fd_region = t.next_fd_region in
-    t.next_fd_region <- (t.next_fd_region + 1) mod region_count t;
-    Hashtbl.replace t.files file
-      { fx = File_extents.create (); tier_totals = Array.make (top + 1) 0; fd_region }
-  in
-  let allocate_block f k =
-    let prefer =
-      match File_extents.last f.fx with
-      | Some e when Extent.end_ e mod t.sizes.(k) = 0 -> Extent.end_ e
-      | Some _ | None -> -1
-    in
-    if t.cfg.clustered then begin
-      let optimal_region =
-        match File_extents.last f.fx with
-        | Some e -> region_of t e.Extent.addr
-        | None -> f.fd_region
-      in
-      alloc_clustered t k ~optimal_region ~prefer
-    end
-    else alloc_unclustered t k ~prefer
-  in
-  let ensure ~file ~target =
-    let f = the_file file in
-    let rec grow () =
-      let allocated = File_extents.allocated_units f.fx in
-      if allocated >= target then Ok ()
-      else begin
-        (* The grow policy sets the ceiling.  In the (default)
-           tail-bounded mode the block is at most the largest size not
-           exceeding the remaining request — so files do not round up to
-           a whole next-tier block, which is what keeps Figure 1's
-           fragmentation under 6% — but at least the largest size not
-           exceeding an eighth of the file's current allocation: block
-           size keeps growing with the file (the policy's stated
-           principle), appends to big files land in big blocks, and the
-           worst-case waste per file stays near 1/8.  With
-           [tail_bounded] off, the literal grow rule applies — "any
-           file over 72K requires a 64K block" (Figure 3) — at the cost
-           of internal fragmentation up to half the top block size per
-           file. *)
-        let k =
-          if t.cfg.tail_bounded then begin
-            let floor_tier limit =
-              let rec scan k =
-                if k = 0 then 0 else if t.sizes.(k) <= limit then k else scan (k - 1)
-              in
-              scan t.top
-            in
-            let remaining = target - allocated in
-            min (tier_of t f) (max (floor_tier remaining) (floor_tier (allocated / 8)))
-          end
-          else tier_of t f
-        in
-        match allocate_block f k with
-        | None -> Error `Disk_full
-        | Some addr ->
-            File_extents.push f.fx (Extent.make ~addr ~len:t.sizes.(k));
-            f.tier_totals.(k) <- f.tier_totals.(k) + t.sizes.(k);
-            t.user_units <- t.user_units + t.sizes.(k);
-            grow ()
-      end
-    in
-    grow ()
-  in
-  let shrink_to ~file ~target =
-    let f = the_file file in
-    let rec drop () =
-      match File_extents.last f.fx with
-      | Some e when File_extents.allocated_units f.fx - e.Extent.len >= target -> begin
-          match File_extents.pop f.fx with
-          | Some e ->
-              let k = tier_of_size t e.Extent.len in
-              f.tier_totals.(k) <- f.tier_totals.(k) - e.Extent.len;
-              release t e.Extent.addr k;
-              drop ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
-    in
-    drop ()
-  in
-  let delete ~file =
-    let f = the_file file in
-    File_extents.iter f.fx (fun e -> release t e.Extent.addr (tier_of_size t e.Extent.len));
-    Hashtbl.remove t.files file
-  in
-  let largest_free () =
-    let rec scan k = if k < 0 then 0 else if IntSet.is_empty t.free.(k) then scan (k - 1) else t.sizes.(k) in
-    scan t.top
-  in
-  let free_hist () =
-    let acc = ref [] in
-    for k = t.top downto 0 do
-      let c = IntSet.cardinal t.free.(k) in
-      if c > 0 then acc := (t.sizes.(k), c) :: !acc
-    done;
-    !acc
-  in
   let name =
     Printf.sprintf "restricted-buddy(%d sizes, g=%d, %s)" (top + 1) cfg.grow_factor
       (if cfg.clustered then "clustered" else "unclustered")
   in
-  (* Checkpoint: free sets assign element-wise; the file table is
-     lookup-only, so re-adding the marshalled twin's bindings is exact. *)
-  let ckpt_save () =
-    Marshal.to_string (t.free, t.free_units, t.files, t.next_fd_region, t.user_units) []
-  in
-  let ckpt_load blob =
-    let free, free_units, files, next_fd_region, user_units =
-      (Marshal.from_string blob 0
-        : IntSet.t array * int * (int, file) Hashtbl.t * int * int)
-    in
-    Array.iteri (fun i s -> t.free.(i) <- s) free;
-    t.free_units <- free_units;
-    Hashtbl.reset t.files;
-    Hashtbl.iter (fun k v -> Hashtbl.replace t.files k v) files;
-    t.next_fd_region <- next_fd_region;
-    t.user_units <- user_units
-  in
-  {
-    Policy.name;
-    unit_bytes = cfg.unit_bytes;
-    total_units;
-    create_file;
-    file_exists = (fun ~file -> Hashtbl.mem t.files file);
-    ensure;
-    shrink_to;
-    delete;
-    allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
-    extent_count = (fun ~file -> File_extents.count (the_file file).fx);
-    extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
-    free_units = (fun () -> t.free_units);
-    largest_free;
-    free_hist;
-    churn_stats = (fun () -> { Policy.no_churn with cs_user_units = t.user_units });
-    ckpt_save;
-    ckpt_load;
-  }
+  Policy.make ~name ~unit_bytes:cfg.unit_bytes ~total_units ~new_file
+    ~take:(fun st ~file:_ f ~target -> take_block st.Policy.space f.Policy.fx f.Policy.data ~target)
+    ~give
+    ~free_units:(fun t -> t.free_units)
+    ~largest_free ~free_hist t

@@ -1689,11 +1689,12 @@ let run_sequential_test t =
    for every section that can follow it: the owner's checkpointed data
    is one closure-free record behind one mutable slot, saved with one
    [Marshal] and restored by swapping the decoded record in.  The
-   engine's own section is [t.s]; the array section carries the fault
-   state; the sink and cache sections are their [m] / [st] records.
-   The allocators, the volume, the fault plan and the cache's
-   replacement policy keep hand-written save/load, because closures or
-   first-class modules capture their state. *)
+   engine's own section is [t.s]; the policy section is the allocator's
+   [Policy.state]; the volume section is its [s]; the array section
+   carries the fault state; the sink and cache sections are their [m] /
+   [st] records.  The fault plan and the cache's replacement policy keep
+   hand-written save/load, because closures or first-class modules
+   capture their state. *)
 (* Everything the simulated results depend on that is fixed at engine
    construction: resuming under a different configuration, policy or
    workload would silently compute garbage, so [restore] refuses when
@@ -1708,7 +1709,7 @@ let fingerprint t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( 3 (* fingerprint layout version *),
+          ( 4 (* fingerprint layout version *),
             (c.seed, c.disks, c.stripe_unit_bytes, array_desc, c.scheduler),
             ( c.lower_bound,
               c.upper_bound,
@@ -1786,10 +1787,13 @@ let restore t sections =
      the uninterrupted armed run even if the caller re-armed with a
      different interval (or none — the chain then continues with a
      no-op hook, keeping heap tie-breaking identical).  Only a snapshot
-     that never armed one keeps the caller's.  Same rule for the
-     telemetry cadence. *)
-  if s.ckpt_every_ms <= 0. then s.ckpt_every_ms <- t.s.ckpt_every_ms;
-  if s.tl_every_ms <= 0. then s.tl_every_ms <- t.s.tl_every_ms;
+     that never armed one takes the caller's, and only when the caller
+     armed one: copying an unarmed caller's 0. over the snapshot's
+     changes nothing but the record's sharing, which would make a
+     re-taken engine section differ from the one restored.  Same rule
+     for the telemetry cadence. *)
+  if s.ckpt_every_ms <= 0. && t.s.ckpt_every_ms > 0. then s.ckpt_every_ms <- t.s.ckpt_every_ms;
+  if s.tl_every_ms <= 0. && t.s.tl_every_ms > 0. then s.tl_every_ms <- t.s.tl_every_ms;
   t.s <- s;
   t.resuming <- true
 

@@ -7,36 +7,42 @@ type file_info = {
   mutable slot : int;  (** index in its type's live-file vector *)
 }
 
-type t = {
-  policy : Policy.t;
+(* Everything a checkpoint carries: one closure-free record, saved with
+   one [Marshal] and restored by swapping the decoded record in. *)
+type state = {
   files : (int, file_info) Hashtbl.t;
   by_type : int Vec.t array;
   mutable next_id : int;
   mutable total_logical : int;
 }
 
+type t = { policy : Policy.t; mutable s : state }
+
 let create policy ~ntypes =
   {
     policy;
-    files = Hashtbl.create 1024;
-    by_type = Array.init ntypes (fun _ -> Vec.create ());
-    next_id = 0;
-    total_logical = 0;
+    s =
+      {
+        files = Hashtbl.create 1024;
+        by_type = Array.init ntypes (fun _ -> Vec.create ());
+        next_id = 0;
+        total_logical = 0;
+      };
   }
 
 let policy t = t.policy
 
 let info t file =
-  match Hashtbl.find_opt t.files file with
+  match Hashtbl.find_opt t.s.files file with
   | Some i -> i
   | None -> invalid_arg "Volume: unknown file"
 
 let create_file t ~type_idx ~hint_bytes =
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = t.s.next_id in
+  t.s.next_id <- id + 1;
   t.policy.Policy.create_file ~file:id ~hint:(Policy.units_of_bytes t.policy hint_bytes);
-  let vec = t.by_type.(type_idx) in
-  Hashtbl.replace t.files id { type_idx; logical = 0; slot = Vec.length vec };
+  let vec = t.s.by_type.(type_idx) in
+  Hashtbl.replace t.s.files id { type_idx; logical = 0; slot = Vec.length vec };
   Vec.push vec id;
   id
 
@@ -47,7 +53,7 @@ let grow t ~file ~bytes =
   match t.policy.Policy.ensure ~file ~target with
   | Ok () ->
       i.logical <- i.logical + bytes;
-      t.total_logical <- t.total_logical + bytes;
+      t.s.total_logical <- t.s.total_logical + bytes;
       Ok ()
   | Error `Disk_full -> Error `Disk_full
 
@@ -56,24 +62,24 @@ let truncate t ~file ~bytes =
   let i = info t file in
   let removed = min bytes i.logical in
   i.logical <- i.logical - removed;
-  t.total_logical <- t.total_logical - removed;
+  t.s.total_logical <- t.s.total_logical - removed;
   t.policy.Policy.shrink_to ~file ~target:(Policy.units_of_bytes t.policy i.logical)
 
 let delete t ~file =
   let i = info t file in
   t.policy.Policy.delete ~file;
-  t.total_logical <- t.total_logical - i.logical;
-  Hashtbl.remove t.files file;
+  t.s.total_logical <- t.s.total_logical - i.logical;
+  Hashtbl.remove t.s.files file;
   (* Swap-remove from the type's live vector, patching the moved file's
      slot. *)
-  let vec = t.by_type.(i.type_idx) in
+  let vec = t.s.by_type.(i.type_idx) in
   let last_idx = Vec.length vec - 1 in
   let moved = Vec.get vec last_idx in
   Vec.set vec i.slot moved;
   ignore (Vec.pop vec : int option);
   if moved <> file then (info t moved).slot <- i.slot
 
-let file_exists t ~file = Hashtbl.mem t.files file
+let file_exists t ~file = Hashtbl.mem t.s.files file
 let logical_bytes t ~file = (info t file).logical
 
 let allocated_bytes t ~file =
@@ -83,13 +89,13 @@ let extent_count t ~file = t.policy.Policy.extent_count ~file
 let type_of_file t ~file = (info t file).type_idx
 
 let random_file t rng ~type_idx =
-  let vec = t.by_type.(type_idx) in
+  let vec = t.s.by_type.(type_idx) in
   let n = Vec.length vec in
   if n = 0 then None else Some (Vec.get vec (Rofs_util.Rng.int rng n))
 
-let file_count t ~type_idx = Vec.length t.by_type.(type_idx)
+let file_count t ~type_idx = Vec.length t.s.by_type.(type_idx)
 
-let live_files t = Hashtbl.fold (fun id _ acc -> id :: acc) t.files []
+let live_files t = Hashtbl.fold (fun id _ acc -> id :: acc) t.s.files []
 
 let slice_bytes t ~file ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Volume.slice_bytes";
@@ -107,13 +113,13 @@ let slice_bytes t ~file ~off ~len =
 let total_bytes t = Policy.bytes_of_units t.policy t.policy.Policy.total_units
 let free_bytes t = Policy.bytes_of_units t.policy (t.policy.Policy.free_units ())
 let used_bytes t = total_bytes t - free_bytes t
-let total_logical_bytes t = t.total_logical
+let total_logical_bytes t = t.s.total_logical
 
 let utilization t = float_of_int (used_bytes t) /. float_of_int (total_bytes t)
 
 let internal_fragmentation t =
   let used = used_bytes t in
-  if used = 0 then 0. else float_of_int (used - t.total_logical) /. float_of_int used
+  if used = 0 then 0. else float_of_int (used - t.s.total_logical) /. float_of_int used
 
 let external_fragmentation t = float_of_int (free_bytes t) /. float_of_int (total_bytes t)
 
@@ -137,33 +143,17 @@ let occupancy t ~buckets =
   in
   Hashtbl.iter
     (fun id _ -> List.iter add_extent (t.policy.Policy.extents ~file:id))
-    t.files;
+    t.s.files;
   let per_bucket = float_of_int total /. float_of_int buckets in
   Array.map (fun units -> Float.min 1. (float_of_int units /. per_bucket)) cells
 
-(* Checkpoint the volume's own bookkeeping; the policy underneath has
-   its own [ckpt_save]/[ckpt_load] and is restored separately by the
-   engine.  The file table's iteration order only feeds commutative
-   sums ([occupancy], [mean_extents_per_file]), so re-adding the
-   marshalled twin's bindings restores behaviour exactly. *)
-let ckpt_save t =
-  Marshal.to_string (t.files, t.by_type, t.next_id, t.total_logical) []
-
-let ckpt_load t blob =
-  let files, by_type, next_id, total_logical =
-    (Marshal.from_string blob 0
-      : (int, file_info) Hashtbl.t * int Vec.t array * int * int)
-  in
-  Hashtbl.reset t.files;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.files k v) files;
-  Array.iteri (fun i v -> t.by_type.(i) <- v) by_type;
-  t.next_id <- next_id;
-  t.total_logical <- total_logical
+let ckpt_save t = Marshal.to_string t.s []
+let ckpt_load t blob = t.s <- (Marshal.from_string blob 0 : state)
 
 let mean_extents_per_file t =
-  let n = Hashtbl.length t.files in
+  let n = Hashtbl.length t.s.files in
   if n = 0 then 0.
   else begin
-    let total = Hashtbl.fold (fun id _ acc -> acc + t.policy.Policy.extent_count ~file:id) t.files 0 in
+    let total = Hashtbl.fold (fun id _ acc -> acc + t.policy.Policy.extent_count ~file:id) t.s.files 0 in
     float_of_int total /. float_of_int n
   end

@@ -81,5 +81,5 @@ val ckpt_save : t -> string
     {!Rofs_alloc.Policy.t.ckpt_save}. *)
 
 val ckpt_load : t -> string -> unit
-(** Restore a {!ckpt_save} blob in place on a volume built over the
-    same policy shape. *)
+(** Swap in the bookkeeping a {!ckpt_save} of a volume built over the
+    same policy shape produced; saving again yields the same bytes. *)

@@ -1,6 +1,6 @@
 (* Tests for the allocation layer: extents, per-file extent lists, and
-   the four policies (buddy, restricted buddy, extent-based,
-   fixed-block).  Policy tests use small synthetic address spaces so
+   the five policies (buddy, restricted buddy, extent-based,
+   fixed-block, log-structured).  Policy tests use small synthetic address spaces so
    every interesting boundary is reachable. *)
 
 module Extent = Core.Extent
@@ -685,43 +685,100 @@ let test_lfs_validation () =
            (Log_structured.config ~clean_threshold:4 ~clean_target:4 ())
            ~total_units:4096))
 
-let prop_lfs_churn_invariants =
-  QCheck.Test.make ~name:"log-structured survives churn with disjoint extents" ~count:40
+(* ------------------------------------------------------------------ *)
+(* Every policy *)
+
+let policies =
+  [
+    ("buddy", fun () -> buddy ~total:8192 ());
+    ("restricted buddy", fun () -> rb ~total:8192 ());
+    ("extent", fun () -> ext ~total:8192 ());
+    ("fixed block", fun () -> fixed ~total:8192 ());
+    ("log-structured", fun () -> lfs ~seg:(32 * 1024) ~total:8192 ());
+  ]
+
+(* [steps] random grows, shrinks and delete-then-recreates over files
+   [0, nfiles). *)
+let churn (p : Policy.t) rng ~nfiles ~steps =
+  try
+    for _ = 1 to steps do
+      let f = Rng.int rng nfiles in
+      match Rng.int rng 3 with
+      | 0 ->
+          ignore
+            (p.Policy.ensure ~file:f ~target:(p.Policy.allocated_units ~file:f + 1 + Rng.int rng 60))
+      | 1 -> p.Policy.shrink_to ~file:f ~target:(Rng.int rng (p.Policy.allocated_units ~file:f + 1))
+      | _ ->
+          p.Policy.delete ~file:f;
+          p.Policy.create_file ~file:f ~hint:1
+    done
+  with Invalid_argument _ -> ()
+
+(* After churn: extents are disjoint, each file's allocation is the sum
+   of its extents and free space is non-negative.  Then ckpt_save ->
+   ckpt_load into a fresh policy -> ckpt_save gives the same bytes, and
+   the same further churn leaves both policies with the same extents.
+   Forty files share hash buckets in a 256-bucket table, so a load that
+   rebuilt the file table binding by binding would reorder its chains
+   and change the re-saved bytes. *)
+let prop_churn_invariants name =
+  let make = List.assoc name policies in
+  QCheck.Test.make ~name:(name ^ " survives churn with disjoint extents") ~count:40
     QCheck.(int_bound 1000)
     (fun seed ->
-      let p = lfs ~seg:(32 * 1024) ~total:2048 () in
-      let rng = Rng.create ~seed in
-      let nfiles = 8 in
+      let p = make () in
+      let nfiles = 40 in
       for f = 0 to nfiles - 1 do
         p.Policy.create_file ~file:f ~hint:1
       done;
-      (try
-         for _ = 1 to 300 do
-           let f = Rng.int rng nfiles in
-           match Rng.int rng 3 with
-           | 0 ->
-               ignore
-                 (p.Policy.ensure ~file:f
-                    ~target:(p.Policy.allocated_units ~file:f + 1 + Rng.int rng 60))
-           | 1 ->
-               p.Policy.shrink_to ~file:f
-                 ~target:(Rng.int rng (p.Policy.allocated_units ~file:f + 1))
-           | _ ->
-               p.Policy.delete ~file:f;
-               p.Policy.create_file ~file:f ~hint:1
-         done
-       with Invalid_argument _ -> ());
+      churn p (Rng.create ~seed) ~nfiles ~steps:400;
       let files = List.init nfiles (fun i -> i) in
-      extents_disjoint (all_extents p files)
-      && p.Policy.free_units () >= 0
-      && List.for_all
-           (fun f ->
-             let a = p.Policy.allocated_units ~file:f in
-             let covered =
-               List.fold_left (fun acc e -> acc + e.Extent.len) 0 (p.Policy.extents ~file:f)
-             in
-             a = covered)
-           files)
+      let invariants =
+        extents_disjoint (all_extents p files)
+        && p.Policy.free_units () >= 0
+        && List.for_all
+             (fun f ->
+               let a = p.Policy.allocated_units ~file:f in
+               let covered =
+                 List.fold_left (fun acc e -> acc + e.Extent.len) 0 (p.Policy.extents ~file:f)
+               in
+               a = covered)
+             files
+      in
+      let blob = p.Policy.ckpt_save () in
+      let q = make () in
+      q.Policy.ckpt_load blob;
+      let same_bytes = String.equal blob (q.Policy.ckpt_save ()) in
+      churn p (Rng.create ~seed:(seed + 1)) ~nfiles ~steps:100;
+      churn q (Rng.create ~seed:(seed + 1)) ~nfiles ~steps:100;
+      let same_layout =
+        List.for_all (fun file -> p.Policy.extents ~file = q.Policy.extents ~file) files
+        && p.Policy.free_hist () = q.Policy.free_hist ()
+      in
+      invariants && same_bytes && same_layout)
+
+let test_unknown_and_duplicate_files () =
+  List.iter
+    (fun (name, make) ->
+      let p : Policy.t = make () in
+      p.Policy.create_file ~file:1 ~hint:1;
+      let raises what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "%s: %s did not raise Invalid_argument" name what
+      in
+      raises "duplicate create_file" (fun () -> p.Policy.create_file ~file:1 ~hint:1);
+      check_bool (name ^ ": unknown file does not exist") false (p.Policy.file_exists ~file:2);
+      raises "ensure" (fun () -> ignore (p.Policy.ensure ~file:2 ~target:1));
+      raises "shrink_to" (fun () -> p.Policy.shrink_to ~file:2 ~target:0);
+      raises "delete" (fun () -> p.Policy.delete ~file:2);
+      raises "allocated_units" (fun () -> ignore (p.Policy.allocated_units ~file:2));
+      raises "extent_count" (fun () -> ignore (p.Policy.extent_count ~file:2));
+      raises "extents" (fun () -> ignore (p.Policy.extents ~file:2));
+      raises "slice" (fun () -> ignore (p.Policy.slice ~file:2 ~off:0 ~len:1));
+      p.Policy.delete ~file:1;
+      raises "deleted file" (fun () -> ignore (p.Policy.allocated_units ~file:1)))
+    policies
 
 (* ------------------------------------------------------------------ *)
 (* Policy helpers *)
@@ -770,6 +827,7 @@ let () =
           quick "shrink frees whole extents" test_buddy_shrink_frees_whole_extents;
           quick "regrowth after shrink" test_buddy_regrowth_after_shrink;
           quick "disjoint under churn" test_buddy_extents_disjoint_under_churn;
+          QCheck_alcotest.to_alcotest (prop_churn_invariants "buddy");
         ] );
       ( "restricted buddy",
         [
@@ -785,6 +843,7 @@ let () =
           quick "config validation" test_rb_validation;
           quick "paper block sizes" test_rb_paper_block_sizes;
           QCheck_alcotest.to_alcotest prop_rb_conservation_under_churn;
+          QCheck_alcotest.to_alcotest (prop_churn_invariants "restricted buddy");
         ] );
       ( "extent policy",
         [
@@ -796,6 +855,7 @@ let () =
           quick "range assignment by hint" test_extent_range_assignment_by_hint;
           quick "truncate frees tail" test_extent_truncate_frees_tail;
           QCheck_alcotest.to_alcotest prop_extent_conservation_and_coalescing;
+          QCheck_alcotest.to_alcotest (prop_churn_invariants "extent");
         ] );
       ( "fixed block",
         [
@@ -805,6 +865,7 @@ let () =
           quick "free list recycles" test_fixed_free_list_recycles;
           quick "truncate" test_fixed_truncate;
           quick "bad block size" test_fixed_rejects_bad_block;
+          QCheck_alcotest.to_alcotest (prop_churn_invariants "fixed block");
         ] );
       ( "log structured",
         [
@@ -815,11 +876,12 @@ let () =
           quick "relocation preserves order" test_lfs_relocation_preserves_logical_order;
           quick "disk full" test_lfs_disk_full;
           quick "validation" test_lfs_validation;
-          QCheck_alcotest.to_alcotest prop_lfs_churn_invariants;
+          QCheck_alcotest.to_alcotest (prop_churn_invariants "log-structured");
         ] );
       ( "policy helpers",
         [
           quick "units_of_bytes" test_policy_units_of_bytes;
           quick "utilization" test_policy_utilization;
+          quick "unknown and duplicate files raise" test_unknown_and_duplicate_files;
         ] );
     ]

@@ -19,9 +19,10 @@
    - refusal: mismatched configuration, missing sections, sink
      presence / tracing / ring-capacity mismatches and recording
      engines are refused with Invalid_argument, never a wrong answer;
-   - round trip: with every subsystem live, restore-then-checkpoint
-     reproduces each captured snapshot section by section, and a run
-     finished from the re-taken snapshot matches the uninterrupted one;
+   - round trip: for every allocator with no sink or timeline, and for
+     LFS with every subsystem live, restore-then-checkpoint reproduces
+     each captured snapshot section by section, and a run finished from
+     the re-taken snapshot matches the uninterrupted one;
    - trace codec: truncations and bit flips of a binary trace never
      raise out of Codec.decode.
 
@@ -496,12 +497,23 @@ let round_trip_config =
     cache = Some (C.Cache.config ~mb:16 ~write_mode:C.Cache.Write_back ());
   }
 
-let round_trip_engine () =
-  let engine = Experiment.make_engine ~config:round_trip_config (spec_of "lfs") mini_tp in
-  let sink = C.Sink.create ~trace:true () in
-  Engine.attach_obs engine sink;
-  Engine.attach_timeline engine ~every_ms:2_000.;
-  (engine, sink)
+(* The rows: the rich LFS run above, then every allocator on the plain
+   [ckpt_config] with no sink or timeline attached. *)
+let round_trip_rows =
+  ("lfs", mini_tp, true)
+  :: List.concat_map
+       (fun w -> List.map (fun p -> (p, w, false)) [ "buddy"; "restricted"; "extent"; "fixed"; "lfs" ])
+       [ mini_tp; mini_ts ]
+
+let round_trip_engine (policy, w, rich) =
+  if rich then begin
+    let engine = Experiment.make_engine ~config:round_trip_config (spec_of policy) w in
+    let sink = C.Sink.create ~trace:true () in
+    Engine.attach_obs engine sink;
+    Engine.attach_timeline engine ~every_ms:2_000.;
+    (engine, Some sink)
+  end
+  else (Experiment.make_engine ~config:ckpt_config (spec_of policy) w, None)
 
 (* Finish the protocol; everything a resumed run reports or exports. *)
 let round_trip_finish (engine, sink) =
@@ -510,7 +522,7 @@ let round_trip_finish (engine, sink) =
   let seq = Engine.run_sequential_test engine in
   let json = C.Obs.Json.to_string in
   let trace =
-    match C.Sink.trace_ref sink with
+    match Option.bind sink C.Sink.trace_ref with
     | Some ring -> json (C.Obs.Trace.chrome_json ring)
     | None -> ""
   in
@@ -521,38 +533,47 @@ let round_trip_finish (engine, sink) =
   in
   ( (app, seq),
     (Engine.fault_report engine, Engine.cache_report engine),
-    (json (C.Sink.to_json sink), trace, timeline) )
+    (Option.fold ~none:"" ~some:(fun s -> json (C.Sink.to_json s)) sink, trace, timeline) )
 
+(* Every snapshot is restored and re-taken; the rich row finishes a run
+   from every re-taken snapshot, the plain rows from the middle one. *)
 let test_restore_checkpoint_round_trip () =
-  let engine, sink = round_trip_engine () in
-  let snaps = ref [] in
-  Engine.set_checkpoint engine ~every_ms:3_000. (fun () ->
-      snaps := Engine.checkpoint engine :: !snaps);
-  let (app, seq), reports, exports = round_trip_finish (engine, sink) in
-  let snaps = List.rev !snaps in
-  check_bool "captured snapshots" true (List.length snaps >= 3);
-  List.iteri
-    (fun i s ->
-      let fresh = round_trip_engine () in
-      Engine.restore (fst fresh) s;
-      let again = Engine.checkpoint (fst fresh) in
-      Alcotest.(check (list string)) (Printf.sprintf "snapshot %d section names" i) (List.map fst s)
-        (List.map fst again);
-      List.iter2
-        (fun (name, a) (_, b) ->
-          if not (String.equal a b) then
-            Alcotest.failf "snapshot %d: section %S does not round-trip (%d vs %d bytes)" i name
-              (String.length a) (String.length b))
-        s again;
-      let resumed = round_trip_engine () in
-      Engine.restore (fst resumed) again;
-      let (rapp, rseq), rreports, rexports = round_trip_finish resumed in
-      let name = Printf.sprintf "snapshot %d resumed" i in
-      check_tp_equal (name ^ " app") app rapp;
-      check_tp_equal (name ^ " seq") seq rseq;
-      check_bool (name ^ ": fault and cache reports") true (reports = rreports);
-      check_bool (name ^ ": sink, trace and timeline exports") true (exports = rexports))
-    snaps
+  List.iter
+    (fun ((policy, w, rich) as row) ->
+      let row_name = Printf.sprintf "%s/%s" policy w.Workload.name in
+      let engine, sink = round_trip_engine row in
+      let snaps = ref [] in
+      Engine.set_checkpoint engine ~every_ms:3_000. (fun () ->
+          snaps := Engine.checkpoint engine :: !snaps);
+      let (app, seq), reports, exports = round_trip_finish (engine, sink) in
+      let snaps = List.rev !snaps in
+      check_bool (row_name ^ ": captured snapshots") true (List.length snaps >= 3);
+      List.iteri
+        (fun i s ->
+          let fresh = round_trip_engine row in
+          Engine.restore (fst fresh) s;
+          let again = Engine.checkpoint (fst fresh) in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s snapshot %d section names" row_name i)
+            (List.map fst s) (List.map fst again);
+          List.iter2
+            (fun (name, a) (_, b) ->
+              if not (String.equal a b) then
+                Alcotest.failf "%s snapshot %d: section %S does not round-trip (%d vs %d bytes)"
+                  row_name i name (String.length a) (String.length b))
+            s again;
+          if rich || i = List.length snaps / 2 then begin
+            let resumed = round_trip_engine row in
+            Engine.restore (fst resumed) again;
+            let (rapp, rseq), rreports, rexports = round_trip_finish resumed in
+            let name = Printf.sprintf "%s snapshot %d resumed" row_name i in
+            check_tp_equal (name ^ " app") app rapp;
+            check_tp_equal (name ^ " seq") seq rseq;
+            check_bool (name ^ ": fault and cache reports") true (reports = rreports);
+            check_bool (name ^ ": sink, trace and timeline exports") true (exports = rexports)
+          end)
+        snaps)
+    round_trip_rows
 
 (* ------------------------------------------------------------------ *)
 (* Container: round-trip, truncation sweep, bit-flip sweep             *)
