@@ -4,8 +4,6 @@ type churn_stats = {
   cs_cleaner_passes : int;
 }
 
-let no_churn = { cs_user_units = 0; cs_moved_units = 0; cs_cleaner_passes = 0 }
-
 let write_cost cs =
   if cs.cs_user_units = 0 then 1.0
   else

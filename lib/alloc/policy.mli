@@ -34,10 +34,6 @@ type churn_stats = {
       (** Number of successful cleaner passes (segments reclaimed). *)
 }
 
-val no_churn : churn_stats
-(** All-zero counters — what policies without internal data movement
-    start from. *)
-
 val write_cost : churn_stats -> float
 (** Write cost per user byte:
     [(user + moved) / user], the classic LFS cleaner-overhead metric.

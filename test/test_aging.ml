@@ -133,7 +133,8 @@ let test_update_in_place_allocators_never_move_data () =
     policies
 
 let test_write_cost_empty () =
-  check_exact_float "no user writes reads as cost 1" 1. (Policy.write_cost Policy.no_churn)
+  check_exact_float "no user writes reads as cost 1" 1.
+    (Policy.write_cost { Policy.cs_user_units = 0; cs_moved_units = 0; cs_cleaner_passes = 0 })
 
 (* ------------------------------------------------------------------ *)
 (* Cleaner termination at 100% occupancy                               *)

@@ -690,11 +690,11 @@ let test_lfs_validation () =
 
 let policies =
   [
-    ("buddy", fun () -> buddy ~total:8192 ());
-    ("restricted buddy", fun () -> rb ~total:8192 ());
-    ("extent", fun () -> ext ~total:8192 ());
-    ("fixed block", fun () -> fixed ~total:8192 ());
-    ("log-structured", fun () -> lfs ~seg:(32 * 1024) ~total:8192 ());
+    ("buddy", fun () -> buddy ());
+    ("restricted buddy", fun () -> rb ());
+    ("extent", fun () -> ext ());
+    ("fixed block", fun () -> fixed ());
+    ("log-structured", fun () -> lfs ~seg:(32 * 1024) ());
   ]
 
 (* [steps] random grows, shrinks and delete-then-recreates over files
@@ -720,7 +720,10 @@ let churn (p : Policy.t) rng ~nfiles ~steps =
    the same further churn leaves both policies with the same extents.
    Forty files share hash buckets in a 256-bucket table, so a load that
    rebuilt the file table binding by binding would reorder its chains
-   and change the re-saved bytes. *)
+   and change the re-saved bytes.  On 1024 units the churn runs every
+   policy into Disk_full on most seeds and the log-structured cleaner
+   on every seed; the property checks the latter, so the round trip
+   covers relocated extents. *)
 let prop_churn_invariants name =
   let make = List.assoc name policies in
   QCheck.Test.make ~name:(name ^ " survives churn with disjoint extents") ~count:40
@@ -733,8 +736,12 @@ let prop_churn_invariants name =
       done;
       churn p (Rng.create ~seed) ~nfiles ~steps:400;
       let files = List.init nfiles (fun i -> i) in
+      let cleaned =
+        name <> "log-structured" || (p.Policy.churn_stats ()).Policy.cs_cleaner_passes > 0
+      in
       let invariants =
-        extents_disjoint (all_extents p files)
+        cleaned
+        && extents_disjoint (all_extents p files)
         && p.Policy.free_units () >= 0
         && List.for_all
              (fun f ->
