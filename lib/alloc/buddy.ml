@@ -102,10 +102,11 @@ let create config ~total_units =
       | Some _ | None -> -1
     in
     let addr = take_order t k ~prefer in
-    if addr < 0 then None
+    if addr < 0 then false
     else begin
       t.free_units <- t.free_units - order_size k;
-      Some (Extent.make ~addr ~len:(order_size k))
+      File_extents.push f.fx (Extent.make ~addr ~len:(order_size k));
+      true
     end
   in
   Policy.make ~name:"buddy" ~unit_bytes:config.unit_bytes ~total_units

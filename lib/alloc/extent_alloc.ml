@@ -1,12 +1,14 @@
 module Free_tree = Rofs_util.Free_tree
 
-(* Secondary index for best fit: free extents ordered by (len, addr), so
-   the first element with len >= want is the smallest adequate extent,
-   lowest-addressed among equals. *)
+(* Best fit's by-size index: free extents ordered by (len, addr), so the
+   first element with len >= want is the smallest adequate extent,
+   lowest-addressed among equals.  First fit needs no such index. *)
 module Size_set = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare (l1, a1) (l2, a2) =
+    let c = Int.compare l1 l2 in
+    if c <> 0 then c else Int.compare a1 a2
 end)
 
 type fit = First_fit | Best_fit
@@ -19,35 +21,45 @@ let config ?(unit_bytes = 1024) ?(fit = First_fit) ~range_means_bytes () =
 type space = {
   cfg : config;
   mutable tree : Free_tree.t;
-  mutable by_size : Size_set.t;
+  mutable by_size : Size_set.t;  (** best fit only; empty under first fit *)
   rng : Rofs_util.Rng.t;  (** per-file extent-size draws *)
 }
 
-let insert_free t ~addr ~len =
-  t.tree <- Free_tree.insert t.tree ~addr ~len;
-  t.by_size <- Size_set.add (len, addr) t.by_size
+let index t ~addr ~len =
+  match t.cfg.fit with
+  | Best_fit -> t.by_size <- Size_set.add (len, addr) t.by_size
+  | First_fit -> ()
 
-let remove_free t ~addr ~len =
-  t.tree <- Free_tree.remove t.tree ~addr;
-  t.by_size <- Size_set.remove (len, addr) t.by_size
+let unindex t ~addr ~len =
+  match t.cfg.fit with
+  | Best_fit -> t.by_size <- Size_set.remove (len, addr) t.by_size
+  | First_fit -> ()
 
-(* Free with immediate coalescing against both neighbours. *)
+(* The free extent [(addr, len)] becomes [(new_addr, new_len)]; no other
+   free extent starts between the two addresses. *)
+let reshape t ~addr ~len ~new_addr ~new_len =
+  unindex t ~addr ~len;
+  t.tree <- Free_tree.replace t.tree ~addr ~new_addr ~len:new_len;
+  index t ~addr:new_addr ~len:new_len
+
+(* Free with immediate coalescing against both neighbours: extend the
+   predecessor, move the successor's key down over the freed run, or
+   both (the successor folds into the predecessor).  Only an isolated
+   run is a new extent. *)
 let release t ~addr ~len =
-  let addr, len =
-    match Free_tree.pred t.tree ~addr with
-    | Some (paddr, plen) when paddr + plen = addr ->
-        remove_free t ~addr:paddr ~len:plen;
-        (paddr, plen + len)
-    | Some _ | None -> (addr, len)
-  in
-  let len =
-    match Free_tree.succ t.tree ~addr with
-    | Some (saddr, slen) when addr + len = saddr ->
-        remove_free t ~addr:saddr ~len:slen;
-        len + slen
-    | Some _ | None -> len
-  in
-  insert_free t ~addr ~len
+  let stop = addr + len in
+  match (Free_tree.pred t.tree ~addr, Free_tree.succ t.tree ~addr) with
+  | Some (paddr, plen), Some (saddr, slen) when paddr + plen = addr && stop = saddr ->
+      unindex t ~addr:saddr ~len:slen;
+      t.tree <- Free_tree.remove t.tree ~addr:saddr;
+      reshape t ~addr:paddr ~len:plen ~new_addr:paddr ~new_len:(plen + len + slen)
+  | Some (paddr, plen), _ when paddr + plen = addr ->
+      reshape t ~addr:paddr ~len:plen ~new_addr:paddr ~new_len:(plen + len)
+  | _, Some (saddr, slen) when stop = saddr ->
+      reshape t ~addr:saddr ~len:slen ~new_addr:addr ~new_len:(len + slen)
+  | _ ->
+      t.tree <- Free_tree.insert t.tree ~addr ~len;
+      index t ~addr ~len
 
 let find_fit t want =
   match t.cfg.fit with
@@ -58,13 +70,27 @@ let find_fit t want =
       | None -> None
     end
 
-let claim t want =
+(* Carve as many [want]-unit pieces off the front of one fit as the file
+   still needs and the fit holds, in a single update.  This is exactly
+   that many successive one-piece claims: under first fit no lower
+   extent has changed, and under best fit no free extent is as short as
+   [len] yet at least [want], so each remainder is the next fit. *)
+let claim t fx ~want ~target =
   match find_fit t want with
-  | None -> None
+  | None -> false
   | Some (addr, len) ->
-      remove_free t ~addr ~len;
-      if len > want then insert_free t ~addr:(addr + want) ~len:(len - want);
-      Some (Extent.make ~addr ~len:want)
+      let needed = target - File_extents.allocated_units fx in
+      let k = min (len / want) ((needed + want - 1) / want) in
+      let used = k * want in
+      if used = len then begin
+        unindex t ~addr ~len;
+        t.tree <- Free_tree.remove t.tree ~addr
+      end
+      else reshape t ~addr ~len ~new_addr:(addr + used) ~new_len:(len - used);
+      for i = 0 to k - 1 do
+        File_extents.push fx (Extent.make ~addr:(addr + (i * want)) ~len:want)
+      done;
+      true
 
 (* A file's extent size: a draw from the range whose mean is nearest its
    allocation hint, std 10% of the mean, rounded to whole units. *)
@@ -85,31 +111,27 @@ let draw_extent_units t ~hint =
   let bytes = Rofs_util.Dist.normal_positive t.rng ~mean ~std:(0.1 *. mean) in
   max 1 (int_of_float (Float.round (bytes /. float_of_int t.cfg.unit_bytes)))
 
+(* Sorted free lengths, grouped into (size, count). *)
 let free_hist t =
-  (* [by_size] iterates in (len, addr) order, so runs of equal lengths
-     are consecutive — group them into (size, count). *)
-  let pairs =
-    Size_set.fold
-      (fun (len, _addr) acc ->
-        match acc with
-        | (l, c) :: rest when l = len -> (l, c + 1) :: rest
-        | _ -> (len, 1) :: acc)
-      t.by_size []
-  in
-  List.rev pairs
+  Free_tree.fold t.tree ~init:[] ~f:(fun acc ~addr:_ ~len -> len :: acc)
+  |> List.sort (fun a b -> Int.compare b a)
+  |> List.fold_left
+       (fun acc len ->
+         match acc with (l, c) :: rest when l = len -> (l, c + 1) :: rest | _ -> (len, 1) :: acc)
+       []
 
 let create cfg ~total_units ~rng =
   if cfg.unit_bytes <= 0 || total_units <= 0 then invalid_arg "Extent_alloc.create";
   if cfg.range_means_bytes = [] then invalid_arg "Extent_alloc.create: no extent ranges";
   let t = { cfg; tree = Free_tree.empty; by_size = Size_set.empty; rng } in
-  insert_free t ~addr:0 ~len:total_units;
+  release t ~addr:0 ~len:total_units;
   let name =
     Printf.sprintf "extent(%s, %d ranges)"
       (match cfg.fit with First_fit -> "first-fit" | Best_fit -> "best-fit")
       (List.length cfg.range_means_bytes)
   in
   Policy.make ~name ~unit_bytes:cfg.unit_bytes ~total_units ~new_file:draw_extent_units
-    ~take:(fun st ~file:_ f ~target:_ -> claim st.Policy.space f.Policy.data)
+    ~take:(fun st ~file:_ f ~target -> claim st.Policy.space f.Policy.fx ~want:f.Policy.data ~target)
     ~give:(fun t _ e -> release t ~addr:e.Extent.addr ~len:e.Extent.len)
     ~free_units:(fun t -> Free_tree.total_len t.tree)
     ~largest_free:(fun t -> Free_tree.max_len t.tree)

@@ -6,7 +6,11 @@ type t = { extents : Extent.t Vec.t; ends : int Vec.t }
 
 let create () = { extents = Vec.create (); ends = Vec.create () }
 
-let allocated_units t = match Vec.last t.ends with None -> 0 | Some e -> e
+(* Read in place: this runs on every grow step, slice and probe, and
+   [Vec.last] would box an option each time. *)
+let allocated_units t =
+  let n = Vec.length t.ends in
+  if n = 0 then 0 else Vec.get t.ends (n - 1)
 
 let push t extent =
   let total = allocated_units t + extent.Extent.len in

@@ -25,9 +25,13 @@ let create cfg ~total_units ~rng =
     ~name:(Printf.sprintf "fixed(%s)" (Rofs_util.Units.to_string cfg.block_bytes))
     ~unit_bytes:cfg.unit_bytes ~total_units
     ~new_file:(fun _ ~hint:_ -> ())
-    ~take:(fun st ~file:_ _ ~target:_ ->
+    ~take:(fun st ~file:_ f ~target:_ ->
       let q = st.Policy.space in
-      if Queue.is_empty q then None else Some (Extent.make ~addr:(Queue.take q) ~len:block_units))
+      if Queue.is_empty q then false
+      else begin
+        File_extents.push f.Policy.fx (Extent.make ~addr:(Queue.take q) ~len:block_units);
+        true
+      end)
     ~give:(fun q () e -> Queue.add e.Extent.addr q)
     ~free_units:(fun q -> Queue.length q * block_units)
     ~largest_free:(fun q -> if Queue.is_empty q then 0 else block_units)

@@ -97,19 +97,19 @@ let switch_head t =
       end;
       true
 
-(* Append [len] units (len <= segment size) as one extent for [file];
-   the caller guarantees space exists somewhere in the log. *)
+(* Append [len] units (len <= segment size) as one extent for [file]
+   and return its address, or -1 when no segment can take it. *)
 let append_whole t ~file len =
   assert (len > 0 && len <= t.seg_units);
   let ok = if head_space t < len then switch_head t else true in
-  if not ok then None
+  if not ok then -1
   else begin
     let seg = t.segments.(t.head) in
     let addr = (t.head * t.seg_units) + seg.filled in
     seg.filled <- seg.filled + len;
     seg.live <- seg.live + len;
     Hashtbl.replace seg.residents file ();
-    Some (Extent.make ~addr ~len)
+    addr
   end
 
 (* Copy one dirty segment's live extents to the log head.  Returns false
@@ -153,15 +153,13 @@ let clean_one t (files : (int, unit Policy.file) Hashtbl.t) =
           | Some { Policy.fx; _ } ->
               File_extents.relocate fx (fun e ->
                   if e.Extent.addr >= lo && e.Extent.addr < hi then begin
-                    match append_whole t ~file:f e.Extent.len with
-                    | Some fresh ->
-                        seg.live <- seg.live - e.Extent.len;
-                        t.moved_units <- t.moved_units + e.Extent.len;
-                        Some fresh.Extent.addr
-                    | None ->
-                        (* free_units was checked above; appends of
-                           segment-bounded extents cannot fail here *)
-                        assert false
+                    let fresh = append_whole t ~file:f e.Extent.len in
+                    (* free_units was checked above; appends of
+                       segment-bounded extents cannot fail here *)
+                    assert (fresh >= 0);
+                    seg.live <- seg.live - e.Extent.len;
+                    t.moved_units <- t.moved_units + e.Extent.len;
+                    Some fresh
                   end
                   else None))
         movers;
@@ -185,8 +183,8 @@ let maybe_clean (st : (unit, space) Policy.state) =
     done
   end
 
-(* The next extent for a file still short of [target] units: as much of
-   the request as the head segment holds. *)
+(* Append the next extent for a file still short of [target] units: as
+   much of the request as the head segment holds. *)
 let rec take (st : (unit, space) Policy.state) ~file (f : unit Policy.file) ~target =
   let t = st.space in
   (* Keep the clean-segment reserve topped up as we consume it: once
@@ -198,8 +196,15 @@ let rec take (st : (unit, space) Policy.state) ~file (f : unit Policy.file) ~tar
   let len = min remaining room in
   if free_units t < len then
     (* one more cleaning attempt before giving up *)
-    if clean_one t st.files then take st ~file f ~target else None
-  else append_whole t ~file len
+    clean_one t st.files && take st ~file f ~target
+  else begin
+    let addr = append_whole t ~file len in
+    if addr < 0 then false
+    else begin
+      File_extents.push f.fx (Extent.make ~addr ~len);
+      true
+    end
+  end
 
 let free_hist t =
   (* Clean segments are seg-sized free extents; the head's unfilled

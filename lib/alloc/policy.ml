@@ -56,14 +56,13 @@ let make ~name ~unit_bytes ~total_units ?(prepare = ignore) ?(moved = fun _ -> (
     Hashtbl.replace st.files file { fx = File_extents.create (); data = new_file st.space ~hint }
   in
   let rec grow st ~file f ~target =
-    if File_extents.allocated_units f.fx >= target then Ok ()
-    else
-      match take st ~file f ~target with
-      | None -> Error `Disk_full
-      | Some e ->
-          File_extents.push f.fx e;
-          st.user_units <- st.user_units + e.Extent.len;
-          grow st ~file f ~target
+    let before = File_extents.allocated_units f.fx in
+    if before >= target then Ok ()
+    else if take st ~file f ~target then begin
+      st.user_units <- st.user_units + (File_extents.allocated_units f.fx - before);
+      grow st ~file f ~target
+    end
+    else Error `Disk_full
   in
   let ensure ~file ~target =
     let st = !slot in

@@ -101,7 +101,7 @@ val make :
   ?prepare:(('f, 's) state -> unit) ->
   ?moved:('s -> int * int) ->
   new_file:('s -> hint:int -> 'f) ->
-  take:(('f, 's) state -> file:int -> 'f file -> target:int -> Extent.t option) ->
+  take:(('f, 's) state -> file:int -> 'f file -> target:int -> bool) ->
   give:('s -> 'f -> Extent.t -> unit) ->
   free_units:('s -> int) ->
   largest_free:('s -> int) ->
@@ -114,9 +114,13 @@ val make :
     [user_units] counter and the checkpoint.  The policy supplies:
     {ul
     {- [new_file space ~hint]: the per-file data for a new file;}
-    {- [take st ~file f ~target]: the next extent for [f], which is
-       still short of [target] units, already removed from free space;
-       [None] when none can be had ([`Disk_full]);}
+    {- [take st ~file f ~target]: append at least one extent to
+       [f.fx] ([f] is still short of [target] units), already removed
+       from free space, and return [true]; return [false] when none can
+       be had ([`Disk_full]).  A policy may append several extents in
+       one call (the extent policy carves a whole run from one free
+       extent); [ensure] credits [user_units] with the growth of the
+       file's allocation and calls [take] again while it is short;}
     {- [give space data e]: return one of the file's extents to free
        space (on shrink, trailing extents last first; on delete, every
        extent in logical order);}

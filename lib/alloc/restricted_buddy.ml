@@ -272,10 +272,11 @@ let take_block t fx f ~target =
     else tier_of t f
   in
   let addr = allocate_block t fx f k in
-  if addr < 0 then None
+  if addr < 0 then false
   else begin
     f.tier_totals.(k) <- f.tier_totals.(k) + t.sizes.(k);
-    Some (Extent.make ~addr ~len:t.sizes.(k))
+    File_extents.push fx (Extent.make ~addr ~len:t.sizes.(k));
+    true
   end
 
 let largest_free t =

@@ -1790,10 +1790,10 @@ let restore t sections =
      that never armed one takes the caller's, and only when the caller
      armed one: copying an unarmed caller's 0. over the snapshot's
      changes nothing but the record's sharing, which would make a
-     re-taken engine section differ from the one restored.  Same rule
-     for the telemetry cadence. *)
+     re-taken engine section differ from the one restored.  The
+     telemetry cadence needs no such rule: timeline presence must match
+     (checked above), so the snapshot always carries one. *)
   if s.ckpt_every_ms <= 0. && t.s.ckpt_every_ms > 0. then s.ckpt_every_ms <- t.s.ckpt_every_ms;
-  if s.tl_every_ms <= 0. && t.s.tl_every_ms > 0. then s.tl_every_ms <- t.s.tl_every_ms;
   t.s <- s;
   t.resuming <- true
 

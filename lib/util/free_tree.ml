@@ -113,23 +113,53 @@ let rec remove t ~addr =
           end
       end
 
-let pred t ~addr =
-  let rec go t best =
-    match t with
-    | Leaf -> best
-    | Node n ->
-        if n.addr < addr then go n.right (Some (n.addr, n.len)) else go n.left best
-  in
-  go t None
+(* [pred]/[succ] carry the best node seen so far, not an option, so the
+   descent allocates only the one result. *)
+let found = function Leaf -> None | Node n -> Some (n.addr, n.len)
 
-let succ t ~addr =
-  let rec go t best =
-    match t with
-    | Leaf -> best
-    | Node n ->
-        if n.addr > addr then go n.left (Some (n.addr, n.len)) else go n.right best
-  in
-  go t None
+let rec pred_below t ~addr best =
+  match t with
+  | Leaf -> found best
+  | Node n -> if n.addr < addr then pred_below n.right ~addr t else pred_below n.left ~addr best
+
+let rec succ_above t ~addr best =
+  match t with
+  | Leaf -> found best
+  | Node n -> if n.addr > addr then succ_above n.left ~addr t else succ_above n.right ~addr best
+
+let pred t ~addr = pred_below t ~addr Leaf
+let succ t ~addr = succ_above t ~addr Leaf
+
+let rec max_key = function
+  | Leaf -> min_int
+  | Node { right = Leaf; addr; _ } -> addr
+  | Node { right; _ } -> max_key right
+
+let rec min_key = function
+  | Leaf -> max_int
+  | Node { left = Leaf; addr; _ } -> addr
+  | Node { left; _ } -> min_key left
+
+(* One path copy: every node keeps its height, so no rotation.  [lo] and
+   [hi] are the nearest ancestor keys on either side of the path; with
+   the target's own subtrees they bound where its new key may go. *)
+let rec replace_in t ~addr ~new_addr ~len ~lo ~hi =
+  match t with
+  | Leaf -> invalid_arg "Free_tree.replace: absent address"
+  | Node n ->
+      if addr < n.addr then
+        node (replace_in n.left ~addr ~new_addr ~len ~lo ~hi:n.addr) n.addr n.len n.right
+      else if addr > n.addr then
+        node n.left n.addr n.len (replace_in n.right ~addr ~new_addr ~len ~lo:n.addr ~hi)
+      else if
+        (new_addr < addr && new_addr <= max lo (max_key n.left))
+        || (new_addr > addr && new_addr >= min hi (min_key n.right))
+      then invalid_arg "Free_tree.replace: new address out of order"
+      else node n.left new_addr len n.right
+
+let replace t ~addr ~new_addr ~len =
+  if len <= 0 then invalid_arg "Free_tree.replace: non-positive length";
+  replace_in t ~addr ~new_addr ~len ~lo:min_int ~hi:max_int
 
 (* Lowest-addressed node with len >= want: explore left subtree first if
    it can contain a fit, then the node, then the right subtree.  The

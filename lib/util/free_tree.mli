@@ -7,8 +7,8 @@
     where a scan over an address-ordered list would be O(n).
 
     The tree stores extents as given; callers wanting coalescing look up
-    neighbours with {!pred}/{!succ} and re-insert merged extents.
-    Persistent (immutable) structure. *)
+    neighbours with {!pred}/{!succ} and grow, move or insert extents with
+    {!replace}/{!insert}.  Persistent (immutable) structure. *)
 
 type t
 
@@ -34,6 +34,15 @@ val insert : t -> addr:int -> len:int -> t
 
 val remove : t -> addr:int -> t
 (** Returns the tree unchanged when [addr] is absent. *)
+
+val replace : t -> addr:int -> new_addr:int -> len:int -> t
+(** [replace t ~addr ~new_addr ~len] swaps the extent keyed at [addr]
+    for [(new_addr, len)] in one root-to-node path copy, with no
+    rebalancing: carving the front off a free extent, growing one in
+    place, or moving a key down over freed space.  Requires [len > 0],
+    an extent at [addr], and no other key in the closed range between
+    [addr] and [new_addr]; raises [Invalid_argument] otherwise.  Like
+    {!insert}, it does not check for overlap. *)
 
 val pred : t -> addr:int -> (int * int) option
 (** Extent with the greatest start address strictly below [addr]. *)

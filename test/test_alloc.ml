@@ -518,6 +518,215 @@ let prop_extent_conservation_and_coalescing =
       && p.Policy.free_units () = p.Policy.total_units
       && p.Policy.largest_free () = p.Policy.total_units)
 
+(* A naive reference for the extent policy: free space is an
+   address-sorted list of (addr, len); a claim takes the lowest adequate
+   extent (first fit) or the smallest, lowest-addressed among equals
+   (best fit) and carves its front; a release coalesces with both
+   neighbours.  Each file's extent size is drawn by the policy's own
+   rule from a generator with the same seed. *)
+module Extent_model = struct
+  type file = { want : int; mutable rev : (int * int) list (* last extent first *) }
+
+  type t = {
+    fit : Extent_alloc.fit;
+    means : int list;
+    rng : Rng.t;
+    mutable free : (int * int) list;
+    files : (int, file) Hashtbl.t;
+  }
+
+  let create ~fit ~means ~total ~seed =
+    { fit; means; rng = Rng.create ~seed; free = [ (0, total) ]; files = Hashtbl.create 16 }
+
+  let draw m ~hint =
+    let hint_bytes = float_of_int (hint * 1024) in
+    let dist mean = Float.abs (float_of_int mean -. hint_bytes) in
+    let mean =
+      List.fold_left (fun b x -> if dist x < dist b then x else b) (List.hd m.means) m.means
+    in
+    let mean = float_of_int mean in
+    let bytes = Core.Dist.normal_positive m.rng ~mean ~std:(0.1 *. mean) in
+    max 1 (int_of_float (Float.round (bytes /. 1024.)))
+
+  let create_file m ~file ~hint = Hashtbl.replace m.files file { want = draw m ~hint; rev = [] }
+
+  let allocated f = List.fold_left (fun acc (_, l) -> acc + l) 0 f.rev
+
+  let claim m want =
+    let fit =
+      match m.fit with
+      | Extent_alloc.First_fit -> List.find_opt (fun (_, l) -> l >= want) m.free
+      | Extent_alloc.Best_fit ->
+          List.fold_left
+            (fun best (a, l) ->
+              match best with
+              | Some (_, bl) when l >= bl -> best
+              | _ -> if l >= want then Some (a, l) else best)
+            None m.free
+    in
+    Option.map
+      (fun (a, l) ->
+        m.free <-
+          List.concat_map
+            (fun (a', l') ->
+              if a' <> a then [ (a', l') ] else if l > want then [ (a + want, l - want) ] else [])
+            m.free;
+        (a, want))
+      fit
+
+  let release m (addr, len) =
+    let rec merge = function
+      | (a1, l1) :: (a2, l2) :: rest when a1 + l1 = a2 -> merge ((a1, l1 + l2) :: rest)
+      | x :: rest -> x :: merge rest
+      | [] -> []
+    in
+    m.free <- merge (List.sort compare ((addr, len) :: m.free))
+
+  let ensure m ~file ~target =
+    let f = Hashtbl.find m.files file in
+    let rec grow () =
+      if allocated f >= target then Ok ()
+      else
+        match claim m f.want with
+        | None -> Error `Disk_full
+        | Some e ->
+            f.rev <- e :: f.rev;
+            grow ()
+    in
+    grow ()
+
+  let shrink_to m ~file ~target =
+    let f = Hashtbl.find m.files file in
+    let rec drop () =
+      match f.rev with
+      | ((_, l) as e) :: rest when allocated f - l >= target ->
+          f.rev <- rest;
+          release m e;
+          drop ()
+      | _ -> ()
+    in
+    drop ()
+
+  let delete m ~file =
+    List.iter (release m) (List.rev (Hashtbl.find m.files file).rev);
+    Hashtbl.remove m.files file
+
+  let free_hist m =
+    List.fold_left
+      (fun acc l ->
+        match acc with (s, c) :: rest when s = l -> (s, c + 1) :: rest | _ -> (l, 1) :: acc)
+      []
+      (List.sort compare (List.map snd m.free))
+    |> List.rev
+end
+
+let prop_extent_matches_reference =
+  QCheck.Test.make ~name:"extent policy places exactly like a sorted-list reference" ~count:60
+    QCheck.(pair (int_bound 1000) bool)
+    (fun (seed, first) ->
+      let fit = if first then Extent_alloc.First_fit else Extent_alloc.Best_fit in
+      let means = [ 2 * 1024; 16 * 1024 ] and total = 2048 and nfiles = 8 in
+      let p = ext ~fit ~ranges:means ~total ~seed () in
+      let m = Extent_model.create ~fit ~means ~total ~seed in
+      let rng = Rng.create ~seed:(seed + 1) in
+      let fails = ref 0 in
+      let create file =
+        let hint = if Rng.bool rng then 2 else 16 in
+        p.Policy.create_file ~file ~hint;
+        Extent_model.create_file m ~file ~hint
+      in
+      let ensure step file target =
+        let got = p.Policy.ensure ~file ~target in
+        if got <> Extent_model.ensure m ~file ~target then
+          QCheck.Test.fail_reportf "ensure outcome differs at step %d" step;
+        if got <> Ok () then incr fails
+      in
+      let agree step =
+        let same_files =
+          List.for_all
+            (fun file ->
+              match Hashtbl.find_opt m.Extent_model.files file with
+              | None -> not (p.Policy.file_exists ~file)
+              | Some f ->
+                  List.map (fun e -> (e.Extent.addr, e.Extent.len)) (p.Policy.extents ~file)
+                  = List.rev f.Extent_model.rev)
+            (List.init nfiles Fun.id)
+        in
+        let total_free = List.fold_left (fun acc (_, l) -> acc + l) 0 m.Extent_model.free in
+        let largest = List.fold_left (fun acc (_, l) -> max acc l) 0 m.Extent_model.free in
+        if
+          not
+            (same_files
+            && p.Policy.free_units () = total_free
+            && p.Policy.largest_free () = largest
+            && p.Policy.free_hist () = Extent_model.free_hist m)
+        then QCheck.Test.fail_reportf "diverged from the reference at step %d" step
+      in
+      for step = 1 to 300 do
+        let file = Rng.int rng nfiles in
+        (if not (p.Policy.file_exists ~file) then create file
+         else
+           match Rng.int rng 4 with
+           | 0 | 1 -> ensure step file (p.Policy.allocated_units ~file + 1 + Rng.int rng 200)
+           | 2 ->
+               let target = Rng.int rng (p.Policy.allocated_units ~file + 1) in
+               p.Policy.shrink_to ~file ~target;
+               Extent_model.shrink_to m ~file ~target
+           | _ ->
+               p.Policy.delete ~file;
+               Extent_model.delete m ~file);
+        agree step
+      done;
+      (* Finally grow every file past the volume: each run ends on
+         Disk_full, with whatever fits carved first. *)
+      for file = 0 to nfiles - 1 do
+        if not (p.Policy.file_exists ~file) then create file;
+        ensure (301 + file) file (total + 1);
+        agree (301 + file)
+      done;
+      !fails >= nfiles)
+
+(* Minor words per op of a fixed churn on the extent policy: 65 536
+   units, 400 files over three extent ranges, 100k random
+   ensure / shrink / delete ops.  Wall time depends on the host; this
+   count does not. *)
+let extent_churn_words_per_op fit =
+  let p = ext ~fit ~ranges:[ 4 * 1024; 32 * 1024; 256 * 1024 ] ~total:65_536 ~seed:7 () in
+  let rng = Rng.create ~seed:9 in
+  let nfiles = 400 and ops = 100_000 in
+  let hint () = match Rng.int rng 3 with 0 -> 4 | 1 -> 32 | _ -> 256 in
+  for file = 0 to nfiles - 1 do
+    p.Policy.create_file ~file ~hint:(hint ())
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to ops do
+    let file = Rng.int rng nfiles in
+    match Rng.int rng 3 with
+    | 0 ->
+        ignore
+          (p.Policy.ensure ~file ~target:(p.Policy.allocated_units ~file + 1 + Rng.int rng 128))
+    | 1 -> p.Policy.shrink_to ~file ~target:(Rng.int rng (p.Policy.allocated_units ~file + 1))
+    | _ ->
+        p.Policy.delete ~file;
+        p.Policy.create_file ~file ~hint:(hint ())
+  done;
+  (Gc.minor_words () -. before) /. float_of_int ops
+
+(* Measured with OCaml 5.1 without flambda: one free-tree update per
+   carved run, and no by-size index under first fit, brought this churn
+   from 1329 (first fit) / 1258 (best fit) words per op to 492 / 797.
+   One claim per piece reads 558 / 905, and a by-size index kept under
+   first fit reads 780 there.  Each budget sits ~10% above today's
+   count, so all of these fail it. *)
+let test_extent_allocation_budget () =
+  List.iter
+    (fun (fit, name, budget) ->
+      let per_op = extent_churn_words_per_op fit in
+      if per_op > budget then
+        Alcotest.failf "%s churn allocates %.1f minor words per op (budget %.0f)" name per_op
+          budget)
+    [ (Extent_alloc.First_fit, "first fit", 540.); (Extent_alloc.Best_fit, "best fit", 880.) ]
+
 (* ------------------------------------------------------------------ *)
 (* Fixed block *)
 
@@ -862,6 +1071,8 @@ let () =
           quick "range assignment by hint" test_extent_range_assignment_by_hint;
           quick "truncate frees tail" test_extent_truncate_frees_tail;
           QCheck_alcotest.to_alcotest prop_extent_conservation_and_coalescing;
+          QCheck_alcotest.to_alcotest prop_extent_matches_reference;
+          Alcotest.test_case "minor words per churn op bounded" `Slow test_extent_allocation_budget;
           QCheck_alcotest.to_alcotest (prop_churn_invariants "extent");
         ] );
       ( "fixed block",

@@ -474,6 +474,40 @@ let test_restore_refusals () =
   check_bool "matching traced sink accepted" false
     (raises_invalid (fun () -> Engine.restore (with_sink (traced 1024)) (snap_with (traced 1024))))
 
+(* A snapshot taken with no checkpoint cadence armed (here, of an
+   engine that has not run yet) adopts the one the resuming caller arms:
+   the resumed run's ticks fire, and a snapshot one of them writes
+   carries that cadence on to an unarmed resume.  A timeline's presence
+   is part of what a snapshot must match, so a timeline-less snapshot is
+   refused by an engine that has one: a timeline's cadence always comes
+   from the snapshot. *)
+let test_restore_adopts_caller_cadence () =
+  let spec = spec_of "restricted" and w = mini_tp in
+  let fresh () = Experiment.make_engine ~config:ckpt_config spec w in
+  let snap = Engine.checkpoint (fresh ()) in
+  let finish engine =
+    Engine.fill_to_lower_bound engine;
+    Engine.run_application_test engine
+  in
+  let armed = fresh () in
+  let ticks = ref 0 and later = ref None in
+  Engine.set_checkpoint armed ~every_ms (fun () ->
+      incr ticks;
+      if !ticks = 3 then later := Some (Engine.checkpoint armed));
+  Engine.restore armed snap;
+  let app = finish armed in
+  check_bool "ticks fire after the restore" true (!ticks > 3);
+  (match !later with
+  | None -> Alcotest.fail "tick 3 never fired"
+  | Some sections ->
+      let again = fresh () in
+      Engine.restore again sections;
+      check_tp_equal "unarmed resume from an adopted-cadence tick" app (finish again));
+  let with_timeline = fresh () in
+  Engine.attach_timeline with_timeline ~every_ms;
+  check_bool "timeline-less snapshot refused by a timeline engine" true
+    (raises_invalid (fun () -> Engine.restore with_timeline snap))
+
 (* ------------------------------------------------------------------ *)
 (* Round trip: restore then checkpoint reproduces every section        *)
 (* ------------------------------------------------------------------ *)
@@ -767,6 +801,7 @@ let () =
               test_resume_equality;
             slow "completed-run snapshot resumes instantly" test_resume_completed_run;
             slow "faults + cache + sink resume byte-identically" test_resume_loaded_engine;
+            slow "unarmed snapshot adopts the caller's cadence" test_restore_adopts_caller_cadence;
             QCheck_alcotest.to_alcotest prop_any_snapshot_resumes;
           ] );
         ( "sharded",

@@ -471,32 +471,67 @@ let test_free_tree_invariants_small () =
   let t = ft_of_list (List.init 100 (fun i -> (i * 10, (i mod 7) + 1))) in
   check_bool "invariants hold" true (Free_tree.check_invariants t = Ok ())
 
+let test_free_tree_replace () =
+  let t = ft_of_list [ (0, 4); (10, 4); (20, 4) ] in
+  let carved = Free_tree.replace t ~addr:10 ~new_addr:13 ~len:1 in
+  check_bool "front carved" true (Free_tree.to_list carved = [ (0, 4); (13, 1); (20, 4) ]);
+  let grown = Free_tree.replace t ~addr:0 ~new_addr:0 ~len:10 in
+  check_bool "grown in place" true (Free_tree.max_len grown = 10 && Free_tree.total_len grown = 18);
+  let moved = Free_tree.replace t ~addr:20 ~new_addr:15 ~len:9 in
+  check_bool "key moved down" true (Free_tree.to_list moved = [ (0, 4); (10, 4); (15, 9) ]);
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument ("Free_tree.replace: " ^ msg)) (fun () ->
+        ignore (f () : Free_tree.t))
+  in
+  raises "absent key" "absent address" (fun () ->
+      Free_tree.replace t ~addr:5 ~new_addr:5 ~len:1);
+  raises "past the successor" "new address out of order" (fun () ->
+      Free_tree.replace t ~addr:10 ~new_addr:25 ~len:1);
+  raises "onto the predecessor" "new address out of order" (fun () ->
+      Free_tree.replace t ~addr:10 ~new_addr:0 ~len:1);
+  raises "onto the successor" "new address out of order" (fun () ->
+      Free_tree.replace t ~addr:0 ~new_addr:10 ~len:1);
+  raises "non-positive length" "non-positive length" (fun () ->
+      Free_tree.replace t ~addr:0 ~new_addr:0 ~len:0)
+
 let prop_free_tree_model =
-  (* Random insert/remove sequences behave like a sorted association
-     list, and the AVL invariants hold at every step. *)
-  let gen = QCheck.(list (pair (int_bound 500) bool)) in
+  (* Random insert / remove / replace sequences behave like a sorted
+     association list, and the AVL invariants hold after every step.  A
+     replace takes the extent at or above a random address and moves its
+     key anywhere strictly between its neighbours' keys. *)
+  let gen = QCheck.(list (triple (int_bound 500) (int_bound 2) (int_bound 1000))) in
   QCheck.Test.make ~name:"free tree matches a model under churn" ~count:200 gen (fun ops ->
-      let model = Hashtbl.create 16 in
-      let tree = ref Free_tree.empty in
-      List.iter
-        (fun (addr, insert) ->
-          if insert && not (Hashtbl.mem model addr) then begin
-            let len = (addr mod 9) + 1 in
-            Hashtbl.replace model addr len;
-            tree := Free_tree.insert !tree ~addr ~len
-          end
-          else begin
-            Hashtbl.remove model addr;
-            tree := Free_tree.remove !tree ~addr
-          end)
-        ops;
-      let expected =
-        Hashtbl.fold (fun a l acc -> (a, l) :: acc) model [] |> List.sort compare
-      in
-      Free_tree.to_list !tree = expected
-      && Free_tree.check_invariants !tree = Ok ()
-      && Free_tree.cardinal !tree = List.length expected
-      && Free_tree.total_len !tree = List.fold_left (fun a (_, l) -> a + l) 0 expected)
+      let model = ref [] (* sorted (addr, len) *) and tree = ref Free_tree.empty in
+      let set m = model := List.sort compare m in
+      List.for_all
+        (fun (addr, op, r) ->
+          (match op with
+          | 0 when not (List.mem_assoc addr !model) ->
+              let len = (addr mod 9) + 1 in
+              set ((addr, len) :: !model);
+              tree := Free_tree.insert !tree ~addr ~len
+          | 0 | 1 ->
+              set (List.remove_assoc addr !model);
+              tree := Free_tree.remove !tree ~addr
+          | _ -> (
+              match List.find_opt (fun (a, _) -> a >= addr) !model with
+              | None -> ()
+              | Some (key, _) ->
+                  let lo = List.fold_left (fun acc (a, _) -> if a < key then a else acc) (-1) !model in
+                  let hi =
+                    match List.find_opt (fun (a, _) -> a > key) !model with
+                    | Some (a, _) -> a
+                    | None -> 1000
+                  in
+                  let new_addr = lo + 1 + (r mod (hi - lo - 1)) and len = (r mod 13) + 1 in
+                  set ((new_addr, len) :: List.remove_assoc key !model);
+                  tree := Free_tree.replace !tree ~addr:key ~new_addr ~len));
+          Free_tree.check_invariants !tree = Ok ()
+          && Free_tree.to_list !tree = !model
+          && Free_tree.cardinal !tree = List.length !model
+          && Free_tree.total_len !tree = List.fold_left (fun a (_, l) -> a + l) 0 !model
+          && Free_tree.max_len !tree = List.fold_left (fun a (_, l) -> max a l) 0 !model)
+        ops)
 
 let prop_free_tree_first_fit_is_lowest =
   QCheck.Test.make ~name:"first_fit returns the lowest adequate address" ~count:200
@@ -684,6 +719,7 @@ let () =
           quick "first fit" test_free_tree_first_fit;
           quick "first fit from" test_free_tree_first_fit_from;
           quick "duplicate raises" test_free_tree_duplicate_raises;
+          quick "replace" test_free_tree_replace;
           quick "invariants" test_free_tree_invariants_small;
           QCheck_alcotest.to_alcotest prop_free_tree_model;
           QCheck_alcotest.to_alcotest prop_free_tree_first_fit_is_lowest;
