@@ -1,4 +1,4 @@
-module IntSet = Set.Make (Int)
+module Bitset = Rofs_util.Bitset
 module Units = Rofs_util.Units
 
 type config = {
@@ -33,7 +33,9 @@ type space = {
   total_units : int;
   sizes : int array;  (** block sizes in units, increasing; sizes.(0) = 1 *)
   top : int;  (** index of the largest size *)
-  free : IntSet.t array;  (** free.(k): start addresses of free tier-k blocks *)
+  free : Bitset.t array;
+      (** free.(k): bit i is set when the tier-k block at [i * sizes.(k)] is free *)
+  counts : int array array;  (** counts.(k).(r): free tier-k blocks in region r *)
   mutable free_units : int;
   region_units : int;
   mutable next_fd_region : int;
@@ -55,8 +57,20 @@ let validate cfg =
         | [ _ ] | [] -> ()
       in
       chain sizes);
-  if cfg.region_bytes mod List.hd (List.rev cfg.block_sizes_bytes) <> 0 then
-    invalid_arg "Restricted_buddy: region size must be a multiple of the largest block"
+  if cfg.region_bytes <= 0 || cfg.region_bytes mod List.hd (List.rev cfg.block_sizes_bytes) <> 0
+  then invalid_arg "Restricted_buddy: region size must be a positive multiple of the largest block"
+
+(* A region is a whole number of top-tier blocks, so every block lies
+   in exactly one region. *)
+let add t k addr =
+  Bitset.set t.free.(k) (addr / t.sizes.(k));
+  let c = t.counts.(k) and r = addr / t.region_units in
+  c.(r) <- c.(r) + 1
+
+let remove t k addr =
+  Bitset.clear t.free.(k) (addr / t.sizes.(k));
+  let c = t.counts.(k) and r = addr / t.region_units in
+  c.(r) <- c.(r) - 1
 
 (* Greedy aligned decomposition of the address space into the largest
    blocks that fit, seeding the free structures. *)
@@ -68,140 +82,129 @@ let seed t =
         if k > 0 && (addr mod s <> 0 || addr + s > t.total_units) then pick (k - 1) else k
       in
       let k = pick t.top in
-      t.free.(k) <- IntSet.add addr t.free.(k);
+      add t k addr;
       place (addr + t.sizes.(k))
     end
   in
   place 0
 
-let region_of t addr = addr / t.region_units
-let region_start t r = r * t.region_units
-let region_end t r = min t.total_units ((r + 1) * t.region_units)
-let region_count t = ((t.total_units - 1) / t.region_units) + 1
+(* Lowest set bit of [bits] in [from, stop), where a region holds
+   [per_region] bits and [counts.(r)] of them are set in region r: a
+   region whose count is 0 is skipped whole, the others are scanned a
+   word at a time.  A whole region scanned in vain under a non-zero
+   count means the counts have drifted from the bitmap.  The searches
+   below are top-level functions so that they allocate no closures. *)
+let rec scan_regions bits counts ~per_region ~stop r from =
+  if from >= stop then -1
+  else begin
+    let next = (r + 1) * per_region in
+    let i = if counts.(r) = 0 then -1 else Bitset.first_set_in bits ~lo:from ~hi:(min stop next) in
+    if i >= 0 then i
+    else begin
+      if counts.(r) > 0 && from = r * per_region && next <= stop then
+        failwith "Restricted_buddy: a region's free count disagrees with its bitmap";
+      scan_regions bits counts ~per_region ~stop (r + 1) next
+    end
+  end
+
+(* Lowest free tier-k address in [lo, hi), or -1. *)
+let first_free t k ~lo ~hi =
+  let bits = t.free.(k) in
+  if Bitset.cardinal bits = 0 then -1
+  else begin
+    let s = t.sizes.(k) in
+    let per_region = t.region_units / s in
+    let from = (lo + s - 1) / s in
+    let stop = min (Bitset.length bits) ((hi + s - 1) / s) in
+    let i = scan_regions bits t.counts.(k) ~per_region ~stop (from / per_region) from in
+    if i >= 0 then i * s else -1
+  end
 
 (* Lowest free tier-k address in [lo, hi) that is >= prefer (when
    prefer lands in the window), else the lowest in the window. *)
 let find_in t k ~lo ~hi ~prefer =
-  let from target =
-    match IntSet.find_first_opt (fun a -> a >= target) t.free.(k) with
-    | Some a when a < hi -> Some a
-    | Some _ | None -> None
-  in
-  if prefer > lo && prefer < hi then
-    match from prefer with Some _ as hit -> hit | None -> from lo
-  else from lo
+  if prefer > lo && prefer < hi then begin
+    let addr = first_free t k ~lo:prefer ~hi in
+    if addr >= 0 then addr else first_free t k ~lo ~hi:prefer
+  end
+  else first_free t k ~lo ~hi
 
 let take t k addr =
-  t.free.(k) <- IntSet.remove addr t.free.(k);
+  remove t k addr;
   t.free_units <- t.free_units - t.sizes.(k)
 
 (* Split the tier-j free block at [addr] down to one tier-k block at
-   [addr]; the remainder re-enters the free lists as maximal aligned
-   pieces (the standard multi-level buddy split). *)
+   [addr]; the remainder re-enters the free structures as maximal
+   aligned pieces (the standard multi-level buddy split). *)
 let split t ~j ~k addr =
   take t j addr;
   for i = k to j - 1 do
     let ratio = t.sizes.(i + 1) / t.sizes.(i) in
     for m = 1 to ratio - 1 do
-      t.free.(i) <- IntSet.add (addr + (m * t.sizes.(i))) t.free.(i)
+      add t i (addr + (m * t.sizes.(i)))
     done
   done;
   t.free_units <- t.free_units + (t.sizes.(j) - t.sizes.(k))
 
-(* The allocation searches below return the allocated tier-k block
-   address, or -1 when they find none. *)
-
-(* The exact-size-then-split search within one address window. *)
-let alloc_in_window t k ~lo ~hi ~prefer =
-  match find_in t k ~lo ~hi ~prefer with
-  | Some addr ->
-      take t k addr;
+(* A split of the lowest larger tier, from j up, that has a free block
+   in the window. *)
+let rec split_in_window t k j ~lo ~hi ~prefer =
+  if j > t.top then -1
+  else begin
+    let addr = find_in t j ~lo ~hi ~prefer in
+    if addr >= 0 then begin
+      split t ~j ~k addr;
       addr
-  | None ->
-      let rec try_split j =
-        if j > t.top then -1
-        else begin
-          match find_in t j ~lo ~hi ~prefer with
-          | Some addr ->
-              split t ~j ~k addr;
-              addr
-          | None -> try_split (j + 1)
-        end
-      in
-      try_split (k + 1)
+    end
+    else split_in_window t k (j + 1) ~lo ~hi ~prefer
+  end
 
-(* Exact-size block anywhere, preferring the sequential address. *)
-let alloc_exact_anywhere t k ~prefer =
-  let pick addr =
+(* The exact-size-then-split search within one address window; returns
+   the allocated tier-k block address, or -1 when it finds none. *)
+let alloc_in_window t k ~lo ~hi ~prefer =
+  let addr = find_in t k ~lo ~hi ~prefer in
+  if addr >= 0 then begin
     take t k addr;
     addr
-  in
-  match
-    if prefer > 0 then IntSet.find_first_opt (fun a -> a >= prefer) t.free.(k) else None
-  with
-  | Some addr -> pick addr
-  | None -> ( match IntSet.min_elt_opt t.free.(k) with Some addr -> pick addr | None -> -1)
+  end
+  else split_in_window t k (k + 1) ~lo ~hi ~prefer
 
-let split_anywhere t k ~prefer =
-  let rec try_split j =
-    if j > t.top then -1
-    else begin
-      let candidate =
-        match
-          if prefer > 0 then IntSet.find_first_opt (fun a -> a >= prefer) t.free.(j) else None
-        with
-        | Some _ as hit -> hit
-        | None -> IntSet.min_elt_opt t.free.(j)
-      in
-      match candidate with
-      | Some addr ->
-          split t ~j ~k addr;
-          addr
-      | None -> try_split (j + 1)
-    end
-  in
-  try_split (k + 1)
+(* Over the whole disk, the window search is "an exact-size block
+   anywhere, preferring the sequential address, then a split
+   anywhere"; Section 4.2's region selection runs it on the optimal
+   region first. *)
+let alloc_anywhere t k ~prefer = alloc_in_window t k ~lo:0 ~hi:t.total_units ~prefer
 
-(* Section 4.2's region selection: optimal region first (exact size,
-   then split), then an exact-size block in any region, then a split
-   anywhere. *)
 let alloc_clustered t k ~optimal_region ~prefer =
-  let lo = region_start t optimal_region and hi = region_end t optimal_region in
+  let lo = optimal_region * t.region_units in
+  let hi = min t.total_units (lo + t.region_units) in
   let addr = alloc_in_window t k ~lo ~hi ~prefer in
-  if addr >= 0 then addr
-  else
-    let addr = alloc_exact_anywhere t k ~prefer in
-    if addr >= 0 then addr else split_anywhere t k ~prefer
+  if addr >= 0 then addr else alloc_anywhere t k ~prefer
 
-let alloc_unclustered t k ~prefer =
-  let addr = alloc_exact_anywhere t k ~prefer in
-  if addr >= 0 then addr else split_anywhere t k ~prefer
+let rec siblings_free t k ~parent ~addr m =
+  let size = t.sizes.(k) in
+  m >= t.sizes.(k + 1) / size
+  ||
+  let sibling = parent + (m * size) in
+  (sibling = addr || Bitset.mem t.free.(k) (sibling / size))
+  && siblings_free t k ~parent ~addr (m + 1)
 
 (* Eager coalescing: whenever every sibling inside the parent block of
    the next tier is free, replace them with the parent and recurse. *)
 let rec coalesce t k addr =
-  if k >= t.top then t.free.(k) <- IntSet.add addr t.free.(k)
+  if k >= t.top then add t k addr
   else begin
-    let parent_size = t.sizes.(k + 1) in
+    let size = t.sizes.(k) and parent_size = t.sizes.(k + 1) in
     let parent = addr - (addr mod parent_size) in
-    if parent + parent_size > t.total_units then t.free.(k) <- IntSet.add addr t.free.(k)
-    else begin
-      let ratio = parent_size / t.sizes.(k) in
-      let rec siblings_free m =
-        m >= ratio
-        ||
-        let sibling = parent + (m * t.sizes.(k)) in
-        (sibling = addr || IntSet.mem sibling t.free.(k)) && siblings_free (m + 1)
-      in
-      if siblings_free 0 then begin
-        for m = 0 to ratio - 1 do
-          let sibling = parent + (m * t.sizes.(k)) in
-          if sibling <> addr then t.free.(k) <- IntSet.remove sibling t.free.(k)
-        done;
-        coalesce t (k + 1) parent
-      end
-      else t.free.(k) <- IntSet.add addr t.free.(k)
+    if parent + parent_size > t.total_units then add t k addr
+    else if siblings_free t k ~parent ~addr 0 then begin
+      for m = 0 to (parent_size / size) - 1 do
+        let sibling = parent + (m * size) in
+        if sibling <> addr then remove t k sibling
+      done;
+      coalesce t (k + 1) parent
     end
+    else add t k addr
   end
 
 let tier_of_size t units =
@@ -227,24 +230,29 @@ let tier_of t f =
 
 let new_file t ~hint:_ =
   let fd_region = t.next_fd_region in
-  t.next_fd_region <- (t.next_fd_region + 1) mod region_count t;
+  t.next_fd_region <- (t.next_fd_region + 1) mod Array.length t.counts.(0);
   { tier_totals = Array.make (t.top + 1) 0; fd_region }
 
 let allocate_block t fx f k =
+  let last = File_extents.last fx in
   let prefer =
-    match File_extents.last fx with
+    match last with
     | Some e when Extent.end_ e mod t.sizes.(k) = 0 -> Extent.end_ e
     | Some _ | None -> -1
   in
   if t.cfg.clustered then begin
     let optimal_region =
-      match File_extents.last fx with
-      | Some e -> region_of t e.Extent.addr
-      | None -> f.fd_region
+      match last with Some e -> e.Extent.addr / t.region_units | None -> f.fd_region
     in
     alloc_clustered t k ~optimal_region ~prefer
   end
-  else alloc_unclustered t k ~prefer
+  else alloc_anywhere t k ~prefer
+
+(* Largest tier whose block size does not exceed [limit]; tier 0 at
+   least. *)
+let floor_tier t limit =
+  let rec scan k = if k = 0 then 0 else if t.sizes.(k) <= limit then k else scan (k - 1) in
+  scan t.top
 
 (* The next block for a file still short of [target] units. *)
 let take_block t fx f ~target =
@@ -261,14 +269,8 @@ let take_block t fx f ~target =
      72K requires a 64K block" (Figure 3) — at the cost of internal
      fragmentation up to half the top block size per file. *)
   let k =
-    if t.cfg.tail_bounded then begin
-      let floor_tier limit =
-        let rec scan k = if k = 0 then 0 else if t.sizes.(k) <= limit then k else scan (k - 1) in
-        scan t.top
-      in
-      let remaining = target - allocated in
-      min (tier_of t f) (max (floor_tier remaining) (floor_tier (allocated / 8)))
-    end
+    if t.cfg.tail_bounded then
+      min (tier_of t f) (max (floor_tier t (target - allocated)) (floor_tier t (allocated / 8)))
     else tier_of t f
   in
   let addr = allocate_block t fx f k in
@@ -280,13 +282,15 @@ let take_block t fx f ~target =
   end
 
 let largest_free t =
-  let rec scan k = if k < 0 then 0 else if IntSet.is_empty t.free.(k) then scan (k - 1) else t.sizes.(k) in
+  let rec scan k =
+    if k < 0 then 0 else if Bitset.cardinal t.free.(k) = 0 then scan (k - 1) else t.sizes.(k)
+  in
   scan t.top
 
 let free_hist t =
   let acc = ref [] in
   for k = t.top downto 0 do
-    let c = IntSet.cardinal t.free.(k) in
+    let c = Bitset.cardinal t.free.(k) in
     if c > 0 then acc := (t.sizes.(k), c) :: !acc
   done;
   !acc
@@ -296,15 +300,18 @@ let create cfg ~total_units =
   let sizes = Array.of_list (List.map (fun b -> b / cfg.unit_bytes) cfg.block_sizes_bytes) in
   let top = Array.length sizes - 1 in
   if total_units <= 0 then invalid_arg "Restricted_buddy.create";
+  let region_units = cfg.region_bytes / cfg.unit_bytes in
+  let regions = ((total_units - 1) / region_units) + 1 in
   let t =
     {
       cfg;
       total_units;
       sizes;
       top;
-      free = Array.make (top + 1) IntSet.empty;
+      free = Array.map (fun s -> Bitset.create ((total_units + s - 1) / s)) sizes;
+      counts = Array.init (top + 1) (fun _ -> Array.make regions 0);
       free_units = total_units;
-      region_units = cfg.region_bytes / cfg.unit_bytes;
+      region_units;
       next_fd_region = 0;
     }
   in

@@ -375,15 +375,15 @@ let test_bitset_idempotent () =
 
 let test_bitset_first_set () =
   let b = Bitset.create 200 in
-  check_bool "none" true (Bitset.first_set_from b 0 = None);
+  check_int "none" (-1) (Bitset.first_set_from b 0);
   Bitset.set b 17;
   Bitset.set b 130;
-  check_bool "finds 17" true (Bitset.first_set_from b 0 = Some 17);
-  check_bool "finds 17 from 17" true (Bitset.first_set_from b 17 = Some 17);
-  check_bool "finds 130 from 18" true (Bitset.first_set_from b 18 = Some 130);
-  check_bool "none from 131" true (Bitset.first_set_from b 131 = None);
-  check_bool "window hit" true (Bitset.first_set_in b ~lo:0 ~hi:18 = Some 17);
-  check_bool "window miss" true (Bitset.first_set_in b ~lo:18 ~hi:130 = None)
+  check_int "finds 17" 17 (Bitset.first_set_from b 0);
+  check_int "finds 17 from 17" 17 (Bitset.first_set_from b 17);
+  check_int "finds 130 from 18" 130 (Bitset.first_set_from b 18);
+  check_int "none from 131" (-1) (Bitset.first_set_from b 131);
+  check_int "window hit" 17 (Bitset.first_set_in b ~lo:0 ~hi:18);
+  check_int "window miss" (-1) (Bitset.first_set_in b ~lo:18 ~hi:130)
 
 let test_bitset_iter () =
   let b = Bitset.create 64 in
@@ -399,21 +399,40 @@ let test_bitset_bounds () =
   Alcotest.check_raises "index = length" (Invalid_argument "Bitset: index out of bounds")
     (fun () -> ignore (Bitset.mem b 10))
 
+(* Bitsets of up to three chunks (63-bit words, 64 words to a chunk):
+   dense when small, sparse enough to leave chunks unallocated when
+   large; windows both long and short, so they start and end mid-word
+   and cross word and chunk boundaries. *)
 let prop_bitset_matches_model =
-  QCheck.Test.make ~name:"bitset behaves like a bool array" ~count:100
-    QCheck.(list (pair (int_bound 255) bool))
-    (fun operations ->
-      let b = Bitset.create 256 in
-      let model = Array.make 256 false in
+  QCheck.Test.make ~name:"bitset behaves like a bool array" ~count:300
+    QCheck.(
+      triple (int_range 0 9000)
+        (list (pair (int_bound 8999) bool))
+        (list (pair (int_range (-5) 9005) (int_range (-5) 9005))))
+    (fun (n, operations, windows) ->
+      let b = Bitset.create n in
+      let model = Array.make n false in
       List.iter
         (fun (i, set) ->
-          if set then Bitset.set b i else Bitset.clear b i;
-          model.(i) <- set)
+          if n > 0 then begin
+            let i = i mod n in
+            if set then Bitset.set b i else Bitset.clear b i;
+            model.(i) <- set
+          end)
         operations;
-      let ok = ref true in
-      Array.iteri (fun i expected -> if Bitset.mem b i <> expected then ok := false) model;
-      let expected_cardinal = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model in
-      !ok && Bitset.cardinal b = expected_cardinal)
+      let model_first ~lo ~hi =
+        let rec go i = if i >= min hi n then -1 else if model.(i) then i else go (i + 1) in
+        go (max lo 0)
+      in
+      let windows =
+        (0, n) :: List.concat_map (fun (lo, hi) -> [ (lo, hi); (lo, lo + (abs hi mod 130)) ]) windows
+      in
+      let cardinal = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model in
+      Bitset.length b = n
+      && Bitset.cardinal b = cardinal
+      && List.for_all (fun i -> Bitset.mem b i = model.(i)) (List.init n Fun.id)
+      && List.for_all (fun (lo, hi) -> Bitset.first_set_in b ~lo ~hi = model_first ~lo ~hi) windows
+      && List.for_all (fun (lo, _) -> Bitset.first_set_from b lo = model_first ~lo ~hi:n) windows)
 
 (* ------------------------------------------------------------------ *)
 (* Free_tree *)
