@@ -48,17 +48,17 @@ let fixed_cycle () =
   alloc_free_cycle p 100
 
 let free_tree_churn () =
-  let tree = ref C.Free_tree.empty in
+  let tree = C.Free_tree.create () in
   for i = 0 to 999 do
-    tree := C.Free_tree.insert !tree ~addr:(i * 10) ~len:5
+    C.Free_tree.insert tree ~addr:(i * 10) ~len:5
   done;
   let i = ref 0 in
   fun () ->
     let addr = 10_000 + (!i mod 97) in
     incr i;
-    tree := C.Free_tree.insert !tree ~addr ~len:3;
-    ignore (C.Free_tree.first_fit !tree ~want:4);
-    tree := C.Free_tree.remove !tree ~addr
+    C.Free_tree.insert tree ~addr ~len:3;
+    ignore (C.Free_tree.first_fit tree ~want:4 : int);
+    C.Free_tree.remove tree ~addr
 
 let heap_churn () =
   let heap = C.Heap.create () in

@@ -96,10 +96,12 @@ let create config ~total_units =
     let t = st.space in
     let current = File_extents.allocated_units f.fx in
     let k = log2_ceil (if current = 0 then 1 else min current cap_units) in
+    let n = File_extents.count f.fx in
     let prefer =
-      match File_extents.last f.fx with
-      | Some e when Extent.end_ e mod order_size k = 0 -> Extent.end_ e
-      | Some _ | None -> -1
+      if n = 0 then -1
+      else
+        let stop = Extent.end_ (File_extents.get f.fx (n - 1)) in
+        if stop mod order_size k = 0 then stop else -1
     in
     let addr = take_order t k ~prefer in
     if addr < 0 then false

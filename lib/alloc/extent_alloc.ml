@@ -20,7 +20,7 @@ let config ?(unit_bytes = 1024) ?(fit = First_fit) ~range_means_bytes () =
 
 type space = {
   cfg : config;
-  mutable tree : Free_tree.t;
+  tree : Free_tree.t;  (** updated in place *)
   mutable by_size : Size_set.t;  (** best fit only; empty under first fit *)
   rng : Rofs_util.Rng.t;  (** per-file extent-size draws *)
 }
@@ -39,35 +39,40 @@ let unindex t ~addr ~len =
    free extent starts between the two addresses. *)
 let reshape t ~addr ~len ~new_addr ~new_len =
   unindex t ~addr ~len;
-  t.tree <- Free_tree.replace t.tree ~addr ~new_addr ~len:new_len;
+  Free_tree.replace t.tree ~addr ~new_addr ~len:new_len;
   index t ~addr:new_addr ~len:new_len
 
 (* Free with immediate coalescing against both neighbours: extend the
    predecessor, move the successor's key down over the freed run, or
    both (the successor folds into the predecessor).  Only an isolated
-   run is a new extent. *)
+   run is a new extent.  The run [addr, stop) was allocated, so a
+   successor that touches it starts exactly at [stop]. *)
 let release t ~addr ~len =
   let stop = addr + len in
-  match (Free_tree.pred t.tree ~addr, Free_tree.succ t.tree ~addr) with
-  | Some (paddr, plen), Some (saddr, slen) when paddr + plen = addr && stop = saddr ->
-      unindex t ~addr:saddr ~len:slen;
-      t.tree <- Free_tree.remove t.tree ~addr:saddr;
-      reshape t ~addr:paddr ~len:plen ~new_addr:paddr ~new_len:(plen + len + slen)
-  | Some (paddr, plen), _ when paddr + plen = addr ->
-      reshape t ~addr:paddr ~len:plen ~new_addr:paddr ~new_len:(plen + len)
-  | _, Some (saddr, slen) when stop = saddr ->
-      reshape t ~addr:saddr ~len:slen ~new_addr:addr ~new_len:(len + slen)
-  | _ ->
-      t.tree <- Free_tree.insert t.tree ~addr ~len;
-      index t ~addr ~len
+  let paddr = Free_tree.pred t.tree ~addr in
+  let plen = if paddr < 0 then 0 else Free_tree.length t.tree ~addr:paddr in
+  let slen = Free_tree.length t.tree ~addr:stop in
+  if paddr >= 0 && paddr + plen = addr then begin
+    if slen > 0 then begin
+      unindex t ~addr:stop ~len:slen;
+      Free_tree.remove t.tree ~addr:stop
+    end;
+    reshape t ~addr:paddr ~len:plen ~new_addr:paddr ~new_len:(plen + len + slen)
+  end
+  else if slen > 0 then reshape t ~addr:stop ~len:slen ~new_addr:addr ~new_len:(len + slen)
+  else begin
+    Free_tree.insert t.tree ~addr ~len;
+    index t ~addr ~len
+  end
 
+(* Address of the extent the fit rule picks for [want] units, or -1. *)
 let find_fit t want =
   match t.cfg.fit with
   | First_fit -> Free_tree.first_fit t.tree ~want
   | Best_fit -> begin
       match Size_set.find_first_opt (fun (l, _) -> l >= want) t.by_size with
-      | Some (len, addr) -> Some (addr, len)
-      | None -> None
+      | Some (_, addr) -> addr
+      | None -> -1
     end
 
 (* Carve as many [want]-unit pieces off the front of one fit as the file
@@ -76,21 +81,23 @@ let find_fit t want =
    extent has changed, and under best fit no free extent is as short as
    [len] yet at least [want], so each remainder is the next fit. *)
 let claim t fx ~want ~target =
-  match find_fit t want with
-  | None -> false
-  | Some (addr, len) ->
-      let needed = target - File_extents.allocated_units fx in
-      let k = min (len / want) ((needed + want - 1) / want) in
-      let used = k * want in
-      if used = len then begin
-        unindex t ~addr ~len;
-        t.tree <- Free_tree.remove t.tree ~addr
-      end
-      else reshape t ~addr ~len ~new_addr:(addr + used) ~new_len:(len - used);
-      for i = 0 to k - 1 do
-        File_extents.push fx (Extent.make ~addr:(addr + (i * want)) ~len:want)
-      done;
-      true
+  let addr = find_fit t want in
+  if addr < 0 then false
+  else begin
+    let len = Free_tree.length t.tree ~addr in
+    let needed = target - File_extents.allocated_units fx in
+    let k = min (len / want) ((needed + want - 1) / want) in
+    let used = k * want in
+    if used = len then begin
+      unindex t ~addr ~len;
+      Free_tree.remove t.tree ~addr
+    end
+    else reshape t ~addr ~len ~new_addr:(addr + used) ~new_len:(len - used);
+    for i = 0 to k - 1 do
+      File_extents.push fx (Extent.make ~addr:(addr + (i * want)) ~len:want)
+    done;
+    true
+  end
 
 (* A file's extent size: a draw from the range whose mean is nearest its
    allocation hint, std 10% of the mean, rounded to whole units. *)
@@ -123,7 +130,7 @@ let free_hist t =
 let create cfg ~total_units ~rng =
   if cfg.unit_bytes <= 0 || total_units <= 0 then invalid_arg "Extent_alloc.create";
   if cfg.range_means_bytes = [] then invalid_arg "Extent_alloc.create: no extent ranges";
-  let t = { cfg; tree = Free_tree.empty; by_size = Size_set.empty; rng } in
+  let t = { cfg; tree = Free_tree.create (); by_size = Size_set.empty; rng } in
   release t ~addr:0 ~len:total_units;
   let name =
     Printf.sprintf "extent(%s, %d ranges)"
@@ -133,6 +140,7 @@ let create cfg ~total_units ~rng =
   Policy.make ~name ~unit_bytes:cfg.unit_bytes ~total_units ~new_file:draw_extent_units
     ~take:(fun st ~file:_ f ~target -> claim st.Policy.space f.Policy.fx ~want:f.Policy.data ~target)
     ~give:(fun t _ e -> release t ~addr:e.Extent.addr ~len:e.Extent.len)
+    ~give_run:(fun t _ ~addr ~len -> release t ~addr ~len)
     ~free_units:(fun t -> Free_tree.total_len t.tree)
     ~largest_free:(fun t -> Free_tree.max_len t.tree)
     ~free_hist t

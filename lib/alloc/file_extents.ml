@@ -6,8 +6,8 @@ type t = { extents : Extent.t Vec.t; ends : int Vec.t }
 
 let create () = { extents = Vec.create (); ends = Vec.create () }
 
-(* Read in place: this runs on every grow step, slice and probe, and
-   [Vec.last] would box an option each time. *)
+(* Read in place: this runs on every grow step, slice and probe, so it
+   must not box an option. *)
 let allocated_units t =
   let n = Vec.length t.ends in
   if n = 0 then 0 else Vec.get t.ends (n - 1)
@@ -17,18 +17,15 @@ let push t extent =
   Vec.push t.extents extent;
   Vec.push t.ends total
 
-let pop t =
-  match Vec.pop t.extents with
-  | None -> None
-  | Some extent ->
-      ignore (Vec.pop t.ends : int option);
-      Some extent
-
-let last t = Vec.last t.extents
-
 let count t = Vec.length t.extents
 
-let iter t f = Vec.iter f t.extents
+let get t i = Vec.get t.extents i
+
+let offset t i = if i = 0 then 0 else Vec.get t.ends (i - 1)
+
+let truncate t n =
+  Vec.truncate t.extents n;
+  Vec.truncate t.ends n
 
 let to_list t = Vec.to_list t.extents
 
@@ -74,6 +71,5 @@ let slice t ~off ~len =
       end
     in
     let first = index_of_offset t off in
-    let start_pos = if first = 0 then 0 else Vec.get t.ends (first - 1) in
-    collect first start_pos []
+    collect first (offset t first) []
   end

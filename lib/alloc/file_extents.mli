@@ -14,17 +14,24 @@ val create : unit -> t
 val push : t -> Extent.t -> unit
 (** Append an extent at the logical end of the file. *)
 
-val pop : t -> Extent.t option
-(** Remove and return the last extent (truncation frees whole trailing
-    extents). *)
-
-val last : t -> Extent.t option
 val count : t -> int
+
+val get : t -> int -> Extent.t
+(** [get t i] is the [i]-th extent in logical order (0-based); raises
+    [Invalid_argument] when out of bounds. *)
+
+val offset : t -> int -> int
+(** [offset t i] is the logical offset of extent [i]: the units held by
+    extents [0 .. i-1] (O(1)). *)
+
+val truncate : t -> int -> unit
+(** [truncate t n] keeps the first [n] extents (truncation frees whole
+    trailing extents).  Raises [Invalid_argument] unless
+    [0 <= n <= count t]. *)
 
 val allocated_units : t -> int
 (** Total units across all extents (O(1)). *)
 
-val iter : t -> (Extent.t -> unit) -> unit
 val to_list : t -> Extent.t list
 
 val relocate : t -> (Extent.t -> int option) -> unit

@@ -40,14 +40,13 @@ type ('f, 's) state = {
 }
 
 let make ~name ~unit_bytes ~total_units ?(prepare = ignore) ?(moved = fun _ -> (0, 0))
-    ~new_file ~take ~give ~free_units ~largest_free ~free_hist space =
+    ~new_file ~take ~give ?give_run ~free_units ~largest_free ~free_hist space =
   (* Everything mutable lives in [!slot]; every closure below reads the
      slot on each call, so a checkpoint load is one assignment. *)
   let slot = ref { files = Hashtbl.create 256; user_units = 0; space } in
   let the_file file =
-    match Hashtbl.find_opt !slot.files file with
-    | Some f -> f
-    | None -> invalid_arg (Printf.sprintf "%s: unknown file %d" name file)
+    try Hashtbl.find !slot.files file
+    with Not_found -> invalid_arg (Printf.sprintf "%s: unknown file %d" name file)
   in
   let create_file ~file ~hint =
     let st = !slot in
@@ -70,19 +69,53 @@ let make ~name ~unit_bytes ~total_units ?(prepare = ignore) ?(moved = fun _ -> (
     prepare st;
     grow st ~file f ~target
   in
-  (* Free whole trailing extents while the allocation stays >= target. *)
-  let rec drop space f ~target =
-    match File_extents.last f.fx with
-    | Some e when File_extents.allocated_units f.fx - e.Extent.len >= target ->
-        ignore (File_extents.pop f.fx : Extent.t option);
-        give space f.data e;
-        drop space f ~target
-    | Some _ | None -> ()
+  (* Return pieces [from..] of [f] to free space: through [give_run]
+     once per maximal run of address-contiguous pieces, in logical
+     order; else through [give] one piece at a time, last first when
+     [last_first]. *)
+  let release space f ~from ~last_first =
+    let fx = f.fx in
+    let n = File_extents.count fx in
+    match give_run with
+    | None ->
+        if last_first then
+          for i = n - 1 downto from do
+            give space f.data (File_extents.get fx i)
+          done
+        else
+          for i = from to n - 1 do
+            give space f.data (File_extents.get fx i)
+          done
+    | Some give_run ->
+        if from < n then begin
+          let first = File_extents.get fx from in
+          let start = ref first.Extent.addr and stop = ref (Extent.end_ first) in
+          for i = from + 1 to n - 1 do
+            let e = File_extents.get fx i in
+            if e.Extent.addr <> !stop then begin
+              give_run space f.data ~addr:!start ~len:(!stop - !start);
+              start := e.Extent.addr
+            end;
+            stop := Extent.end_ e
+          done;
+          give_run space f.data ~addr:!start ~len:(!stop - !start)
+        end
+  in
+  (* Free whole trailing extents while the allocation stays >= target:
+     the first [kept] extents stay. *)
+  let shrink_to ~file ~target =
+    let f = the_file file in
+    let kept = ref (File_extents.count f.fx) in
+    while !kept > 0 && File_extents.offset f.fx (!kept - 1) >= target do
+      decr kept
+    done;
+    release !slot.space f ~from:!kept ~last_first:true;
+    File_extents.truncate f.fx !kept
   in
   let delete ~file =
     let st = !slot in
     let f = the_file file in
-    File_extents.iter f.fx (give st.space f.data);
+    release st.space f ~from:0 ~last_first:false;
     Hashtbl.remove st.files file
   in
   {
@@ -92,7 +125,7 @@ let make ~name ~unit_bytes ~total_units ?(prepare = ignore) ?(moved = fun _ -> (
     create_file;
     file_exists = (fun ~file -> Hashtbl.mem !slot.files file);
     ensure;
-    shrink_to = (fun ~file ~target -> drop !slot.space (the_file file) ~target);
+    shrink_to;
     delete;
     allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
     extent_count = (fun ~file -> File_extents.count (the_file file).fx);

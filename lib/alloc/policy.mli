@@ -103,6 +103,7 @@ val make :
   new_file:('s -> hint:int -> 'f) ->
   take:(('f, 's) state -> file:int -> 'f file -> target:int -> bool) ->
   give:('s -> 'f -> Extent.t -> unit) ->
+  ?give_run:('s -> 'f -> addr:int -> len:int -> unit) ->
   free_units:('s -> int) ->
   largest_free:('s -> int) ->
   free_hist:('s -> (int * int) list) ->
@@ -124,6 +125,16 @@ val make :
     {- [give space data e]: return one of the file's extents to free
        space (on shrink, trailing extents last first; on delete, every
        extent in logical order);}
+    {- [give_run space data ~addr ~len] (default: none): return the
+       units [addr .. addr+len) at once, instead of through [give].
+       When it is given, [delete] and [shrink_to] group the freed
+       extents into maximal runs of address-contiguous pieces (each
+       piece starting where the one before it in the file ends) and
+       call it once per run, in logical order; [give] is then never
+       called.  A policy passes it only when releasing a run leaves the
+       same free space as releasing its pieces one at a time (the extent
+       policy, which coalesces eagerly); a block-structured policy keeps
+       its per-piece [give];}
     {- [free_units], [largest_free], [free_hist]: see {!t};}
     {- [prepare st] (default: nothing): run once per [ensure] before
        the first [take];}

@@ -234,15 +234,16 @@ let new_file t ~hint:_ =
   { tier_totals = Array.make (t.top + 1) 0; fd_region }
 
 let allocate_block t fx f k =
-  let last = File_extents.last fx in
+  let n = File_extents.count fx in
   let prefer =
-    match last with
-    | Some e when Extent.end_ e mod t.sizes.(k) = 0 -> Extent.end_ e
-    | Some _ | None -> -1
+    if n = 0 then -1
+    else
+      let stop = Extent.end_ (File_extents.get fx (n - 1)) in
+      if stop mod t.sizes.(k) = 0 then stop else -1
   in
   if t.cfg.clustered then begin
     let optimal_region =
-      match last with Some e -> e.Extent.addr / t.region_units | None -> f.fd_region
+      if n = 0 then f.fd_region else (File_extents.get fx (n - 1)).Extent.addr / t.region_units
     in
     alloc_clustered t k ~optimal_region ~prefer
   end

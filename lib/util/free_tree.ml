@@ -1,205 +1,227 @@
 (* AVL tree with per-node augmentation: height, subtree extent count,
-   subtree total length, subtree maximum length.  Rebalancing recomputes
-   augmented fields bottom-up in [node]. *)
+   subtree total length, subtree maximum length.  Nodes are updated in
+   place: an update walks down, mutates, and on the way back up each
+   node on the path recomputes its augmented fields from its children
+   ([fix]) after they have been fixed.  Every walk is a top-level
+   function, so none builds a closure. *)
 
-type t =
+type node =
   | Leaf
   | Node of {
-      left : t;
-      addr : int;
-      len : int;
-      right : t;
-      height : int;
-      count : int;
-      total : int;
-      max_len : int;
+      mutable left : node;
+      mutable addr : int;
+      mutable len : int;
+      mutable right : node;
+      mutable height : int;
+      mutable count : int;
+      mutable total : int;
+      mutable max_len : int;
     }
 
-let empty = Leaf
+type t = { mutable root : node }
 
-let is_empty = function Leaf -> true | Node _ -> false
+let create () = { root = Leaf }
 
-let height = function Leaf -> 0 | Node { height; _ } -> height
-let cardinal = function Leaf -> 0 | Node { count; _ } -> count
-let total_len = function Leaf -> 0 | Node { total; _ } -> total
-let max_len = function Leaf -> 0 | Node { max_len; _ } -> max_len
+let height = function Leaf -> 0 | Node n -> n.height
+let count = function Leaf -> 0 | Node n -> n.count
+let total = function Leaf -> 0 | Node n -> n.total
+let max_of = function Leaf -> 0 | Node n -> n.max_len
 
-let node left addr len right =
-  Node
-    {
-      left;
-      addr;
-      len;
-      right;
-      height = 1 + max (height left) (height right);
-      count = 1 + cardinal left + cardinal right;
-      total = len + total_len left + total_len right;
-      max_len = max len (max (max_len left) (max_len right));
-    }
+let cardinal t = count t.root
+let total_len t = total t.root
+let max_len t = max_of t.root
 
-let balance_factor = function Leaf -> 0 | Node { left; right; _ } -> height left - height right
+let fix = function
+  | Leaf -> ()
+  | Node n ->
+      n.height <- 1 + Int.max (height n.left) (height n.right);
+      n.count <- 1 + count n.left + count n.right;
+      n.total <- n.len + total n.left + total n.right;
+      n.max_len <- Int.max n.len (Int.max (max_of n.left) (max_of n.right))
 
-let rotate_left = function
-  | Node { left; addr; len; right = Node { left = rl; addr = raddr; len = rlen; right = rr; _ }; _ }
-    ->
-      node (node left addr len rl) raddr rlen rr
-  | t -> t
+let balance_factor = function Leaf -> 0 | Node n -> height n.left - height n.right
 
-let rotate_right = function
-  | Node { left = Node { left = ll; addr = laddr; len = llen; right = lr; _ }; addr; len; right; _ }
-    ->
-      node ll laddr llen (node lr addr len right)
-  | t -> t
+(* Rotations relink the two nodes, fix them lowest first, and return the
+   subtree's new root. *)
+let rotate_left t =
+  match t with
+  | Node n -> begin
+      match n.right with
+      | Node r as rt ->
+          n.right <- r.left;
+          fix t;
+          r.left <- t;
+          fix rt;
+          rt
+      | Leaf -> t
+    end
+  | Leaf -> t
 
+let rotate_right t =
+  match t with
+  | Node n -> begin
+      match n.left with
+      | Node l as lt ->
+          n.left <- l.right;
+          fix t;
+          l.right <- t;
+          fix lt;
+          lt
+      | Leaf -> t
+    end
+  | Leaf -> t
+
+(* [t]'s children are balanced and fixed; fix [t] and return the root of
+   the rebalanced subtree. *)
 let rebalance t =
   match t with
   | Leaf -> t
-  | Node { left; addr; len; right; _ } ->
-      let bf = balance_factor t in
-      if bf > 1 then
-        let left = if balance_factor left < 0 then rotate_left left else left in
-        rotate_right (node left addr len right)
-      else if bf < -1 then
-        let right = if balance_factor right > 0 then rotate_right right else right in
-        rotate_left (node left addr len right)
-      else t
-
-let rec mem t ~addr =
-  match t with
-  | Leaf -> false
-  | Node n -> if addr = n.addr then true else if addr < n.addr then mem n.left ~addr else mem n.right ~addr
-
-let rec find t ~addr =
-  match t with
-  | Leaf -> None
   | Node n ->
-      if addr = n.addr then Some n.len
-      else if addr < n.addr then find n.left ~addr
-      else find n.right ~addr
+      let bf = height n.left - height n.right in
+      if bf > 1 then begin
+        if balance_factor n.left < 0 then n.left <- rotate_left n.left;
+        rotate_right t
+      end
+      else if bf < -1 then begin
+        if balance_factor n.right > 0 then n.right <- rotate_right n.right;
+        rotate_left t
+      end
+      else begin
+        fix t;
+        t
+      end
 
-let rec insert t ~addr ~len =
-  if len <= 0 then invalid_arg "Free_tree.insert: non-positive length";
+let rec length_in t ~addr =
   match t with
-  | Leaf -> node Leaf addr len Leaf
+  | Leaf -> 0
+  | Node n ->
+      if addr = n.addr then n.len
+      else if addr < n.addr then length_in n.left ~addr
+      else length_in n.right ~addr
+
+let length t ~addr = length_in t.root ~addr
+
+(* The duplicate check raises on the way down, before any node changes. *)
+let rec insert_in t ~addr ~len =
+  match t with
+  | Leaf -> Node { left = Leaf; addr; len; right = Leaf; height = 1; count = 1; total = len; max_len = len }
   | Node n ->
       if addr = n.addr then invalid_arg "Free_tree.insert: duplicate address"
-      else if addr < n.addr then rebalance (node (insert n.left ~addr ~len) n.addr n.len n.right)
-      else rebalance (node n.left n.addr n.len (insert n.right ~addr ~len))
+      else if addr < n.addr then n.left <- insert_in n.left ~addr ~len
+      else n.right <- insert_in n.right ~addr ~len;
+      rebalance t
 
-let rec min_extent = function
-  | Leaf -> None
-  | Node { left = Leaf; addr; len; _ } -> Some (addr, len)
-  | Node { left; _ } -> min_extent left
+let insert t ~addr ~len =
+  if len <= 0 then invalid_arg "Free_tree.insert: non-positive length";
+  t.root <- insert_in t.root ~addr ~len
 
-let rec remove_min = function
+(* Unlink the minimum of a non-empty subtree after copying its extent
+   into [into], and return what is left of the subtree. *)
+let rec remove_min t ~into =
+  match t with
   | Leaf -> Leaf
-  | Node { left = Leaf; right; _ } -> right
-  | Node { left; addr; len; right; _ } -> rebalance (node (remove_min left) addr len right)
+  | Node n -> begin
+      match n.left with
+      | Leaf ->
+          (match into with
+          | Node d ->
+              d.addr <- n.addr;
+              d.len <- n.len
+          | Leaf -> ());
+          n.right
+      | l ->
+          n.left <- remove_min l ~into;
+          rebalance t
+    end
 
-let rec remove t ~addr =
+let rec remove_in t ~addr =
   match t with
   | Leaf -> Leaf
   | Node n ->
-      if addr < n.addr then rebalance (node (remove n.left ~addr) n.addr n.len n.right)
-      else if addr > n.addr then rebalance (node n.left n.addr n.len (remove n.right ~addr))
+      if addr < n.addr then begin
+        n.left <- remove_in n.left ~addr;
+        rebalance t
+      end
+      else if addr > n.addr then begin
+        n.right <- remove_in n.right ~addr;
+        rebalance t
+      end
       else begin
         match (n.left, n.right) with
         | Leaf, r -> r
         | l, Leaf -> l
-        | l, r -> begin
-            match min_extent r with
-            | None -> assert false
-            | Some (saddr, slen) -> rebalance (node l saddr slen (remove_min r))
-          end
+        | _, r ->
+            (* The successor's extent moves into this node. *)
+            n.right <- remove_min r ~into:t;
+            rebalance t
       end
 
-(* [pred]/[succ] carry the best node seen so far, not an option, so the
-   descent allocates only the one result. *)
-let found = function Leaf -> None | Node n -> Some (n.addr, n.len)
-
-let rec pred_below t ~addr best =
-  match t with
-  | Leaf -> found best
-  | Node n -> if n.addr < addr then pred_below n.right ~addr t else pred_below n.left ~addr best
-
-let rec succ_above t ~addr best =
-  match t with
-  | Leaf -> found best
-  | Node n -> if n.addr > addr then succ_above n.left ~addr t else succ_above n.right ~addr best
-
-let pred t ~addr = pred_below t ~addr Leaf
-let succ t ~addr = succ_above t ~addr Leaf
+let remove t ~addr = t.root <- remove_in t.root ~addr
 
 let rec max_key = function
   | Leaf -> min_int
   | Node { right = Leaf; addr; _ } -> addr
-  | Node { right; _ } -> max_key right
+  | Node n -> max_key n.right
 
 let rec min_key = function
   | Leaf -> max_int
   | Node { left = Leaf; addr; _ } -> addr
-  | Node { left; _ } -> min_key left
+  | Node n -> min_key n.left
 
-(* One path copy: every node keeps its height, so no rotation.  [lo] and
-   [hi] are the nearest ancestor keys on either side of the path; with
-   the target's own subtrees they bound where its new key may go. *)
+(* Every node keeps its height, so no rotation.  [lo] and [hi] are the
+   nearest ancestor keys on either side of the path; with the target's
+   own subtrees they bound where its new key may go.  Both checks raise
+   on the way down, before any node changes. *)
 let rec replace_in t ~addr ~new_addr ~len ~lo ~hi =
   match t with
   | Leaf -> invalid_arg "Free_tree.replace: absent address"
   | Node n ->
-      if addr < n.addr then
-        node (replace_in n.left ~addr ~new_addr ~len ~lo ~hi:n.addr) n.addr n.len n.right
-      else if addr > n.addr then
-        node n.left n.addr n.len (replace_in n.right ~addr ~new_addr ~len ~lo:n.addr ~hi)
+      if addr < n.addr then replace_in n.left ~addr ~new_addr ~len ~lo ~hi:n.addr
+      else if addr > n.addr then replace_in n.right ~addr ~new_addr ~len ~lo:n.addr ~hi
       else if
-        (new_addr < addr && new_addr <= max lo (max_key n.left))
-        || (new_addr > addr && new_addr >= min hi (min_key n.right))
+        (new_addr < addr && new_addr <= Int.max lo (max_key n.left))
+        || (new_addr > addr && new_addr >= Int.min hi (min_key n.right))
       then invalid_arg "Free_tree.replace: new address out of order"
-      else node n.left new_addr len n.right
+      else begin
+        n.addr <- new_addr;
+        n.len <- len
+      end;
+      fix t
 
 let replace t ~addr ~new_addr ~len =
   if len <= 0 then invalid_arg "Free_tree.replace: non-positive length";
-  replace_in t ~addr ~new_addr ~len ~lo:min_int ~hi:max_int
+  replace_in t.root ~addr ~new_addr ~len ~lo:min_int ~hi:max_int
+
+let rec pred_below t ~addr best =
+  match t with
+  | Leaf -> best
+  | Node n -> if n.addr < addr then pred_below n.right ~addr n.addr else pred_below n.left ~addr best
+
+let pred t ~addr = pred_below t.root ~addr (-1)
 
 (* Lowest-addressed node with len >= want: explore left subtree first if
    it can contain a fit, then the node, then the right subtree.  The
    max_len pruning makes the walk follow a single root-to-leaf corridor,
    so it is O(log n). *)
-let rec first_fit t ~want =
+let rec first_fit_in t ~want =
   match t with
-  | Leaf -> None
+  | Leaf -> -1
   | Node n ->
-      if n.max_len < want then None
-      else if max_len n.left >= want then first_fit n.left ~want
-      else if n.len >= want then Some (n.addr, n.len)
-      else first_fit n.right ~want
+      if n.max_len < want then -1
+      else if max_of n.left >= want then first_fit_in n.left ~want
+      else if n.len >= want then n.addr
+      else first_fit_in n.right ~want
 
-let rec first_fit_from t ~min_addr ~want =
+let first_fit t ~want = first_fit_in t.root ~want
+
+let rec fold_in t acc f =
   match t with
-  | Leaf -> None
+  | Leaf -> acc
   | Node n ->
-      if n.max_len < want then None
-      else if n.addr < min_addr then first_fit_from n.right ~min_addr ~want
-      else begin
-        (* Node key qualifies by address; the left subtree may still hold
-           a lower-addressed qualifying extent. *)
-        match first_fit_from n.left ~min_addr ~want with
-        | Some _ as hit -> hit
-        | None -> if n.len >= want then Some (n.addr, n.len) else first_fit_from n.right ~min_addr ~want
-      end
+      let acc = fold_in n.left acc f in
+      fold_in n.right (f acc ~addr:n.addr ~len:n.len) f
 
-let rec iter t f =
-  match t with
-  | Leaf -> ()
-  | Node n ->
-      iter n.left f;
-      f ~addr:n.addr ~len:n.len;
-      iter n.right f
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun ~addr ~len -> acc := f !acc ~addr ~len);
-  !acc
+let fold t ~init ~f = fold_in t.root init f
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc ~addr ~len -> (addr, len) :: acc))
 
@@ -215,6 +237,7 @@ let check_invariants t =
             | Error _ as e -> e
             | Ok (rh, rc, rt, rm, rmin, rmax) ->
                 if abs (lh - rh) > 1 then Error (Printf.sprintf "unbalanced at %d" n.addr)
+                else if n.len <= 0 then Error (Printf.sprintf "non-positive length at %d" n.addr)
                 else if n.height <> 1 + max lh rh then Error "bad height"
                 else if n.count <> 1 + lc + rc then Error "bad count"
                 else if n.total <> n.len + lt + rt then Error "bad total"
@@ -231,4 +254,4 @@ let check_invariants t =
           end
       end
   in
-  match go t with Ok _ -> Ok () | Error e -> Error e
+  match go t.root with Ok _ -> Ok () | Error e -> Error e

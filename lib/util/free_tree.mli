@@ -7,13 +7,21 @@
     where a scan over an address-ordered list would be O(n).
 
     The tree stores extents as given; callers wanting coalescing look up
-    neighbours with {!pred}/{!succ} and grow, move or insert extents with
-    {!replace}/{!insert}.  Persistent (immutable) structure. *)
+    neighbours with {!pred}/{!length} and grow, move or insert extents
+    with {!replace}/{!insert}.
+
+    A [t] is a handle updated in place: {!insert} allocates one node,
+    while {!remove}, {!replace}, the rebalancing rotations and every
+    query allocate nothing.  Lookups follow the {!Bitset} convention and
+    return [-1] (or a length of [0]) for "none".  A tree holds no
+    closure, so it marshals whole; the decoded copy shares nothing with
+    the original. *)
 
 type t
 
-val empty : t
-val is_empty : t -> bool
+val create : unit -> t
+(** A new, empty tree. *)
+
 val cardinal : t -> int
 
 val total_len : t -> int
@@ -22,47 +30,36 @@ val total_len : t -> int
 val max_len : t -> int
 (** Largest extent length, [0] when empty. *)
 
-val mem : t -> addr:int -> bool
+val length : t -> addr:int -> int
+(** Length of the extent keyed at [addr], [0] when there is none. *)
 
-val find : t -> addr:int -> int option
-(** Length of the extent starting exactly at [addr]. *)
-
-val insert : t -> addr:int -> len:int -> t
+val insert : t -> addr:int -> len:int -> unit
 (** Requires [len > 0] and no extent already keyed at [addr] (raises
-    [Invalid_argument] otherwise).  Does not check for overlap — the
-    allocator's coalescing discipline guarantees it. *)
+    [Invalid_argument] otherwise, leaving the tree unchanged).  Does not
+    check for overlap — the allocator's coalescing discipline guarantees
+    it. *)
 
-val remove : t -> addr:int -> t
-(** Returns the tree unchanged when [addr] is absent. *)
+val remove : t -> addr:int -> unit
+(** Leaves the tree unchanged when [addr] is absent. *)
 
-val replace : t -> addr:int -> new_addr:int -> len:int -> t
+val replace : t -> addr:int -> new_addr:int -> len:int -> unit
 (** [replace t ~addr ~new_addr ~len] swaps the extent keyed at [addr]
-    for [(new_addr, len)] in one root-to-node path copy, with no
-    rebalancing: carving the front off a free extent, growing one in
-    place, or moving a key down over freed space.  Requires [len > 0],
-    an extent at [addr], and no other key in the closed range between
-    [addr] and [new_addr]; raises [Invalid_argument] otherwise.  Like
+    for [(new_addr, len)] in place, with no rebalancing: carving the
+    front off a free extent, growing one in place, or moving a key down
+    over freed space.  Requires [len > 0], an extent at [addr], and no
+    other key in the closed range between [addr] and [new_addr]; raises
+    [Invalid_argument] otherwise, leaving the tree unchanged.  Like
     {!insert}, it does not check for overlap. *)
 
-val pred : t -> addr:int -> (int * int) option
-(** Extent with the greatest start address strictly below [addr]. *)
+val pred : t -> addr:int -> int
+(** Greatest start address strictly below [addr], or [-1]. *)
 
-val succ : t -> addr:int -> (int * int) option
-(** Extent with the least start address strictly above [addr]. *)
-
-val first_fit : t -> want:int -> (int * int) option
-(** Lowest-addressed [(addr, len)] with [len >= want]. *)
-
-val first_fit_from : t -> min_addr:int -> want:int -> (int * int) option
-(** Lowest-addressed fit with [addr >= min_addr]. *)
-
-val min_extent : t -> (int * int) option
-(** Lowest-addressed extent. *)
-
-val iter : t -> (addr:int -> len:int -> unit) -> unit
-(** In increasing address order. *)
+val first_fit : t -> want:int -> int
+(** Start address of the lowest-addressed extent with length at least
+    [want], or [-1]. *)
 
 val fold : t -> init:'a -> f:('a -> addr:int -> len:int -> 'a) -> 'a
+(** In increasing address order. *)
 
 val to_list : t -> (int * int) list
 (** [(addr, len)] pairs in address order. *)

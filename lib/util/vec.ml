@@ -22,8 +22,6 @@ let pop t =
     Some t.data.(t.size)
   end
 
-let last t = if t.size = 0 then None else Some t.data.(t.size - 1)
-
 let check t i = if i < 0 || i >= t.size then invalid_arg "Vec: index out of bounds"
 
 let get t i =
@@ -33,11 +31,6 @@ let get t i =
 let set t i x =
   check t i;
   t.data.(i) <- x
-
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done
 
 let iteri f t =
   for i = 0 to t.size - 1 do
@@ -53,4 +46,6 @@ let fold_left f init t =
 
 let to_list t = List.rev (fold_left (fun acc x -> x :: acc) [] t)
 
-let clear t = t.size <- 0
+let truncate t n =
+  if n < 0 || n > t.size then invalid_arg "Vec.truncate";
+  t.size <- n

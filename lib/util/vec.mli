@@ -13,14 +13,13 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** Remove and return the last element. *)
 
-val last : 'a t -> 'a option
-
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] when out of bounds. *)
 
 val set : 'a t -> int -> 'a -> unit
-val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
-val clear : 'a t -> unit
+val truncate : 'a t -> int -> unit
+(** [truncate t n] keeps the first [n] elements.  Raises
+    [Invalid_argument] unless [0 <= n <= length t]. *)

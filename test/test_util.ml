@@ -438,72 +438,76 @@ let prop_bitset_matches_model =
 (* Free_tree *)
 
 let ft_of_list pairs =
-  List.fold_left (fun t (addr, len) -> Free_tree.insert t ~addr ~len) Free_tree.empty pairs
+  let t = Free_tree.create () in
+  List.iter (fun (addr, len) -> Free_tree.insert t ~addr ~len) pairs;
+  t
 
 let test_free_tree_basic () =
   let t = ft_of_list [ (10, 5); (0, 3); (20, 10) ] in
   check_int "cardinal" 3 (Free_tree.cardinal t);
   check_int "total" 18 (Free_tree.total_len t);
   check_int "max_len" 10 (Free_tree.max_len t);
-  check_bool "mem 10" true (Free_tree.mem t ~addr:10);
-  check_bool "find 20" true (Free_tree.find t ~addr:20 = Some 10);
-  check_bool "find 5 absent" true (Free_tree.find t ~addr:5 = None);
+  check_int "length at 20" 10 (Free_tree.length t ~addr:20);
+  check_int "length at 5 (absent)" 0 (Free_tree.length t ~addr:5);
   Alcotest.(check (list (pair int int))) "address order" [ (0, 3); (10, 5); (20, 10) ]
-    (Free_tree.to_list t)
+    (Free_tree.to_list t);
+  let empty = Free_tree.create () in
+  check_int "empty cardinal" 0 (Free_tree.cardinal empty);
+  check_int "empty max_len" 0 (Free_tree.max_len empty)
 
 let test_free_tree_remove () =
   let t = ft_of_list [ (0, 1); (5, 2); (9, 3) ] in
-  let t = Free_tree.remove t ~addr:5 in
+  Free_tree.remove t ~addr:5;
   check_int "cardinal" 2 (Free_tree.cardinal t);
-  check_bool "gone" false (Free_tree.mem t ~addr:5);
+  check_int "gone" 0 (Free_tree.length t ~addr:5);
   check_int "total adjusted" 4 (Free_tree.total_len t);
-  let t = Free_tree.remove t ~addr:12345 in
+  Free_tree.remove t ~addr:12345;
   check_int "removing absent is a no-op" 2 (Free_tree.cardinal t)
 
 let test_free_tree_neighbors () =
   let t = ft_of_list [ (0, 4); (10, 4); (20, 4) ] in
-  check_bool "pred of 10" true (Free_tree.pred t ~addr:10 = Some (0, 4));
-  check_bool "succ of 10" true (Free_tree.succ t ~addr:10 = Some (20, 4));
-  check_bool "pred of 0" true (Free_tree.pred t ~addr:0 = None);
-  check_bool "succ of 20" true (Free_tree.succ t ~addr:20 = None);
-  check_bool "pred of 15" true (Free_tree.pred t ~addr:15 = Some (10, 4))
+  check_int "pred of 10" 0 (Free_tree.pred t ~addr:10);
+  check_int "pred of 0" (-1) (Free_tree.pred t ~addr:0);
+  check_int "pred of 15" 10 (Free_tree.pred t ~addr:15);
+  check_int "pred of 1000" 20 (Free_tree.pred t ~addr:1000);
+  check_int "length of the pred of 15" 4 (Free_tree.length t ~addr:(Free_tree.pred t ~addr:15))
 
 let test_free_tree_first_fit () =
   let t = ft_of_list [ (0, 2); (10, 8); (30, 4); (50, 16) ] in
-  check_bool "wants 1 -> lowest" true (Free_tree.first_fit t ~want:1 = Some (0, 2));
-  check_bool "wants 3 -> 10" true (Free_tree.first_fit t ~want:3 = Some (10, 8));
-  check_bool "wants 9 -> 50" true (Free_tree.first_fit t ~want:9 = Some (50, 16));
-  check_bool "wants 17 -> none" true (Free_tree.first_fit t ~want:17 = None)
-
-let test_free_tree_first_fit_from () =
-  let t = ft_of_list [ (0, 8); (10, 8); (30, 8) ] in
-  check_bool "from 5 skips 0" true (Free_tree.first_fit_from t ~min_addr:5 ~want:4 = Some (10, 8));
-  check_bool "from 0 finds 0" true (Free_tree.first_fit_from t ~min_addr:0 ~want:4 = Some (0, 8));
-  check_bool "from 31 none" true (Free_tree.first_fit_from t ~min_addr:31 ~want:4 = None)
+  check_int "wants 1 -> lowest" 0 (Free_tree.first_fit t ~want:1);
+  check_int "wants 3 -> 10" 10 (Free_tree.first_fit t ~want:3);
+  check_int "wants 9 -> 50" 50 (Free_tree.first_fit t ~want:9);
+  check_int "wants 17 -> none" (-1) (Free_tree.first_fit t ~want:17)
 
 let test_free_tree_duplicate_raises () =
-  let t = ft_of_list [ (5, 2) ] in
+  let t = ft_of_list [ (1, 1); (5, 2); (9, 1) ] in
   Alcotest.check_raises "duplicate address" (Invalid_argument "Free_tree.insert: duplicate address")
-    (fun () -> ignore (Free_tree.insert t ~addr:5 ~len:9))
+    (fun () -> Free_tree.insert t ~addr:5 ~len:9);
+  check_bool "unchanged" true (Free_tree.to_list t = [ (1, 1); (5, 2); (9, 1) ]);
+  check_bool "invariants hold" true (Free_tree.check_invariants t = Ok ())
 
 let test_free_tree_invariants_small () =
   let t = ft_of_list (List.init 100 (fun i -> (i * 10, (i mod 7) + 1))) in
   check_bool "invariants hold" true (Free_tree.check_invariants t = Ok ())
 
 let test_free_tree_replace () =
-  let t = ft_of_list [ (0, 4); (10, 4); (20, 4) ] in
-  let carved = Free_tree.replace t ~addr:10 ~new_addr:13 ~len:1 in
+  let fresh () = ft_of_list [ (0, 4); (10, 4); (20, 4) ] in
+  let carved = fresh () in
+  Free_tree.replace carved ~addr:10 ~new_addr:13 ~len:1;
   check_bool "front carved" true (Free_tree.to_list carved = [ (0, 4); (13, 1); (20, 4) ]);
-  let grown = Free_tree.replace t ~addr:0 ~new_addr:0 ~len:10 in
+  let grown = fresh () in
+  Free_tree.replace grown ~addr:0 ~new_addr:0 ~len:10;
   check_bool "grown in place" true (Free_tree.max_len grown = 10 && Free_tree.total_len grown = 18);
-  let moved = Free_tree.replace t ~addr:20 ~new_addr:15 ~len:9 in
+  let moved = fresh () in
+  Free_tree.replace moved ~addr:20 ~new_addr:15 ~len:9;
   check_bool "key moved down" true (Free_tree.to_list moved = [ (0, 4); (10, 4); (15, 9) ]);
+  let t = fresh () in
   let raises what msg f =
-    Alcotest.check_raises what (Invalid_argument ("Free_tree.replace: " ^ msg)) (fun () ->
-        ignore (f () : Free_tree.t))
+    Alcotest.check_raises what (Invalid_argument ("Free_tree.replace: " ^ msg)) f;
+    check_bool (what ^ " leaves the tree unchanged") true
+      (Free_tree.to_list t = [ (0, 4); (10, 4); (20, 4) ] && Free_tree.check_invariants t = Ok ())
   in
-  raises "absent key" "absent address" (fun () ->
-      Free_tree.replace t ~addr:5 ~new_addr:5 ~len:1);
+  raises "absent key" "absent address" (fun () -> Free_tree.replace t ~addr:5 ~new_addr:5 ~len:1);
   raises "past the successor" "new address out of order" (fun () ->
       Free_tree.replace t ~addr:10 ~new_addr:25 ~len:1);
   raises "onto the predecessor" "new address out of order" (fun () ->
@@ -513,6 +517,25 @@ let test_free_tree_replace () =
   raises "non-positive length" "non-positive length" (fun () ->
       Free_tree.replace t ~addr:0 ~new_addr:0 ~len:0)
 
+let test_free_tree_marshal_round_trip () =
+  (* A checkpoint marshals the tree whole; the decoded copy shares no
+     node with the original, so later updates to one leave the other
+     as it was. *)
+  let t = ft_of_list (List.init 50 (fun i -> (i * 10, (i mod 5) + 1))) in
+  let before = Free_tree.to_list t in
+  let copy = (Marshal.from_string (Marshal.to_string t []) 0 : Free_tree.t) in
+  Free_tree.remove t ~addr:0;
+  Free_tree.replace t ~addr:10 ~new_addr:12 ~len:3;
+  Free_tree.insert t ~addr:1000 ~len:7;
+  check_bool "decoded copy unchanged" true (Free_tree.to_list copy = before);
+  check_bool "decoded copy valid" true (Free_tree.check_invariants copy = Ok ());
+  Free_tree.insert copy ~addr:2000 ~len:1;
+  Free_tree.remove copy ~addr:490;
+  check_bool "original untouched by the copy's updates" true
+    (Free_tree.length t ~addr:2000 = 0 && Free_tree.length t ~addr:490 = 5);
+  check_bool "copy updates in place" true
+    (Free_tree.check_invariants copy = Ok () && Free_tree.cardinal copy = 50)
+
 let prop_free_tree_model =
   (* Random insert / remove / replace sequences behave like a sorted
      association list, and the AVL invariants hold after every step.  A
@@ -520,7 +543,7 @@ let prop_free_tree_model =
      key anywhere strictly between its neighbours' keys. *)
   let gen = QCheck.(list (triple (int_bound 500) (int_bound 2) (int_bound 1000))) in
   QCheck.Test.make ~name:"free tree matches a model under churn" ~count:200 gen (fun ops ->
-      let model = ref [] (* sorted (addr, len) *) and tree = ref Free_tree.empty in
+      let model = ref [] (* sorted (addr, len) *) and tree = Free_tree.create () in
       let set m = model := List.sort compare m in
       List.for_all
         (fun (addr, op, r) ->
@@ -528,10 +551,10 @@ let prop_free_tree_model =
           | 0 when not (List.mem_assoc addr !model) ->
               let len = (addr mod 9) + 1 in
               set ((addr, len) :: !model);
-              tree := Free_tree.insert !tree ~addr ~len
+              Free_tree.insert tree ~addr ~len
           | 0 | 1 ->
               set (List.remove_assoc addr !model);
-              tree := Free_tree.remove !tree ~addr
+              Free_tree.remove tree ~addr
           | _ -> (
               match List.find_opt (fun (a, _) -> a >= addr) !model with
               | None -> ()
@@ -544,12 +567,16 @@ let prop_free_tree_model =
                   in
                   let new_addr = lo + 1 + (r mod (hi - lo - 1)) and len = (r mod 13) + 1 in
                   set ((new_addr, len) :: List.remove_assoc key !model);
-                  tree := Free_tree.replace !tree ~addr:key ~new_addr ~len));
-          Free_tree.check_invariants !tree = Ok ()
-          && Free_tree.to_list !tree = !model
-          && Free_tree.cardinal !tree = List.length !model
-          && Free_tree.total_len !tree = List.fold_left (fun a (_, l) -> a + l) 0 !model
-          && Free_tree.max_len !tree = List.fold_left (fun a (_, l) -> max a l) 0 !model)
+                  Free_tree.replace tree ~addr:key ~new_addr ~len));
+          let model_pred a = List.fold_left (fun acc (k, _) -> if k < a then k else acc) (-1) !model in
+          Free_tree.check_invariants tree = Ok ()
+          && Free_tree.to_list tree = !model
+          && Free_tree.cardinal tree = List.length !model
+          && Free_tree.total_len tree = List.fold_left (fun a (_, l) -> a + l) 0 !model
+          && Free_tree.max_len tree = List.fold_left (fun a (_, l) -> max a l) 0 !model
+          && Free_tree.pred tree ~addr = model_pred addr
+          && Free_tree.length tree ~addr
+             = Option.value (List.assoc_opt addr !model) ~default:0)
         ops)
 
 let prop_free_tree_first_fit_is_lowest =
@@ -570,7 +597,9 @@ let prop_free_tree_first_fit_is_lowest =
       in
       let tree = ft_of_list pairs in
       let expected =
-        List.sort compare pairs |> List.find_opt (fun (_, l) -> l >= want)
+        match List.sort compare pairs |> List.find_opt (fun (_, l) -> l >= want) with
+        | Some (addr, _) -> addr
+        | None -> -1
       in
       Free_tree.first_fit tree ~want = expected)
 
@@ -584,7 +613,7 @@ let test_vec_push_pop () =
   Vec.push v 2;
   Vec.push v 3;
   check_int "length" 3 (Vec.length v);
-  check_bool "last" true (Vec.last v = Some 3);
+  check_int "last" 3 (Vec.get v (Vec.length v - 1));
   check_bool "pop" true (Vec.pop v = Some 3);
   check_int "length after pop" 2 (Vec.length v);
   check_bool "pop" true (Vec.pop v = Some 2);
@@ -614,8 +643,17 @@ let test_vec_iter_fold () =
 
 let test_vec_clear () =
   let v = Vec.create () in
-  Vec.push v 1;
-  Vec.clear v;
+  List.iter (Vec.push v) [ 1; 2; 3 ];
+  Vec.truncate v 3;
+  check_int "truncate to the length keeps all" 3 (Vec.length v);
+  Vec.truncate v 1;
+  Alcotest.(check (list int)) "truncated" [ 1 ] (Vec.to_list v);
+  Alcotest.check_raises "past the length" (Invalid_argument "Vec.truncate") (fun () ->
+      Vec.truncate v 2);
+  Alcotest.check_raises "negative" (Invalid_argument "Vec.truncate") (fun () -> Vec.truncate v (-1));
+  Vec.push v 4;
+  Alcotest.(check (list int)) "push after truncate" [ 1; 4 ] (Vec.to_list v);
+  Vec.truncate v 0;
   check_bool "cleared" true (Vec.is_empty v)
 
 (* ------------------------------------------------------------------ *)
@@ -736,10 +774,10 @@ let () =
           quick "remove" test_free_tree_remove;
           quick "neighbors" test_free_tree_neighbors;
           quick "first fit" test_free_tree_first_fit;
-          quick "first fit from" test_free_tree_first_fit_from;
           quick "duplicate raises" test_free_tree_duplicate_raises;
           quick "replace" test_free_tree_replace;
           quick "invariants" test_free_tree_invariants_small;
+          quick "marshal round trip" test_free_tree_marshal_round_trip;
           QCheck_alcotest.to_alcotest prop_free_tree_model;
           QCheck_alcotest.to_alcotest prop_free_tree_first_fit_is_lowest;
         ] );
