@@ -49,17 +49,37 @@ type stats = {
   invalidations : int;
 }
 
+(* A cache key packs (file, page) into one int, the file in the high
+   bits, so packed order is (file, page) order and a sort of keys is a
+   sort of pages. *)
+let page_bits = 31
+let max_page = (1 lsl page_bits) - 1
+let max_file = max_int lsr page_bits
+let key file page = (file lsl page_bits) lor page
+let key_file k = k lsr page_bits
+let key_page k = k land max_page
+
+(* Files are keyed by their id through a table specialised to [int], so
+   a lookup neither boxes an option nor calls polymorphic compare. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 (* Everything the cache checkpoints apart from its replacement policy,
    in one closure-free record behind one mutable slot: a snapshot
    marshals it beside the policy's own save, and a restore swaps it
-   in. *)
+   in.  The page index is intrusive: [heads] maps a hash bucket to the
+   first frame whose page hashes there, and [chain] links each frame
+   to the next one in its bucket, with -1 ending both.  A lookup
+   compares [frame_file] / [frame_page] along one short chain and
+   allocates nothing, like [Replacement.Lru]'s list. *)
 type state = {
   frame_file : int array;  (** -1 = frame free *)
   frame_page : int array;
   frame_dirty : bool array;
-  index : (int * int, int) Hashtbl.t;  (** (file, page) -> frame *)
-  resident : (int, int) Hashtbl.t;  (** file -> resident page count *)
-  seq_next : (int, int) Hashtbl.t;  (** file -> page a sequential scan reads next *)
+  heads : int array;  (** bucket -> first frame of its chain; a power-of-two count *)
+  chain : int array;  (** frame -> next frame in its bucket *)
+  shift : int;  (** a key's bucket is the top [63 - shift] bits of its hash *)
+  resident : int Int_tbl.t;  (** file -> resident page count *)
+  seq_next : int Int_tbl.t;  (** file -> page a sequential scan reads next *)
   mutable unused : int;  (** frames [unused, pages) were never filled *)
   mutable free : int list;  (** frames freed by invalidation *)
   mutable dirty : int;
@@ -77,10 +97,25 @@ type state = {
   type_misses : int array;
 }
 
-type t = { cfg : config; repl : Replacement.t; mutable st : state }
+(* [keys.(0 .. nkeys - 1)] collects the dirty pages one operation
+   evicts, or one flush cleans, for [coalesce]; it is empty between
+   operations, so it is scratch and no part of a snapshot. *)
+type t = {
+  cfg : config;
+  repl : Replacement.t;
+  mutable st : state;
+  mutable keys : int array;
+  mutable nkeys : int;
+}
 
 let create ?(ntypes = 0) cfg =
   validate cfg;
+  (* At least as many buckets as frames, so a chain holds one frame on
+     average. *)
+  let bits =
+    let rec go b = if 1 lsl b >= cfg.pages then b else go (b + 1) in
+    go 1
+  in
   {
     cfg;
     repl = Replacement.make cfg.policy ~capacity:cfg.pages;
@@ -89,9 +124,11 @@ let create ?(ntypes = 0) cfg =
         frame_file = Array.make cfg.pages (-1);
         frame_page = Array.make cfg.pages (-1);
         frame_dirty = Array.make cfg.pages false;
-        index = Hashtbl.create (min cfg.pages 4096);
-        resident = Hashtbl.create 64;
-        seq_next = Hashtbl.create 64;
+        heads = Array.make (1 lsl bits) (-1);
+        chain = Array.make cfg.pages (-1);
+        shift = 63 - bits;
+        resident = Int_tbl.create 64;
+        seq_next = Int_tbl.create 64;
         unused = 0;
         free = [];
         dirty = 0;
@@ -108,6 +145,8 @@ let create ?(ntypes = 0) cfg =
         type_hits = Array.make (max ntypes 0) 0;
         type_misses = Array.make (max ntypes 0) 0;
       };
+    keys = [||];
+    nkeys = 0;
   }
 
 let write_back t = t.cfg.write_mode = Write_back
@@ -126,46 +165,107 @@ type outcome = {
 }
 
 let incr_resident t file =
-  Hashtbl.replace t.st.resident file
-    (match Hashtbl.find_opt t.st.resident file with Some n -> n + 1 | None -> 1)
+  match Int_tbl.find t.st.resident file with
+  | n -> Int_tbl.replace t.st.resident file (n + 1)
+  | exception Not_found -> Int_tbl.replace t.st.resident file 1
 
 let decr_resident t file =
-  match Hashtbl.find_opt t.st.resident file with
-  | Some n when n > 1 -> Hashtbl.replace t.st.resident file (n - 1)
-  | Some _ -> Hashtbl.remove t.st.resident file
-  | None -> ()
+  match Int_tbl.find t.st.resident file with
+  | n ->
+      if n > 1 then Int_tbl.replace t.st.resident file (n - 1)
+      else Int_tbl.remove t.st.resident file
+  | exception Not_found -> ()
 
-(* Coalesce (file, page) pairs into maximal page-aligned runs.  The
-   sort makes the result a function of the set alone, not of eviction
-   or slot-scan order. *)
-let coalesce t pairs =
-  let pb = t.cfg.page_bytes in
-  match List.sort compare pairs with
-  | [] -> []
-  | (f0, p0) :: rest ->
-      let runs = ref [] in
-      let file = ref f0 and first = ref p0 and last = ref p0 in
-      let emit () =
-        let len = (!last - !first + 1) * pb in
-        runs := { r_file = !file; r_off = !first * pb; r_len = len } :: !runs;
-        t.st.s_writeback_bytes <- t.st.s_writeback_bytes + len
-      in
-      List.iter
-        (fun (f, p) ->
-          if f = !file && p = !last + 1 then last := p
-          else begin
-            emit ();
-            file := f;
-            first := p;
-            last := p
-          end)
-        rest;
-      emit ();
-      List.rev !runs
+let check_pages ~file ~lo ~hi =
+  if file < 0 || file > max_file || lo < 0 || hi > max_page then
+    invalid_arg
+      (Printf.sprintf "Cache: file %d, pages %d-%d outside the packable range [0, %d]" file lo hi
+         max_file)
+
+(* Multiplicative hashing: the top bits of [key * odd constant] depend
+   on every bit of the key. *)
+let bucket st k = (k * 0x2545F4914F6CDD1D) lsr st.shift
+
+let rec walk st file page f =
+  if f < 0 || (st.frame_page.(f) = page && st.frame_file.(f) = file) then f
+  else walk st file page st.chain.(f)
+
+(* The frame holding (file, page), or -1. *)
+let find st file page = walk st file page st.heads.(bucket st (key file page))
+
+let link st f =
+  let b = bucket st (key st.frame_file.(f) st.frame_page.(f)) in
+  st.chain.(f) <- st.heads.(b);
+  st.heads.(b) <- f
+
+let rec unlink_after st f p =
+  let n = st.chain.(p) in
+  if n = f then st.chain.(p) <- st.chain.(f) else unlink_after st f n
+
+let unlink st f =
+  let b = bucket st (key st.frame_file.(f) st.frame_page.(f)) in
+  if st.heads.(b) = f then st.heads.(b) <- st.chain.(f) else unlink_after st f st.heads.(b);
+  st.chain.(f) <- -1
+
+let push_key t k =
+  if t.nkeys = Array.length t.keys then begin
+    let grown = Array.make (max 16 (2 * t.nkeys)) 0 in
+    Array.blit t.keys 0 grown 0 t.nkeys;
+    t.keys <- grown
+  end;
+  t.keys.(t.nkeys) <- k;
+  t.nkeys <- t.nkeys + 1
+
+(* In-place heapsort of [keys.(0 .. n - 1)], ascending. *)
+let rec sift (keys : int array) n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && keys.(l + 1) > keys.(l) then l + 1 else l in
+    let x = keys.(i) in
+    if keys.(c) > x then begin
+      keys.(i) <- keys.(c);
+      keys.(c) <- x;
+      sift keys n c
+    end
+  end
+
+let sort_keys keys n =
+  for i = (n / 2) - 1 downto 0 do
+    sift keys n i
+  done;
+  for last = n - 1 downto 1 do
+    let x = keys.(0) in
+    keys.(0) <- keys.(last);
+    keys.(last) <- x;
+    sift keys last 0
+  done
+
+(* Coalesce the collected keys into maximal page-aligned runs and empty
+   the buffer.  The sort makes the result a function of the set alone,
+   not of eviction or frame-scan order; runs are built from the highest
+   key down, so the list comes out ascending. *)
+let coalesce t =
+  let n = t.nkeys and keys = t.keys and pb = t.cfg.page_bytes in
+  t.nkeys <- 0;
+  sort_keys keys n;
+  let runs = ref [] and i = ref (n - 1) in
+  while !i >= 0 do
+    let last = keys.(!i) in
+    let first = ref last in
+    decr i;
+    while !i >= 0 && keys.(!i) = !first - 1 && key_file keys.(!i) = key_file last do
+      first := keys.(!i);
+      decr i
+    done;
+    let len = (last - !first + 1) * pb in
+    runs := { r_file = key_file last; r_off = key_page !first * pb; r_len = len } :: !runs;
+    t.st.s_writeback_bytes <- t.st.s_writeback_bytes + len
+  done;
+  !runs
 
 (* Claim a frame: a never-used one, an invalidated one, or the
-   policy's victim (whose dirty page joins [evicted]). *)
-let take_frame t evicted =
+   policy's victim (whose dirty page joins the key buffer). *)
+let take_frame t =
   match t.st.free with
   | f :: rest ->
       t.st.free <- rest;
@@ -177,30 +277,31 @@ let take_frame t evicted =
         f
       end
       else begin
+        let st = t.st in
         let f = Replacement.victim t.repl in
-        let file = t.st.frame_file.(f) and page = t.st.frame_page.(f) in
-        Hashtbl.remove t.st.index (file, page);
-        decr_resident t file;
-        t.st.s_evictions <- t.st.s_evictions + 1;
-        if t.st.frame_dirty.(f) then begin
-          t.st.frame_dirty.(f) <- false;
-          t.st.dirty <- t.st.dirty - 1;
-          t.st.s_dirty_evictions <- t.st.s_dirty_evictions + 1;
-          evicted := (file, page) :: !evicted
+        unlink st f;
+        decr_resident t st.frame_file.(f);
+        st.s_evictions <- st.s_evictions + 1;
+        if st.frame_dirty.(f) then begin
+          st.frame_dirty.(f) <- false;
+          st.dirty <- st.dirty - 1;
+          st.s_dirty_evictions <- st.s_dirty_evictions + 1;
+          push_key t (key st.frame_file.(f) st.frame_page.(f))
         end;
         f
       end
 
-let insert_page t ~file ~page ~dirty evicted =
-  let f = take_frame t evicted in
-  t.st.frame_file.(f) <- file;
-  t.st.frame_page.(f) <- page;
-  t.st.frame_dirty.(f) <- dirty;
-  if dirty then t.st.dirty <- t.st.dirty + 1;
-  Hashtbl.replace t.st.index (file, page) f;
+let insert_page t ~file ~page ~dirty =
+  let f = take_frame t in
+  let st = t.st in
+  st.frame_file.(f) <- file;
+  st.frame_page.(f) <- page;
+  st.frame_dirty.(f) <- dirty;
+  if dirty then st.dirty <- st.dirty + 1;
+  link st f;
   incr_resident t file;
   Replacement.on_insert t.repl f;
-  t.st.s_insertions <- t.st.s_insertions + 1
+  st.s_insertions <- st.s_insertions + 1
 
 let count_access t ~type_idx ~hits ~misses =
   t.st.s_hits <- t.st.s_hits + hits;
@@ -211,31 +312,39 @@ let count_access t ~type_idx ~hits ~misses =
   end
 
 let read t ~type_idx ~file ~off ~len ~logical =
-  let pb = t.cfg.page_bytes in
+  let st = t.st and pb = t.cfg.page_bytes in
   let p0 = off / pb and p1 = (off + len - 1) / pb in
   (* An access that resumes where the file's last one stopped is a
      sequential scan: stage the prefetch window beyond it (never past
      end of file).  The recorded position is the page holding the next
      unread byte — a burst ending mid-page resumes in that same page. *)
   let seq =
-    match Hashtbl.find_opt t.st.seq_next file with Some next -> next = p0 | None -> false
+    match Int_tbl.find st.seq_next file with next -> next = p0 | exception Not_found -> false
   in
-  Hashtbl.replace t.st.seq_next file ((off + len) / pb);
-  let last_page = (logical - 1) / pb in
+  let want_hi =
+    if seq && t.cfg.prefetch_pages > 0 then
+      min ((logical - 1) / pb)
+        (p1 + max t.cfg.prefetch_pages ((t.cfg.prefetch_factor - 1) * (p1 - p0 + 1)))
+    else p1
+  in
+  check_pages ~file ~lo:p0 ~hi:(max p1 want_hi);
+  Int_tbl.replace st.seq_next file ((off + len) / pb);
   let hit_bytes = ref 0 and page_hits = ref 0 and page_misses = ref 0 in
   let prefetched = ref 0 in
   let fetch_lo = ref (-1) and fetch_hi = ref (-1) in
   for p = p0 to p1 do
-    match Hashtbl.find_opt t.st.index (file, p) with
-    | Some f ->
-        Replacement.on_hit t.repl f;
-        incr page_hits;
-        let lo = max off (p * pb) and hi = min (off + len) ((p + 1) * pb) in
-        hit_bytes := !hit_bytes + (hi - lo)
-    | None ->
-        incr page_misses;
-        if !fetch_lo < 0 then fetch_lo := p;
-        fetch_hi := p
+    let f = find st file p in
+    if f >= 0 then begin
+      Replacement.on_hit t.repl f;
+      incr page_hits;
+      let lo = max off (p * pb) and hi = min (off + len) ((p + 1) * pb) in
+      hit_bytes := !hit_bytes + (hi - lo)
+    end
+    else begin
+      incr page_misses;
+      if !fetch_lo < 0 then fetch_lo := p;
+      fetch_hi := p
+    end
   done;
   (* Prefetch refills the window only when the access itself missed —
      hysteresis that mirrors the read-ahead staging this replaces: one
@@ -243,25 +352,21 @@ let read t ~type_idx ~file ~off ~len ~logical =
      (never less than the [prefetch_pages] floor, never past end of
      file), then the following accesses ride the window for free
      instead of each topping it up with a small I/O. *)
-  if seq && t.cfg.prefetch_pages > 0 && !page_misses > 0 then begin
-    let ahead = max t.cfg.prefetch_pages ((t.cfg.prefetch_factor - 1) * (p1 - p0 + 1)) in
-    let want_hi = min last_page (p1 + ahead) in
+  if !page_misses > 0 then
     for p = p1 + 1 to want_hi do
-      if not (Hashtbl.mem t.st.index (file, p)) then begin
+      if find st file p < 0 then begin
         incr prefetched;
         fetch_hi := p
       end
-    done
-  end;
-  let evicted = ref [] in
-  let evictions_before = t.st.s_evictions in
+    done;
+  let evictions_before = st.s_evictions in
   if !fetch_lo >= 0 then
     for p = !fetch_lo to !fetch_hi do
-      if not (Hashtbl.mem t.st.index (file, p)) then insert_page t ~file ~page:p ~dirty:false evicted
+      if find st file p < 0 then insert_page t ~file ~page:p ~dirty:false
     done;
   count_access t ~type_idx ~hits:!page_hits ~misses:!page_misses;
-  t.st.s_hit_bytes <- t.st.s_hit_bytes + !hit_bytes;
-  t.st.s_prefetched <- t.st.s_prefetched + !prefetched;
+  st.s_hit_bytes <- st.s_hit_bytes + !hit_bytes;
+  st.s_prefetched <- st.s_prefetched + !prefetched;
   {
     o_fetch =
       (match !fetch_lo with
@@ -269,93 +374,95 @@ let read t ~type_idx ~file ~off ~len ~logical =
       | lo ->
           let foff = lo * pb in
           Some (foff, min ((!fetch_hi + 1) * pb) logical - foff));
-    o_writebacks = coalesce t !evicted;
+    o_writebacks = coalesce t;
     o_hit_bytes = !hit_bytes;
     o_page_hits = !page_hits;
     o_page_misses = !page_misses;
     o_prefetched = !prefetched;
-    o_evictions = t.st.s_evictions - evictions_before;
+    o_evictions = st.s_evictions - evictions_before;
   }
 
 let write t ~type_idx ~file ~off ~len =
-  let pb = t.cfg.page_bytes in
+  let st = t.st and pb = t.cfg.page_bytes in
   let p0 = off / pb and p1 = (off + len - 1) / pb in
+  check_pages ~file ~lo:p0 ~hi:p1;
   let dirty = t.cfg.write_mode = Write_back in
   let page_hits = ref 0 and page_misses = ref 0 in
-  let evicted = ref [] in
-  let evictions_before = t.st.s_evictions in
+  let evictions_before = st.s_evictions in
   for p = p0 to p1 do
-    match Hashtbl.find_opt t.st.index (file, p) with
-    | Some f ->
-        Replacement.on_hit t.repl f;
-        incr page_hits;
-        if dirty && not t.st.frame_dirty.(f) then begin
-          t.st.frame_dirty.(f) <- true;
-          t.st.dirty <- t.st.dirty + 1
-        end
-    | None ->
-        incr page_misses;
-        insert_page t ~file ~page:p ~dirty evicted
+    let f = find st file p in
+    if f >= 0 then begin
+      Replacement.on_hit t.repl f;
+      incr page_hits;
+      if dirty && not st.frame_dirty.(f) then begin
+        st.frame_dirty.(f) <- true;
+        st.dirty <- st.dirty + 1
+      end
+    end
+    else begin
+      incr page_misses;
+      insert_page t ~file ~page:p ~dirty
+    end
   done;
   (* Writes advance the scan position too, so an alternating
      sequential read/write stream keeps its prefetch. *)
-  Hashtbl.replace t.st.seq_next file ((off + len) / pb);
+  Int_tbl.replace st.seq_next file ((off + len) / pb);
   count_access t ~type_idx ~hits:!page_hits ~misses:!page_misses;
   {
     o_fetch = None;
-    o_writebacks = coalesce t !evicted;
+    o_writebacks = coalesce t;
     o_hit_bytes = 0;
     o_page_hits = !page_hits;
     o_page_misses = !page_misses;
     o_prefetched = 0;
-    o_evictions = t.st.s_evictions - evictions_before;
+    o_evictions = st.s_evictions - evictions_before;
   }
 
 let flush t =
-  if t.st.dirty = 0 then []
+  let st = t.st in
+  if st.dirty = 0 then []
   else begin
-    let pairs = ref [] in
-    for f = 0 to t.st.unused - 1 do
-      if t.st.frame_file.(f) >= 0 && t.st.frame_dirty.(f) then begin
-        t.st.frame_dirty.(f) <- false;
-        pairs := (t.st.frame_file.(f), t.st.frame_page.(f)) :: !pairs
+    for f = 0 to st.unused - 1 do
+      if st.frame_file.(f) >= 0 && st.frame_dirty.(f) then begin
+        st.frame_dirty.(f) <- false;
+        push_key t (key st.frame_file.(f) st.frame_page.(f))
       end
     done;
-    t.st.dirty <- 0;
-    t.st.s_flushes <- t.st.s_flushes + 1;
-    coalesce t !pairs
+    st.dirty <- 0;
+    st.s_flushes <- st.s_flushes + 1;
+    coalesce t
   end
 
 let drop_frame t f =
-  let file = t.st.frame_file.(f) and page = t.st.frame_page.(f) in
-  Hashtbl.remove t.st.index (file, page);
-  decr_resident t file;
-  if t.st.frame_dirty.(f) then begin
-    t.st.frame_dirty.(f) <- false;
-    t.st.dirty <- t.st.dirty - 1
+  let st = t.st in
+  unlink st f;
+  decr_resident t st.frame_file.(f);
+  if st.frame_dirty.(f) then begin
+    st.frame_dirty.(f) <- false;
+    st.dirty <- st.dirty - 1
   end;
-  t.st.frame_file.(f) <- -1;
-  t.st.frame_page.(f) <- -1;
+  st.frame_file.(f) <- -1;
+  st.frame_page.(f) <- -1;
   Replacement.on_remove t.repl f;
-  t.st.free <- f :: t.st.free;
-  t.st.s_invalidations <- t.st.s_invalidations + 1
+  st.free <- f :: st.free;
+  st.s_invalidations <- st.s_invalidations + 1
 
 let invalidate_file t ~file =
-  Hashtbl.remove t.st.seq_next file;
-  if Hashtbl.mem t.st.resident file then
+  Int_tbl.remove t.st.seq_next file;
+  if Int_tbl.mem t.st.resident file then
     for f = 0 to t.st.unused - 1 do
       if t.st.frame_file.(f) = file then drop_frame t f
     done
 
 let truncate_file t ~file ~logical =
   let pb = t.cfg.page_bytes in
-  if Hashtbl.mem t.st.resident file then
+  if Int_tbl.mem t.st.resident file then
     for f = 0 to t.st.unused - 1 do
       if t.st.frame_file.(f) = file && t.st.frame_page.(f) * pb >= logical then drop_frame t f
     done;
-  match Hashtbl.find_opt t.st.seq_next file with
-  | Some next when next * pb > logical -> Hashtbl.remove t.st.seq_next file
-  | _ -> ()
+  match Int_tbl.find t.st.seq_next file with
+  | next -> if next * pb > logical then Int_tbl.remove t.st.seq_next file
+  | exception Not_found -> ()
 
 (* Checkpoint: the replacement policy snapshots itself; the rest is
    [st], marshalled whole.  No result path iterates a hash table
@@ -384,7 +491,7 @@ let stats t =
   }
 
 let dirty_pages t = t.st.dirty
-let resident_pages t = Hashtbl.length t.st.index
+let resident_pages t = t.st.unused - List.length t.st.free
 
 let per_type t =
   Array.init (Array.length t.st.type_hits) (fun i -> (t.st.type_hits.(i), t.st.type_misses.(i)))

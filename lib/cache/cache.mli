@@ -14,7 +14,14 @@
     runs of evicted or flushed dirty pages — so all timing, crediting
     and fault handling stay in one place (the engine).  There is no RNG
     and no iteration over hash tables on any result path: identical op
-    streams produce identical outcomes, byte for byte. *)
+    streams produce identical outcomes, byte for byte.
+
+    A page's key packs (file, page) into one int, so file ids and page
+    indexes must lie in \[0, 2{^31}).  The page index is intrusive hash
+    chains over frame indices, and write-back runs are coalesced from
+    packed keys sorted in one reused buffer: a lookup, insert or
+    eviction allocates nothing, and an access allocates only its
+    outcome. *)
 
 type write_mode =
   | Write_through  (** every write also goes to disk synchronously *)
@@ -101,13 +108,15 @@ type outcome = {
 
 val read : t -> type_idx:int -> file:int -> off:int -> len:int -> logical:int -> outcome
 (** Look up pages [off, off+len); misses (plus prefetch on a sequential
-    scan) coalesce into [o_fetch] and are inserted clean. *)
+    scan) coalesce into [o_fetch] and are inserted clean.  Raises
+    [Invalid_argument], before changing anything, when [file] or a page
+    the access or its prefetch window touches is outside \[0, 2{^31}). *)
 
 val write : t -> type_idx:int -> file:int -> off:int -> len:int -> outcome
 (** Update pages [off, off+len) (write-allocate).  Write-back marks
     them dirty ([o_fetch] is always [None] — the absorbed write needs
     no foreground I/O); write-through leaves them clean and the engine
-    issues the write itself. *)
+    issues the write itself.  Raises [Invalid_argument] like {!read}. *)
 
 val flush : t -> run list
 (** Mark every dirty page clean and return the coalesced write-back

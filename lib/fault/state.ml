@@ -18,7 +18,7 @@ type t = {
   statuses : status array;
   mutable impaired : int;  (** drives not [Healthy] *)
   media_rng : Rng.t;
-  remapped : (int, unit) Hashtbl.t array;  (** per drive: remapped sector index set *)
+  remapped : int array array;  (** per drive: remapped sector indexes, ascending *)
   dirty : (int * int) list array;  (** per drive: (offset, bytes) missed by degraded writes *)
   mutable dirty_total : int;
   mutable media_errors : int;
@@ -37,7 +37,7 @@ let create config ~drives =
     statuses = Array.make drives Healthy;
     impaired = 0;
     media_rng = Rng.create ~seed:(config.Plan.seed lxor 0x6d656469 (* "medi" *));
-    remapped = Array.init drives (fun _ -> Hashtbl.create 8);
+    remapped = Array.make drives [||];
     dirty = Array.make drives [];
     dirty_total = 0;
     media_errors = 0;
@@ -118,47 +118,72 @@ let log_dirty t ~drive ~offset ~bytes =
 
 let dirty_bytes t = t.dirty_total
 
+(* First index of ascending [a] whose value is >= [x] (or the length):
+   a binary search over [lo, hi). *)
+let rec lower_bound (a : int array) x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) < x then lower_bound a x (mid + 1) hi else lower_bound a x lo mid
+
+(* Remap one sector of [lo, hi], drawn uniformly.  The remap table is
+   tiny (one entry per hard error), so inserting by copy is cheap. *)
+let remap t ~drive ~lo ~hi =
+  let victim = lo + Rng.int t.media_rng (hi - lo + 1) in
+  let table = t.remapped.(drive) in
+  let n = Array.length table in
+  let i = lower_bound table victim 0 n in
+  if i = n || table.(i) <> victim then begin
+    let grown = Array.make (n + 1) victim in
+    Array.blit table 0 grown 0 i;
+    Array.blit table i grown (i + 1) (n - i);
+    t.remapped.(drive) <- grown
+  end;
+  t.remaps <- t.remaps + 1
+
+(* Bounded retries, one platter revolution each, from attempt [k]; when
+   they are exhausted the failing sector is remapped to the spare
+   region and the request finally completes from there.  Returns the
+   number of attempts made. *)
+let rec retry t c ~drive ~lo ~hi k =
+  t.retries <- t.retries + 1;
+  if Rng.float t.media_rng < c.Plan.retry_fail_prob then begin
+    if k >= c.Plan.max_retries then begin
+      remap t ~drive ~lo ~hi;
+      k
+    end
+    else retry t c ~drive ~lo ~hi (k + 1)
+  end
+  else k
+
 let media_extra_ms t ~drive ~rotation_ms ~sector_bytes ~offset ~bytes =
   let c = t.config in
   if c.Plan.media_error_rate <= 0. || bytes <= 0 then 0.
   else begin
     let lo = offset / sector_bytes and hi = (offset + bytes - 1) / sector_bytes in
     (* Relocation penalty for every already-remapped sector the request
-       touches.  The remap table is tiny (one entry per hard error), so
-       scanning it beats scanning the request's sectors. *)
+       touches: the sorted table's entries in [lo, hi]. *)
     let table = t.remapped.(drive) in
-    let hits =
-      if Hashtbl.length table = 0 then 0
-      else Hashtbl.fold (fun s () acc -> if s >= lo && s <= hi then acc + 1 else acc) table 0
-    in
+    let n = Array.length table in
+    let hits = lower_bound table (hi + 1) 0 n - lower_bound table lo 0 n in
     t.remap_hits <- t.remap_hits + hits;
     let extra = ref (float_of_int hits *. c.Plan.remap_penalty_ms) in
     if Rng.float t.media_rng < c.Plan.media_error_rate then begin
       t.media_errors <- t.media_errors + 1;
-      (* Bounded retries, one platter revolution each; when they are
-         exhausted the failing sector is remapped to the spare region
-         and the request finally completes from there. *)
-      let rec attempt k =
-        t.retries <- t.retries + 1;
-        extra := !extra +. rotation_ms;
-        if Rng.float t.media_rng < c.Plan.retry_fail_prob then begin
-          if k >= c.Plan.max_retries then begin
-            let victim = lo + Rng.int t.media_rng (hi - lo + 1) in
-            if not (Hashtbl.mem table victim) then Hashtbl.add table victim ();
-            t.remaps <- t.remaps + 1;
-            extra := !extra +. c.Plan.remap_penalty_ms
-          end
-          else attempt (k + 1)
-        end
-      in
       if c.Plan.max_retries = 0 then begin
         (* No retry budget: straight to remap. *)
-        let victim = lo + Rng.int t.media_rng (hi - lo + 1) in
-        if not (Hashtbl.mem table victim) then Hashtbl.add table victim ();
-        t.remaps <- t.remaps + 1;
+        remap t ~drive ~lo ~hi;
         extra := !extra +. c.Plan.remap_penalty_ms
       end
-      else attempt 1
+      else begin
+        let remaps = t.remaps in
+        (* Charge each revolution, then the relocation, in the order
+           the attempts made them. *)
+        for _ = 1 to retry t c ~drive ~lo ~hi 1 do
+          extra := !extra +. rotation_ms
+        done;
+        if t.remaps > remaps then extra := !extra +. c.Plan.remap_penalty_ms
+      end
     end;
     !extra
   end

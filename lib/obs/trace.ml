@@ -33,9 +33,50 @@ type event = {
   bytes : int;
 }
 
+let kinds =
+  [|
+    Arrival;
+    Dispatch;
+    Completion;
+    Fault_fail;
+    Fault_repair;
+    Rebuild;
+    Media;
+    Cache_hit;
+    Cache_miss;
+    Cache_evict;
+    Cache_flush;
+  |]
+
+let kind_index = function
+  | Arrival -> 0
+  | Dispatch -> 1
+  | Completion -> 2
+  | Fault_fail -> 3
+  | Fault_repair -> 4
+  | Rebuild -> 5
+  | Media -> 6
+  | Cache_hit -> 7
+  | Cache_miss -> 8
+  | Cache_evict -> 9
+  | Cache_flush -> 10
+
+(* The ring is six parallel arrays, one per event field: a recorded
+   event is copied into flat float and int slots, so the ring holds no
+   pointer per event, the event record dies young, and a snapshot
+   marshals six flat blocks.  The arrays are allocated on the first
+   [record] and double until they reach [capacity]; while the ring is
+   filling, [next = stored], so the slots in use are always a prefix
+   of the arrays until the first wrap, and the ring never grows after
+   it. *)
 type t = {
-  ring : event option array;
   capacity : int;
+  mutable r_at : float array;
+  mutable r_dur : float array;
+  mutable r_kind : int array;
+  mutable r_drive : int array;
+  mutable r_op : int array;
+  mutable r_bytes : int array;
   mutable next : int; (* slot for the next write *)
   mutable stored : int;
   mutable dropped : int;
@@ -44,18 +85,60 @@ type t = {
 let default_capacity = 65536
 
 let create ?(capacity = default_capacity) () =
-  let capacity = max 1 capacity in
-  { ring = Array.make capacity None; capacity; next = 0; stored = 0; dropped = 0 }
+  {
+    capacity = max 1 capacity;
+    r_at = [||];
+    r_dur = [||];
+    r_kind = [||];
+    r_drive = [||];
+    r_op = [||];
+    r_bytes = [||];
+    next = 0;
+    stored = 0;
+    dropped = 0;
+  }
 
-let record t e =
+let grow t =
+  let n = Array.length t.r_kind in
+  let size = min t.capacity (max 1024 (2 * n)) in
+  let widen a zero =
+    let b = Array.make size zero in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.r_at <- widen t.r_at 0.;
+  t.r_dur <- widen t.r_dur 0.;
+  t.r_kind <- widen t.r_kind 0;
+  t.r_drive <- widen t.r_drive 0;
+  t.r_op <- widen t.r_op 0;
+  t.r_bytes <- widen t.r_bytes 0
+
+let record t (e : event) =
   if t.stored = t.capacity then t.dropped <- t.dropped + 1 else t.stored <- t.stored + 1;
-  t.ring.(t.next) <- Some e;
-  t.next <- (t.next + 1) mod t.capacity
+  let i = t.next in
+  if i = Array.length t.r_kind then grow t;
+  t.r_at.(i) <- e.at_ms;
+  t.r_dur.(i) <- e.dur_ms;
+  t.r_kind.(i) <- kind_index e.kind;
+  t.r_drive.(i) <- e.drive;
+  t.r_op.(i) <- e.op_id;
+  t.r_bytes.(i) <- e.bytes;
+  t.next <- (if i + 1 = t.capacity then 0 else i + 1)
 
 let length t = t.stored
 let dropped t = t.dropped
 
 let capacity t = t.capacity
+
+let slot t i =
+  {
+    at_ms = t.r_at.(i);
+    dur_ms = t.r_dur.(i);
+    kind = kinds.(t.r_kind.(i));
+    drive = t.r_drive.(i);
+    op_id = t.r_op.(i);
+    bytes = t.r_bytes.(i);
+  }
 
 let events t =
   (* Oldest-first read of the ring, then a stable sort by timestamp so
@@ -64,9 +147,7 @@ let events t =
   let out = ref [] in
   let start = (t.next - t.stored + t.capacity) mod t.capacity in
   for i = t.stored - 1 downto 0 do
-    match t.ring.((start + i) mod t.capacity) with
-    | Some e -> out := e :: !out
-    | None -> ()
+    out := slot t ((start + i) mod t.capacity) :: !out
   done;
   List.stable_sort (fun a b -> Float.compare a.at_ms b.at_ms) !out
 

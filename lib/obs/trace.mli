@@ -6,6 +6,12 @@
     keeps the tail, which is usually the interesting part, and memory
     stays bounded no matter how long the simulation runs.
 
+    The ring stores each event field in its own flat array (two float,
+    four int), so it holds no pointer per event and a recorded event
+    record is never promoted: a full ring is about 6 words per slot.
+    The arrays are allocated on the first {!record} and double up to
+    the capacity, so a ring that never records costs a few words.
+
     Two serializations:
     - {!to_jsonl}: one JSON object per line, in timestamp order —
       greppable, streams well.
@@ -48,6 +54,7 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity {!default_capacity}.  [capacity] clamps to [>= 1]. *)
 
 val record : t -> event -> unit
+(** Copy the event into the ring, evicting the oldest when it is full. *)
 
 val length : t -> int
 (** Events currently held (<= capacity). *)

@@ -22,6 +22,7 @@ module Engine = C.Engine
 module Experiment = C.Experiment
 module Workload = C.Workload
 module File_type = C.File_type
+module Rng = C.Rng
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -258,6 +259,21 @@ let test_per_type_counters () =
   check_int "per-type hits sum" s.Cache.hits th;
   check_int "per-type misses sum" s.Cache.misses tm
 
+let test_packing_bound () =
+  let c = Cache.create (small_config ~pages:4 ()) in
+  let top = (1 lsl 31) - 1 in
+  let logical = (top + 1) * pb in
+  let o = Cache.read c ~type_idx:0 ~file:top ~off:(top * pb) ~len:pb ~logical in
+  check_int "the top file and page are cached" 1 o.Cache.o_page_misses;
+  expect_invalid "file past the bound" ~substr:"packable" (fun () ->
+      Cache.read c ~type_idx:0 ~file:(top + 1) ~off:0 ~len:pb ~logical);
+  expect_invalid "negative file" ~substr:"packable" (fun () ->
+      Cache.write c ~type_idx:0 ~file:(-1) ~off:0 ~len:pb);
+  expect_invalid "page past the bound" ~substr:"packable" (fun () ->
+      Cache.write c ~type_idx:0 ~file:0 ~off:(top * pb) ~len:(pb + 1));
+  check_int "refused accesses change nothing" 1 (Cache.resident_pages c);
+  check_int "nor the counters" 1 (Cache.stats c).Cache.lookups
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -318,6 +334,380 @@ let prop_policies_deterministic =
           let c2, o2 = apply_ops cfg ops in
           o1 = o2 && Cache.stats c1 = Cache.stats c2)
         Cache_policy.all)
+
+(* ------------------------------------------------------------------ *)
+(* Reference model                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A naive cache with the same contract: an association list from
+   (file, page) to frame, frames claimed free-list first (last freed
+   first), then never-used in order, then the replacement policy's
+   victim.  It drives its own instance of the same [Replacement]
+   policy, so the two must pick the same victims and return the same
+   outcome, field for field, after every operation. *)
+module Model = struct
+  type t = {
+    cfg : Cache.config;
+    repl : Replacement.t;
+    file : int array;
+    page : int array;
+    dirty : bool array;
+    mutable map : ((int * int) * int) list;
+    mutable seq : (int * int) list;  (** file -> page a scan reads next *)
+    mutable unused : int;
+    mutable free : int list;
+    mutable hits : int;
+    mutable misses : int;
+    mutable hit_bytes : int;
+    mutable insertions : int;
+    mutable evictions : int;
+    mutable dirty_evictions : int;
+    mutable flushes : int;
+    mutable writeback_bytes : int;
+    mutable prefetched : int;
+    mutable invalidations : int;
+  }
+
+  let create cfg =
+    let n = cfg.Cache.pages in
+    {
+      cfg;
+      repl = Replacement.make cfg.Cache.policy ~capacity:n;
+      file = Array.make n (-1);
+      page = Array.make n (-1);
+      dirty = Array.make n false;
+      map = [];
+      seq = [];
+      unused = 0;
+      free = [];
+      hits = 0;
+      misses = 0;
+      hit_bytes = 0;
+      insertions = 0;
+      evictions = 0;
+      dirty_evictions = 0;
+      flushes = 0;
+      writeback_bytes = 0;
+      prefetched = 0;
+      invalidations = 0;
+    }
+
+  let pb m = m.cfg.Cache.page_bytes
+  let find m file page = List.assoc_opt (file, page) m.map
+  let dirty_pages m = Array.fold_left (fun n d -> if d then n + 1 else n) 0 m.dirty
+
+  let runs m pairs =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | (f, p) :: rest ->
+          let rec span last = function
+            | (f', p') :: rest when f' = f && p' = last + 1 -> span p' rest
+            | rest -> (last, rest)
+          in
+          let last, rest = span p rest in
+          let len = (last - p + 1) * pb m in
+          m.writeback_bytes <- m.writeback_bytes + len;
+          go ({ Cache.r_file = f; r_off = p * pb m; r_len = len } :: acc) rest
+    in
+    go [] (List.sort compare pairs)
+
+  let claim m evicted =
+    match m.free with
+    | f :: rest ->
+        m.free <- rest;
+        f
+    | [] when m.unused < m.cfg.Cache.pages ->
+        m.unused <- m.unused + 1;
+        m.unused - 1
+    | [] ->
+        let f = Replacement.victim m.repl in
+        m.map <- List.remove_assoc (m.file.(f), m.page.(f)) m.map;
+        m.evictions <- m.evictions + 1;
+        if m.dirty.(f) then begin
+          m.dirty.(f) <- false;
+          m.dirty_evictions <- m.dirty_evictions + 1;
+          evicted := (m.file.(f), m.page.(f)) :: !evicted
+        end;
+        f
+
+  let insert m ~file ~page ~dirty evicted =
+    let f = claim m evicted in
+    m.file.(f) <- file;
+    m.page.(f) <- page;
+    m.dirty.(f) <- dirty;
+    m.map <- ((file, page), f) :: m.map;
+    Replacement.on_insert m.repl f;
+    m.insertions <- m.insertions + 1
+
+  let outcome m ~fetch ~evicted ~hit_bytes ~hits ~misses ~prefetched ~evictions =
+    {
+      Cache.o_fetch = fetch;
+      o_writebacks = runs m evicted;
+      o_hit_bytes = hit_bytes;
+      o_page_hits = hits;
+      o_page_misses = misses;
+      o_prefetched = prefetched;
+      o_evictions = m.evictions - evictions;
+    }
+
+  let read m ~file ~off ~len ~logical =
+    let pb = pb m in
+    let p0 = off / pb and p1 = (off + len - 1) / pb in
+    let seq = List.assoc_opt file m.seq = Some p0 in
+    m.seq <- (file, (off + len) / pb) :: List.remove_assoc file m.seq;
+    let hits = ref 0 and misses = ref 0 and hit_bytes = ref 0 in
+    let missing = ref [] in
+    for p = p0 to p1 do
+      match find m file p with
+      | Some f ->
+          Replacement.on_hit m.repl f;
+          incr hits;
+          hit_bytes := !hit_bytes + (min (off + len) ((p + 1) * pb) - max off (p * pb))
+      | None ->
+          incr misses;
+          missing := p :: !missing
+    done;
+    let prefetched = ref 0 in
+    if seq && m.cfg.Cache.prefetch_pages > 0 && !misses > 0 then begin
+      let ahead =
+        max m.cfg.Cache.prefetch_pages ((m.cfg.Cache.prefetch_factor - 1) * (p1 - p0 + 1))
+      in
+      for p = p1 + 1 to min ((logical - 1) / pb) (p1 + ahead) do
+        if find m file p = None then begin
+          incr prefetched;
+          missing := p :: !missing
+        end
+      done
+    end;
+    m.hits <- m.hits + !hits;
+    m.misses <- m.misses + !misses;
+    m.hit_bytes <- m.hit_bytes + !hit_bytes;
+    m.prefetched <- m.prefetched + !prefetched;
+    let evictions = m.evictions and evicted = ref [] in
+    let fetch =
+      match !missing with
+      | [] -> None
+      | hi :: _ ->
+          let lo = List.fold_left min hi !missing in
+          (* the fetch covers the whole span, so resident pages inside
+             it are re-read but not re-inserted *)
+          for p = lo to hi do
+            if find m file p = None then insert m ~file ~page:p ~dirty:false evicted
+          done;
+          Some (lo * pb, min ((hi + 1) * pb) logical - (lo * pb))
+    in
+    outcome m ~fetch ~evicted:!evicted ~hit_bytes:!hit_bytes ~hits:!hits ~misses:!misses
+      ~prefetched:!prefetched ~evictions
+
+  let write m ~file ~off ~len =
+    let pb = pb m in
+    let dirty = m.cfg.Cache.write_mode = Cache.Write_back in
+    let hits = ref 0 and misses = ref 0 in
+    let evictions = m.evictions and evicted = ref [] in
+    for p = off / pb to (off + len - 1) / pb do
+      match find m file p with
+      | Some f ->
+          Replacement.on_hit m.repl f;
+          incr hits;
+          if dirty then m.dirty.(f) <- true
+      | None ->
+          incr misses;
+          insert m ~file ~page:p ~dirty evicted
+    done;
+    m.seq <- (file, (off + len) / pb) :: List.remove_assoc file m.seq;
+    m.hits <- m.hits + !hits;
+    m.misses <- m.misses + !misses;
+    outcome m ~fetch:None ~evicted:!evicted ~hit_bytes:0 ~hits:!hits ~misses:!misses
+      ~prefetched:0 ~evictions
+
+  let flush m =
+    let pairs =
+      List.filter_map (fun ((f, p), fr) -> if m.dirty.(fr) then Some (f, p) else None) m.map
+    in
+    if pairs = [] then []
+    else begin
+      Array.fill m.dirty 0 (Array.length m.dirty) false;
+      m.flushes <- m.flushes + 1;
+      runs m pairs
+    end
+
+  (* Dropped frames join the free list in ascending frame order, so the
+     last one dropped (the highest) is claimed first. *)
+  let drop m keep =
+    for f = 0 to m.unused - 1 do
+      if m.file.(f) >= 0 && not (keep m.file.(f) m.page.(f)) then begin
+        m.map <- List.remove_assoc (m.file.(f), m.page.(f)) m.map;
+        m.file.(f) <- -1;
+        m.page.(f) <- -1;
+        m.dirty.(f) <- false;
+        Replacement.on_remove m.repl f;
+        m.free <- f :: m.free;
+        m.invalidations <- m.invalidations + 1
+      end
+    done
+
+  let invalidate m ~file =
+    m.seq <- List.remove_assoc file m.seq;
+    drop m (fun f _ -> f <> file)
+
+  let truncate m ~file ~logical =
+    drop m (fun f p -> f <> file || p * pb m < logical);
+    match List.assoc_opt file m.seq with
+    | Some next when next * pb m > logical -> m.seq <- List.remove_assoc file m.seq
+    | _ -> ()
+
+  let stats m =
+    {
+      Cache.lookups = m.hits + m.misses;
+      hits = m.hits;
+      misses = m.misses;
+      hit_bytes = m.hit_bytes;
+      insertions = m.insertions;
+      evictions = m.evictions;
+      dirty_evictions = m.dirty_evictions;
+      flushes = m.flushes;
+      writeback_bytes = m.writeback_bytes;
+      prefetched_pages = m.prefetched;
+      invalidations = m.invalidations;
+    }
+end
+
+(* The largest file id and page index a cache key can pack. *)
+let max_key = (1 lsl 31) - 1
+
+(* Four files, two of them at the top of the file-id range and two
+   whose 24-page window ends at the top page index, each with a
+   logical size that ends mid-page.  A file whose window ends at the
+   top page is followed by one whose window starts at page 0, so
+   their pages are adjacent keys that must not coalesce. *)
+let model_files =
+  let top = max_key - 23 in
+  [| (0, top); (1, 0); (max_key - 1, top); (max_key, 0) |]
+
+type model_op =
+  | M_read of int * int * int  (** file slot, byte offset in window, length *)
+  | M_write of int * int * int
+  | M_flush
+  | M_invalidate of int
+  | M_truncate of int * int  (** file slot, new logical size in window *)
+
+let model_op_gen =
+  let open QCheck.Gen in
+  let slot = int_bound 3 and off = int_bound ((24 * pb) - 1) and len = int_range 1 (3 * pb) in
+  frequency
+    [
+      (6, map3 (fun s o l -> M_read (s, o, l)) slot off len);
+      (4, map3 (fun s o l -> M_write (s, o, l)) slot off len);
+      (1, return M_flush);
+      (1, map (fun s -> M_invalidate s) slot);
+      (1, map2 (fun s l -> M_truncate (s, l)) slot off);
+    ]
+
+let model_case_gen =
+  let open QCheck.Gen in
+  let* policy = oneofl Cache_policy.all in
+  let* write_mode = oneofl [ Cache.Write_through; Cache.Write_back ] in
+  let* pages = int_range 1 8 in
+  let* prefetch_pages = int_range 0 3 in
+  let* prefetch_factor = int_range 1 3 in
+  let* ops = list_size (int_range 50 200) model_op_gen in
+  return (small_config ~pages ~policy ~write_mode ~prefetch_pages ~prefetch_factor (), ops)
+
+let print_model_case (cfg, ops) =
+  Printf.sprintf "%s/%s pages=%d prefetch=%d×%d, %d ops: %s" (Cache_policy.name cfg.Cache.policy)
+    (Cache.write_mode_name cfg.Cache.write_mode)
+    cfg.Cache.pages cfg.Cache.prefetch_pages cfg.Cache.prefetch_factor (List.length ops)
+    (String.concat "; "
+       (List.map
+          (function
+            | M_read (s, o, l) -> Printf.sprintf "R%d@%d+%d" s o l
+            | M_write (s, o, l) -> Printf.sprintf "W%d@%d+%d" s o l
+            | M_flush -> "F"
+            | M_invalidate s -> Printf.sprintf "I%d" s
+            | M_truncate (s, l) -> Printf.sprintf "T%d@%d" s l)
+          ops))
+
+let prop_cache_matches_model =
+  QCheck.Test.make ~name:"cache matches a naive reference model" ~count:300
+    (QCheck.make ~print:print_model_case model_case_gen)
+    (fun (cfg, ops) ->
+      let c = Cache.create cfg and m = Model.create cfg in
+      let window s = snd model_files.(s) * pb in
+      (* each file's logical size ends 100 bytes short of its window *)
+      let logical s = window s + (24 * pb) - 100 in
+      List.iteri
+        (fun i op ->
+          let fail what = QCheck.Test.fail_reportf "op %d: %s differs" i what in
+          let same_outcome a b = if a <> b then fail "outcome" in
+          (match op with
+          | M_read (s, o, l) ->
+              let file = fst model_files.(s) and off = window s + o in
+              let len = min l (logical s - off) in
+              if len > 0 then
+                same_outcome
+                  (Cache.read c ~type_idx:0 ~file ~off ~len ~logical:(logical s))
+                  (Model.read m ~file ~off ~len ~logical:(logical s))
+          | M_write (s, o, l) ->
+              let file = fst model_files.(s) and off = window s + o in
+              let len = min l (logical s - off) in
+              if len > 0 then
+                same_outcome
+                  (Cache.write c ~type_idx:0 ~file ~off ~len)
+                  (Model.write m ~file ~off ~len)
+          | M_flush -> if Cache.flush c <> Model.flush m then fail "flush"
+          | M_invalidate s ->
+              Cache.invalidate_file c ~file:(fst model_files.(s));
+              Model.invalidate m ~file:(fst model_files.(s))
+          | M_truncate (s, l) ->
+              let file = fst model_files.(s) and logical = window s + l in
+              Cache.truncate_file c ~file ~logical;
+              Model.truncate m ~file ~logical);
+          if Cache.stats c <> Model.stats m then fail "stats";
+          if Cache.resident_pages c <> List.length m.Model.map then fail "resident_pages";
+          if Cache.dirty_pages c <> Model.dirty_pages m then fail "dirty_pages")
+        ops;
+      true)
+
+(* Minor words per page a cache access touches, on a fixed stream: a
+   64 MiB write-back LRU cache of 8K pages over 64 files of 8 MiB,
+   100k random 8-128K reads and writes (one in three a write) with a
+   flush every 100 accesses, Rng seed 5.  The stream is drawn before
+   counting starts (a draw allocates about 33 words, twice what the
+   cache spends on a whole access), so the count is the cache's alone
+   and does not depend on the host. *)
+let cache_words_per_page () =
+  let c = Cache.create (Cache.config ~mb:64 ~write_mode:Cache.Write_back ()) in
+  let rng = Rng.create ~seed:5 in
+  let n = 100_000 and file_bytes = 8 * 1024 * 1024 and page_bytes = 8192 in
+  let files = Array.make n 0 and offs = Array.make n 0 and lens = Array.make n 0 in
+  let writes = Array.make n false and pages = ref 0 in
+  for i = 0 to n - 1 do
+    let len = (8 + Rng.int rng 121) * 1024 in
+    files.(i) <- Rng.int rng 64;
+    offs.(i) <- Rng.int rng (file_bytes - len + 1);
+    lens.(i) <- len;
+    writes.(i) <- Rng.int rng 3 = 0;
+    pages := !pages + ((offs.(i) + len - 1) / page_bytes) - (offs.(i) / page_bytes) + 1
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    let file = files.(i) and off = offs.(i) and len = lens.(i) in
+    (if writes.(i) then ignore (Cache.write c ~type_idx:0 ~file ~off ~len : Cache.outcome)
+     else ignore (Cache.read c ~type_idx:0 ~file ~off ~len ~logical:file_bytes : Cache.outcome));
+    if (i + 1) mod 100 = 0 then ignore (Cache.flush c : Cache.run list)
+  done;
+  (Gc.minor_words () -. before) /. float_of_int !pages
+
+(* Measured with OCaml 5.1 without flambda: an index keyed by (file,
+   page) tuples in a polymorphic [Hashtbl], with flush and eviction
+   coalescing sorting boxed pairs, read 32.2 words per page here.  An
+   intrusive index over frames, int-keyed file tables and one reused
+   key buffer leave the outcome record, the fetch pair and the
+   write-back runs: 1.4.  The budget sits ~10% above today's count. *)
+let test_cache_allocation_budget () =
+  let per_page = cache_words_per_page () in
+  if per_page > 1.6 then
+    Alcotest.failf "cache allocates %.2f minor words per page (budget 1.6)" per_page
 
 (* ------------------------------------------------------------------ *)
 (* Engine level                                                       *)
@@ -454,9 +844,12 @@ let () =
           quick "eviction writes back" test_eviction_writes_back_dirty_pages;
           quick "invalidate and truncate" test_invalidate_and_truncate;
           quick "per-type counters" test_per_type_counters;
+          quick "packing bound" test_packing_bound;
           QCheck_alcotest.to_alcotest prop_accounting_identities;
           QCheck_alcotest.to_alcotest prop_write_back_dirty_bounded;
           QCheck_alcotest.to_alcotest prop_policies_deterministic;
+          QCheck_alcotest.to_alcotest prop_cache_matches_model;
+          Alcotest.test_case "minor words per page bounded" `Slow test_cache_allocation_budget;
         ] );
       ( "engine",
         [

@@ -353,6 +353,101 @@ let test_media_extra_is_deterministic_arithmetic () =
   check_int "two remaps" 2 c.Fault.remaps;
   check_int "one remap hit" 1 c.Fault.remap_hits
 
+(* The media model as a naive reference: the remapped sectors of each
+   drive are an unordered list, counted by a filter, and the retries
+   are a loop that charges each revolution as it happens.  It seeds its
+   own stream the way [Fault.create] seeds the media stream, so the two
+   must make the same draws, charge the same float sums bit for bit and
+   keep the same counters. *)
+let media_reference (config : Plan.config) ~drives =
+  let rng = C.Rng.create ~seed:(config.Plan.seed lxor 0x6d656469) in
+  let remapped = Array.make drives [] in
+  let errors = ref 0 and retries = ref 0 and remaps = ref 0 and hits = ref 0 in
+  let extra ~drive ~rotation_ms ~sector_bytes ~offset ~bytes =
+    if config.Plan.media_error_rate <= 0. || bytes <= 0 then 0.
+    else begin
+      let lo = offset / sector_bytes and hi = (offset + bytes - 1) / sector_bytes in
+      let touched = List.length (List.filter (fun s -> s >= lo && s <= hi) remapped.(drive)) in
+      hits := !hits + touched;
+      let extra = ref (float_of_int touched *. config.Plan.remap_penalty_ms) in
+      let remap () =
+        let victim = lo + C.Rng.int rng (hi - lo + 1) in
+        if not (List.mem victim remapped.(drive)) then
+          remapped.(drive) <- victim :: remapped.(drive);
+        incr remaps;
+        extra := !extra +. config.Plan.remap_penalty_ms
+      in
+      if C.Rng.float rng < config.Plan.media_error_rate then begin
+        incr errors;
+        if config.Plan.max_retries = 0 then remap ()
+        else begin
+          let k = ref 1 and again = ref true in
+          while !again do
+            incr retries;
+            extra := !extra +. rotation_ms;
+            if C.Rng.float rng < config.Plan.retry_fail_prob then begin
+              if !k >= config.Plan.max_retries then begin
+                remap ();
+                again := false
+              end
+              else incr k
+            end
+            else again := false
+          done
+        end
+      end;
+      !extra
+    end
+  in
+  let counters () =
+    {
+      Fault.media_errors = !errors;
+      retries = !retries;
+      remaps = !remaps;
+      remap_hits = !hits;
+      reconstructed_reads = 0;
+      degraded_writes = 0;
+    }
+  in
+  (extra, counters)
+
+let prop_media_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_bound 1000 in
+      let* rate = oneofl [ 0.2; 0.6; 1.0 ] in
+      let* fail = oneofl [ 0.; 0.5; 0.9; 1.0 ] in
+      let* max_retries = int_bound 3 in
+      let* ops =
+        list_size (int_range 50 300)
+          (triple (int_bound 2) (int_bound (40 * 512)) (int_range 1 (12 * 512)))
+      in
+      return (seed, rate, fail, max_retries, ops))
+  in
+  QCheck.Test.make ~name:"media model matches a naive reference" ~count:200 (QCheck.make gen)
+    (fun (seed, rate, fail, max_retries, ops) ->
+      let config =
+        {
+          Plan.none with
+          seed;
+          media_error_rate = rate;
+          retry_fail_prob = fail;
+          max_retries;
+          remap_penalty_ms = 7.3;
+        }
+      in
+      let fs = Fault.create config ~drives:3 in
+      let extra, counters = media_reference config ~drives:3 in
+      List.for_all
+        (fun (drive, offset, bytes) ->
+          let got =
+            Fault.media_extra_ms fs ~drive ~rotation_ms:16.67 ~sector_bytes:512 ~offset ~bytes
+          in
+          let want = extra ~drive ~rotation_ms:16.67 ~sector_bytes:512 ~offset ~bytes in
+          Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+          && Fault.counters fs = counters ())
+        ops)
+
 let test_media_disabled_costs_nothing () =
   let fs = Fault.create Plan.none ~drives:2 in
   check_exact_float "no charge" 0.
@@ -633,6 +728,7 @@ let () =
         [
           quick "retry and remap arithmetic" test_media_extra_is_deterministic_arithmetic;
           quick "disabled model is free" test_media_disabled_costs_nothing;
+          QCheck_alcotest.to_alcotest prop_media_matches_reference;
           quick "media error stalls the drive" test_media_error_stalls_the_drive;
         ] );
       ( "rebuild",

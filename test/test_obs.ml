@@ -257,6 +257,66 @@ let test_trace_ring_drops_oldest () =
       check_exact_float "newest" 9. d.Trace.at_ms
   | l -> Alcotest.failf "expected 4 events, got %d" (List.length l)
 
+let all_kinds =
+  Trace.
+    [|
+      Arrival;
+      Dispatch;
+      Completion;
+      Fault_fail;
+      Fault_repair;
+      Rebuild;
+      Media;
+      Cache_hit;
+      Cache_miss;
+      Cache_evict;
+      Cache_flush;
+    |]
+
+(* Event [i] of a synthetic stream: every field differs from its
+   neighbours', and the kinds cycle through all of them. *)
+let nth_event i =
+  {
+    Trace.at_ms = float_of_int i *. 0.25;
+    dur_ms = float_of_int (i mod 7) *. 0.5;
+    kind = all_kinds.(i mod Array.length all_kinds);
+    drive = (i mod 9) - 1;
+    op_id = i * 3;
+    bytes = i * 512;
+  }
+
+let test_trace_ring_round_trips_fields () =
+  (* 2500 events grow the ring past its first size; 7000 wrap it *)
+  List.iter
+    (fun (capacity, n) ->
+      let tr = Trace.create ~capacity () in
+      for i = 0 to n - 1 do
+        Trace.record tr (nth_event i)
+      done;
+      let first = max 0 (n - capacity) in
+      check_int "held" (n - first) (Trace.length tr);
+      check_bool
+        (Printf.sprintf "capacity %d after %d events holds the newest, field for field" capacity n)
+        true
+        (Trace.events tr = List.init (n - first) (fun i -> nth_event (first + i))))
+    [ (3000, 2500); (3000, 7000); (1, 5) ]
+
+(* The ring costs nothing until the first event, and at most 7 words
+   per slot once full: six flat fields plus the array headers.  A ring
+   of boxed event records costs about 15 words per event. *)
+let test_trace_ring_footprint () =
+  check_bool "an unused ring holds no slots" true
+    (Obj.reachable_words (Obj.repr (Trace.create ())) < 32);
+  let capacity = 5000 in
+  let tr = Trace.create ~capacity () in
+  for i = 0 to (2 * capacity) + 17 do
+    Trace.record tr (nth_event i)
+  done;
+  let words = Obj.reachable_words (Obj.repr tr) in
+  if words > (7 * capacity) + 64 then
+    Alcotest.failf "a full ring of %d events holds %d words (budget %d)" capacity words
+      ((7 * capacity) + 64)
+
 let test_trace_events_time_ordered () =
   let tr = Trace.create ~capacity:16 () in
   List.iter (fun t -> Trace.record tr (ev t Trace.Completion 1)) [ 5.; 1.; 3.; 2.; 4. ];
@@ -910,6 +970,8 @@ let () =
           [
             quick "ring drops oldest" test_trace_ring_drops_oldest;
             quick "events time-ordered" test_trace_events_time_ordered;
+            quick "ring round-trips every field" test_trace_ring_round_trips_fields;
+            quick "ring footprint bounded" test_trace_ring_footprint;
             quick "chrome document loads" test_chrome_json_loads;
             quick "merge across fill levels propagates drops"
               test_trace_merge_fill_levels_and_dropped;
