@@ -6,9 +6,9 @@
       window by window as the fill churn gives way to the measured mix.
    2. Cache warm-up — a cold buffer cache's per-window hit rate climbs
       toward steady state instead of being averaged away.
-   3. Fault dip — under stochastic drive failures a mirrored / RAID-5
-      array's throughput dips while degraded, keeps paying during the
-      background rebuild, and recovers to the healthy plateau.
+   3. Fault dip — under a scripted drive failure a mirrored / RAID-5
+      array's throughput dips while degraded and keeps paying during
+      the background rebuild.
 
    Each cell is one engine run with an attached timeline; rows are the
    (subsampled) closed windows, pulled from the rofs-timeline-v1 JSON
@@ -126,27 +126,26 @@ let run_cell = function
           ])
         (keep ~max_rows:14 (trim_fill (windows tl)))
   | Fault layout ->
-      (* Deterministic phase script, no fault RNG: measure healthy,
-         kill drive 0 and measure degraded, repair it and measure the
-         background rebuild competing with foreground work until the
-         healthy plateau returns. *)
+      (* Deterministic fault script, no fault RNG: one 60 s
+         application test (the warm-up outlasts it, so it never ends
+         early) runs 20 s healthy, 20 s with drive 0 failed, then 20 s
+         with drive 0 repaired and the background rebuild competing
+         with foreground work.  A 20 s timer armed at the end of the
+         fill fails the drive at its first tick and repairs it at its
+         second. *)
       let array_config stripe_unit =
         if layout = "mirrored" then C.Array_model.Mirrored { stripe_unit }
         else C.Array_model.Raid5 { stripe_unit }
       in
-      let config =
-        { (cell_config ()) with C.Engine.array_config; max_measure_ms = 20_000. }
+      let config = { (cell_config ()) with C.Engine.array_config; warmup_checkpoints = 6 } in
+      let script e =
+        let ticks = ref 0 in
+        C.Engine.set_checkpoint e ~every_ms:20_000. (fun () ->
+            incr ticks;
+            if !ticks = 1 then C.Engine.fail_drive e ~drive:0
+            else if !ticks = 2 then C.Engine.repair_drive e ~drive:0)
       in
-      let tl =
-        run_phases config
-          [
-            app;
-            (fun e -> C.Engine.fail_drive e ~drive:0);
-            app;
-            (fun e -> C.Engine.repair_drive e ~drive:0);
-            app;
-          ]
-      in
+      let tl = run_phases config [ script; app ] in
       List.map
         (fun w ->
           [

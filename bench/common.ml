@@ -49,11 +49,6 @@ let config = ref C.Engine.default_config
 let jobs = ref (C.Pool.default_jobs ())
 let par_map f xs = C.Pool.map_list ~jobs:!jobs f xs
 
-(* Shard counts the speed bench sweeps (bench --shards N pins a single
-   count — the CI smoke job runs the bench once per count and checks
-   the non-timing output is byte-identical). *)
-let shard_counts = ref [ 1; 2; 4 ]
-
 let run_alloc spec workload = C.Experiment.run_allocation ~config:!config spec workload
 
 let run_pair spec workload = C.Experiment.run_throughput ~config:!config spec workload

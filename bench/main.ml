@@ -27,7 +27,6 @@ let benches =
     ("extension", "log-structured allocation extension (Section 6)", Bench_extension.run);
     ("micro", "allocator micro-benchmarks (Bechamel)", Bench_micro.run);
     ("replay", "allocator x cache policy on a recorded TP trace", Bench_replay.run);
-    ("speed", "sharded-run speed: simulated ops per wall-second", Bench_speed.run);
     ("timeline", "windowed time series: stabilization, warm-up, fault dip", Bench_timeline.run);
     ("aging", "allocator x workload x age: fresh / 1 week / 1 month churn", Bench_aging.run);
   ]
@@ -41,9 +40,7 @@ let () =
   (* --csv <dir>: also write every table as CSV into <dir>
      --out <file>: also write every table as one JSON document
      --jobs <n>: run independent simulation cells on <n> domains
-     (default: ROFS_JOBS, or 1 — serial, byte-identical output)
-     --shards <n>: pin the speed bench to one execution width instead of
-     its default 1/2/4 sweep (simulated columns are width-invariant) *)
+     (default: ROFS_JOBS, or 1 — serial, byte-identical output) *)
   let args =
     let rec strip acc = function
       | "--csv" :: dir :: rest ->
@@ -58,13 +55,6 @@ let () =
           | Some j when j >= 1 -> Common.jobs := j
           | _ ->
               Printf.eprintf "--jobs %s: expected a positive integer\n" n;
-              exit 2);
-          strip acc rest
-      | "--shards" :: n :: rest ->
-          (match int_of_string_opt n with
-          | Some s when s >= 1 -> Common.shard_counts := [ s ]
-          | _ ->
-              Printf.eprintf "--shards %s: expected a positive integer\n" n;
               exit 2);
           strip acc rest
       | x :: rest -> strip (x :: acc) rest

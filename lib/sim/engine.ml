@@ -262,26 +262,36 @@ type replay_outcome = {
   rp_io_ops : int;
 }
 
-(* Loop state of the fill and measurement phases, hoisted out of the
-   runners' locals so a checkpoint can capture it and a restored engine
-   can re-enter the phase mid-loop.  Keeping it here unconditionally
-   costs nothing: the arithmetic is identical to the old locals, so the
-   goldens are untouched. *)
+(* Loop state of the fill and measurement phases, held in the phase
+   itself so a checkpoint captures it and a restored engine re-enters
+   the phase mid-loop. *)
 type fill_state = {
-  mutable fs_ops_at_start : int;
+  fs_ops_at_start : int;
   mutable fs_best_used : int;
   mutable fs_fails : int;  (** failed allocations since the last net growth *)
 }
 
 type meas_state = {
-  mutable ms_start : float;
-  mutable ms_io_at_start : int;
-  mutable ms_fulls_at_start : int;
-  mutable ms_meta_at_start : int;
-  mutable ms_series : Stats.Series.t;
+  ms_start : float;
+  ms_io_at_start : int;
+  ms_fulls_at_start : int;
+  ms_meta_at_start : int;
+  ms_series : Stats.Series.t;
   mutable ms_next_checkpoint : float;
   mutable ms_checkpoints : int;
 }
+
+(* The Section 3 protocol plus aging.  Each transition sets the next
+   phase up in the step that writes it, so a snapshot taken anywhere
+   names exactly what comes next. *)
+type phase =
+  | Filling of fill_state
+  | Aging_until of float
+      (** absolute end time of the churn, so a resumed run stops at the
+          original horizon *)
+  | Application of meas_state
+  | Sequential of { app : throughput_report; meas : meas_state }
+  | Finished of { app : throughput_report; seq : throughput_report }
 
 (* Everything a snapshot carries, in one closure-free record: the
    engine section of a checkpoint is [Marshal.to_string t.s []] and a
@@ -326,17 +336,7 @@ type state = {
   mutable meta_bytes : int;
   mutable rebuild_ios : int;
   mutable data_loss : int;
-  (* [phase] reifies the fill -> aging -> application -> sequential
-     protocol (0 / 1 / 2 / 3; 4 = done) so a restored engine knows which
-     runner to re-enter. *)
-  fill_st : fill_state;
-  meas_st : meas_state;
-  mutable phase : int;
-  mutable age_until : float;
-      (** absolute end time of the aging churn phase, so a resumed aged
-          run stops at the original horizon *)
-  mutable app_report : throughput_report option;
-  mutable seq_report : throughput_report option;
+  mutable phase : phase;
   (* Snapshot and telemetry cadences: [<= 0] means disarmed; the next
      tick times live outside the heap because [seed_events] clears it. *)
   mutable ckpt_every_ms : float;
@@ -366,9 +366,6 @@ type t = {
           the sink, never changes simulated results *)
   mutable replay : replay_session option;
       (** the active replay session on a [create_replay] engine *)
-  mutable resuming : bool;
-      (** the next phase entry continues from the restored [fill_st] /
-          [meas_st] instead of reinitialising *)
   mutable ckpt_hook : (unit -> unit) option;
   mutable timeline : Timeline.t option;
   mutable s : state;
@@ -746,22 +743,7 @@ let make cfg ~policy ~workload ~with_users =
       meta_bytes = 0;
       rebuild_ios = 0;
       data_loss = 0;
-      fill_st = { fs_ops_at_start = 0; fs_best_used = 0; fs_fails = 0 };
-      meas_st =
-        {
-          ms_start = 0.;
-          ms_io_at_start = 0;
-          ms_fulls_at_start = 0;
-          ms_meta_at_start = 0;
-          (* placeholder; [run_measured] installs the real series *)
-          ms_series = Stats.Series.create ~window:2 ~tolerance:0.;
-          ms_next_checkpoint = 0.;
-          ms_checkpoints = 0;
-        };
-      phase = 0;
-      age_until = 0.;
-      app_report = None;
-      seq_report = None;
+      phase = Filling { fs_ops_at_start = 0; fs_best_used = 0; fs_fails = 0 };
       ckpt_every_ms = 0.;
       ckpt_next = 0.;
       tl_every_ms = 0.;
@@ -784,7 +766,6 @@ let make cfg ~policy ~workload ~with_users =
     obs = None;
     recorder = None;
     replay = None;
-    resuming = false;
     ckpt_hook = None;
     timeline = None;
     s;
@@ -795,6 +776,8 @@ let create ?recorder cfg ~policy ~workload =
   t.recorder <- recorder;
   populate t;
   seed_events t;
+  t.s.phase <-
+    Filling { fs_ops_at_start = t.s.alloc_ops; fs_best_used = Volume.used_bytes t.volume; fs_fails = 0 };
   t
 
 (* A replay engine owns the same array / volume / cache / fault stack
@@ -1471,60 +1454,6 @@ let run_allocation_test t =
     failed = !failed_once;
   }
 
-(* Allocation-only churn until utilization reaches N; policies whose
-   fragmentation prevents that plateau out (a run of failed allocations
-   with no net growth) and measurement starts where they stalled. *)
-let fill_to_lower_bound t =
-  if t.resuming && t.s.phase >= 1 then ()  (* the snapshot was taken past the fill *)
-  else begin
-    let fs = t.s.fill_st in
-    if t.resuming then t.resuming <- false
-    else begin
-      t.s.phase <- 0;
-      fs.fs_ops_at_start <- t.s.alloc_ops;
-      fs.fs_best_used <- Volume.used_bytes t.volume;
-      fs.fs_fails <- 0
-    end;
-    let stop ~failed =
-      if failed then fs.fs_fails <- fs.fs_fails + 1;
-      let used = Volume.used_bytes t.volume in
-      if used > fs.fs_best_used then begin
-        fs.fs_best_used <- used;
-        fs.fs_fails <- 0
-      end;
-      Volume.utilization t.volume >= t.cfg.lower_bound
-      || fs.fs_fails > 500
-      || t.s.alloc_ops - fs.fs_ops_at_start > t.cfg.max_alloc_ops
-    in
-    run_events t ~mode:(Alloc_only { governed = true }) ~stop;
-    seed_events t;
-    t.s.phase <- 1
-  end
-
-(* Fast-forward aging between the fill and the measured phases: churn
-   the volume with [Aging]-mode events for [age_ms] of simulated time.
-   The user wakes seeded by the fill keep ticking, so [Ckpt_tick] /
-   [Stat_tick] chains interleave with the churn exactly as in any other
-   phase — cadences landing inside the jump fire on schedule rather
-   than being skipped, month-long runs checkpoint and resume
-   bit-identically, and timelines keep their absolute-time alignment.
-   With aging off this only advances the phase number: no events, no
-   RNG draws, no [seed_events] — frozen goldens stay byte-identical. *)
-let run_aging t =
-  if t.resuming && t.s.phase >= 2 then ()  (* the snapshot was taken past the aging *)
-  else if t.cfg.age_ms <= 0. then t.s.phase <- 2
-  else begin
-    if t.resuming then t.resuming <- false  (* continue to the restored horizon *)
-    else begin
-      t.s.phase <- 1;
-      t.s.age_until <- t.s.now +. t.cfg.age_ms
-    end;
-    let stop ~failed:_ = t.s.now >= t.s.age_until in
-    run_events t ~mode:Aging ~stop;
-    seed_events t;
-    t.s.phase <- 2
-  end
-
 (* Bytes transferred by time [upto]: fully finished I/Os are folded into
    [bytes_completed]; I/Os still in service are credited linearly over
    their service interval, so long whole-file transfers contribute to the
@@ -1604,21 +1533,22 @@ let run_replay t ~next =
     rp_io_ops = t.s.io_ops - io_at_start;
   }
 
-let run_measured t ~mode =
-  let ms = t.s.meas_st in
-  if t.resuming then t.resuming <- false  (* continue the restored measurement *)
-  else begin
-    ms.ms_start <- t.s.now;
-    ms.ms_io_at_start <- t.s.io_ops;
-    ms.ms_fulls_at_start <- t.s.disk_fulls;
-    ms.ms_meta_at_start <- t.s.meta_bytes;
-    t.s.bytes_completed <- 0;
-    t.s.fl_len <- 0;
-    ms.ms_series <-
-      Stats.Series.create ~window:t.cfg.stable_windows ~tolerance:t.cfg.tolerance_pct;
-    ms.ms_next_checkpoint <- ms.ms_start +. t.cfg.interval_ms;
-    ms.ms_checkpoints <- 0
-  end;
+(* A measurement starts at [t.s.now]: counters are read relative to
+   it and only bytes moved from here on are credited. *)
+let start_measurement t =
+  t.s.bytes_completed <- 0;
+  t.s.fl_len <- 0;
+  {
+    ms_start = t.s.now;
+    ms_io_at_start = t.s.io_ops;
+    ms_fulls_at_start = t.s.disk_fulls;
+    ms_meta_at_start = t.s.meta_bytes;
+    ms_series = Stats.Series.create ~window:t.cfg.stable_windows ~tolerance:t.cfg.tolerance_pct;
+    ms_next_checkpoint = t.s.now +. t.cfg.interval_ms;
+    ms_checkpoints = 0;
+  }
+
+let run_measured t ~mode ms =
   let max_bw = max_bandwidth_pct_base t in
   let stop ~failed:_ =
     while t.s.now >= ms.ms_next_checkpoint do
@@ -1652,34 +1582,71 @@ let run_measured t ~mode =
     meta_bytes = t.s.meta_bytes - ms.ms_meta_at_start;
   }
 
-let run_application_test t =
-  if t.resuming && t.s.phase >= 3 then
-    match t.s.app_report with
-    | Some r -> r
-    | None -> invalid_arg "Engine: snapshot is past the application test but has no report"
-  else begin
-    t.s.phase <- 2;
-    let r = run_measured t ~mode:Full_mix in
-    t.s.app_report <- Some r;
-    t.s.phase <- 3;
-    r
-  end
+(* Run the phase [t.s] holds to its end, then set the next one up and
+   write it.  The fill is allocation-only churn until utilization
+   reaches N; policies whose fragmentation prevents that plateau out (a
+   run of failed allocations with no net growth) and measurement starts
+   where they stalled.  Aging churns with [Aging]-mode events up to its
+   horizon; the [Ckpt_tick] / [Stat_tick] chains keep firing inside the
+   jump.  With aging off the fill hands straight over to the
+   application test, with no extra events, RNG draws or [seed_events],
+   so the frozen goldens stay byte-identical. *)
+let advance t =
+  match t.s.phase with
+  | Filling fs ->
+      let stop ~failed =
+        if failed then fs.fs_fails <- fs.fs_fails + 1;
+        let used = Volume.used_bytes t.volume in
+        if used > fs.fs_best_used then begin
+          fs.fs_best_used <- used;
+          fs.fs_fails <- 0
+        end;
+        Volume.utilization t.volume >= t.cfg.lower_bound
+        || fs.fs_fails > 500
+        || t.s.alloc_ops - fs.fs_ops_at_start > t.cfg.max_alloc_ops
+      in
+      run_events t ~mode:(Alloc_only { governed = true }) ~stop;
+      seed_events t;
+      t.s.phase <-
+        (if t.cfg.age_ms > 0. then Aging_until (t.s.now +. t.cfg.age_ms)
+         else Application (start_measurement t))
+  | Aging_until until ->
+      run_events t ~mode:Aging ~stop:(fun ~failed:_ -> t.s.now >= until);
+      seed_events t;
+      t.s.phase <- Application (start_measurement t)
+  | Application meas ->
+      let app = run_measured t ~mode:Full_mix meas in
+      seed_events t;
+      t.s.phase <- Sequential { app; meas = start_measurement t }
+  | Sequential { app; meas } ->
+      t.s.phase <- Finished { app; seq = run_measured t ~mode:Whole_file_rw meas }
+  | Finished _ -> ()
 
-let run_sequential_test t =
-  if t.resuming && t.s.phase >= 4 then begin
-    t.resuming <- false;
-    match t.s.seq_report with
-    | Some r -> r
-    | None -> invalid_arg "Engine: snapshot is past the sequential test but has no report"
-  end
-  else begin
-    t.s.phase <- 3;
-    if not t.resuming then seed_events t;
-    let r = run_measured t ~mode:Whole_file_rw in
-    t.s.seq_report <- Some r;
-    t.s.phase <- 4;
-    r
-  end
+(* The phase runners advance the machine up to the end of their phase
+   from wherever it is, so after a [restore] the same calls skip what
+   the snapshot had finished and re-enter what it had not. *)
+let fill_to_lower_bound t = match t.s.phase with Filling _ -> advance t | _ -> ()
+
+let rec run_aging t =
+  match t.s.phase with
+  | Filling _ | Aging_until _ ->
+      advance t;
+      run_aging t
+  | Application _ | Sequential _ | Finished _ -> ()
+
+let rec run_application_test t =
+  match t.s.phase with
+  | Sequential { app; _ } | Finished { app; _ } -> app
+  | Filling _ | Aging_until _ | Application _ ->
+      advance t;
+      run_application_test t
+
+let rec run_sequential_test t =
+  match t.s.phase with
+  | Finished { seq; _ } -> seq
+  | Filling _ | Aging_until _ | Application _ | Sequential _ ->
+      advance t;
+      run_sequential_test t
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / restore                                                *)
@@ -1709,7 +1676,7 @@ let fingerprint t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( 7 (* fingerprint layout version *),
+          ( 8 (* fingerprint layout version *),
             (c.seed, c.disks, c.stripe_unit_bytes, array_desc, c.scheduler),
             ( c.lower_bound,
               c.upper_bound,
@@ -1730,11 +1697,7 @@ let fingerprint t =
             t.workload )
           []))
 
-let checkpoint t =
-  if t.replay <> None then
-    invalid_arg "Engine.checkpoint: a replay session cannot be checkpointed";
-  if t.recorder <> None then
-    invalid_arg "Engine.checkpoint: a recording engine cannot be checkpointed";
+let sections t =
   [
     ("fingerprint", fingerprint t);
     ("engine", Marshal.to_string t.s []);
@@ -1747,8 +1710,16 @@ let checkpoint t =
     ("timeline", Marshal.to_string (Option.map Timeline.ckpt_save t.timeline) []);
   ]
 
-let restore t sections =
-  if t.replay <> None then invalid_arg "Engine.restore: replay engines cannot be restored";
+let checkpoint t =
+  if t.replay <> None then
+    invalid_arg "Engine.checkpoint: a replay session cannot be checkpointed";
+  if t.recorder <> None then
+    invalid_arg "Engine.checkpoint: a recording engine cannot be checkpointed";
+  sections t
+
+(* Swap the snapshot's sections in one at a time, each checked as it
+   loads; [restore] rolls back whatever a refusal left swapped in. *)
+let load t sections =
   let sec name =
     match List.assoc_opt name sections with
     | Some payload -> payload
@@ -1794,8 +1765,15 @@ let restore t sections =
      telemetry cadence needs no such rule: timeline presence must match
      (checked above), so the snapshot always carries one. *)
   if s.ckpt_every_ms <= 0. && t.s.ckpt_every_ms > 0. then s.ckpt_every_ms <- t.s.ckpt_every_ms;
-  t.s <- s;
-  t.resuming <- true
+  t.s <- s
+
+let restore t snapshot =
+  if t.replay <> None then invalid_arg "Engine.restore: replay engines cannot be restored";
+  let before = sections t in
+  try load t snapshot
+  with e ->
+    load t before;
+    raise e
 
 (* ------------------------------------------------------------------ *)
 (* Explicit fault control (benchmarks, tests)                          *)

@@ -25,6 +25,12 @@
     {- {!run_sequential_test}: whole-file reads and writes only, in the
        type's read:write proportion.}}
 
+    The last three, with {!run_aging} between fill and application,
+    run once each, in that order: each advances the engine to the end of
+    its phase from wherever it is (running earlier phases first) and
+    returns at once, with the stored report, when the phase is over.
+    So the same calls finish a fresh run and a {!restore}d one.
+
     Throughput is reported as a percentage of the array's maximum
     sequential bandwidth, the paper's metric. *)
 
@@ -311,11 +317,10 @@ val fill_to_lower_bound : t -> unit
 val run_aging : t -> unit
 (** Fast-forward aging phase: [config.age_ms] of allocator-only churn
     driven by {!Rofs_workload.Aging.pick} between
-    {!fill_to_lower_bound} and {!run_application_test}.  A no-op
-    (beyond advancing the phase counter) when [age_ms = 0].  The churn
-    runs through the normal event heap, so armed checkpoint / timeline
-    cadences keep firing inside the jump and a mid-aging snapshot
-    resumes bit-identically. *)
+    {!fill_to_lower_bound} and {!run_application_test}.  A no-op when
+    [age_ms = 0].  The churn runs through the normal event heap, so
+    armed checkpoint / timeline cadences keep firing inside the jump
+    and a mid-aging snapshot resumes bit-identically. *)
 
 val run_application_test : t -> throughput_report
 val run_sequential_test : t -> throughput_report
@@ -346,26 +351,29 @@ val churn_stats : t -> Rofs_alloc.Policy.churn_stats
 
 val checkpoint : t -> (string * string) list
 (** Snapshot the full simulation state as named sections.  Callable at
-    any point, including from a {!set_checkpoint} hook mid-run.  Taken
+    any point: before, between or after the phases, or from a
+    {!set_checkpoint} hook mid-phase; the snapshot names exactly what
+    comes next.  Taken
     right after {!restore}, it reproduces the restored snapshot byte
     for byte, section by section.
     @raise Invalid_argument on a replay or recording engine. *)
 
 val restore : t -> (string * string) list -> unit
 (** Load a {!checkpoint} into a freshly created engine of the {e same}
-    configuration, policy and workload; the next
-    {!fill_to_lower_bound} / {!run_application_test} /
-    {!run_sequential_test} calls skip completed phases (returning their
-    stored reports) and re-enter the interrupted phase mid-loop.  [t]
-    stays the value the caller holds, so hook closures capturing it and
-    the attached sink and timeline keep working; what they hold inside
-    is replaced by the snapshot's (the engine's state record, the
-    sink's histograms and trace ring, the cache contents, the array's
-    fault state), so values read from them before the restore are
-    stale.
-    @raise Invalid_argument with a one-line message when the snapshot's
-    configuration fingerprint, cache / fault-plan / sink presence or
-    user population does not match [t]. *)
+    configuration, policy and workload.  The engine takes the
+    snapshot's phase, so the phase runners skip what it had finished
+    and re-enter the phase it was in, mid-loop.  [t] stays the value the caller holds, so
+    hook closures capturing it and the attached sink and timeline keep
+    working; what they hold inside is replaced by the snapshot's (the
+    engine's state record, the sink's histograms and trace ring, the
+    cache contents, the array's fault state), so values read from them
+    before the restore are stale.
+    @raise Invalid_argument with a one-line message when a section is
+    missing or the snapshot's configuration fingerprint, cache /
+    fault-plan / sink / timeline presence, trace ring or user
+    population does not match [t].  A refused restore changes nothing:
+    [t] reloads the snapshot it took of itself on entry, so every
+    section is as it was (values read from inside it are stale). *)
 
 val set_checkpoint : t -> every_ms:float -> (unit -> unit) -> unit
 (** Arm periodic checkpointing: every [every_ms] of simulated time the

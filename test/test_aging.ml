@@ -542,6 +542,46 @@ let test_armed_resume_across_aging () =
       check_churn_equal (name ^ " churn") churn churn')
     snaps
 
+(* The aged protocol snapshotted before the fill, after each of fill /
+   aging / application / sequential, and at sampled ticks tagged with
+   the phase they fired in: each snapshot resumed into a fresh engine
+   must finish with the uninterrupted run's reports and churn counters
+   bit for bit, so a snapshot taken after the fill still ages to the
+   original horizon. *)
+let test_resume_from_every_boundary () =
+  let spec = spec_of "lfs" in
+  let engine = Experiment.make_engine ~config:aged_config spec mini_ts in
+  let phase = ref "fill" and n = ref 0 and snaps = ref [] in
+  let take name = snaps := (name, Engine.checkpoint engine) :: !snaps in
+  Engine.set_checkpoint engine ~every_ms (fun () ->
+      if !n mod 4 = 0 then take (Printf.sprintf "tick %d (%s)" !n !phase);
+      incr n);
+  take "before the fill";
+  Engine.fill_to_lower_bound engine;
+  take "after the fill";
+  phase := "aging";
+  Engine.run_aging engine;
+  take "after the aging";
+  phase := "application";
+  let app = Engine.run_application_test engine in
+  take "after the application test";
+  phase := "sequential";
+  let seq = Engine.run_sequential_test engine in
+  take "after the sequential test";
+  let churn = Engine.churn_stats engine in
+  let ticked p = List.exists (fun (name, _) -> String.ends_with ~suffix:("(" ^ p ^ ")") name) !snaps in
+  List.iter
+    (fun p -> check_bool ("a tick snapshot inside the " ^ p) true (ticked p))
+    [ "aging"; "application"; "sequential" ];
+  List.iter
+    (fun (name, sections) ->
+      let app', seq', churn' = resume_from spec mini_ts sections in
+      let name = "resume from " ^ name in
+      check_tp_equal (name ^ ": app") app app';
+      check_tp_equal (name ^ ": seq") seq seq';
+      check_churn_equal (name ^ ": churn") churn churn')
+    (List.rev !snaps)
+
 let test_age_fingerprint_refused () =
   (* a snapshot from an aged run must not resume a fresh-config engine
      (and vice versa): the aging horizon is part of the fingerprint *)
@@ -597,6 +637,7 @@ let () =
         ( "armed cadences",
           [
             slow "resume from any snapshot across the aging jump" test_armed_resume_across_aging;
+            slow "resume from every phase boundary and mid-phase" test_resume_from_every_boundary;
             quick "aging horizon is fingerprinted" test_age_fingerprint_refused;
           ] );
       ]

@@ -13,12 +13,15 @@
      frozen hex-float goldens so the armed event sequence cannot drift;
    - any-index property: resuming from ANY captured snapshot (QCheck
      picks the index) reproduces the uninterrupted reports exactly;
+   - phase boundaries: snapshots taken before the fill, after every
+     phase and at ticks inside each phase all resume bit-identically;
    - sharded runs: per-slice snapshots resume a shard_slices = 4 run to
      the identical merged report, and a completed run's final snapshots
      resume instantly;
    - refusal: mismatched configuration, missing sections, sink
      presence / tracing / ring-capacity mismatches and recording
-     engines are refused with Invalid_argument, never a wrong answer;
+     engines are refused with Invalid_argument, never a wrong answer,
+     and a refused restore leaves every section as it was;
    - round trip: for every allocator with no sink or timeline, and for
      LFS with every subsystem live, restore-then-checkpoint reproduces
      each captured snapshot section by section, and a run finished from
@@ -306,6 +309,44 @@ let test_resume_completed_run () =
   check_tp_equal "completed app" app rapp;
   check_tp_equal "completed seq" seq rseq
 
+(* A snapshot names exactly what comes next wherever it is taken: before
+   the fill, at each phase boundary, or at a tick inside a phase.  One
+   armed LFS / MINI-TS run snapshots at every boundary (aging is off
+   here, so the one after it equals the one after the fill) and at
+   sampled ticks, tagged with the phase they fired in; each snapshot
+   resumed into a fresh engine must finish with the uninterrupted run's
+   reports bit for bit. *)
+let test_resume_from_every_boundary () =
+  let spec = spec_of "lfs" and w = mini_ts in
+  let engine = Experiment.make_engine ~config:ckpt_config spec w in
+  let phase = ref "fill" and n = ref 0 and snaps = ref [] in
+  let take name = snaps := (name, Engine.checkpoint engine) :: !snaps in
+  Engine.set_checkpoint engine ~every_ms (fun () ->
+      if !n mod 4 = 0 then take (Printf.sprintf "tick %d (%s)" !n !phase);
+      incr n);
+  take "before the fill";
+  Engine.fill_to_lower_bound engine;
+  take "after the fill";
+  phase := "aging";
+  Engine.run_aging engine;
+  take "after the aging";
+  phase := "application";
+  let app = Engine.run_application_test engine in
+  take "after the application test";
+  phase := "sequential";
+  let seq = Engine.run_sequential_test engine in
+  take "after the sequential test";
+  let ticked p = List.exists (fun (name, _) -> String.ends_with ~suffix:("(" ^ p ^ ")") name) !snaps in
+  List.iter
+    (fun p -> check_bool ("a tick snapshot inside the " ^ p) true (ticked p))
+    [ "fill"; "application"; "sequential" ];
+  List.iter
+    (fun (name, sections) ->
+      let rapp, rseq = resume_from spec w sections in
+      check_tp_equal ("resume from " ^ name ^ ": app") app rapp;
+      check_tp_equal ("resume from " ^ name ^ ": seq") seq rseq)
+    (List.rev !snaps)
+
 (* A fully loaded engine — fault plan, buffer cache and instrumentation
    sink all on — resumes with byte-identical fault counters, cache
    counters and serialized sink JSON, not just throughput reports. *)
@@ -415,22 +456,34 @@ let raises_invalid f =
       true
   | _ -> false
 
+(* A refused restore changes nothing: every section the engine
+   checkpoints afterwards is byte-equal to the one it checkpointed
+   before.  Every snapshot here is taken after a fill, so a section
+   swapped in before the refusal would show. *)
+let refused_unchanged name engine snap =
+  let before = Engine.checkpoint engine in
+  check_bool name true (raises_invalid (fun () -> Engine.restore engine snap));
+  List.iter2
+    (fun (section, a) (_, b) ->
+      check_bool (Printf.sprintf "%s: %s section unchanged" name section) true (String.equal a b))
+    before (Engine.checkpoint engine)
+
 let test_restore_refusals () =
   let spec = spec_of "restricted" and w = mini_tp in
-  let engine = Experiment.make_engine ~config:ckpt_config spec w in
-  Engine.fill_to_lower_bound engine;
-  let snap = Engine.checkpoint engine in
+  let filled engine =
+    Engine.fill_to_lower_bound engine;
+    Engine.checkpoint engine
+  in
+  let snap = filled (Experiment.make_engine ~config:ckpt_config spec w) in
   (* different seed -> different fingerprint -> refused *)
   let other =
     Experiment.make_engine ~config:{ ckpt_config with Engine.seed = 43 } spec w
   in
-  check_bool "fingerprint mismatch refused" true
-    (raises_invalid (fun () -> Engine.restore other snap));
+  refused_unchanged "fingerprint mismatch refused" other snap;
   (* a missing section is refused *)
   let fresh () = Experiment.make_engine ~config:ckpt_config spec w in
-  check_bool "missing section refused" true
-    (raises_invalid (fun () ->
-         Engine.restore (fresh ()) (List.filter (fun (n, _) -> n <> "volume") snap)));
+  refused_unchanged "missing section refused" (fresh ())
+    (List.filter (fun (n, _) -> n <> "volume") snap);
   (* a cache-presence mismatch is refused *)
   let cached =
     Experiment.make_engine
@@ -441,8 +494,7 @@ let test_restore_refusals () =
         }
       spec w
   in
-  check_bool "cache presence mismatch refused" true
-    (raises_invalid (fun () -> Engine.restore cached snap));
+  refused_unchanged "cache presence mismatch refused" cached snap;
   (* recording engines hold closures: checkpoint refuses them *)
   let recorder = C.Trace_recorder.create ~name:"x" in
   let recording =
@@ -460,10 +512,9 @@ let test_restore_refusals () =
   in
   let untraced () = Some (C.Sink.create ()) in
   let traced n = Some (C.Sink.create ~trace:true ~trace_capacity:n ()) in
-  let snap_with sink = Engine.checkpoint (with_sink sink) in
+  let snap_with sink = filled (with_sink sink) in
   List.iter
-    (fun (name, snap, sink) ->
-      check_bool name true (raises_invalid (fun () -> Engine.restore (with_sink sink) snap)))
+    (fun (name, snap, sink) -> refused_unchanged name (with_sink sink) snap)
     [
       ("sink in snapshot, none attached: refused", snap_with (untraced ()), None);
       ("no sink in snapshot, one attached: refused", snap, untraced ());
@@ -505,8 +556,7 @@ let test_restore_adopts_caller_cadence () =
       check_tp_equal "unarmed resume from an adopted-cadence tick" app (finish again));
   let with_timeline = fresh () in
   Engine.attach_timeline with_timeline ~every_ms;
-  check_bool "timeline-less snapshot refused by a timeline engine" true
-    (raises_invalid (fun () -> Engine.restore with_timeline snap))
+  refused_unchanged "timeline-less snapshot refused by a timeline engine" with_timeline snap
 
 (* ------------------------------------------------------------------ *)
 (* Round trip: restore then checkpoint reproduces every section        *)
@@ -800,6 +850,7 @@ let () =
             slow "mid-run resume bit-identical + frozen goldens (all cells)"
               test_resume_equality;
             slow "completed-run snapshot resumes instantly" test_resume_completed_run;
+            slow "resume from every phase boundary and mid-phase" test_resume_from_every_boundary;
             slow "faults + cache + sink resume byte-identically" test_resume_loaded_engine;
             slow "unarmed snapshot adopts the caller's cadence" test_restore_adopts_caller_cadence;
             QCheck_alcotest.to_alcotest prop_any_snapshot_resumes;
