@@ -1,6 +1,6 @@
 (* Reproduction bench driver: regenerates every table and figure of the
-   paper's evaluation, plus the Section 6 ablations and library
-   micro-benchmarks.
+   paper's evaluation, plus the Section 6 ablations and the extension
+   benches (scheduler, cache, latency, fault, replay, timeline, aging).
 
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- fig1 fig2 # a selection
@@ -25,7 +25,6 @@ let benches =
     ("latency", "latency breakdown by workload and scheduler", Bench_latency.run);
     ("fault", "degradation table under drive failure and rebuild", Bench_fault.run);
     ("extension", "log-structured allocation extension (Section 6)", Bench_extension.run);
-    ("micro", "allocator micro-benchmarks (Bechamel)", Bench_micro.run);
     ("replay", "allocator x cache policy on a recorded TP trace", Bench_replay.run);
     ("timeline", "windowed time series: stabilization, warm-up, fault dip", Bench_timeline.run);
     ("aging", "allocator x workload x age: fresh / 1 week / 1 month churn", Bench_aging.run);

@@ -63,15 +63,16 @@ let key_page k = k land max_page
    a lookup neither boxes an option nor calls polymorphic compare. *)
 module Int_tbl = Hashtbl.Make (Int)
 
-(* Everything the cache checkpoints apart from its replacement policy,
-   in one closure-free record behind one mutable slot: a snapshot
-   marshals it beside the policy's own save, and a restore swaps it
-   in.  The page index is intrusive: [heads] maps a hash bucket to the
-   first frame whose page hashes there, and [chain] links each frame
-   to the next one in its bucket, with -1 ending both.  A lookup
-   compares [frame_file] / [frame_page] along one short chain and
-   allocates nothing, like [Replacement.Lru]'s list. *)
+(* Everything the cache checkpoints, replacement order included, in
+   one closure-free record behind one mutable slot: a snapshot marshals
+   it whole, and a restore swaps it in.  The page index is intrusive:
+   [heads] maps a hash bucket to the first frame whose page hashes
+   there, and [chain] links each frame to the next one in its bucket,
+   with -1 ending both.  A lookup compares [frame_file] / [frame_page]
+   along one short chain and allocates nothing, like [Replacement]'s
+   lists. *)
 type state = {
+  repl : Replacement.t;
   frame_file : int array;  (** -1 = frame free *)
   frame_page : int array;
   frame_dirty : bool array;
@@ -102,7 +103,6 @@ type state = {
    operations, so it is scratch and no part of a snapshot. *)
 type t = {
   cfg : config;
-  repl : Replacement.t;
   mutable st : state;
   mutable keys : int array;
   mutable nkeys : int;
@@ -118,9 +118,9 @@ let create ?(ntypes = 0) cfg =
   in
   {
     cfg;
-    repl = Replacement.make cfg.policy ~capacity:cfg.pages;
     st =
       {
+        repl = Replacement.make cfg.policy ~capacity:cfg.pages;
         frame_file = Array.make cfg.pages (-1);
         frame_page = Array.make cfg.pages (-1);
         frame_dirty = Array.make cfg.pages false;
@@ -278,7 +278,7 @@ let take_frame t =
       end
       else begin
         let st = t.st in
-        let f = Replacement.victim t.repl in
+        let f = Replacement.victim st.repl in
         unlink st f;
         decr_resident t st.frame_file.(f);
         st.s_evictions <- st.s_evictions + 1;
@@ -300,7 +300,7 @@ let insert_page t ~file ~page ~dirty =
   if dirty then st.dirty <- st.dirty + 1;
   link st f;
   incr_resident t file;
-  Replacement.on_insert t.repl f;
+  Replacement.on_insert st.repl f;
   st.s_insertions <- st.s_insertions + 1
 
 let count_access t ~type_idx ~hits ~misses =
@@ -335,7 +335,7 @@ let read t ~type_idx ~file ~off ~len ~logical =
   for p = p0 to p1 do
     let f = find st file p in
     if f >= 0 then begin
-      Replacement.on_hit t.repl f;
+      Replacement.on_hit st.repl f;
       incr page_hits;
       let lo = max off (p * pb) and hi = min (off + len) ((p + 1) * pb) in
       hit_bytes := !hit_bytes + (hi - lo)
@@ -392,7 +392,7 @@ let write t ~type_idx ~file ~off ~len =
   for p = p0 to p1 do
     let f = find st file p in
     if f >= 0 then begin
-      Replacement.on_hit t.repl f;
+      Replacement.on_hit st.repl f;
       incr page_hits;
       if dirty && not st.frame_dirty.(f) then begin
         st.frame_dirty.(f) <- true;
@@ -443,7 +443,7 @@ let drop_frame t f =
   end;
   st.frame_file.(f) <- -1;
   st.frame_page.(f) <- -1;
-  Replacement.on_remove t.repl f;
+  Replacement.on_remove st.repl f;
   st.free <- f :: st.free;
   st.s_invalidations <- st.s_invalidations + 1
 
@@ -464,16 +464,12 @@ let truncate_file t ~file ~logical =
   | next -> if next * pb > logical then Int_tbl.remove t.st.seq_next file
   | exception Not_found -> ()
 
-(* Checkpoint: the replacement policy snapshots itself; the rest is
-   [st], marshalled whole.  No result path iterates a hash table
-   (coalesce sorts; flush scans frames), and [free] is a LIFO list
-   whose order IS the frame-claim order. *)
-let ckpt_save t = Marshal.to_string (Replacement.save t.repl, t.st) []
-
-let ckpt_load t blob =
-  let repl, st = (Marshal.from_string blob 0 : string * state) in
-  Replacement.load t.repl repl;
-  t.st <- st
+(* Checkpoint: [st] marshalled whole, replacement order included.  No
+   result path iterates a hash table (coalesce sorts; flush scans
+   frames), and [free] is a LIFO list whose order IS the frame-claim
+   order. *)
+let ckpt_save t = Marshal.to_string t.st []
+let ckpt_load t blob = t.st <- (Marshal.from_string blob 0 : state)
 
 let stats t =
   {

@@ -1,158 +1,36 @@
-module type S = sig
-  type t
+(* LRU and 2Q share one structure: two intrusive doubly-linked lists over
+   the same prev/next arrays, distinguished by a per-frame tag, with -1
+   terminating every end, so no sentinel frames and no allocation per
+   operation.  A1in is FIFO (insert at head, victims from tail); Am is
+   LRU.  LRU inserts straight into Am, so its A1in stays empty and
+   [victim] always takes Am's tail.  No ghost list (A1out): a hit while
+   still resident in A1in is promotion enough for this simulator. *)
+type queue = Untracked | A1in | Am
 
-  val create : capacity:int -> t
-  val on_insert : t -> int -> unit
-  val on_hit : t -> int -> unit
-  val victim : t -> int
-  val on_remove : t -> int -> unit
-  val save : t -> string
-  val load : t -> string -> unit
-end
+type lists = {
+  prev : int array;
+  next : int array;
+  where : queue array;
+  mutable a1_head : int;
+  mutable a1_tail : int;
+  mutable a1_len : int;
+  mutable am_head : int;
+  mutable am_tail : int;
+  a1_target : int;
+}
 
-let check_capacity capacity =
-  if capacity <= 0 then invalid_arg "Replacement.create: capacity must be positive"
+type clock = {
+  tracked : bool array;
+  referenced : bool array;
+  mutable hand : int;
+  capacity : int;
+}
 
-(* Exact LRU as an intrusive doubly-linked list over frame indices:
-   head = most recent, tail = victim.  -1 terminates both ends, so no
-   sentinel frames and no allocation per operation. *)
-module Lru = struct
-  type t = {
-    prev : int array;
-    next : int array;
-    mutable head : int;
-    mutable tail : int;
-  }
+type t = Lru of lists | Two_q of lists | Clock of clock
 
-  let create ~capacity =
-    check_capacity capacity;
-    { prev = Array.make capacity (-1); next = Array.make capacity (-1); head = -1; tail = -1 }
-
-  let unlink t f =
-    let p = t.prev.(f) and n = t.next.(f) in
-    if p >= 0 then t.next.(p) <- n else t.head <- n;
-    if n >= 0 then t.prev.(n) <- p else t.tail <- p;
-    t.prev.(f) <- -1;
-    t.next.(f) <- -1
-
-  let push_front t f =
-    t.prev.(f) <- -1;
-    t.next.(f) <- t.head;
-    if t.head >= 0 then t.prev.(t.head) <- f;
-    t.head <- f;
-    if t.tail < 0 then t.tail <- f
-
-  let on_insert t f = push_front t f
-
-  let on_hit t f =
-    if t.head <> f then begin
-      unlink t f;
-      push_front t f
-    end
-
-  let victim t =
-    if t.tail < 0 then invalid_arg "Replacement.victim: no tracked frame";
-    let f = t.tail in
-    unlink t f;
-    f
-
-  let on_remove t f = unlink t f
-
-  let save t = Marshal.to_string (t.prev, t.next, t.head, t.tail) []
-
-  let load t blob =
-    let prev, next, head, tail =
-      (Marshal.from_string blob 0 : int array * int array * int * int)
-    in
-    Array.blit prev 0 t.prev 0 (Array.length t.prev);
-    Array.blit next 0 t.next 0 (Array.length t.next);
-    t.head <- head;
-    t.tail <- tail
-end
-
-module Clock = struct
-  type t = {
-    tracked : bool array;
-    referenced : bool array;
-    mutable hand : int;
-    capacity : int;
-  }
-
-  let create ~capacity =
-    check_capacity capacity;
-    {
-      tracked = Array.make capacity false;
-      referenced = Array.make capacity false;
-      hand = 0;
-      capacity;
-    }
-
-  (* Inserted frames start with their reference bit set, so a brand-new
-     page survives the hand's first pass (classic second chance). *)
-  let on_insert t f =
-    t.tracked.(f) <- true;
-    t.referenced.(f) <- true
-
-  let on_hit t f = t.referenced.(f) <- true
-
-  let victim t =
-    (* Two full sweeps suffice: the first clears every reference bit in
-       the worst case, the second must then stop at a tracked frame. *)
-    let rec sweep steps =
-      if steps > 2 * t.capacity then invalid_arg "Replacement.victim: no tracked frame"
-      else begin
-        let f = t.hand in
-        t.hand <- (t.hand + 1) mod t.capacity;
-        if not t.tracked.(f) then sweep (steps + 1)
-        else if t.referenced.(f) then begin
-          t.referenced.(f) <- false;
-          sweep (steps + 1)
-        end
-        else begin
-          t.tracked.(f) <- false;
-          f
-        end
-      end
-    in
-    sweep 0
-
-  let on_remove t f =
-    t.tracked.(f) <- false;
-    t.referenced.(f) <- false
-
-  let save t = Marshal.to_string (t.tracked, t.referenced, t.hand) []
-
-  let load t blob =
-    let tracked, referenced, hand =
-      (Marshal.from_string blob 0 : bool array * bool array * int)
-    in
-    Array.blit tracked 0 t.tracked 0 (Array.length t.tracked);
-    Array.blit referenced 0 t.referenced 0 (Array.length t.referenced);
-    t.hand <- hand
-end
-
-(* Simplified 2Q: two intrusive lists over the same prev/next arrays,
-   distinguished by a per-frame tag.  A1in is FIFO (insert at head,
-   victims from tail); Am is LRU.  No ghost list (A1out): a hit while
-   still resident in A1in is promotion enough for this simulator, and
-   it keeps the structure allocation-free. *)
-module Two_q = struct
-  type queue = Untracked | A1in | Am
-
-  type t = {
-    prev : int array;
-    next : int array;
-    where : queue array;
-    mutable a1_head : int;
-    mutable a1_tail : int;
-    mutable a1_len : int;
-    mutable am_head : int;
-    mutable am_tail : int;
-    a1_target : int;
-  }
-
-  let create ~capacity =
-    check_capacity capacity;
+let make policy ~capacity =
+  if capacity <= 0 then invalid_arg "Replacement.make: capacity must be positive";
+  let lists () =
     {
       prev = Array.make capacity (-1);
       next = Array.make capacity (-1);
@@ -164,94 +42,112 @@ module Two_q = struct
       am_tail = -1;
       a1_target = max 1 (capacity / 4);
     }
-
-  let unlink t f =
-    let p = t.prev.(f) and n = t.next.(f) in
-    (match t.where.(f) with
-    | A1in ->
-        if p >= 0 then t.next.(p) <- n else t.a1_head <- n;
-        if n >= 0 then t.prev.(n) <- p else t.a1_tail <- p;
-        t.a1_len <- t.a1_len - 1
-    | Am ->
-        if p >= 0 then t.next.(p) <- n else t.am_head <- n;
-        if n >= 0 then t.prev.(n) <- p else t.am_tail <- p
-    | Untracked -> ());
-    t.prev.(f) <- -1;
-    t.next.(f) <- -1;
-    t.where.(f) <- Untracked
-
-  let push_a1 t f =
-    t.prev.(f) <- -1;
-    t.next.(f) <- t.a1_head;
-    if t.a1_head >= 0 then t.prev.(t.a1_head) <- f;
-    t.a1_head <- f;
-    if t.a1_tail < 0 then t.a1_tail <- f;
-    t.a1_len <- t.a1_len + 1;
-    t.where.(f) <- A1in
-
-  let push_am t f =
-    t.prev.(f) <- -1;
-    t.next.(f) <- t.am_head;
-    if t.am_head >= 0 then t.prev.(t.am_head) <- f;
-    t.am_head <- f;
-    if t.am_tail < 0 then t.am_tail <- f;
-    t.where.(f) <- Am
-
-  let on_insert t f = push_a1 t f
-
-  let on_hit t f =
-    match t.where.(f) with
-    | A1in ->
-        unlink t f;
-        push_am t f
-    | Am ->
-        if t.am_head <> f then begin
-          unlink t f;
-          push_am t f
-        end
-    | Untracked -> ()
-
-  let victim t =
-    let f =
-      if t.a1_tail >= 0 && (t.a1_len > t.a1_target || t.am_tail < 0) then t.a1_tail
-      else if t.am_tail >= 0 then t.am_tail
-      else t.a1_tail
-    in
-    if f < 0 then invalid_arg "Replacement.victim: no tracked frame";
-    unlink t f;
-    f
-
-  let on_remove t f = unlink t f
-
-  let save t =
-    Marshal.to_string (t.prev, t.next, t.where, t.a1_head, t.a1_tail, t.a1_len, t.am_head, t.am_tail) []
-
-  let load t blob =
-    let prev, next, where, a1_head, a1_tail, a1_len, am_head, am_tail =
-      (Marshal.from_string blob 0
-        : int array * int array * queue array * int * int * int * int * int)
-    in
-    Array.blit prev 0 t.prev 0 (Array.length t.prev);
-    Array.blit next 0 t.next 0 (Array.length t.next);
-    Array.blit where 0 t.where 0 (Array.length t.where);
-    t.a1_head <- a1_head;
-    t.a1_tail <- a1_tail;
-    t.a1_len <- a1_len;
-    t.am_head <- am_head;
-    t.am_tail <- am_tail
-end
-
-type t = Instance : (module S with type t = 'a) * 'a -> t
-
-let make policy ~capacity =
+  in
   match policy with
-  | Policy.Lru -> Instance ((module Lru), Lru.create ~capacity)
-  | Policy.Clock -> Instance ((module Clock), Clock.create ~capacity)
-  | Policy.Two_q -> Instance ((module Two_q), Two_q.create ~capacity)
+  | Policy.Lru -> Lru (lists ())
+  | Policy.Two_q -> Two_q (lists ())
+  | Policy.Clock ->
+      Clock
+        {
+          tracked = Array.make capacity false;
+          referenced = Array.make capacity false;
+          hand = 0;
+          capacity;
+        }
 
-let on_insert (Instance ((module M), s)) f = M.on_insert s f
-let on_hit (Instance ((module M), s)) f = M.on_hit s f
-let victim (Instance ((module M), s)) = M.victim s
-let on_remove (Instance ((module M), s)) f = M.on_remove s f
-let save (Instance ((module M), s)) = M.save s
-let load (Instance ((module M), s)) blob = M.load s blob
+let unlink t f =
+  let p = t.prev.(f) and n = t.next.(f) in
+  (match t.where.(f) with
+  | A1in ->
+      if p >= 0 then t.next.(p) <- n else t.a1_head <- n;
+      if n >= 0 then t.prev.(n) <- p else t.a1_tail <- p;
+      t.a1_len <- t.a1_len - 1
+  | Am ->
+      if p >= 0 then t.next.(p) <- n else t.am_head <- n;
+      if n >= 0 then t.prev.(n) <- p else t.am_tail <- p
+  | Untracked -> ());
+  t.prev.(f) <- -1;
+  t.next.(f) <- -1;
+  t.where.(f) <- Untracked
+
+let push_a1 t f =
+  t.prev.(f) <- -1;
+  t.next.(f) <- t.a1_head;
+  if t.a1_head >= 0 then t.prev.(t.a1_head) <- f;
+  t.a1_head <- f;
+  if t.a1_tail < 0 then t.a1_tail <- f;
+  t.a1_len <- t.a1_len + 1;
+  t.where.(f) <- A1in
+
+let push_am t f =
+  t.prev.(f) <- -1;
+  t.next.(f) <- t.am_head;
+  if t.am_head >= 0 then t.prev.(t.am_head) <- f;
+  t.am_head <- f;
+  if t.am_tail < 0 then t.am_tail <- f;
+  t.where.(f) <- Am
+
+(* Inserted CLOCK frames start with their reference bit set, so a
+   brand-new page survives the hand's first pass (classic second
+   chance). *)
+let on_insert t f =
+  match t with
+  | Lru l -> push_am l f
+  | Two_q l -> push_a1 l f
+  | Clock c ->
+      c.tracked.(f) <- true;
+      c.referenced.(f) <- true
+
+let on_hit t f =
+  match t with
+  | Lru l | Two_q l -> (
+      match l.where.(f) with
+      | A1in ->
+          unlink l f;
+          push_am l f
+      | Am ->
+          if l.am_head <> f then begin
+            unlink l f;
+            push_am l f
+          end
+      | Untracked -> ())
+  | Clock c -> c.referenced.(f) <- true
+
+let no_victim () = invalid_arg "Replacement.victim: no tracked frame"
+
+(* Two full sweeps suffice: the first clears every reference bit in the
+   worst case, the second must then stop at a tracked frame. *)
+let rec sweep c steps =
+  if steps > 2 * c.capacity then no_victim ()
+  else begin
+    let f = c.hand in
+    c.hand <- (c.hand + 1) mod c.capacity;
+    if not c.tracked.(f) then sweep c (steps + 1)
+    else if c.referenced.(f) then begin
+      c.referenced.(f) <- false;
+      sweep c (steps + 1)
+    end
+    else begin
+      c.tracked.(f) <- false;
+      f
+    end
+  end
+
+let victim t =
+  match t with
+  | Lru l | Two_q l ->
+      let f =
+        if l.a1_tail >= 0 && (l.a1_len > l.a1_target || l.am_tail < 0) then l.a1_tail
+        else if l.am_tail >= 0 then l.am_tail
+        else no_victim ()
+      in
+      unlink l f;
+      f
+  | Clock c -> sweep c 0
+
+let on_remove t f =
+  match t with
+  | Lru l | Two_q l -> unlink l f
+  | Clock c ->
+      c.tracked.(f) <- false;
+      c.referenced.(f) <- false

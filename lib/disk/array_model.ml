@@ -1,5 +1,5 @@
 module Sched_policy = Rofs_sched.Policy
-module Squeue = Rofs_sched.Scheduler.Queue
+module Squeue = Rofs_sched.Scheduler
 module Fault_plan = Rofs_fault.Plan
 module Fault = Rofs_fault.State
 module Sink = Rofs_obs.Sink

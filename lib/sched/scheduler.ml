@@ -1,211 +1,96 @@
 module Fifo = Stdlib.Queue
 
-module type S = sig
-  val policy : Policy.t
-
-  type 'a t
-
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val add : 'a t -> cylinder:int -> 'a -> unit
-  val take : 'a t -> head:int -> (int * 'a) option
-  val clear : 'a t -> unit
-end
-
-module Fcfs = struct
-  let policy = Policy.Fcfs
-
-  type 'a t = (int * 'a) Fifo.t
-
-  let create () = Fifo.create ()
-  let length = Fifo.length
-  let is_empty = Fifo.is_empty
-  let add t ~cylinder v =
-    if cylinder < 0 then invalid_arg "Scheduler.add: negative cylinder";
-    Fifo.add (cylinder, v) t
-  let take t ~head:_ = Fifo.take_opt t
-  let clear = Fifo.clear
-end
-
-(* The three seek-sequencing policies share a store: a map from cylinder
-   to the FIFO of requests pending there (so same-cylinder requests keep
+(* The three seek-sequencing policies keep a map from cylinder to the
+   FIFO of requests pending there (so same-cylinder requests keep
    arrival order), plus a size counter.  Map ordering gives the
    nearest-at-or-{above,below} lookups in O(log n), which matters when a
-   whole-file transfer floods one drive with thousands of chunks. *)
+   whole-file transfer floods one drive with thousands of chunks.  FCFS
+   needs none of that: its requests wait in one arrival FIFO. *)
 module Cylmap = Map.Make (Int)
 
-type 'a store = { mutable map : 'a Fifo.t Cylmap.t; mutable size : int }
+type 'a t = {
+  policy : Policy.t;
+  arrivals : (int * 'a) Fifo.t;  (** FCFS's queue; empty under the others *)
+  mutable map : 'a Fifo.t Cylmap.t;  (** the others' store; empty under FCFS *)
+  mutable size : int;
+  mutable up : bool;  (** SCAN's sweep direction *)
+}
 
-let store_create () = { map = Cylmap.empty; size = 0 }
+let create policy =
+  { policy; arrivals = Fifo.create (); map = Cylmap.empty; size = 0; up = true }
 
-let store_add s ~cylinder v =
+let length t = t.size
+let is_empty t = t.size = 0
+
+let add t ~cylinder v =
   if cylinder < 0 then invalid_arg "Scheduler.add: negative cylinder";
-  let bucket =
-    match Cylmap.find_opt cylinder s.map with
-    | Some b -> b
-    | None ->
-        let b = Fifo.create () in
-        s.map <- Cylmap.add cylinder b s.map;
-        b
-  in
-  Fifo.add v bucket;
-  s.size <- s.size + 1
+  (match t.policy with
+  | Policy.Fcfs -> Fifo.add (cylinder, v) t.arrivals
+  | Policy.Sstf | Policy.Scan | Policy.Clook ->
+      let bucket =
+        match Cylmap.find_opt cylinder t.map with
+        | Some b -> b
+        | None ->
+            let b = Fifo.create () in
+            t.map <- Cylmap.add cylinder b t.map;
+            b
+      in
+      Fifo.add v bucket);
+  t.size <- t.size + 1
+
+let at_or_above t head = Cylmap.find_first_opt (fun c -> c >= head) t.map
+let at_or_below t head = Cylmap.find_last_opt (fun c -> c <= head) t.map
 
 (* Pop the oldest request at [cyl]; requires the bucket to exist. *)
-let store_take_at s cyl =
-  let bucket = Cylmap.find cyl s.map in
+let take_at t cyl =
+  let bucket = Cylmap.find cyl t.map in
   let v = Fifo.take bucket in
-  if Fifo.is_empty bucket then s.map <- Cylmap.remove cyl s.map;
-  s.size <- s.size - 1;
-  (cyl, v)
+  if Fifo.is_empty bucket then t.map <- Cylmap.remove cyl t.map;
+  Some (cyl, v)
 
-let store_clear s =
-  s.map <- Cylmap.empty;
-  s.size <- 0
-
-let at_or_above s head = Cylmap.find_first_opt (fun c -> c >= head) s.map
-let at_or_below s head = Cylmap.find_last_opt (fun c -> c <= head) s.map
-
-module Sstf = struct
-  let policy = Policy.Sstf
-
-  type 'a t = 'a store
-
-  let create = store_create
-  let length t = t.size
-  let is_empty t = t.size = 0
-  let add = store_add
-  let clear = store_clear
-
-  let take t ~head =
-    if t.size = 0 then None
-    else begin
-      let cyl =
-        match (at_or_below t head, at_or_above t head) with
-        | Some (lo, _), Some (hi, _) ->
-            (* Equidistant ties go to the lower cylinder. *)
-            if head - lo <= hi - head then lo else hi
-        | Some (lo, _), None -> lo
-        | None, Some (hi, _) -> hi
-        | None, None -> assert false
-      in
-      Some (store_take_at t cyl)
-    end
-end
-
-module Scan = struct
-  let policy = Policy.Scan
-
-  type 'a t = { s : 'a store; mutable up : bool }
-
-  let create () = { s = store_create (); up = true }
-  let length t = t.s.size
-  let is_empty t = t.s.size = 0
-  let add t ~cylinder v = store_add t.s ~cylinder v
-  let clear t =
-    store_clear t.s;
-    t.up <- true
-
-  let take t ~head =
-    if t.s.size = 0 then None
-    else begin
-      (* Nearest request in the sweep direction; nothing there means the
-         sweep is over — reverse.  A request at the head cylinder itself
-         is served regardless of direction. *)
-      let cyl =
-        if t.up then begin
-          match at_or_above t.s head with
+let take t ~head =
+  if t.size = 0 then None
+  else begin
+    t.size <- t.size - 1;
+    match t.policy with
+    | Policy.Fcfs -> Some (Fifo.take t.arrivals)
+    | Policy.Sstf ->
+        take_at t
+          (match (at_or_below t head, at_or_above t head) with
+          | Some (lo, _), Some (hi, _) ->
+              (* Equidistant ties go to the lower cylinder. *)
+              if head - lo <= hi - head then lo else hi
+          | Some (lo, _), None -> lo
+          | None, Some (hi, _) -> hi
+          | None, None -> assert false)
+    | Policy.Scan ->
+        (* Nearest request in the sweep direction; nothing there means
+           the sweep is over — reverse.  A request at the head cylinder
+           itself is served regardless of direction. *)
+        take_at t
+          (if t.up then begin
+             match at_or_above t head with
+             | Some (c, _) -> c
+             | None ->
+                 t.up <- false;
+                 fst (Option.get (at_or_below t head))
+           end
+           else begin
+             match at_or_below t head with
+             | Some (c, _) -> c
+             | None ->
+                 t.up <- true;
+                 fst (Option.get (at_or_above t head))
+           end)
+    | Policy.Clook ->
+        take_at t
+          (match at_or_above t head with
           | Some (c, _) -> c
-          | None ->
-              t.up <- false;
-              fst (Option.get (at_or_below t.s head))
-        end
-        else begin
-          match at_or_below t.s head with
-          | Some (c, _) -> c
-          | None ->
-              t.up <- true;
-              fst (Option.get (at_or_above t.s head))
-        end
-      in
-      Some (store_take_at t.s cyl)
-    end
-end
+          | None -> fst (Cylmap.min_binding t.map))
+  end
 
-module Clook = struct
-  let policy = Policy.Clook
-
-  type 'a t = 'a store
-
-  let create = store_create
-  let length t = t.size
-  let is_empty t = t.size = 0
-  let add = store_add
-  let clear = store_clear
-
-  let take t ~head =
-    if t.size = 0 then None
-    else begin
-      let cyl =
-        match at_or_above t head with
-        | Some (c, _) -> c
-        | None -> fst (Cylmap.min_binding t.map)
-      in
-      Some (store_take_at t cyl)
-    end
-end
-
-let of_policy : Policy.t -> (module S) = function
-  | Policy.Fcfs -> (module Fcfs)
-  | Policy.Sstf -> (module Sstf)
-  | Policy.Scan -> (module Scan)
-  | Policy.Clook -> (module Clook)
-
-module Queue = struct
-  type 'a t =
-    | Qfcfs of 'a Fcfs.t
-    | Qsstf of 'a Sstf.t
-    | Qscan of 'a Scan.t
-    | Qclook of 'a Clook.t
-
-  let create = function
-    | Policy.Fcfs -> Qfcfs (Fcfs.create ())
-    | Policy.Sstf -> Qsstf (Sstf.create ())
-    | Policy.Scan -> Qscan (Scan.create ())
-    | Policy.Clook -> Qclook (Clook.create ())
-
-  let policy = function
-    | Qfcfs _ -> Policy.Fcfs
-    | Qsstf _ -> Policy.Sstf
-    | Qscan _ -> Policy.Scan
-    | Qclook _ -> Policy.Clook
-
-  let length = function
-    | Qfcfs q -> Fcfs.length q
-    | Qsstf q -> Sstf.length q
-    | Qscan q -> Scan.length q
-    | Qclook q -> Clook.length q
-
-  let is_empty t = length t = 0
-
-  let add t ~cylinder v =
-    match t with
-    | Qfcfs q -> Fcfs.add q ~cylinder v
-    | Qsstf q -> Sstf.add q ~cylinder v
-    | Qscan q -> Scan.add q ~cylinder v
-    | Qclook q -> Clook.add q ~cylinder v
-
-  let take t ~head =
-    match t with
-    | Qfcfs q -> Fcfs.take q ~head
-    | Qsstf q -> Sstf.take q ~head
-    | Qscan q -> Scan.take q ~head
-    | Qclook q -> Clook.take q ~head
-
-  let clear = function
-    | Qfcfs q -> Fcfs.clear q
-    | Qsstf q -> Sstf.clear q
-    | Qscan q -> Scan.clear q
-    | Qclook q -> Clook.clear q
-end
+let clear t =
+  Fifo.clear t.arrivals;
+  t.map <- Cylmap.empty;
+  t.size <- 0;
+  t.up <- true

@@ -1,69 +1,44 @@
 (** Per-drive dispatch queues.
 
-    One queue holds the requests pending on one drive; {!S.take} decides
+    One queue holds the requests pending on one drive; {!take} decides
     which of them the arm services next, given the cylinder the head is
     parked on.  Payloads are opaque to the scheduler — it sequences on
-    cylinder numbers only.
+    cylinder numbers only.  The policy is chosen at {!create}:
 
-    All four implementations are deterministic: requests on the same
-    cylinder are served in arrival order, and every remaining tie is
-    broken the same way on every run.  None of them preempts — a choice
-    is made only when the drive falls idle, which is exactly when the
-    simulation engine consults the queue. *)
+    - {b FCFS}: arrival order, ignoring geometry entirely.
+    - {b SSTF}: nearest pending cylinder to the head; equidistant ties
+      go to the lower cylinder.
+    - {b SCAN} (elevator): the arm starts sweeping toward higher
+      cylinders; each take serves the nearest request at or beyond the
+      head in the sweep direction, and the direction reverses when
+      nothing (more) is pending that way.  Wait is bounded: a request is
+      served within two sweeps of its arrival.
+    - {b C-LOOK} (circular LOOK): always sweeps upward; serves the
+      nearest pending cylinder at or above the head, and when there is
+      none, wraps to the lowest pending cylinder.  Wait is bounded by
+      one full sweep.
 
-module type S = sig
-  val policy : Policy.t
+    Every policy is deterministic: requests on the same cylinder are
+    served in arrival order, and every remaining tie is broken the same
+    way on every run.  None of them preempts — a choice is made only
+    when the drive falls idle, which is exactly when the simulation
+    engine consults the queue.  A queue is plain closure-free data, so a
+    checkpoint marshals it whole. *)
 
-  type 'a t
+type 'a t
 
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
+val create : Policy.t -> 'a t
+val length : 'a t -> int
+val is_empty : 'a t -> bool
 
-  val add : 'a t -> cylinder:int -> 'a -> unit
-  (** Enqueue a request whose first byte lives on [cylinder].
-      Requires [cylinder >= 0]. *)
+val add : 'a t -> cylinder:int -> 'a -> unit
+(** Enqueue a request whose first byte lives on [cylinder].
+    Requires [cylinder >= 0]. *)
 
-  val take : 'a t -> head:int -> (int * 'a) option
-  (** Remove and return the request the policy services next with the
-      arm at cylinder [head], as [(cylinder, payload)]; [None] when
-      empty. *)
+val take : 'a t -> head:int -> (int * 'a) option
+(** Remove and return the request the policy services next with the
+    arm at cylinder [head], as [(cylinder, payload)]; [None] when
+    empty. *)
 
-  val clear : 'a t -> unit
-end
-
-module Fcfs : S
-(** Arrival order, ignoring geometry entirely. *)
-
-module Sstf : S
-(** Nearest pending cylinder to the head; equidistant ties go to the
-    lower cylinder. *)
-
-module Scan : S
-(** Elevator.  The arm starts sweeping toward higher cylinders; each
-    take serves the nearest request at or beyond the head in the sweep
-    direction, and the direction reverses when nothing (more) is pending
-    that way.  Wait is bounded: a request is served within two sweeps of
-    its arrival. *)
-
-module Clook : S
-(** Circular LOOK: always sweeps upward; serves the nearest pending
-    cylinder at or above the head, and when there is none, wraps to the
-    lowest pending cylinder.  Wait is bounded by one full sweep. *)
-
-val of_policy : Policy.t -> (module S)
-
-(** A queue whose policy is chosen at runtime — what a drive actually
-    owns.  Thin first-class-module wrapper over the four
-    implementations. *)
-module Queue : sig
-  type 'a t
-
-  val create : Policy.t -> 'a t
-  val policy : 'a t -> Policy.t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val add : 'a t -> cylinder:int -> 'a -> unit
-  val take : 'a t -> head:int -> (int * 'a) option
-  val clear : 'a t -> unit
-end
+val clear : 'a t -> unit
+(** Drop every pending request; SCAN's next sweep starts upward again. *)

@@ -1659,9 +1659,9 @@ let rec run_sequential_test t =
    engine's own section is [t.s]; the policy section is the allocator's
    [Policy.state]; the volume section is its [s]; the array section
    carries the fault state; the sink and cache sections are their [m] /
-   [st] records.  The fault plan and the cache's replacement policy keep
-   hand-written save/load, because closures or first-class modules
-   capture their state. *)
+   [st] records (the cache's replacement order lives in its [st]).  The
+   fault plan keeps hand-written save/load: its per-drive RNG streams
+   restore in place. *)
 (* Everything the simulated results depend on that is fixed at engine
    construction: resuming under a different configuration, policy or
    workload would silently compute garbage, so [restore] refuses when
@@ -1676,7 +1676,7 @@ let fingerprint t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( 8 (* fingerprint layout version *),
+          ( 9 (* fingerprint layout version *),
             (c.seed, c.disks, c.stripe_unit_bytes, array_desc, c.scheduler),
             ( c.lower_bound,
               c.upper_bound,

@@ -2,7 +2,23 @@
    words; seeding runs the 64-bit splitmix generator over the user seed so
    that small seeds still yield well-mixed states. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words live unboxed in one 32-byte buffer, read and
+   written with [Bytes.get_int64_le] / [set_int64_le] (little-endian,
+   so a marshalled generator means the same stream on every host): a
+   draw keeps its words in registers and boxes no [int64], and copying
+   or restoring a generator is one blit. *)
+type t = Bytes.t
+
+let[@inline] word t i = Bytes.get_int64_le t (i * 8)
+let[@inline] set t i v = Bytes.set_int64_le t (i * 8) v
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
 
 let splitmix64 state =
   let open Int64 in
@@ -18,15 +34,10 @@ let create ~seed =
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
-let assign ~dst ~src =
-  dst.s0 <- src.s0;
-  dst.s1 <- src.s1;
-  dst.s2 <- src.s2;
-  dst.s3 <- src.s3
+let copy = Bytes.copy
+let assign ~dst ~src = Bytes.blit src 0 dst 0 32
 
 let derive_seed ~seed ~stream =
   (* Mix the pair through splitmix64 so that (seed, 0), (seed, 1), ...
@@ -39,19 +50,23 @@ let derive_seed ~seed ~stream =
   let b = splitmix64 state in
   Int64.to_int (Int64.shift_right_logical b 1)
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step: the output word, computed from the state
+   before the state advances. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = word t 0 and s1 = word t 1 and s2 = word t 2 and s3 = word t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 1 (logxor s1 s2);
+  set t 2 (logxor s2 (shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
+
+let bits64 t = next t
 
 let split t =
   (* Seed the child from two parent outputs; mixing through splitmix64
@@ -61,31 +76,29 @@ let split t =
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
 let float t =
   (* 53 high bits give a uniform double in [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. 0x1.0p-53
+
+(* The smallest all-ones mask covering [n - 1]. *)
+let rec widen n m = if m >= n - 1 then m else widen n ((m lsl 1) lor 1)
+
+(* Rejection sampling over the low bits to avoid modulo bias.  [mask]
+   fits in an [int], so masking after [to_int] keeps exactly the bits
+   masking before it would. *)
+let rec draw t n mask =
+  let v = Int64.to_int (next t) land mask in
+  if v < n then v else draw t n mask
 
 let int t n =
   assert (n > 0);
-  if n = 1 then 0
-  else begin
-    (* Rejection sampling over the low bits to avoid modulo bias. *)
-    let mask =
-      let rec widen m = if m >= n - 1 then m else widen ((m lsl 1) lor 1) in
-      widen 1
-    in
-    let rec draw () =
-      let v = Int64.to_int (Int64.logand (bits64 t) (Int64.of_int mask)) in
-      if v < n then v else draw ()
-    in
-    draw ()
-  end
+  if n = 1 then 0 else draw t n (widen n 1)
 
 let int_in t ~lo ~hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L

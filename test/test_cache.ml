@@ -1,7 +1,8 @@
 (* Buffer cache tests, three layers deep:
 
    - replacement level: exact LRU ordering, CLOCK's second chance, 2Q's
-     FIFO A1in / protected Am split;
+     FIFO A1in / protected Am split, and every policy's victims against
+     a list-based model, across a Marshal round trip;
    - cache level: hit/miss accounting, fetch coalescing and clamping,
      prefetch hysteresis, write-through vs write-back dirtiness, flush
      coalescing, eviction write-backs, invalidation, per-type counters,
@@ -111,6 +112,141 @@ let test_victim_on_empty_raises () =
       expect_invalid (Cache_policy.name p ^ " empty victim") ~substr:"no tracked frame"
         (fun () -> Replacement.victim r))
     Cache_policy.all
+
+(* Reference models, one per policy, over plain lists.  LRU: tracked
+   frames, most recent first.  CLOCK: the tracked frames and the ones
+   whose reference bit is set, plus the hand.  2Q: A1in newest first
+   (FIFO) and Am most recent first (LRU), A1in's target a quarter of
+   the capacity. *)
+type repl_model = {
+  mutable lru : int list;
+  mutable tracked : int list;
+  mutable referenced : int list;
+  mutable hand : int;
+  mutable a1 : int list;
+  mutable am : int list;
+}
+
+let without f = List.filter (( <> ) f)
+let last l = List.nth l (List.length l - 1)
+
+let model_insert policy m f =
+  match policy with
+  | Cache_policy.Lru -> m.lru <- f :: m.lru
+  | Cache_policy.Clock ->
+      m.tracked <- f :: m.tracked;
+      m.referenced <- f :: without f m.referenced
+  | Cache_policy.Two_q -> m.a1 <- f :: m.a1
+
+let model_hit policy m f =
+  match policy with
+  | Cache_policy.Lru -> m.lru <- f :: without f m.lru
+  | Cache_policy.Clock -> m.referenced <- f :: without f m.referenced
+  | Cache_policy.Two_q ->
+      m.a1 <- without f m.a1;
+      m.am <- f :: without f m.am
+
+let model_remove policy m f =
+  match policy with
+  | Cache_policy.Lru -> m.lru <- without f m.lru
+  | Cache_policy.Clock ->
+      m.tracked <- without f m.tracked;
+      m.referenced <- without f m.referenced
+  | Cache_policy.Two_q ->
+      m.a1 <- without f m.a1;
+      m.am <- without f m.am
+
+let model_victim policy ~capacity m =
+  let f =
+    match policy with
+    | Cache_policy.Lru -> last m.lru
+    | Cache_policy.Clock ->
+        let rec sweep () =
+          let f = m.hand in
+          m.hand <- (f + 1) mod capacity;
+          if not (List.mem f m.tracked) then sweep ()
+          else if List.mem f m.referenced then begin
+            m.referenced <- without f m.referenced;
+            sweep ()
+          end
+          else f
+        in
+        sweep ()
+    | Cache_policy.Two_q ->
+        if m.a1 <> [] && (List.length m.a1 > max 1 (capacity / 4) || m.am = []) then last m.a1
+        else last m.am
+  in
+  model_remove policy m f;
+  f
+
+let model_tracked policy m =
+  match policy with
+  | Cache_policy.Lru -> m.lru
+  | Cache_policy.Clock -> m.tracked
+  | Cache_policy.Two_q -> m.a1 @ m.am
+
+type repl_op = Insert of int | Hit of int | Remove of int | Victim
+
+(* Frames are drawn by index and mapped onto whatever the contract
+   allows at that step: an insert takes an untracked frame, a hit or a
+   remove a tracked one, and a victim needs one tracked. *)
+let repl_ops =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (6, Gen.map (fun i -> Insert i) Gen.nat);
+        (5, Gen.map (fun i -> Hit i) Gen.nat);
+        (1, Gen.map (fun i -> Remove i) Gen.nat);
+        (4, Gen.return Victim);
+      ]
+  in
+  let print = function
+    | Insert i -> Printf.sprintf "insert#%d" i
+    | Hit i -> Printf.sprintf "hit#%d" i
+    | Remove i -> Printf.sprintf "remove#%d" i
+    | Victim -> "victim"
+  in
+  triple (int_range 1 12)
+    (make ~print:(Print.list print) (Gen.list_size (Gen.int_range 1 300) op))
+    (int_bound 300)
+
+let prop_replacement_matches_model =
+  QCheck.Test.make ~name:"every policy's victims match a list-based model" ~count:300 repl_ops
+    (fun (capacity, ops, roundtrip_at) ->
+      List.for_all
+        (fun policy ->
+          let r = ref (Replacement.make policy ~capacity) in
+          let m = { lru = []; tracked = []; referenced = []; hand = 0; a1 = []; am = [] } in
+          List.for_all
+            (fun (step, op) ->
+              (* One Marshal round trip at a random step: the copy must
+                 give the same victims from there on. *)
+              if step = roundtrip_at then r := Marshal.from_string (Marshal.to_string !r []) 0;
+              let tracked = model_tracked policy m in
+              let untracked = List.filter (fun f -> not (List.mem f tracked)) (List.init capacity Fun.id) in
+              let pick l i = List.nth l (i mod List.length l) in
+              match op with
+              | Insert i when untracked <> [] ->
+                  let f = pick untracked i in
+                  Replacement.on_insert !r f;
+                  model_insert policy m f;
+                  true
+              | Hit i when tracked <> [] ->
+                  let f = pick tracked i in
+                  Replacement.on_hit !r f;
+                  model_hit policy m f;
+                  true
+              | Remove i when tracked <> [] ->
+                  let f = pick tracked i in
+                  Replacement.on_remove !r f;
+                  model_remove policy m f;
+                  true
+              | Victim when tracked <> [] ->
+                  Replacement.victim !r = model_victim policy ~capacity m
+              | _ -> true)
+            (List.mapi (fun i op -> (i, op)) ops))
+        Cache_policy.all)
 
 (* ------------------------------------------------------------------ *)
 (* Cache behaviour                                                    *)
@@ -832,6 +968,7 @@ let () =
           quick "clock second chance" test_clock_second_chance;
           quick "2q split" test_two_q_split;
           quick "empty victim raises" test_victim_on_empty_raises;
+          QCheck_alcotest.to_alcotest prop_replacement_matches_model;
         ] );
       ( "cache",
         [

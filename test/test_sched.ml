@@ -1,7 +1,8 @@
 (* Scheduler subsystem tests, three layers deep:
 
    - queue level: each policy's take order on hand-built queues, plus
-     QCheck properties (conservation, FCFS order, SSTF nearness) and
+     QCheck properties (conservation, FCFS order, SSTF nearness, and
+     every policy's exact take order against a sorted-list model) and
      the hot-cylinder adversary showing SCAN / C-LOOK bound waiting
      where SSTF starves;
    - array level: the dispatch-queue path ({!Array_model.submit_flat} /
@@ -19,7 +20,7 @@
 
 module C = Core
 module Policy = C.Sched_policy
-module Squeue = C.Scheduler.Queue
+module Squeue = C.Scheduler
 module Array_model = C.Array_model
 module Engine = C.Engine
 module Experiment = C.Experiment
@@ -175,6 +176,106 @@ let prop_sstf_is_nearest =
              go cyl)
       in
       go 500)
+
+(* Reference model: the pending requests as a list in arrival order,
+   plus SCAN's sweep direction.  Each take picks the target cylinder by
+   scanning the whole list, then serves the oldest request there. *)
+type model = { mutable pending : (int * int) list; mutable up : bool }
+
+let model_take policy m ~head =
+  match m.pending with
+  | [] -> None
+  | (oldest, _) :: _ ->
+      let cyls = List.map fst m.pending in
+      let above = List.filter (fun c -> c >= head) cyls in
+      let below = List.filter (fun c -> c <= head) cyls in
+      let lowest = List.fold_left min max_int and highest = List.fold_left max min_int in
+      let cyl =
+        match policy with
+        | Policy.Fcfs -> oldest
+        | Policy.Sstf -> (
+            match (below, above) with
+            | [], _ -> lowest above
+            | _, [] -> highest below
+            | _ ->
+                let lo = highest below and hi = lowest above in
+                if head - lo <= hi - head then lo else hi)
+        | Policy.Scan ->
+            if m.up then
+              if above <> [] then lowest above
+              else begin
+                m.up <- false;
+                highest below
+              end
+            else if below <> [] then highest below
+            else begin
+              m.up <- true;
+              lowest above
+            end
+        | Policy.Clook -> if above <> [] then lowest above else lowest cyls
+      in
+      let rec pick seen = function
+        | (c, v) :: rest when c = cyl ->
+            m.pending <- List.rev_append seen rest;
+            Some (c, v)
+        | r :: rest -> pick (r :: seen) rest
+        | [] -> assert false
+      in
+      pick [] m.pending
+
+type queue_op = Add of int | Take of int | Clear
+
+(* Cylinders and heads share a small range, so same-cylinder queues,
+   equidistant ties, sweep reversals and wraps all come up often. *)
+let queue_ops =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (10, Gen.map (fun c -> Add c) (Gen.int_bound 40));
+        (8, Gen.map (fun h -> Take h) (Gen.int_bound 40));
+        (1, Gen.return Clear);
+      ]
+  in
+  let print = function
+    | Add c -> Printf.sprintf "add %d" c
+    | Take h -> Printf.sprintf "take@%d" h
+    | Clear -> "clear"
+  in
+  pair
+    (make ~print:(Print.list print) (Gen.list_size (Gen.int_range 1 200) op))
+    (int_bound 200)
+
+let prop_queues_match_model =
+  QCheck.Test.make ~name:"every policy matches a sorted-list reference model" ~count:300 queue_ops
+    (fun (ops, roundtrip_at) ->
+      List.for_all
+        (fun policy ->
+          let q = ref (Squeue.create policy) in
+          let m = { pending = []; up = true } in
+          let next = ref 0 in
+          List.for_all
+            (fun (i, op) ->
+              (* One Marshal round trip at a random step: the copy must
+                 carry on exactly where the original left off. *)
+              if i = roundtrip_at then q := Marshal.from_string (Marshal.to_string !q []) 0;
+              let same =
+                match op with
+                | Add cylinder ->
+                    Squeue.add !q ~cylinder !next;
+                    m.pending <- m.pending @ [ (cylinder, !next) ];
+                    incr next;
+                    true
+                | Take head -> Squeue.take !q ~head = model_take policy m ~head
+                | Clear ->
+                    Squeue.clear !q;
+                    m.pending <- [];
+                    m.up <- true;
+                    true
+              in
+              same && Squeue.length !q = List.length m.pending)
+            (List.mapi (fun i op -> (i, op)) ops))
+        Policy.all)
 
 (* Adversary: one victim waits at cylinder 900 with a couple of
    waypoints on the way up; after every service a new request lands
@@ -530,6 +631,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_conservation;
           QCheck_alcotest.to_alcotest prop_fcfs_is_arrival_order;
           QCheck_alcotest.to_alcotest prop_sstf_is_nearest;
+          QCheck_alcotest.to_alcotest prop_queues_match_model;
           quick "scan does not starve" test_scan_no_starvation;
           quick "clook does not starve" test_clook_no_starvation;
           quick "sstf starves (known)" test_sstf_starves;

@@ -101,6 +101,57 @@ let test_rng_uniformity () =
         (abs (c - expected) < expected / 5))
     buckets
 
+(* A mixed stream of [int] / [float] / [bits64] draws plus a split,
+   digested.  The digest was captured from the boxed-[int64] generator
+   this one replaced: changing how the state is stored must not change
+   a single draw. *)
+let test_rng_stream_golden () =
+  let r = Rng.create ~seed:42 in
+  let b = Buffer.create 4096 in
+  for i = 1 to 1000 do
+    if i mod 3 = 0 then Buffer.add_string b (Printf.sprintf "%h," (Rng.float r))
+    else if i mod 3 = 1 then Buffer.add_string b (Printf.sprintf "%d," (Rng.int r (1 + (i * 7919))))
+    else Buffer.add_string b (Printf.sprintf "%Ld," (Rng.bits64 r))
+  done;
+  let s = Rng.split r in
+  Buffer.add_string b (Printf.sprintf "%d %b" (Rng.int s 1000000) (Rng.bool s));
+  Alcotest.(check string)
+    "stream digest" "84b228d0d0876043793f77f43e021872"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_rng_assign_and_marshal () =
+  let a = Rng.create ~seed:5 and b = Rng.create ~seed:6 in
+  ignore (Rng.int a 100);
+  let blob = Marshal.to_string a [] in
+  Rng.assign ~dst:b ~src:a;
+  let c = (Marshal.from_string blob 0 : Rng.t) in
+  for _ = 1 to 50 do
+    let x = Rng.bits64 a in
+    Alcotest.(check int64) "assign continues the stream" x (Rng.bits64 b);
+    Alcotest.(check int64) "a marshalled copy continues the stream" x (Rng.bits64 c)
+  done
+
+(* Minor words per draw over [n] draws of [f]. *)
+let words_per_draw f =
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The state is four unboxed words in a byte buffer and the rejection
+   loop is a top-level function, so [int] allocates nothing; [float]
+   boxes only its result (2 words).  The generator it replaced read
+   about 33 and 23. *)
+let test_rng_allocation_budget () =
+  let rng = Rng.create ~seed:29 in
+  let per_int = words_per_draw (fun i -> Rng.int rng (1 + (i land 1023))) in
+  if per_int >= 1. then Alcotest.failf "Rng.int allocates %.2f minor words per draw (budget 1)" per_int;
+  let per_float = words_per_draw (fun _ -> Rng.float rng) in
+  if per_float > 2.2 then
+    Alcotest.failf "Rng.float allocates %.2f minor words per draw (budget 2.2)" per_float
+
 (* ------------------------------------------------------------------ *)
 (* Dist *)
 
@@ -728,6 +779,9 @@ let () =
           quick "int covers all values" test_rng_int_covers_all;
           quick "int_in inclusive" test_rng_int_in;
           quick "uniformity" test_rng_uniformity;
+          quick "stream matches frozen digest" test_rng_stream_golden;
+          quick "assign and marshal continue the stream" test_rng_assign_and_marshal;
+          quick "minor words per draw bounded" test_rng_allocation_budget;
         ] );
       ( "dist",
         [
