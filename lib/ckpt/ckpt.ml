@@ -2,22 +2,54 @@ let magic = "ROFSCKPT"
 let format_version = 1
 
 (* Standard CRC-32 (IEEE), table-driven, computed over OCaml ints (the
-   word is 63-bit, so the 32-bit value always fits non-negative). *)
-let crc_table =
+   word is 63-bit, so the 32-bit value always fits non-negative).
+   Slicing-by-8: table [k] (entries [256k .. 256k + 255]) advances a
+   byte's contribution past [k] further zero bytes, so one step folds
+   eight input bytes with eight lookups; table 0 is the classic
+   bytewise table, which finishes the tail. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
+(* Every index below is masked to a byte within its table. *)
 let crc32_update crc s =
-  let table = Lazy.force crc_table in
-  let crc = ref crc in
-  String.iter
-    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
-    s;
+  let t = Lazy.force crc_tables in
+  let n = String.length s in
+  let crc = ref crc and i = ref 0 in
+  while !i + 8 <= n do
+    let p = !i and c = !crc in
+    crc :=
+      Array.unsafe_get t
+        (0x700 + ((c lxor Char.code (String.unsafe_get s p)) land 0xff))
+      lxor Array.unsafe_get t
+             (0x600 + (((c lsr 8) lxor Char.code (String.unsafe_get s (p + 1))) land 0xff))
+      lxor Array.unsafe_get t
+             (0x500 + (((c lsr 16) lxor Char.code (String.unsafe_get s (p + 2))) land 0xff))
+      lxor Array.unsafe_get t
+             (0x400 + (((c lsr 24) lxor Char.code (String.unsafe_get s (p + 3))) land 0xff))
+      lxor Array.unsafe_get t (0x300 + Char.code (String.unsafe_get s (p + 4)))
+      lxor Array.unsafe_get t (0x200 + Char.code (String.unsafe_get s (p + 5)))
+      lxor Array.unsafe_get t (0x100 + Char.code (String.unsafe_get s (p + 6)))
+      lxor Array.unsafe_get t (Char.code (String.unsafe_get s (p + 7)));
+    i := p + 8
+  done;
+  for p = !i to n - 1 do
+    crc := Array.unsafe_get t ((!crc lxor Char.code (String.unsafe_get s p)) land 0xff) lxor (!crc lsr 8)
+  done;
   !crc
 
 let crc32 s = crc32_update 0xFFFFFFFF s lxor 0xFFFFFFFF

@@ -6,6 +6,7 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -25,21 +26,27 @@ let escape buffer s =
     s;
   Buffer.add_char buffer '"'
 
+(* [Printf.sprintf "%.12g"] ends in this primitive with this format;
+   calling it directly skips the format interpreter, same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_float buffer f =
+  if Float.is_finite f then begin
+    let s = format_float "%.12g" f in
+    Buffer.add_string buffer s;
+    (* "1e+06"-style output is a valid JSON number; bare "1" is too,
+       but keep integral floats recognizably float-typed. *)
+    if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s then
+      Buffer.add_string buffer ".0"
+  end
+  else Buffer.add_string buffer "null"
+
 let rec emit buffer = function
   | Null -> Buffer.add_string buffer "null"
   | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
   | Int i -> Buffer.add_string buffer (string_of_int i)
-  | Float f ->
-      if Float.is_finite f then begin
-        let s = Printf.sprintf "%.12g" f in
-        Buffer.add_string buffer s;
-        (* "1e+06"-style output is a valid JSON number; bare "1" is too,
-           but keep integral floats recognizably float-typed. *)
-        if
-          String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s
-        then Buffer.add_string buffer ".0"
-      end
-      else Buffer.add_string buffer "null"
+  | Float f -> add_float buffer f
+  | Raw s -> Buffer.add_string buffer s
   | Str s -> escape buffer s
   | Arr items ->
       Buffer.add_char buffer '[';
@@ -65,7 +72,10 @@ let to_string v =
   emit buffer v;
   Buffer.contents buffer
 
-let to_channel oc v = output_string oc (to_string v)
+let to_channel oc v =
+  let buffer = Buffer.create 256 in
+  emit buffer v;
+  Buffer.output_buffer oc buffer
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

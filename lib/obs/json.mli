@@ -4,8 +4,10 @@
     summaries, metrics and traces, and for tests / CI to validate them
     back, without adding a dependency the container may not have.
     Printing is deterministic: object keys keep insertion order, floats
-    render with ["%.12g"] (non-finite floats render as [null], since
-    JSON has no spelling for them). *)
+    follow the one rule of {!add_float}.  A producer that renders a
+    large part of a document itself (the Chrome trace streams its
+    event array straight from the trace ring) hands the text over as
+    {!Raw}, so it still returns a [t]. *)
 
 type t =
   | Null
@@ -15,11 +17,22 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** Already-rendered JSON text, printed verbatim.  The printer
+          does not check it; {!parse} never returns it. *)
+
+val add_float : Buffer.t -> float -> unit
+(** The float rule every printed float follows: ["%.12g"], with [.0]
+    appended when that renders as a bare integer (so integral floats
+    stay recognizably float-typed), and [null] for a non-finite float,
+    since JSON has no spelling for one. *)
 
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 
 val to_channel : out_channel -> t -> unit
+(** {!to_string}'s bytes, written from the rendering buffer without
+    first copying them into a string. *)
 
 val parse : string -> (t, string) result
 (** Strict-enough recursive-descent parser for everything {!to_string}

@@ -48,6 +48,8 @@ let kinds =
     Cache_flush;
   |]
 
+let kind_names = Array.map kind_name kinds
+
 let kind_index = function
   | Arrival -> 0
   | Dispatch -> 1
@@ -113,22 +115,39 @@ let grow t =
   t.r_op <- widen t.r_op 0;
   t.r_bytes <- widen t.r_bytes 0
 
-let record t (e : event) =
+(* Claim the slot for one new event, evicting the oldest when the ring
+   is full; the caller fills the six fields. *)
+let claim t =
   if t.stored = t.capacity then t.dropped <- t.dropped + 1 else t.stored <- t.stored + 1;
   let i = t.next in
   if i = Array.length t.r_kind then grow t;
+  t.next <- (if i + 1 = t.capacity then 0 else i + 1);
+  i
+
+let record t (e : event) =
+  let i = claim t in
   t.r_at.(i) <- e.at_ms;
   t.r_dur.(i) <- e.dur_ms;
   t.r_kind.(i) <- kind_index e.kind;
   t.r_drive.(i) <- e.drive;
   t.r_op.(i) <- e.op_id;
-  t.r_bytes.(i) <- e.bytes;
-  t.next <- (if i + 1 = t.capacity then 0 else i + 1)
+  t.r_bytes.(i) <- e.bytes
 
 let length t = t.stored
 let dropped t = t.dropped
 
 let capacity t = t.capacity
+
+(* The held slots in serialization order: oldest first, then a stable
+   sort by timestamp, so serialized traces are non-decreasing in time
+   even when events were recorded out of order (completion
+   bookkeeping) and ties keep recording order. *)
+let order t =
+  let start = (t.next - t.stored + t.capacity) mod t.capacity in
+  let slots = Array.init t.stored (fun k -> (start + k) mod t.capacity) in
+  let at = t.r_at in
+  Array.stable_sort (fun a b -> Float.compare at.(a) at.(b)) slots;
+  slots
 
 let slot t i =
   {
@@ -140,118 +159,127 @@ let slot t i =
     bytes = t.r_bytes.(i);
   }
 
-let events t =
-  (* Oldest-first read of the ring, then a stable sort by timestamp so
-     serialized traces are non-decreasing in time even when events were
-     recorded out of order (e.g. completion bookkeeping). *)
-  let out = ref [] in
-  let start = (t.next - t.stored + t.capacity) mod t.capacity in
-  for i = t.stored - 1 downto 0 do
-    out := slot t ((start + i) mod t.capacity) :: !out
-  done;
-  List.stable_sort (fun a b -> Float.compare a.at_ms b.at_ms) !out
+let events t = Array.fold_right (fun i acc -> slot t i :: acc) (order t) []
+
+let copy t =
+  {
+    t with
+    r_at = Array.copy t.r_at;
+    r_dur = Array.copy t.r_dur;
+    r_kind = Array.copy t.r_kind;
+    r_drive = Array.copy t.r_drive;
+    r_op = Array.copy t.r_op;
+    r_bytes = Array.copy t.r_bytes;
+  }
 
 (* Events [src] already dropped stay dropped: carry the count across so
    a merged trace reports the union's true truncation, not just what
-   overflowed [dst]'s ring during the merge itself. *)
+   overflowed [dst]'s ring during the merge itself.  Merging a ring
+   into itself copies it first: the slot copy would otherwise read
+   slots it has just overwritten, and the overflow it causes would be
+   counted twice. *)
 let merge_into ?(drive_offset = 0) dst src =
-  List.iter
-    (fun e ->
-      record dst
-        (if drive_offset = 0 || e.drive < 0 then e else { e with drive = e.drive + drive_offset }))
-    (events src);
+  let src = if src == dst then copy src else src in
+  Array.iter
+    (fun j ->
+      let i = claim dst in
+      let drive = src.r_drive.(j) in
+      dst.r_at.(i) <- src.r_at.(j);
+      dst.r_dur.(i) <- src.r_dur.(j);
+      dst.r_kind.(i) <- src.r_kind.(j);
+      dst.r_drive.(i) <- (if drive < 0 then drive else drive + drive_offset);
+      dst.r_op.(i) <- src.r_op.(j);
+      dst.r_bytes.(i) <- src.r_bytes.(j))
+    (order src);
   dst.dropped <- dst.dropped + src.dropped
 
-let event_json e =
-  Json.Obj
-    [
-      ("at_ms", Json.Float e.at_ms);
-      ("dur_ms", Json.Float e.dur_ms);
-      ("kind", Json.Str (kind_name e.kind));
-      ("drive", Json.Int e.drive);
-      ("op", Json.Int e.op_id);
-      ("bytes", Json.Int e.bytes);
-    ]
+(* Both serializations write each event straight from the ring's flat
+   arrays into one buffer: no event record, list or [Json.t] per event.
+   Kind names need no escaping.  The buffer is sized for a typical
+   event so it rarely grows. *)
+let add_int buffer i = Buffer.add_string buffer (string_of_int i)
 
 let to_jsonl t =
-  let buffer = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buffer (Json.to_string (event_json e));
-      Buffer.add_char buffer '\n')
-    (events t);
+  let buffer = Buffer.create ((t.stored * 96) + 64) in
+  Array.iter
+    (fun i ->
+      Buffer.add_string buffer "{\"at_ms\":";
+      Json.add_float buffer t.r_at.(i);
+      Buffer.add_string buffer ",\"dur_ms\":";
+      Json.add_float buffer t.r_dur.(i);
+      Buffer.add_string buffer ",\"kind\":\"";
+      Buffer.add_string buffer kind_names.(t.r_kind.(i));
+      Buffer.add_string buffer "\",\"drive\":";
+      add_int buffer t.r_drive.(i);
+      Buffer.add_string buffer ",\"op\":";
+      add_int buffer t.r_op.(i);
+      Buffer.add_string buffer ",\"bytes\":";
+      add_int buffer t.r_bytes.(i);
+      Buffer.add_string buffer "}\n")
+    (order t);
   (* Footer: a summary line so a truncated trace is visibly truncated.
      Distinguished from event lines by its "trace_footer" key. *)
-  Buffer.add_string buffer
-    (Json.to_string
-       (Json.Obj
-          [
-            ("trace_footer", Json.Bool true);
-            ("events", Json.Int t.stored);
-            ("dropped", Json.Int t.dropped);
-          ]));
-  Buffer.add_char buffer '\n';
+  Buffer.add_string buffer "{\"trace_footer\":true,\"events\":";
+  add_int buffer t.stored;
+  Buffer.add_string buffer ",\"dropped\":";
+  add_int buffer t.dropped;
+  Buffer.add_string buffer "}\n";
   Buffer.contents buffer
 
 (* Chrome trace-event format.  Timestamps are microseconds; the
    simulation clock is milliseconds, so scale by 1000.  Drive-level
    events get tid = drive index; operation-level / global events get a
-   dedicated track. *)
+   dedicated track.  The event array is rendered here and handed to
+   [Json] as [Raw] text; the other members stay ordinary values. *)
 
 let op_track_tid = 1000
 
 let chrome_json t =
-  let us ms = ms *. 1000. in
-  let evs = events t in
-  let max_drive = List.fold_left (fun acc e -> max acc e.drive) (-1) evs in
-  let meta =
-    let thread tid name =
-      Json.Obj
-        [
-          ("name", Json.Str "thread_name");
-          ("ph", Json.Str "M");
-          ("pid", Json.Int 1);
-          ("tid", Json.Int tid);
-          ("args", Json.Obj [ ("name", Json.Str name) ]);
-        ]
-    in
-    let drives = List.init (max_drive + 1) (fun d -> thread d (Printf.sprintf "drive %d" d)) in
-    drives @ [ thread op_track_tid "operations" ]
+  let slots = order t in
+  let max_drive = Array.fold_left (fun acc i -> max acc t.r_drive.(i)) (-1) slots in
+  let buffer = Buffer.create ((t.stored + max_drive + 2) * 112) in
+  let thread tid name =
+    Buffer.add_string buffer "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+    add_int buffer tid;
+    Buffer.add_string buffer ",\"args\":{\"name\":\"";
+    Buffer.add_string buffer name;
+    Buffer.add_string buffer "\"}},"
   in
-  let body =
-    List.map
-      (fun e ->
-        let tid = if e.drive >= 0 then e.drive else op_track_tid in
-        let args =
-          Json.Obj [ ("op", Json.Int e.op_id); ("bytes", Json.Int e.bytes) ]
-        in
-        if e.dur_ms > 0. then
-          Json.Obj
-            [
-              ("name", Json.Str (kind_name e.kind));
-              ("ph", Json.Str "X");
-              ("ts", Json.Float (us e.at_ms));
-              ("dur", Json.Float (us e.dur_ms));
-              ("pid", Json.Int 1);
-              ("tid", Json.Int tid);
-              ("args", args);
-            ]
-        else
-          Json.Obj
-            [
-              ("name", Json.Str (kind_name e.kind));
-              ("ph", Json.Str "i");
-              ("ts", Json.Float (us e.at_ms));
-              ("s", Json.Str "t");
-              ("pid", Json.Int 1);
-              ("tid", Json.Int tid);
-              ("args", args);
-            ])
-      evs
-  in
+  Buffer.add_char buffer '[';
+  for d = 0 to max_drive do
+    thread d (Printf.sprintf "drive %d" d)
+  done;
+  thread op_track_tid "operations";
+  Array.iter
+    (fun i ->
+      let drive = t.r_drive.(i) and dur = t.r_dur.(i) in
+      Buffer.add_string buffer "{\"name\":\"";
+      Buffer.add_string buffer kind_names.(t.r_kind.(i));
+      if dur > 0. then begin
+        Buffer.add_string buffer "\",\"ph\":\"X\",\"ts\":";
+        Json.add_float buffer (t.r_at.(i) *. 1000.);
+        Buffer.add_string buffer ",\"dur\":";
+        Json.add_float buffer (dur *. 1000.)
+      end
+      else begin
+        Buffer.add_string buffer "\",\"ph\":\"i\",\"ts\":";
+        Json.add_float buffer (t.r_at.(i) *. 1000.);
+        Buffer.add_string buffer ",\"s\":\"t\""
+      end;
+      Buffer.add_string buffer ",\"pid\":1,\"tid\":";
+      add_int buffer (if drive >= 0 then drive else op_track_tid);
+      Buffer.add_string buffer ",\"args\":{\"op\":";
+      add_int buffer t.r_op.(i);
+      Buffer.add_string buffer ",\"bytes\":";
+      add_int buffer t.r_bytes.(i);
+      Buffer.add_string buffer "}},")
+    slots;
+  (* every element above ends in a comma; the last one becomes the closing bracket *)
+  Buffer.truncate buffer (Buffer.length buffer - 1);
+  Buffer.add_char buffer ']';
   Json.Obj
     [
-      ("traceEvents", Json.Arr (meta @ body));
+      ("traceEvents", Json.Raw (Buffer.contents buffer));
       ("displayTimeUnit", Json.Str "ms");
       ("dropped", Json.Int t.dropped);
     ]

@@ -12,9 +12,10 @@
     The arrays are allocated on the first {!record} and double up to
     the capacity, so a ring that never records costs a few words.
 
-    Two serializations:
-    - {!to_jsonl}: one JSON object per line, in timestamp order —
-      greppable, streams well.
+    Two serializations, both written straight from the flat arrays
+    into one buffer, in timestamp order (ties keep recording order),
+    without building a record or a {!Json.t} per event:
+    - {!to_jsonl}: one JSON object per line — greppable, streams well.
     - {!chrome_json}: Chrome trace-event format ([{"traceEvents":[…]}])
       loadable in Perfetto / [chrome://tracing].  Chunk-level events
       with a duration become ["ph":"X"] complete events on one track
@@ -63,13 +64,16 @@ val dropped : t -> int
 (** Events evicted because the ring was full. *)
 
 val events : t -> event list
-(** Held events sorted by [at_ms] (ties keep insertion order). *)
+(** Held events sorted by [at_ms] (ties keep insertion order): the
+    order both serializations write. *)
 
 val merge_into : ?drive_offset:int -> t -> t -> unit
-(** [merge_into dst src] records all of [src]'s events into [dst] and
-    adds [src]'s dropped count to [dst]'s, so the merged trace reports
-    the union's true truncation.  [drive_offset] (default 0) is added
-    to every [src] event's drive index; [-1] stays [-1]. *)
+(** [merge_into dst src] records all of [src]'s events into [dst], in
+    {!events} order, and adds [src]'s dropped count to [dst]'s, so the
+    merged trace reports the union's true truncation.  [drive_offset]
+    (default 0) is added to every [src] event's drive index; [-1] stays
+    [-1].  [merge_into t t] is allowed and behaves like merging an
+    identical copy of [t]. *)
 
 val capacity : t -> int
 (** Most events the ring holds before it starts dropping the oldest. *)
@@ -82,4 +86,7 @@ val to_jsonl : t -> string
 
 val chrome_json : t -> Json.t
 (** The trace as a Chrome trace-event document, with a top-level
-    ["dropped"] member counting ring-evicted events. *)
+    ["dropped"] member ([Int]) counting ring-evicted events.  The
+    ["traceEvents"] array is already rendered, as a {!Json.Raw}
+    member: print the document with {!Json.to_string} or
+    {!Json.to_channel}, or {!Json.parse} it to inspect the events. *)

@@ -5,6 +5,9 @@
      truncation and EVERY single-bit flip of a container is rejected
      with a one-line typed error — decode never raises and never
      accepts corrupt bytes (the per-section CRC covers name + payload);
+   - checksum: the slicing-by-8 CRC-32 equals a bytewise reference at
+     every length and alignment, allocates nothing, and a container the
+     bytewise code wrote is reproduced byte for byte;
    - atomic commit: a writer that dies mid-write leaves the previous
      good snapshot untouched and no temp litter;
    - resume equality: for three allocator policies on each mini
@@ -684,6 +687,68 @@ let test_container_roundtrip () =
   check_bool "section missing" true
     (match Ckpt.section sample_sections "nope" with Error _ -> true | Ok _ -> false)
 
+(* [Ckpt.encode sample_sections] as written by the bytewise CRC-32 the
+   slicing-by-8 one replaced: the checksums, and so the bytes, must not
+   change. *)
+let sample_container_hex =
+  "524f4653434b505401000000040000000b0066696e6765727072696e74060000005cf02c3b6162633132330600"
+  ^ "656e67696e65400000008a2033c900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2"
+  ^ "d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b90500656d70747900000000c4"
+  ^ "3dc7680600766f6c756d651e000000d6f51c977061796c6f616420776974682000204e554c20616e6420ff2062"
+  ^ "79746573"
+
+let of_hex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_container_bytes_frozen () =
+  let frozen = of_hex sample_container_hex in
+  check_bool "encode reproduces the frozen bytes" true (Ckpt.encode sample_sections = frozen);
+  match Ckpt.decode frozen with
+  | Ok sections -> check_bool "frozen container decodes" true (sections = sample_sections)
+  | Error msg -> Alcotest.failf "frozen container refused: %s" msg
+
+(* The bytewise table-driven CRC-32 the library used before slicing-by-8,
+   kept as the reference model. *)
+let reference_crc32 s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  String.iter (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8)) s;
+  !crc lxor 0xFFFFFFFF
+
+let random_bytes ~seed n =
+  let st = Random.State.make [| seed |] in
+  String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+let test_crc32_matches_bytewise () =
+  check_int "IEEE check value" 0xCBF43926 (Ckpt.crc32 "123456789");
+  let s = random_bytes ~seed:7 80 in
+  for off = 0 to 7 do
+    for len = 0 to 64 do
+      let sub = String.sub s off len in
+      if Ckpt.crc32 sub <> reference_crc32 sub then
+        Alcotest.failf "crc32 differs from the bytewise loop at offset %d, length %d" off len
+    done
+  done;
+  let big = random_bytes ~seed:11 (2 * 1024 * 1024) in
+  check_int "2 MB string" (reference_crc32 big) (Ckpt.crc32 big)
+
+(* Slicing-by-8 reads bytes inline and keeps its state in registers, so
+   checksumming a snapshot allocates nothing. *)
+let test_crc32_allocation_free () =
+  let big = random_bytes ~seed:13 (2 * 1024 * 1024) in
+  ignore (Ckpt.crc32 big);
+  let before = Gc.minor_words () in
+  let crc = Ckpt.crc32 big in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity crc);
+  if words > 0. then Alcotest.failf "crc32 of 2 MB allocated %.0f minor words (budget 0)" words
+
 let one_line msg = not (String.contains (String.trim msg) '\n')
 
 let test_container_truncation_sweep () =
@@ -839,6 +904,9 @@ let () =
         ( "container",
           [
             quick "round-trip" test_container_roundtrip;
+            quick "bytes match the frozen container" test_container_bytes_frozen;
+            quick "crc32 matches the bytewise reference" test_crc32_matches_bytewise;
+            quick "crc32 allocates nothing" test_crc32_allocation_free;
             quick "every truncation rejected" test_container_truncation_sweep;
             quick "every bit flip rejected" test_container_bitflip_sweep;
             quick "atomic commit survives a crashing writer" test_atomic_write_crash;

@@ -10,6 +10,10 @@
    - trace level: the ring drops oldest first, serialized events are
      time-ordered, and the Chrome document is valid JSON of the shape
      Perfetto loads;
+   - streamed trace exports: the Chrome document, JSONL and merge
+     match, byte for byte, a list-based reference model that keeps the
+     tree-building code they replaced, and the Chrome export's minor
+     words per event are budgeted;
    - trace/sink merge edge cases: empty-vs-nonempty merges, rings at
      every fill level, and dropped-count propagation through merges and
      into the JSONL footer / Chrome document / sink JSON;
@@ -387,6 +391,274 @@ let test_trace_dropped_exported () =
   | [] -> Alcotest.fail "empty jsonl");
   check_bool "chrome dropped member" true
     (Json.member "dropped" (Trace.chrome_json tr) = Some (Json.Int 3))
+
+(* ------------------------------------------------------------------ *)
+(* Streamed exports against the tree-building reference                *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference model: a ring kept as a plain list of the held events,
+   and the exports as they were written before they streamed from the
+   ring's flat arrays: one [Json.t] tree per event, printed by a copy of
+   the old [Printf]-based printer, so neither the ring nor the printer
+   under test takes part in the model. *)
+module Ref = struct
+  type ring = { cap : int; mutable held : Trace.event list; mutable dropped : int }
+
+  let create cap = { cap = max 1 cap; held = []; dropped = 0 }
+
+  let record r e =
+    if List.length r.held = r.cap then begin
+      r.held <- List.tl r.held;
+      r.dropped <- r.dropped + 1
+    end;
+    r.held <- r.held @ [ e ]
+
+  let events r = List.stable_sort (fun a b -> Float.compare a.Trace.at_ms b.Trace.at_ms) r.held
+
+  let merge_into ?(drive_offset = 0) dst src =
+    List.iter
+      (fun (e : Trace.event) ->
+        record dst
+          (if drive_offset = 0 || e.drive < 0 then e else { e with drive = e.drive + drive_offset }))
+      (events src);
+    dst.dropped <- dst.dropped + src.dropped
+
+  let escape buffer s =
+    Buffer.add_char buffer '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buffer "\\\""
+        | '\\' -> Buffer.add_string buffer "\\\\"
+        | '\n' -> Buffer.add_string buffer "\\n"
+        | '\r' -> Buffer.add_string buffer "\\r"
+        | '\t' -> Buffer.add_string buffer "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buffer c)
+      s;
+    Buffer.add_char buffer '"'
+
+  let rec emit buffer = function
+    | Json.Null -> Buffer.add_string buffer "null"
+    | Json.Bool b -> Buffer.add_string buffer (if b then "true" else "false")
+    | Json.Int i -> Buffer.add_string buffer (string_of_int i)
+    | Json.Float f ->
+        if Float.is_finite f then begin
+          let s = Printf.sprintf "%.12g" f in
+          Buffer.add_string buffer s;
+          if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s then
+            Buffer.add_string buffer ".0"
+        end
+        else Buffer.add_string buffer "null"
+    | Json.Str s -> escape buffer s
+    | Json.Raw _ -> invalid_arg "reference printer: Raw"
+    | Json.Arr items ->
+        Buffer.add_char buffer '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buffer ',';
+            emit buffer item)
+          items;
+        Buffer.add_char buffer ']'
+    | Json.Obj fields ->
+        Buffer.add_char buffer '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buffer ',';
+            escape buffer k;
+            Buffer.add_char buffer ':';
+            emit buffer v)
+          fields;
+        Buffer.add_char buffer '}'
+
+  let to_string v =
+    let buffer = Buffer.create 256 in
+    emit buffer v;
+    Buffer.contents buffer
+
+  let event_json (e : Trace.event) =
+    Json.Obj
+      [
+        ("at_ms", Json.Float e.at_ms);
+        ("dur_ms", Json.Float e.dur_ms);
+        ("kind", Json.Str (Trace.kind_name e.kind));
+        ("drive", Json.Int e.drive);
+        ("op", Json.Int e.op_id);
+        ("bytes", Json.Int e.bytes);
+      ]
+
+  let to_jsonl r =
+    let buffer = Buffer.create 4096 in
+    List.iter
+      (fun e ->
+        Buffer.add_string buffer (to_string (event_json e));
+        Buffer.add_char buffer '\n')
+      (events r);
+    Buffer.add_string buffer
+      (to_string
+         (Json.Obj
+            [
+              ("trace_footer", Json.Bool true);
+              ("events", Json.Int (List.length r.held));
+              ("dropped", Json.Int r.dropped);
+            ]));
+    Buffer.add_char buffer '\n';
+    Buffer.contents buffer
+
+  let chrome_json r =
+    let us ms = ms *. 1000. in
+    let evs = events r in
+    let max_drive = List.fold_left (fun acc (e : Trace.event) -> max acc e.drive) (-1) evs in
+    let thread tid name =
+      Json.Obj
+        [
+          ("name", Json.Str "thread_name");
+          ("ph", Json.Str "M");
+          ("pid", Json.Int 1);
+          ("tid", Json.Int tid);
+          ("args", Json.Obj [ ("name", Json.Str name) ]);
+        ]
+    in
+    let meta =
+      List.init (max_drive + 1) (fun d -> thread d (Printf.sprintf "drive %d" d))
+      @ [ thread 1000 "operations" ]
+    in
+    let body =
+      List.map
+        (fun (e : Trace.event) ->
+          let tid = if e.drive >= 0 then e.drive else 1000 in
+          let args = Json.Obj [ ("op", Json.Int e.op_id); ("bytes", Json.Int e.bytes) ] in
+          let name = ("name", Json.Str (Trace.kind_name e.kind)) in
+          if e.dur_ms > 0. then
+            Json.Obj
+              [
+                name;
+                ("ph", Json.Str "X");
+                ("ts", Json.Float (us e.at_ms));
+                ("dur", Json.Float (us e.dur_ms));
+                ("pid", Json.Int 1);
+                ("tid", Json.Int tid);
+                ("args", args);
+              ]
+          else
+            Json.Obj
+              [
+                name;
+                ("ph", Json.Str "i");
+                ("ts", Json.Float (us e.at_ms));
+                ("s", Json.Str "t");
+                ("pid", Json.Int 1);
+                ("tid", Json.Int tid);
+                ("args", args);
+              ])
+        evs
+    in
+    to_string
+      (Json.Obj
+         [
+           ("traceEvents", Json.Arr (meta @ body));
+           ("displayTimeUnit", Json.Str "ms");
+           ("dropped", Json.Int r.dropped);
+         ])
+end
+
+(* Timestamps and durations that stress both the sort and the float
+   rule: a few repeated values (ties), integral values, 1e15-scale and
+   subnormal-scale values, and the odd non-finite one. *)
+let trace_float_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map float_of_int (int_range 0 20));
+      (3, map (fun i -> float_of_int i /. 8.) (int_range (-40) 4000));
+      (2, map (fun x -> x *. 1e15) (float_range 0. 9.));
+      (2, map (fun x -> x *. 1e-300) (float_range 0. 10.));
+      (1, oneofl [ 5e-324; 0.1; 1e12; 123456789012.5; -0.; 1e21 ]);
+      (1, oneofl [ Float.infinity; Float.nan ]);
+    ]
+
+let trace_event_gen =
+  let open QCheck.Gen in
+  let* at_ms = trace_float_gen in
+  let* dur_ms = frequency [ (2, return 0.); (3, trace_float_gen) ] in
+  let* kind = oneofa all_kinds in
+  let* drive = int_range (-1) 9 in
+  let* op_id = frequency [ (1, return (-1)); (4, int_range 0 1_000_000) ] in
+  let+ bytes = frequency [ (1, return 0); (4, int_range 0 (1 lsl 40)) ] in
+  { Trace.at_ms; dur_ms; kind; drive; op_id; bytes }
+
+(* A ring of capacity 1-64 and up to 200 events, so most rings wrap. *)
+let trace_ring_gen =
+  QCheck.Gen.(pair (int_range 1 64) (list_size (int_range 0 200) trace_event_gen))
+
+let build_rings (capacity, events) =
+  let tr = Trace.create ~capacity () and model = Ref.create capacity in
+  List.iter
+    (fun e ->
+      Trace.record tr e;
+      Ref.record model e)
+    events;
+  (tr, model)
+
+let show_ring (capacity, events) =
+  Printf.sprintf "capacity %d, %d events" capacity (List.length events)
+
+let same_exports tr model =
+  Json.to_string (Trace.chrome_json tr) = Ref.chrome_json model
+  && Trace.to_jsonl tr = Ref.to_jsonl model
+  (* [compare], not [=], so a NaN timestamp equals itself *)
+  && compare (Trace.events tr) (Ref.events model) = 0
+  && Trace.dropped tr = model.Ref.dropped
+
+let prop_exports_match_reference =
+  QCheck.Test.make ~name:"streamed chrome and jsonl match the tree-building reference" ~count:300
+    (QCheck.make ~print:show_ring trace_ring_gen) (fun ring ->
+      let tr, model = build_rings ring in
+      same_exports tr model)
+
+let prop_merge_matches_reference =
+  QCheck.Test.make ~name:"slot-copy merge matches the list-based reference" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b, off) -> Printf.sprintf "dst %s; src %s; offset %d" (show_ring a) (show_ring b) off)
+       QCheck.Gen.(triple trace_ring_gen trace_ring_gen (int_range 0 12)))
+    (fun (a, b, drive_offset) ->
+      let dst, dst_model = build_rings a and src, src_model = build_rings b in
+      Trace.merge_into ~drive_offset dst src;
+      Ref.merge_into ~drive_offset dst_model src_model;
+      same_exports dst dst_model && same_exports src src_model)
+
+(* Merging a ring into itself behaves like merging an identical copy:
+   the slots are read before any is overwritten, and [src]'s dropped
+   count is the one it had before the merge. *)
+let test_trace_merge_into_self () =
+  List.iter
+    (fun (capacity, n) ->
+      let rings () = build_rings (capacity, List.init n nth_event) in
+      let tr, _ = rings () and twin, model = rings () in
+      Trace.merge_into ~drive_offset:3 tr tr;
+      Trace.merge_into ~drive_offset:3 twin (fst (rings ()));
+      Ref.merge_into ~drive_offset:3 model (snd (rings ()));
+      check_string "self-merge equals merging a copy" (Trace.to_jsonl twin) (Trace.to_jsonl tr);
+      check_bool "and the reference" true (same_exports tr model))
+    [ (8, 5); (8, 8); (8, 21); (1, 3); (64, 40) ]
+
+(* Minor words per event of the Chrome export of a full default ring.
+   Streaming from the ring leaves each event its float and int strings
+   and boxed floats: 27.8 measured, budget 10% above.  Building a
+   [Json.t] tree per event, as the exports once did, read about 312. *)
+let test_chrome_export_allocation_budget () =
+  let tr = Trace.create () in
+  let n = Trace.default_capacity in
+  for i = 0 to n + 999 do
+    Trace.record tr { (nth_event i) with at_ms = float_of_int (i / 3) *. 0.37 }
+  done;
+  ignore (Json.to_string (Trace.chrome_json tr));
+  let before = Gc.minor_words () in
+  let doc = Json.to_string (Trace.chrome_json tr) in
+  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  ignore (Sys.opaque_identity doc);
+  if per_event > 30.5 then
+    Alcotest.failf "chrome export allocates %.1f minor words per event (budget 30.5)" per_event
 
 (* ------------------------------------------------------------------ *)
 (* Sink                                                                *)
@@ -977,6 +1249,11 @@ let () =
               test_trace_merge_fill_levels_and_dropped;
             quick "dropped exported in footer and chrome metadata"
               test_trace_dropped_exported;
+            quick "merging a ring into itself" test_trace_merge_into_self;
+            quick "chrome export minor words per event bounded"
+              test_chrome_export_allocation_budget;
+            QCheck_alcotest.to_alcotest prop_exports_match_reference;
+            QCheck_alcotest.to_alcotest prop_merge_matches_reference;
           ] );
         ( "sink",
           [
