@@ -66,13 +66,14 @@ let rec free_block t addr k =
   end
   else t.free.(k) <- IntSet.add addr t.free.(k)
 
-let give t () (e : Extent.t) =
-  free_block t e.addr (log2_ceil e.len);
-  t.free_units <- t.free_units + e.len
+let give t () ~addr ~len =
+  free_block t addr (log2_ceil len);
+  t.free_units <- t.free_units + len
 
-let largest_free t =
-  let rec scan k = if k < 0 then 0 else if IntSet.is_empty t.free.(k) then scan (k - 1) else order_size k in
-  scan t.max_order
+let rec largest_from t k =
+  if k < 0 then 0 else if IntSet.is_empty t.free.(k) then largest_from t (k - 1) else order_size k
+
+let largest_free t = largest_from t t.max_order
 
 let free_hist t =
   let acc = ref [] in
@@ -100,14 +101,14 @@ let create config ~total_units =
     let prefer =
       if n = 0 then -1
       else
-        let stop = Extent.end_ (File_extents.get f.fx (n - 1)) in
+        let stop = File_extents.addr f.fx (n - 1) + File_extents.len f.fx (n - 1) in
         if stop mod order_size k = 0 then stop else -1
     in
     let addr = take_order t k ~prefer in
     if addr < 0 then false
     else begin
       t.free_units <- t.free_units - order_size k;
-      File_extents.push f.fx (Extent.make ~addr ~len:(order_size k));
+      File_extents.push f.fx ~addr ~len:(order_size k);
       true
     end
   in

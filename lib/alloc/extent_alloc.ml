@@ -94,7 +94,7 @@ let claim t fx ~want ~target =
     end
     else reshape t ~addr ~len ~new_addr:(addr + used) ~new_len:(len - used);
     for i = 0 to k - 1 do
-      File_extents.push fx (Extent.make ~addr:(addr + (i * want)) ~len:want)
+      File_extents.push fx ~addr:(addr + (i * want)) ~len:want
     done;
     true
   end
@@ -139,7 +139,7 @@ let create cfg ~total_units ~rng =
   in
   Policy.make ~name ~unit_bytes:cfg.unit_bytes ~total_units ~new_file:draw_extent_units
     ~take:(fun st ~file:_ f ~target -> claim st.Policy.space f.Policy.fx ~want:f.Policy.data ~target)
-    ~give:(fun t _ e -> release t ~addr:e.Extent.addr ~len:e.Extent.len)
+    ~give:(fun t _ ~addr ~len -> release t ~addr ~len)
     ~give_run:(fun t _ ~addr ~len -> release t ~addr ~len)
     ~free_units:(fun t -> Free_tree.total_len t.tree)
     ~largest_free:(fun t -> Free_tree.max_len t.tree)

@@ -65,12 +65,12 @@ let maybe_reclaim t s =
     t.clean <- IntSet.add s t.clean
   end
 
-let retire_extent t () (e : Extent.t) =
-  let s = segment_of t e.Extent.addr in
+let retire_extent t () ~addr ~len =
+  let s = segment_of t addr in
   let seg = t.segments.(s) in
   let old_dead = seg.dead in
-  seg.live <- seg.live - e.Extent.len;
-  seg.dead <- seg.dead + e.Extent.len;
+  seg.live <- seg.live - len;
+  seg.dead <- seg.dead + len;
   assert (seg.live >= 0);
   reindex_dirty t s ~old_dead;
   maybe_reclaim t s
@@ -151,17 +151,19 @@ let clean_one t (files : (int, unit Policy.file) Hashtbl.t) =
           match Hashtbl.find_opt files f with
           | None -> ()
           | Some { Policy.fx; _ } ->
-              File_extents.relocate fx (fun e ->
-                  if e.Extent.addr >= lo && e.Extent.addr < hi then begin
-                    let fresh = append_whole t ~file:f e.Extent.len in
-                    (* free_units was checked above; appends of
-                       segment-bounded extents cannot fail here *)
-                    assert (fresh >= 0);
-                    seg.live <- seg.live - e.Extent.len;
-                    t.moved_units <- t.moved_units + e.Extent.len;
-                    Some fresh
-                  end
-                  else None))
+              for i = 0 to File_extents.count fx - 1 do
+                let addr = File_extents.addr fx i in
+                if addr >= lo && addr < hi then begin
+                  let len = File_extents.len fx i in
+                  let fresh = append_whole t ~file:f len in
+                  (* free_units was checked above; appends of
+                     segment-bounded extents cannot fail here *)
+                  assert (fresh >= 0);
+                  seg.live <- seg.live - len;
+                  t.moved_units <- t.moved_units + len;
+                  File_extents.set_addr fx i fresh
+                end
+              done)
         movers;
       assert (seg.live = 0);
       (* everything left behind is garbage *)
@@ -201,7 +203,7 @@ let rec take (st : (unit, space) Policy.state) ~file (f : unit Policy.file) ~tar
     let addr = append_whole t ~file len in
     if addr < 0 then false
     else begin
-      File_extents.push f.fx (Extent.make ~addr ~len);
+      File_extents.push f.fx ~addr ~len;
       true
     end
   end

@@ -80,23 +80,23 @@ let make ~name ~unit_bytes ~total_units ?(prepare = ignore) ?(moved = fun _ -> (
     | None ->
         if last_first then
           for i = n - 1 downto from do
-            give space f.data (File_extents.get fx i)
+            give space f.data ~addr:(File_extents.addr fx i) ~len:(File_extents.len fx i)
           done
         else
           for i = from to n - 1 do
-            give space f.data (File_extents.get fx i)
+            give space f.data ~addr:(File_extents.addr fx i) ~len:(File_extents.len fx i)
           done
     | Some give_run ->
         if from < n then begin
-          let first = File_extents.get fx from in
-          let start = ref first.Extent.addr and stop = ref (Extent.end_ first) in
+          let start = ref (File_extents.addr fx from) in
+          let stop = ref (!start + File_extents.len fx from) in
           for i = from + 1 to n - 1 do
-            let e = File_extents.get fx i in
-            if e.Extent.addr <> !stop then begin
+            let addr = File_extents.addr fx i in
+            if addr <> !stop then begin
               give_run space f.data ~addr:!start ~len:(!stop - !start);
-              start := e.Extent.addr
+              start := addr
             end;
-            stop := Extent.end_ e
+            stop := addr + File_extents.len fx i
           done;
           give_run space f.data ~addr:!start ~len:(!stop - !start)
         end

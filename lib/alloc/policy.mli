@@ -83,8 +83,10 @@ type t = {
 (** {1 Building a policy from its free-space half} *)
 
 type 'f file = { fx : File_extents.t; data : 'f }
-(** One file: its extent list and the policy's own per-file data (the
-    extent size drawn at creation, tier totals, …). *)
+(** One file: its flat extent table (two [int] arrays, so a file is a
+    fixed handful of heap blocks however many extents it has) and the
+    policy's own per-file data (the extent size drawn at creation, tier
+    totals, …). *)
 
 type ('f, 's) state = {
   files : (int, 'f file) Hashtbl.t;
@@ -102,7 +104,7 @@ val make :
   ?moved:('s -> int * int) ->
   new_file:('s -> hint:int -> 'f) ->
   take:(('f, 's) state -> file:int -> 'f file -> target:int -> bool) ->
-  give:('s -> 'f -> Extent.t -> unit) ->
+  give:('s -> 'f -> addr:int -> len:int -> unit) ->
   ?give_run:('s -> 'f -> addr:int -> len:int -> unit) ->
   free_units:('s -> int) ->
   largest_free:('s -> int) ->
@@ -122,11 +124,12 @@ val make :
        one call (the extent policy carves a whole run from one free
        extent); [ensure] credits [user_units] with the growth of the
        file's allocation and calls [take] again while it is short;}
-    {- [give space data e]: return one of the file's extents to free
-       space (on shrink, trailing extents last first; on delete, every
-       extent in logical order);}
+    {- [give space data ~addr ~len]: return one of the file's extents,
+       units [addr .. addr+len), to free space (on shrink, trailing
+       extents last first; on delete, every extent in logical order);}
     {- [give_run space data ~addr ~len] (default: none): return the
-       units [addr .. addr+len) at once, instead of through [give].
+       units [addr .. addr+len) of several pieces at once, instead of
+       through [give].
        When it is given, [delete] and [shrink_to] group the freed
        extents into maximal runs of address-contiguous pieces (each
        piece starting where the one before it in the file ends) and

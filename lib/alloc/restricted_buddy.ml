@@ -207,26 +207,25 @@ let rec coalesce t k addr =
     else add t k addr
   end
 
-let tier_of_size t units =
-  let rec scan k = if t.sizes.(k) = units then k else scan (k + 1) in
-  scan 0
+(* Tier of a block of [units] units, searched from tier [k] up.  This
+   and the tier searches below are top-level functions, like
+   [scan_regions], so that each block taken or freed builds no
+   closure. *)
+let rec tier_of_size sizes units k = if sizes.(k) = units then k else tier_of_size sizes units (k + 1)
 
-let give t f (e : Extent.t) =
-  let k = tier_of_size t e.len in
-  f.tier_totals.(k) <- f.tier_totals.(k) - e.len;
-  coalesce t k e.addr;
-  t.free_units <- t.free_units + e.len
+let give t f ~addr ~len =
+  let k = tier_of_size t.sizes len 0 in
+  f.tier_totals.(k) <- f.tier_totals.(k) - len;
+  coalesce t k addr;
+  t.free_units <- t.free_units + len
 
-(* Tier whose blocks the file should allocate next: advance past tier i
-   once the file holds grow_factor * sizes.(i+1) units in tier-i
-   blocks. *)
-let tier_of t f =
-  let rec scan i =
-    if i >= t.top then t.top
-    else if f.tier_totals.(i) < t.cfg.grow_factor * t.sizes.(i + 1) then i
-    else scan (i + 1)
-  in
-  scan 0
+(* Tier whose blocks the file should allocate next, searched from tier
+   [i] up: advance past tier i once the file holds
+   grow_factor * sizes.(i+1) units in tier-i blocks. *)
+let rec tier_of t f i =
+  if i >= t.top then t.top
+  else if f.tier_totals.(i) < t.cfg.grow_factor * t.sizes.(i + 1) then i
+  else tier_of t f (i + 1)
 
 let new_file t ~hint:_ =
   let fd_region = t.next_fd_region in
@@ -238,22 +237,21 @@ let allocate_block t fx f k =
   let prefer =
     if n = 0 then -1
     else
-      let stop = Extent.end_ (File_extents.get fx (n - 1)) in
+      let stop = File_extents.addr fx (n - 1) + File_extents.len fx (n - 1) in
       if stop mod t.sizes.(k) = 0 then stop else -1
   in
   if t.cfg.clustered then begin
     let optimal_region =
-      if n = 0 then f.fd_region else (File_extents.get fx (n - 1)).Extent.addr / t.region_units
+      if n = 0 then f.fd_region else File_extents.addr fx (n - 1) / t.region_units
     in
     alloc_clustered t k ~optimal_region ~prefer
   end
   else alloc_anywhere t k ~prefer
 
-(* Largest tier whose block size does not exceed [limit]; tier 0 at
-   least. *)
-let floor_tier t limit =
-  let rec scan k = if k = 0 then 0 else if t.sizes.(k) <= limit then k else scan (k - 1) in
-  scan t.top
+(* Largest tier, from tier [k] down, whose block size does not exceed
+   [limit]; tier 0 at least. *)
+let rec floor_tier t limit k =
+  if k = 0 then 0 else if t.sizes.(k) <= limit then k else floor_tier t limit (k - 1)
 
 (* The next block for a file still short of [target] units. *)
 let take_block t fx f ~target =
@@ -271,22 +269,22 @@ let take_block t fx f ~target =
      fragmentation up to half the top block size per file. *)
   let k =
     if t.cfg.tail_bounded then
-      min (tier_of t f) (max (floor_tier t (target - allocated)) (floor_tier t (allocated / 8)))
-    else tier_of t f
+      min (tier_of t f 0)
+        (max (floor_tier t (target - allocated) t.top) (floor_tier t (allocated / 8) t.top))
+    else tier_of t f 0
   in
   let addr = allocate_block t fx f k in
   if addr < 0 then false
   else begin
     f.tier_totals.(k) <- f.tier_totals.(k) + t.sizes.(k);
-    File_extents.push fx (Extent.make ~addr ~len:t.sizes.(k));
+    File_extents.push fx ~addr ~len:t.sizes.(k);
     true
   end
 
-let largest_free t =
-  let rec scan k =
-    if k < 0 then 0 else if Bitset.cardinal t.free.(k) = 0 then scan (k - 1) else t.sizes.(k)
-  in
-  scan t.top
+let rec largest_from t k =
+  if k < 0 then 0 else if Bitset.cardinal t.free.(k) = 0 then largest_from t (k - 1) else t.sizes.(k)
+
+let largest_free t = largest_from t t.top
 
 let free_hist t =
   let acc = ref [] in

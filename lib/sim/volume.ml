@@ -32,10 +32,10 @@ let create policy ~ntypes =
 
 let policy t = t.policy
 
+(* [find] rather than [find_opt]: every grow, truncate and delete
+   looks a file up, and this boxes no option. *)
 let info t file =
-  match Hashtbl.find_opt t.s.files file with
-  | Some i -> i
-  | None -> invalid_arg "Volume: unknown file"
+  try Hashtbl.find t.s.files file with Not_found -> invalid_arg "Volume: unknown file"
 
 let create_file t ~type_idx ~hint_bytes =
   let id = t.s.next_id in
@@ -76,7 +76,7 @@ let delete t ~file =
   let last_idx = Vec.length vec - 1 in
   let moved = Vec.get vec last_idx in
   Vec.set vec i.slot moved;
-  ignore (Vec.pop vec : int option);
+  Vec.truncate vec last_idx;
   if moved <> file then (info t moved).slot <- i.slot
 
 let file_exists t ~file = Hashtbl.mem t.s.files file

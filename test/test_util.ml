@@ -657,19 +657,21 @@ let prop_free_tree_first_fit_is_lowest =
 (* ------------------------------------------------------------------ *)
 (* Vec *)
 
-let test_vec_push_pop () =
+let vec_to_list v = List.init (Vec.length v) (Vec.get v)
+
+let test_vec_push_truncate () =
   let v = Vec.create () in
-  check_bool "empty" true (Vec.is_empty v);
+  check_int "empty" 0 (Vec.length v);
   Vec.push v 1;
   Vec.push v 2;
   Vec.push v 3;
   check_int "length" 3 (Vec.length v);
   check_int "last" 3 (Vec.get v (Vec.length v - 1));
-  check_bool "pop" true (Vec.pop v = Some 3);
-  check_int "length after pop" 2 (Vec.length v);
-  check_bool "pop" true (Vec.pop v = Some 2);
-  check_bool "pop" true (Vec.pop v = Some 1);
-  check_bool "pop empty" true (Vec.pop v = None)
+  Vec.truncate v 2;
+  check_int "length after truncate" 2 (Vec.length v);
+  check_int "new last" 2 (Vec.get v 1);
+  Alcotest.check_raises "dropped slot" (Invalid_argument "Vec: index out of bounds") (fun () ->
+      ignore (Vec.get v 2))
 
 let test_vec_get_set () =
   let v = Vec.create () in
@@ -682,30 +684,20 @@ let test_vec_get_set () =
   Alcotest.check_raises "out of bounds" (Invalid_argument "Vec: index out of bounds") (fun () ->
       ignore (Vec.get v 100))
 
-let test_vec_iter_fold () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 1; 2; 3; 4 ];
-  check_int "fold sum" 10 (Vec.fold_left ( + ) 0 v);
-  Alcotest.(check (list int)) "to_list" [ 1; 2; 3; 4 ] (Vec.to_list v);
-  let indices = ref [] in
-  Vec.iteri (fun i x -> indices := (i, x) :: !indices) v;
-  Alcotest.(check (list (pair int int))) "iteri" [ (0, 1); (1, 2); (2, 3); (3, 4) ]
-    (List.rev !indices)
-
 let test_vec_clear () =
   let v = Vec.create () in
   List.iter (Vec.push v) [ 1; 2; 3 ];
   Vec.truncate v 3;
   check_int "truncate to the length keeps all" 3 (Vec.length v);
   Vec.truncate v 1;
-  Alcotest.(check (list int)) "truncated" [ 1 ] (Vec.to_list v);
+  Alcotest.(check (list int)) "truncated" [ 1 ] (vec_to_list v);
   Alcotest.check_raises "past the length" (Invalid_argument "Vec.truncate") (fun () ->
       Vec.truncate v 2);
   Alcotest.check_raises "negative" (Invalid_argument "Vec.truncate") (fun () -> Vec.truncate v (-1));
   Vec.push v 4;
-  Alcotest.(check (list int)) "push after truncate" [ 1; 4 ] (Vec.to_list v);
+  Alcotest.(check (list int)) "push after truncate" [ 1; 4 ] (vec_to_list v);
   Vec.truncate v 0;
-  check_bool "cleared" true (Vec.is_empty v)
+  check_int "cleared" 0 (Vec.length v)
 
 (* ------------------------------------------------------------------ *)
 (* Units *)
@@ -837,9 +829,8 @@ let () =
         ] );
       ( "vec",
         [
-          quick "push/pop" test_vec_push_pop;
+          quick "push/truncate" test_vec_push_truncate;
           quick "get/set" test_vec_get_set;
-          quick "iter/fold" test_vec_iter_fold;
           quick "clear" test_vec_clear;
         ] );
       ( "units",
