@@ -365,6 +365,207 @@ let test_buddy_extents_disjoint_under_churn () =
   check_bool "disjoint" true (extents_disjoint (all_extents p files));
   check_conservation p files
 
+(* A file whose last extent ends at the top of the volume asks for the
+   block just past it (its sequential address), which lies outside the
+   address space; the request must fall back to the lowest free block
+   instead of failing or raising. *)
+let test_buddy_grows_from_top_of_volume () =
+  let p = buddy ~total:64 () in
+  p.Policy.create_file ~file:1 ~hint:1;
+  p.Policy.create_file ~file:2 ~hint:1;
+  ok_or_fail (p.Policy.ensure ~file:1 ~target:32);
+  ok_or_fail (p.Policy.ensure ~file:2 ~target:32);
+  let last = List.nth (p.Policy.extents ~file:2) (p.Policy.extent_count ~file:2 - 1) in
+  check_int "file 2 ends at the top" 64 (Extent.end_ last);
+  p.Policy.delete ~file:1;
+  ok_or_fail (p.Policy.ensure ~file:2 ~target:33);
+  let grown = List.nth (p.Policy.extents ~file:2) (p.Policy.extent_count ~file:2 - 1) in
+  check_int "doubling block from the bottom" 0 grown.Extent.addr;
+  check_int "of the file's size" 32 grown.Extent.len;
+  check_conservation p [ 2 ]
+
+(* A naive reference for Koch's buddy: each order's free blocks are an
+   address-sorted list.  A file's next block doubles its allocation (one
+   unit first, the cap at most); it is the block just past the file's
+   last extent when that block is free at this order, else the lowest
+   free block of the order, else the lowest block of the smallest
+   larger order, split down with its upper halves freed.  A freed block
+   merges with its xor buddy while the buddy is free. *)
+module Buddy_model = struct
+  type t = {
+    max_order : int;
+    free : int list array;
+    files : (int, (int * int) list) Hashtbl.t;  (** extents, last first *)
+  }
+
+  let insert a l = List.merge compare [ a ] l
+  let remove a l = List.filter (( <> ) a) l
+
+  let rec log2_ceil n = if n <= 1 then 0 else 1 + log2_ceil ((n + 1) / 2)
+
+  let create ~cap ~total =
+    let max_order = log2_ceil cap in
+    let m = { max_order; free = Array.make (max_order + 1) []; files = Hashtbl.create 16 } in
+    let rec seed addr =
+      if addr < total then begin
+        let rec pick k =
+          if k > 0 && (addr mod (1 lsl k) <> 0 || addr + (1 lsl k) > total) then pick (k - 1)
+          else k
+        in
+        let k = pick max_order in
+        m.free.(k) <- insert addr m.free.(k);
+        seed (addr + (1 lsl k))
+      end
+    in
+    seed 0;
+    m
+
+  let allocated l = List.fold_left (fun acc (_, len) -> acc + len) 0 l
+
+  let rec take m k =
+    if k > m.max_order then None
+    else
+      match m.free.(k) with
+      | a :: rest ->
+          m.free.(k) <- rest;
+          Some a
+      | [] ->
+          Option.map
+            (fun a ->
+              m.free.(k) <- insert (a + (1 lsl k)) m.free.(k);
+              a)
+            (take m (k + 1))
+
+  let rec release m k a =
+    let buddy = a lxor (1 lsl k) in
+    if k < m.max_order && List.mem buddy m.free.(k) then begin
+      m.free.(k) <- remove buddy m.free.(k);
+      release m (k + 1) (min a buddy)
+    end
+    else m.free.(k) <- insert a m.free.(k)
+
+  let create_file m ~file = Hashtbl.replace m.files file []
+
+  let ensure m ~file ~target =
+    let rec grow l =
+      let have = allocated l in
+      if have >= target then (l, Ok ())
+      else begin
+        let k = log2_ceil (if have = 0 then 1 else min have (1 lsl m.max_order)) in
+        let prefer = match l with (a, len) :: _ when (a + len) mod (1 lsl k) = 0 -> a + len | _ -> -1 in
+        let got =
+          if prefer >= 0 && List.mem prefer m.free.(k) then begin
+            m.free.(k) <- remove prefer m.free.(k);
+            Some prefer
+          end
+          else take m k
+        in
+        match got with None -> (l, Error `Disk_full) | Some a -> grow ((a, 1 lsl k) :: l)
+      end
+    in
+    let l, r = grow (Hashtbl.find m.files file) in
+    Hashtbl.replace m.files file l;
+    r
+
+  let shrink_to m ~file ~target =
+    let rec drop = function
+      | (a, len) :: rest when allocated rest >= target ->
+          release m (log2_ceil len) a;
+          drop rest
+      | l -> l
+    in
+    Hashtbl.replace m.files file (drop (Hashtbl.find m.files file))
+
+  let delete m ~file =
+    List.iter (fun (a, len) -> release m (log2_ceil len) a) (List.rev (Hashtbl.find m.files file));
+    Hashtbl.remove m.files file
+
+  let free_units m =
+    Array.fold_left ( + ) 0 (Array.mapi (fun k l -> (1 lsl k) * List.length l) m.free)
+
+  let largest_free m =
+    Array.fold_left max 0 (Array.mapi (fun k l -> if l = [] then 0 else 1 lsl k) m.free)
+
+  let free_hist m =
+    List.filter_map
+      (fun k -> match m.free.(k) with [] -> None | l -> Some (1 lsl k, List.length l))
+      (List.init (m.max_order + 1) Fun.id)
+end
+
+(* Caps of 1 to 64 units and volumes of 64 to 575 units, mostly not a
+   power of two, so the seed's tail blocks and the cap both bind.
+   Files grow by up to a fifth of the volume per step, so they often
+   reach the top of the volume and the disk often fills.  One step in
+   six swaps the allocator for a fresh one loaded from its own
+   snapshot. *)
+let prop_buddy_matches_reference =
+  QCheck.Test.make ~name:"buddy places exactly like a sorted-list reference" ~count:150
+    QCheck.(pair (int_bound 100_000) (pair (int_range 0 6) (int_range 64 575)))
+    (fun (seed, (cap_order, total)) ->
+      let rng = Rng.create ~seed in
+      let cap = 1 lsl cap_order in
+      let make () = buddy ~total ~max_extent:(cap * 1024) () in
+      let p = ref (make ()) in
+      let m = Buddy_model.create ~cap ~total in
+      let nfiles = 8 in
+      let agree step =
+        List.iter
+          (fun file ->
+            match Hashtbl.find_opt m.Buddy_model.files file with
+            | None ->
+                if !p.Policy.file_exists ~file then
+                  QCheck.Test.fail_reportf "file %d exists only in the allocator at step %d" file
+                    step
+            | Some l ->
+                if
+                  List.map (fun e -> (e.Extent.addr, e.Extent.len)) (!p.Policy.extents ~file)
+                  <> List.rev l
+                then QCheck.Test.fail_reportf "file %d placed differently at step %d" file step)
+          (List.init nfiles Fun.id);
+        if
+          not
+            (!p.Policy.free_units () = Buddy_model.free_units m
+            && !p.Policy.largest_free () = Buddy_model.largest_free m
+            && !p.Policy.free_hist () = Buddy_model.free_hist m)
+        then QCheck.Test.fail_reportf "free space differs at step %d" step
+      in
+      let fails = ref 0 in
+      let ensure step file target =
+        let got = !p.Policy.ensure ~file ~target in
+        if got <> Buddy_model.ensure m ~file ~target then
+          QCheck.Test.fail_reportf "ensure outcome differs at step %d" step;
+        if got <> Ok () then incr fails
+      in
+      let create file =
+        !p.Policy.create_file ~file ~hint:1;
+        Buddy_model.create_file m ~file
+      in
+      for step = 1 to 300 do
+        let file = Rng.int rng nfiles in
+        (if not (!p.Policy.file_exists ~file) then create file
+         else
+           match Rng.int rng 6 with
+           | 0 | 1 | 2 -> ensure step file (!p.Policy.allocated_units ~file + 1 + Rng.int rng (total / 5))
+           | 3 ->
+               let target = Rng.int rng (!p.Policy.allocated_units ~file + 1) in
+               !p.Policy.shrink_to ~file ~target;
+               Buddy_model.shrink_to m ~file ~target
+           | 4 ->
+               !p.Policy.delete ~file;
+               Buddy_model.delete m ~file
+           | _ ->
+               let q = make () in
+               q.Policy.ckpt_load (!p.Policy.ckpt_save ());
+               p := q);
+        agree step
+      done;
+      for file = 0 to nfiles - 1 do
+        if not (!p.Policy.file_exists ~file) then create file;
+        ensure (301 + file) file (total + 1);
+        agree (301 + file)
+      done;
+      !fails >= nfiles)
+
 (* ------------------------------------------------------------------ *)
 (* Restricted buddy *)
 
@@ -1757,6 +1958,8 @@ let () =
           quick "shrink frees whole extents" test_buddy_shrink_frees_whole_extents;
           quick "regrowth after shrink" test_buddy_regrowth_after_shrink;
           quick "disjoint under churn" test_buddy_extents_disjoint_under_churn;
+          quick "grows from the top of the volume" test_buddy_grows_from_top_of_volume;
+          QCheck_alcotest.to_alcotest prop_buddy_matches_reference;
           QCheck_alcotest.to_alcotest (prop_churn_invariants "buddy");
         ] );
       ( "restricted buddy",
