@@ -5,7 +5,8 @@
     the extent is sized to double the file's current allocation, up to a
     configurable cap (the paper observes 64M blocks for the largest
     files).  Free space is managed with the classic buddy discipline —
-    splitting on allocation, eager buddy coalescing on free.  The
+    splitting on allocation, eager buddy coalescing on free — by
+    {!Buddy_space} over the sizes 1, 2, 4, … cap units.  The
     nightly reallocation process of Koch's DTSS system is deliberately
     {e not} modelled, matching the paper's simulation.
 

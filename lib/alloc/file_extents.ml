@@ -25,9 +25,9 @@ let set_addr t i a =
   check t i;
   t.addrs.(i) <- a
 
-(* Double both arrays together, so they always share one capacity. *)
-let grow t =
-  let capacity = max 4 (2 * Array.length t.addrs) in
+(* Reallocate both arrays together, so they always share one
+   capacity. *)
+let resize t capacity =
   let addrs = Array.make capacity 0 and ends = Array.make capacity 0 in
   Array.blit t.addrs 0 addrs 0 t.n;
   Array.blit t.ends 0 ends 0 t.n;
@@ -36,14 +36,22 @@ let grow t =
 
 let push t ~addr ~len =
   if addr < 0 || len <= 0 then invalid_arg "File_extents.push";
-  if t.n = Array.length t.addrs then grow t;
+  if t.n = Array.length t.addrs then resize t (max 4 (2 * Array.length t.addrs));
   t.addrs.(t.n) <- addr;
   t.ends.(t.n) <- allocated_units t + len;
   t.n <- t.n + 1
 
+(* [capacity] halved, down to 4, while [n] fills at most an eighth of
+   it.  A truncated table is then at most a quarter full, so pushes and
+   truncates that alternate around one size do not copy at every step. *)
+let rec shrunk capacity n =
+  if capacity > 4 && 8 * n <= capacity then shrunk (capacity / 2) n else capacity
+
 let truncate t n =
   if n < 0 || n > t.n then invalid_arg "File_extents.truncate";
-  t.n <- n
+  t.n <- n;
+  let capacity = shrunk (Array.length t.addrs) n in
+  if capacity < Array.length t.addrs then resize t capacity
 
 let to_list t =
   List.init t.n (fun i -> { Extent.addr = t.addrs.(i); len = len t i })

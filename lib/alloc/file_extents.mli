@@ -39,8 +39,10 @@ val set_addr : t -> int -> int -> unit
 
 val truncate : t -> int -> unit
 (** [truncate t n] keeps the first [n] extents (truncation frees whole
-    trailing extents).  Raises [Invalid_argument] unless
-    [0 <= n <= count t]. *)
+    trailing extents).  While [n] fills at most an eighth of the
+    arrays' capacity they are halved, down to 4 slots, so a file that
+    shrinks gives most of its spare slots back.  Raises
+    [Invalid_argument] unless [0 <= n <= count t]. *)
 
 val allocated_units : t -> int
 (** Total units across all extents (O(1)). *)

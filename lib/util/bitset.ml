@@ -1,18 +1,25 @@
 (* Bit [i] lives in chunk [i / chunk_bits]; inside a chunk, 63 bits to
    a word, so every bit of an OCaml [int] carries one flag.  A chunk is
    allocated when its first bit is set and then kept, so a bitset costs
-   memory only where bits have been set; an unallocated chunk is the
-   empty array, skipped whole by a scan.  Everything is [int] arrays,
-   so a bitset holds no closure and marshals whole. *)
+   memory only where bits have been set.  [live.(c)] counts the set
+   bits of chunk c, so a scan skips an empty chunk, allocated or not,
+   in one step.  Everything is [int] arrays, so a bitset holds no
+   closure and marshals whole. *)
 let bits = 63
 let chunk_words = 64
 let chunk_bits = bits * chunk_words
 
-type t = { chunks : int array array; length : int; mutable cardinal : int }
+type t = {
+  chunks : int array array;
+  live : int array;  (** live.(c): set bits in chunk c *)
+  length : int;
+  mutable cardinal : int;
+}
 
 let create n =
   assert (n >= 0);
-  { chunks = Array.make ((n + chunk_bits - 1) / chunk_bits) [||]; length = n; cardinal = 0 }
+  let nchunks = (n + chunk_bits - 1) / chunk_bits in
+  { chunks = Array.make nchunks [||]; live = Array.make nchunks 0; length = n; cardinal = 0 }
 
 let length t = t.length
 
@@ -39,17 +46,20 @@ let set t i =
   let word = words.(w) in
   if word land mask = 0 then begin
     words.(w) <- word lor mask;
+    t.live.(c) <- t.live.(c) + 1;
     t.cardinal <- t.cardinal + 1
   end
 
 let clear t i =
   check t i;
-  let words = t.chunks.(i / chunk_bits) and o = i mod chunk_bits in
+  let c = i / chunk_bits and o = i mod chunk_bits in
+  let words = t.chunks.(c) in
   if Array.length words > 0 then begin
     let w = o / bits and mask = 1 lsl (o mod bits) in
     let word = words.(w) in
     if word land mask <> 0 then begin
       words.(w) <- word land lnot mask;
+      t.live.(c) <- t.live.(c) - 1;
       t.cardinal <- t.cardinal - 1
     end
   end
@@ -78,18 +88,18 @@ let rec scan_words words ~last w word =
 let rec scan_chunks t ~hi c lo =
   if lo >= hi then -1
   else begin
-    let base = c * chunk_bits and words = t.chunks.(c) in
+    let base = c * chunk_bits in
     let next = base + chunk_bits in
-    let o =
-      if Array.length words = 0 then -1
-      else begin
-        let o = lo - base in
-        let w = o / bits in
+    if t.live.(c) = 0 then scan_chunks t ~hi (c + 1) next
+    else begin
+      let words = t.chunks.(c) and o = lo - base in
+      let w = o / bits in
+      let o =
         scan_words words ~last:((min hi next - 1 - base) / bits) w
           (words.(w) land (-1 lsl (o mod bits)))
-      end
-    in
-    if o >= 0 then if base + o < hi then base + o else -1 else scan_chunks t ~hi (c + 1) next
+      in
+      if o >= 0 then if base + o < hi then base + o else -1 else scan_chunks t ~hi (c + 1) next
+    end
   end
 
 let first_set_in t ~lo ~hi =

@@ -485,6 +485,49 @@ let prop_bitset_matches_model =
       && List.for_all (fun (lo, hi) -> Bitset.first_set_in b ~lo ~hi = model_first ~lo ~hi) windows
       && List.for_all (fun (lo, _) -> Bitset.first_set_from b lo = model_first ~lo ~hi:n) windows)
 
+(* Set and clear steps over a pool of 48 positions spread across up to
+   four chunks, so a chunk often holds only a few set bits and is
+   emptied again, which a scan must then skip.  Halfway through, the
+   bitset is replaced by its own [Marshal] round trip.  After every
+   step, [first_set_in] at random windows (and the whole range) equals
+   a naive scan, and [cardinal] a recount. *)
+let prop_bitset_steps_match_scan =
+  QCheck.Test.make ~name:"bitset scans match a naive scan after every step" ~count:100
+    QCheck.(pair (int_bound 100_000) (int_range 1 16_000))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed in
+      let pool = Array.init 48 (fun _ -> Rng.int rng n) in
+      let b = ref (Bitset.create n) and model = Array.make n false in
+      let naive ~lo ~hi =
+        let rec go i = if i >= min hi n then -1 else if model.(i) then i else go (i + 1) in
+        go (max lo 0)
+      in
+      let steps = 200 in
+      for step = 1 to steps do
+        let i = pool.(Rng.int rng (Array.length pool)) in
+        let set = Rng.bool rng in
+        if set then Bitset.set !b i else Bitset.clear !b i;
+        model.(i) <- set;
+        if step = steps / 2 then b := Marshal.from_string (Marshal.to_string !b []) 0;
+        let recount = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model in
+        if Bitset.cardinal !b <> recount then
+          QCheck.Test.fail_reportf "cardinal %d, recount %d at step %d" (Bitset.cardinal !b) recount
+            step;
+        for w = 0 to 3 do
+          let lo, hi =
+            if w = 0 then (0, n)
+            else
+              let lo = Rng.int rng (n + 10) - 5 in
+              (lo, lo + Rng.int rng (if w = 1 then 130 else n + 10))
+          in
+          let got = Bitset.first_set_in !b ~lo ~hi and want = naive ~lo ~hi in
+          if got <> want then
+            QCheck.Test.fail_reportf "first_set_in [%d, %d) = %d, naive %d at step %d" lo hi got
+              want step
+        done
+      done;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Free_tree *)
 
@@ -813,6 +856,7 @@ let () =
           quick "iter" test_bitset_iter;
           quick "bounds" test_bitset_bounds;
           QCheck_alcotest.to_alcotest prop_bitset_matches_model;
+          QCheck_alcotest.to_alcotest prop_bitset_steps_match_scan;
         ] );
       ( "free_tree",
         [
