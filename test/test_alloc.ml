@@ -1698,6 +1698,308 @@ let test_lfs_validation () =
            (Log_structured.config ~clean_threshold:4 ~clean_target:4 ())
            ~total_units:4096))
 
+(* Naive reference for the log-structured policy: an array of segment
+   records and each file's extents as a list in logical order.  Every
+   derived set is recomputed by a scan on each use: the clean segments
+   are those, other than the head, that nothing has been appended to
+   since they were last reclaimed, and the cleaner's victim comes from
+   sorting the segments that hold garbage by (garbage, index),
+   descending.  The cleaner copies a victim's live extents file by
+   file, in the order [Hashtbl.fold] visits the files that appended
+   there; the model keeps the same [Hashtbl] per segment, with the same
+   insertions and resets, only to share that order. *)
+module Lfs_model = struct
+  type seg = {
+    mutable live : int;
+    mutable dead : int;
+    mutable filled : int;
+    residents : (int, unit) Hashtbl.t;
+  }
+
+  type t = {
+    seg_units : int;
+    threshold : int;
+    target : int;
+    segs : seg array;
+    mutable head : int;
+    files : (int, (int * int) list) Hashtbl.t;  (** extents in logical order *)
+    mutable user : int;
+    mutable moved : int;
+    mutable passes : int;
+  }
+
+  let indices m = List.init (Array.length m.segs) Fun.id
+  let clean m = List.filter (fun s -> s <> m.head && m.segs.(s).filled = 0) (indices m)
+  let nclean m = List.length (clean m)
+  let head_space m = if m.head < 0 then 0 else m.seg_units - m.segs.(m.head).filled
+  let free_units m = (nclean m * m.seg_units) + head_space m
+  let allocated l = List.fold_left (fun acc (_, len) -> acc + len) 0 l
+
+  let reclaim m s =
+    let g = m.segs.(s) in
+    if s <> m.head && g.live = 0 && g.filled > 0 then begin
+      g.dead <- 0;
+      g.filled <- 0;
+      Hashtbl.reset g.residents
+    end
+
+  (* The head moves to the lowest clean segment; the old head's unfilled
+     tail turns to garbage. *)
+  let switch_head m =
+    match clean m with
+    | [] -> false
+    | s :: _ ->
+        let old = m.head in
+        m.head <- s;
+        if old >= 0 then begin
+          let g = m.segs.(old) in
+          g.dead <- g.dead + (m.seg_units - g.filled);
+          g.filled <- m.seg_units;
+          reclaim m old
+        end;
+        true
+
+  let append m ~file len =
+    if head_space m < len && not (switch_head m) then -1
+    else begin
+      let g = m.segs.(m.head) in
+      let addr = (m.head * m.seg_units) + g.filled in
+      g.filled <- g.filled + len;
+      g.live <- g.live + len;
+      Hashtbl.replace g.residents file ();
+      addr
+    end
+
+  let retire m (addr, len) =
+    let s = addr / m.seg_units in
+    let g = m.segs.(s) in
+    g.live <- g.live - len;
+    g.dead <- g.dead + len;
+    reclaim m s
+
+  (* Most garbage first, then the highest index; stop below a quarter
+     segment of garbage; pass over the head and segments with nothing
+     live. *)
+  let victim m =
+    let key s = (m.segs.(s).dead, s) in
+    let dirty = List.filter (fun s -> m.segs.(s).dead > 0) (indices m) in
+    let rec pick = function
+      | s :: rest when m.segs.(s).dead * 4 >= m.seg_units ->
+          if s <> m.head && m.segs.(s).live > 0 then Some s else pick rest
+      | _ -> None
+    in
+    pick (List.sort (fun a b -> compare (key b) (key a)) dirty)
+
+  let clean_one m =
+    match victim m with
+    | None -> false
+    | Some s ->
+        let g = m.segs.(s) in
+        let room = head_space m in
+        if not ((room >= g.live || nclean m > 0) && (room >= g.live || g.dead > room)) then false
+        else begin
+          let movers = Hashtbl.fold (fun f () acc -> f :: acc) g.residents [] in
+          List.iter
+            (fun f ->
+              match Hashtbl.find_opt m.files f with
+              | None -> ()
+              | Some l ->
+                  let moved =
+                    List.fold_left
+                      (fun acc (a, len) ->
+                        if a / m.seg_units <> s then (a, len) :: acc
+                        else begin
+                          let fresh = append m ~file:f len in
+                          assert (fresh >= 0);
+                          g.live <- g.live - len;
+                          m.moved <- m.moved + len;
+                          (fresh, len) :: acc
+                        end)
+                      [] l
+                  in
+                  Hashtbl.replace m.files f (List.rev moved))
+            movers;
+          assert (g.live = 0);
+          g.dead <- g.filled;
+          Hashtbl.reset g.residents;
+          reclaim m s;
+          m.passes <- m.passes + 1;
+          true
+        end
+
+  let create ~seg_units ~threshold ~target ~total =
+    let m =
+      {
+        seg_units;
+        threshold;
+        target;
+        segs =
+          Array.init (total / seg_units) (fun _ ->
+              { live = 0; dead = 0; filled = 0; residents = Hashtbl.create 4 });
+        head = -1;
+        files = Hashtbl.create 16;
+        user = 0;
+        moved = 0;
+        passes = 0;
+      }
+    in
+    ignore (switch_head m : bool);
+    m
+
+  let create_file m ~file = Hashtbl.replace m.files file []
+
+  (* One append per step, as much of the shortfall as the head holds (a
+     whole segment when the head is full); clean once first when the
+     reserve is low, and once more when free space cannot take it. *)
+  let rec take m ~file ~target =
+    if nclean m <= m.threshold then ignore (clean_one m : bool);
+    let l = Hashtbl.find m.files file in
+    let room = head_space m in
+    let len = min (target - allocated l) (if room > 0 then room else m.seg_units) in
+    if free_units m < len then clean_one m && take m ~file ~target
+    else begin
+      let addr = append m ~file len in
+      addr >= 0
+      && begin
+           Hashtbl.replace m.files file (l @ [ (addr, len) ]);
+           m.user <- m.user + len;
+           true
+         end
+    end
+
+  let ensure m ~file ~target =
+    if nclean m <= m.threshold then begin
+      let go = ref true in
+      while !go && nclean m < m.target do
+        go := clean_one m
+      done
+    end;
+    let rec grow () =
+      if allocated (Hashtbl.find m.files file) >= target then Ok ()
+      else if take m ~file ~target then grow ()
+      else Error `Disk_full
+    in
+    grow ()
+
+  (* An extent stays while fewer than [target] units precede it; the
+     rest go back last first. *)
+  let shrink_to m ~file ~target =
+    let rec split off = function
+      | (a, len) :: rest when off < target ->
+          let kept, dropped = split (off + len) rest in
+          ((a, len) :: kept, dropped)
+      | l -> ([], l)
+    in
+    let kept, dropped = split 0 (Hashtbl.find m.files file) in
+    List.iter (retire m) (List.rev dropped);
+    Hashtbl.replace m.files file kept
+
+  let delete m ~file =
+    List.iter (retire m) (Hashtbl.find m.files file);
+    Hashtbl.remove m.files file
+
+  let largest_free m = max (head_space m) (if nclean m > 0 then m.seg_units else 0)
+
+  (* The head's unfilled tail and every clean segment, grouped by size. *)
+  let free_hist m =
+    let sizes =
+      List.sort compare
+        ((if head_space m > 0 then [ head_space m ] else [])
+        @ List.map (fun _ -> m.seg_units) (clean m))
+    in
+    List.fold_right
+      (fun size acc ->
+        match acc with (s, c) :: rest when s = size -> (s, c + 1) :: rest | _ -> (size, 1) :: acc)
+      sizes []
+
+  let churn_stats m =
+    { Policy.cs_user_units = m.user; cs_moved_units = m.moved; cs_cleaner_passes = m.passes }
+end
+
+(* Segments of 4 to 16 units and volumes of 4 to 20 segments, with a
+   partial segment left over on most; clean thresholds of 1 or 2 and
+   targets up to four above.  Files grow by up to a third of the volume
+   per step and are shrunk and deleted as often, so the volume fills,
+   garbage piles up and the cleaner, head switches and free reclaims
+   all fire in most cases.  One step in six swaps the allocator for a
+   fresh one loaded from its own snapshot. *)
+let prop_lfs_matches_reference =
+  QCheck.Test.make ~name:"log-structured places exactly like a naive segment model" ~count:150
+    QCheck.(
+      pair (int_bound 100_000)
+        (quad (int_range 4 16) (int_range 4 20) (int_range 1 2) (int_range 1 4)))
+    (fun (seed, (seg_units, nsegs, threshold, above)) ->
+      let rng = Rng.create ~seed in
+      let total = (nsegs * seg_units) + Rng.int rng seg_units in
+      let target = threshold + above in
+      let make () =
+        Log_structured.create
+          (Log_structured.config ~segment_bytes:(seg_units * 1024) ~clean_threshold:threshold
+             ~clean_target:target ())
+          ~total_units:total
+      in
+      let p = ref (make ()) in
+      let m = Lfs_model.create ~seg_units ~threshold ~target ~total in
+      let nfiles = 8 in
+      let agree step =
+        List.iter
+          (fun file ->
+            match Hashtbl.find_opt m.Lfs_model.files file with
+            | None ->
+                if !p.Policy.file_exists ~file then
+                  QCheck.Test.fail_reportf "file %d exists only in the allocator at step %d" file
+                    step
+            | Some l ->
+                if List.map (fun e -> (e.Extent.addr, e.Extent.len)) (!p.Policy.extents ~file) <> l
+                then QCheck.Test.fail_reportf "file %d placed differently at step %d" file step)
+          (List.init nfiles Fun.id);
+        if
+          not
+            (!p.Policy.free_units () = Lfs_model.free_units m
+            && !p.Policy.largest_free () = Lfs_model.largest_free m
+            && !p.Policy.free_hist () = Lfs_model.free_hist m)
+        then QCheck.Test.fail_reportf "free space differs at step %d" step;
+        if !p.Policy.churn_stats () <> Lfs_model.churn_stats m then
+          QCheck.Test.fail_reportf "churn stats differ at step %d" step
+      in
+      let fails = ref 0 in
+      let ensure step file target =
+        let got = !p.Policy.ensure ~file ~target in
+        if got <> Lfs_model.ensure m ~file ~target then
+          QCheck.Test.fail_reportf "ensure outcome differs at step %d" step;
+        if got <> Ok () then incr fails
+      in
+      let create file =
+        !p.Policy.create_file ~file ~hint:1;
+        Lfs_model.create_file m ~file
+      in
+      for step = 1 to 300 do
+        let file = Rng.int rng nfiles in
+        (if not (!p.Policy.file_exists ~file) then create file
+         else
+           match Rng.int rng 6 with
+           | 0 | 1 | 2 ->
+               ensure step file (!p.Policy.allocated_units ~file + 1 + Rng.int rng (total / 3))
+           | 3 ->
+               let target = Rng.int rng (!p.Policy.allocated_units ~file + 1) in
+               !p.Policy.shrink_to ~file ~target;
+               Lfs_model.shrink_to m ~file ~target
+           | 4 ->
+               !p.Policy.delete ~file;
+               Lfs_model.delete m ~file
+           | _ ->
+               let q = make () in
+               q.Policy.ckpt_load (!p.Policy.ckpt_save ());
+               p := q);
+        agree step
+      done;
+      for file = 0 to nfiles - 1 do
+        if not (!p.Policy.file_exists ~file) then create file;
+        ensure (301 + file) file (total + 1);
+        agree (301 + file)
+      done;
+      !fails >= nfiles)
+
 (* ------------------------------------------------------------------ *)
 (* Every policy *)
 
@@ -2038,6 +2340,7 @@ let () =
           quick "relocation preserves order" test_lfs_relocation_preserves_logical_order;
           quick "disk full" test_lfs_disk_full;
           quick "validation" test_lfs_validation;
+          QCheck_alcotest.to_alcotest prop_lfs_matches_reference;
           QCheck_alcotest.to_alcotest (prop_churn_invariants "log-structured");
         ] );
       ( "policy helpers",
