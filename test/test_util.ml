@@ -434,7 +434,10 @@ let test_bitset_first_set () =
   check_int "finds 130 from 18" 130 (Bitset.first_set_from b 18);
   check_int "none from 131" (-1) (Bitset.first_set_from b 131);
   check_int "window hit" 17 (Bitset.first_set_in b ~lo:0 ~hi:18);
-  check_int "window miss" (-1) (Bitset.first_set_in b ~lo:18 ~hi:130)
+  check_int "window miss" (-1) (Bitset.first_set_in b ~lo:18 ~hi:130);
+  check_int "last finds 130" 130 (Bitset.last_set_in b ~lo:0 ~hi:200);
+  check_int "last below 130" 17 (Bitset.last_set_in b ~lo:0 ~hi:130);
+  check_int "last window miss" (-1) (Bitset.last_set_in b ~lo:18 ~hi:130)
 
 let test_bitset_iter () =
   let b = Bitset.create 64 in
@@ -475,6 +478,10 @@ let prop_bitset_matches_model =
         let rec go i = if i >= min hi n then -1 else if model.(i) then i else go (i + 1) in
         go (max lo 0)
       in
+      let model_last ~lo ~hi =
+        let rec go i = if i < max lo 0 then -1 else if model.(i) then i else go (i - 1) in
+        go (min hi n - 1)
+      in
       let windows =
         (0, n) :: List.concat_map (fun (lo, hi) -> [ (lo, hi); (lo, lo + (abs hi mod 130)) ]) windows
       in
@@ -483,14 +490,17 @@ let prop_bitset_matches_model =
       && Bitset.cardinal b = cardinal
       && List.for_all (fun i -> Bitset.mem b i = model.(i)) (List.init n Fun.id)
       && List.for_all (fun (lo, hi) -> Bitset.first_set_in b ~lo ~hi = model_first ~lo ~hi) windows
+      && List.for_all (fun (lo, hi) -> Bitset.last_set_in b ~lo ~hi = model_last ~lo ~hi) windows
       && List.for_all (fun (lo, _) -> Bitset.first_set_from b lo = model_first ~lo ~hi:n) windows)
 
 (* Set and clear steps over a pool of 48 positions spread across up to
    four chunks, so a chunk often holds only a few set bits and is
-   emptied again, which a scan must then skip.  Halfway through, the
-   bitset is replaced by its own [Marshal] round trip.  After every
-   step, [first_set_in] at random windows (and the whole range) equals
-   a naive scan, and [cardinal] a recount. *)
+   emptied again, which a scan must then skip (and, for a low chunk,
+   step the lowest-chunk hint past).  Halfway through, the bitset is
+   replaced by its own [Marshal] round trip.  After every step,
+   [first_set_in] and [last_set_in] at random windows, the whole range
+   and a short window from index 0 equal a naive scan, and [cardinal]
+   a recount. *)
 let prop_bitset_steps_match_scan =
   QCheck.Test.make ~name:"bitset scans match a naive scan after every step" ~count:100
     QCheck.(pair (int_bound 100_000) (int_range 1 16_000))
@@ -501,6 +511,10 @@ let prop_bitset_steps_match_scan =
       let naive ~lo ~hi =
         let rec go i = if i >= min hi n then -1 else if model.(i) then i else go (i + 1) in
         go (max lo 0)
+      in
+      let naive_last ~lo ~hi =
+        let rec go i = if i < max lo 0 then -1 else if model.(i) then i else go (i - 1) in
+        go (min hi n - 1)
       in
       let steps = 200 in
       for step = 1 to steps do
@@ -513,9 +527,10 @@ let prop_bitset_steps_match_scan =
         if Bitset.cardinal !b <> recount then
           QCheck.Test.fail_reportf "cardinal %d, recount %d at step %d" (Bitset.cardinal !b) recount
             step;
-        for w = 0 to 3 do
+        for w = 0 to 4 do
           let lo, hi =
             if w = 0 then (0, n)
+            else if w = 4 then (0, Rng.int rng (n + 1))
             else
               let lo = Rng.int rng (n + 10) - 5 in
               (lo, lo + Rng.int rng (if w = 1 then 130 else n + 10))
@@ -523,6 +538,10 @@ let prop_bitset_steps_match_scan =
           let got = Bitset.first_set_in !b ~lo ~hi and want = naive ~lo ~hi in
           if got <> want then
             QCheck.Test.fail_reportf "first_set_in [%d, %d) = %d, naive %d at step %d" lo hi got
+              want step;
+          let got = Bitset.last_set_in !b ~lo ~hi and want = naive_last ~lo ~hi in
+          if got <> want then
+            QCheck.Test.fail_reportf "last_set_in [%d, %d) = %d, naive %d at step %d" lo hi got
               want step
         done
       done;
