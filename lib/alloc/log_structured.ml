@@ -1,12 +1,4 @@
-module IntSet = Set.Make (Int)
-
-(* Dirty-segment index ordered by garbage volume, so the cleaner finds
-   its best victim in O(log n) instead of scanning every segment. *)
-module Dirty_set = Set.Make (struct
-  type t = int * int (* (dead units, segment index) *)
-
-  let compare = compare
-end)
+module Bitset = Rofs_util.Bitset
 
 type config = {
   unit_bytes : int;
@@ -26,13 +18,19 @@ type segment = {
   residents : (int, unit) Hashtbl.t;  (** files that may own live extents here *)
 }
 
+(* Both segment indices are bitsets, updated in place.  [clean] has one
+   bit per clean segment: the lowest clean segment is its first set bit
+   and the clean count its cardinal.  [dirty] ranks the segments that
+   hold garbage: segment s with d dead units sets bit [d * nsegs + s],
+   so the highest set bit names the segment with the most garbage, ties
+   going to the highest index, which is the cleaner's victim order. *)
 type space = {
   cfg : config;
   seg_units : int;
   segments : segment array;
   mutable head : int;  (** index of the active (log head) segment; -1 before first use *)
-  mutable clean : IntSet.t;
-  mutable dirty : Dirty_set.t;  (** segments with any garbage, keyed by garbage volume *)
+  clean : Bitset.t;  (** segments that are clean, by index *)
+  dirty : Bitset.t;  (** segments with any garbage, keyed [dead * nsegs + index] *)
   mutable moved_units : int;  (** live units the cleaner relocated *)
   mutable cleaner_passes : int;  (** successful [clean_one] passes *)
 }
@@ -40,13 +38,15 @@ type space = {
 let fresh_segment () = { live = 0; dead = 0; filled = 0; residents = Hashtbl.create 4 }
 
 let reindex_dirty t s ~old_dead =
-  let seg = t.segments.(s) in
-  if old_dead > 0 then t.dirty <- Dirty_set.remove (old_dead, s) t.dirty;
-  if seg.dead > 0 then t.dirty <- Dirty_set.add (seg.dead, s) t.dirty
+  let seg = t.segments.(s) and nsegs = Array.length t.segments in
+  if old_dead > 0 then Bitset.clear t.dirty ((old_dead * nsegs) + s);
+  if seg.dead > 0 then Bitset.set t.dirty ((seg.dead * nsegs) + s)
 
 let segment_of t addr = addr / t.seg_units
 
-let clean_space t = IntSet.cardinal t.clean * t.seg_units
+let nclean t = Bitset.cardinal t.clean
+
+let clean_space t = nclean t * t.seg_units
 
 let head_space t =
   if t.head < 0 then 0 else t.seg_units - t.segments.(t.head).filled
@@ -62,7 +62,7 @@ let maybe_reclaim t s =
     seg.filled <- 0;
     Hashtbl.reset seg.residents;
     reindex_dirty t s ~old_dead;
-    t.clean <- IntSet.add s t.clean
+    Bitset.set t.clean s
   end
 
 let retire_extent t () ~addr ~len =
@@ -78,24 +78,25 @@ let retire_extent t () ~addr ~len =
 (* Advance the log head to a clean segment; returns false when none is
    available. *)
 let switch_head t =
-  match IntSet.min_elt_opt t.clean with
-  | None -> false
-  | Some s ->
-      t.clean <- IntSet.remove s t.clean;
-      let old = t.head in
-      t.head <- s;
-      if old >= 0 then begin
-        (* The abandoned head's unfilled tail is unreachable by the
-           bump pointer; account it as garbage so the cleaner can
-           recover it and the space bookkeeping stays exact. *)
-        let seg = t.segments.(old) in
-        let old_dead = seg.dead in
-        seg.dead <- seg.dead + (t.seg_units - seg.filled);
-        seg.filled <- t.seg_units;
-        reindex_dirty t old ~old_dead;
-        maybe_reclaim t old
-      end;
-      true
+  let s = Bitset.first_set_from t.clean 0 in
+  if s < 0 then false
+  else begin
+    Bitset.clear t.clean s;
+    let old = t.head in
+    t.head <- s;
+    if old >= 0 then begin
+      (* The abandoned head's unfilled tail is unreachable by the
+         bump pointer; account it as garbage so the cleaner can
+         recover it and the space bookkeeping stays exact. *)
+      let seg = t.segments.(old) in
+      let old_dead = seg.dead in
+      seg.dead <- seg.dead + (t.seg_units - seg.filled);
+      seg.filled <- t.seg_units;
+      reindex_dirty t old ~old_dead;
+      maybe_reclaim t old
+    end;
+    true
+  end
 
 (* Append [len] units (len <= segment size) as one extent for [file]
    and return its address, or -1 when no segment can take it. *)
@@ -112,6 +113,17 @@ let append_whole t ~file len =
     addr
   end
 
+(* The dirtiest segment keyed in [lo, hi) of [t.dirty] that is not the
+   head and still holds live data, or -1.  A passed-over key stays set:
+   the walk only steps down past it. *)
+let rec victim t ~lo hi =
+  let k = Bitset.last_set_in t.dirty ~lo ~hi in
+  if k < 0 then -1
+  else begin
+    let s = k mod Array.length t.segments in
+    if s <> t.head && t.segments.(s).live > 0 then s else victim t ~lo k
+  end
+
 (* Copy one dirty segment's live extents to the log head.  Returns false
    when no suitable candidate exists or space would not permit. *)
 let clean_one t (files : (int, unit Policy.file) Hashtbl.t) =
@@ -119,19 +131,10 @@ let clean_one t (files : (int, unit Policy.file) Hashtbl.t) =
      worthwhile when at least a quarter of it is garbage (reclaiming
      less copies almost a whole segment of live data for nothing, and
      near-full disks would otherwise thrash the cleaner). *)
-  let candidate =
-    let rec pick set =
-      match Dirty_set.max_elt_opt set with
-      | Some (dead, s) when dead * 4 >= t.seg_units ->
-          if s <> t.head && t.segments.(s).live > 0 then Some s
-          else pick (Dirty_set.remove (dead, s) set)
-      | Some _ | None -> None
-    in
-    pick t.dirty
-  in
-  match candidate with
-  | None -> false
-  | Some s ->
+  let quarter = (t.seg_units + 3) / 4 in
+  let s = victim t ~lo:(quarter * Array.length t.segments) (Bitset.length t.dirty) in
+  if s < 0 then false
+  else begin
     let seg = t.segments.(s) in
     (* Two conditions gate a clean.  Safety: the victim's live data must
        fit the current head, or a whole clean segment must stand ready
@@ -140,7 +143,7 @@ let clean_one t (files : (int, unit Policy.file) Hashtbl.t) =
        the garbage reclaimed must exceed the tail a head switch could
        strand — otherwise cleaning can cycle forever, manufacturing as
        much garbage as it collects. *)
-    let safe = head_space t >= seg.live || not (IntSet.is_empty t.clean) in
+    let safe = head_space t >= seg.live || nclean t > 0 in
     let progress = head_space t >= seg.live || seg.dead > head_space t in
     if not (safe && progress) then false
     else begin
@@ -175,12 +178,13 @@ let clean_one t (files : (int, unit Policy.file) Hashtbl.t) =
       t.cleaner_passes <- t.cleaner_passes + 1;
       true
     end
+  end
 
 let maybe_clean (st : (unit, space) Policy.state) =
   let t = st.space in
-  if IntSet.cardinal t.clean <= t.cfg.clean_threshold then begin
+  if nclean t <= t.cfg.clean_threshold then begin
     let continue_ = ref true in
-    while !continue_ && IntSet.cardinal t.clean < t.cfg.clean_target do
+    while !continue_ && nclean t < t.cfg.clean_target do
       continue_ := clean_one t st.files
     done
   end
@@ -192,7 +196,7 @@ let rec take (st : (unit, space) Policy.state) ~file (f : unit Policy.file) ~tar
   (* Keep the clean-segment reserve topped up as we consume it: once
      the log runs out of clean segments, cleaning itself has nowhere to
      copy survivors (the classic LFS deadlock). *)
-  if IntSet.cardinal t.clean <= t.cfg.clean_threshold then ignore (clean_one t st.files : bool);
+  if nclean t <= t.cfg.clean_threshold then ignore (clean_one t st.files : bool);
   let remaining = target - File_extents.allocated_units f.fx in
   let room = if head_space t > 0 then head_space t else t.seg_units in
   let len = min remaining room in
@@ -211,7 +215,7 @@ let rec take (st : (unit, space) Policy.state) ~file (f : unit Policy.file) ~tar
 let free_hist t =
   (* Clean segments are seg-sized free extents; the head's unfilled
      tail is one more (possibly seg-sized when the head is empty). *)
-  let clean = IntSet.cardinal t.clean in
+  let clean = nclean t in
   let head = head_space t in
   if head = 0 then if clean = 0 then [] else [ (t.seg_units, clean) ]
   else if head = t.seg_units then [ (t.seg_units, clean + 1) ]
@@ -233,12 +237,15 @@ let create cfg ~total_units =
       seg_units;
       segments = Array.init nsegs (fun _ -> fresh_segment ());
       head = -1;
-      clean = IntSet.of_list (List.init nsegs (fun i -> i));
-      dirty = Dirty_set.empty;
+      clean = Bitset.create nsegs;
+      dirty = Bitset.create ((seg_units + 1) * nsegs);
       moved_units = 0;
       cleaner_passes = 0;
     }
   in
+  for s = 0 to nsegs - 1 do
+    Bitset.set t.clean s
+  done;
   ignore (switch_head t : bool);
   Policy.make
     ~name:(Printf.sprintf "log-structured(%s segments)" (Rofs_util.Units.to_string cfg.segment_bytes))
@@ -247,5 +254,5 @@ let create cfg ~total_units =
     ~new_file:(fun _ ~hint:_ -> ())
     ~take ~give:retire_extent ~free_units
     ~largest_free:(fun t ->
-      max (head_space t) (if IntSet.is_empty t.clean then 0 else t.seg_units))
+      max (head_space t) (if nclean t = 0 then 0 else t.seg_units))
     ~free_hist t

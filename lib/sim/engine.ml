@@ -1676,7 +1676,7 @@ let fingerprint t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( 11 (* fingerprint layout version *),
+          ( 12 (* fingerprint layout version *),
             (c.seed, c.disks, c.stripe_unit_bytes, array_desc, c.scheduler),
             ( c.lower_bound,
               c.upper_bound,

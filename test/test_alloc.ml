@@ -2000,6 +2000,20 @@ let prop_lfs_matches_reference =
       done;
       !fails >= nfiles)
 
+(* The 256M churn on the log-structured policy with its defaults (1M
+   segments, clean at 2, target 8).  The volume never fills, so the
+   cleaner does not run: this counts appends, frees and the clean-count
+   checks.  Measured with OCaml 5.1 without flambda: a persistent
+   [Set.Make] of (garbage, segment) pairs, path-copied on every free,
+   and an [IntSet] of clean segments read 46.7 words per op; a bitset
+   for each read 7.3.  The budget sits ~10% above today's count. *)
+let test_lfs_allocation_budget () =
+  let per_op =
+    churn_words_per_op (Log_structured.create (Log_structured.config ()) ~total_units:262_144)
+  in
+  if per_op > 8.1 then
+    Alcotest.failf "log-structured churn allocates %.1f minor words per op (budget 8.1)" per_op
+
 (* ------------------------------------------------------------------ *)
 (* Every policy *)
 
@@ -2341,6 +2355,7 @@ let () =
           quick "disk full" test_lfs_disk_full;
           quick "validation" test_lfs_validation;
           QCheck_alcotest.to_alcotest prop_lfs_matches_reference;
+          Alcotest.test_case "minor words per churn op bounded" `Slow test_lfs_allocation_budget;
           QCheck_alcotest.to_alcotest (prop_churn_invariants "log-structured");
         ] );
       ( "policy helpers",
