@@ -128,7 +128,9 @@ let create_mixed ?(seed = 0) ?(scheduler = Sched_policy.Fcfs) ?(faults = Fault_p
     rng = Rofs_util.Rng.create ~seed;
     bytes_moved = 0;
     scheduler;
-    queues = Array.init disks (fun _ -> Squeue.create scheduler);
+    queues =
+      Array.of_list
+        (List.map (fun g -> Squeue.create scheduler ~cylinders:g.Geometry.cylinders) geometries);
     in_service = Array.make disks None;
     next_op_id = 0;
     fault = Fault.create faults ~drives:disks;
@@ -570,36 +572,33 @@ let db_grow t need =
 (* Start the next pending request on an idle drive, if any; a started
    request is appended to the dispatch buffer. *)
 let dispatch_push t d ~now =
-  match t.in_service.(d) with
-  | Some _ -> ()
-  | None -> begin
-      let drive = t.drives.(d) in
-      match Squeue.take t.queues.(d) ~head:(Drive.head_cylinder drive) with
-      | None -> ()
-      | Some (_cyl, req) ->
-          let op = req.r_op in
-          let start = Float.max now (Drive.busy_until drive) in
-          (* An operation submitted before a sink was attached has no
-             breakdown record; its chunks accumulate into the scratch. *)
-          let o = match op.o_obs with Some o -> o | None -> t.op_obs in
-          let finish =
-            serve_chunk t o ~op_id:op.op_id ~disk:d ~start ~offset:req.r_offset
-              ~bytes:req.r_bytes ~passes:req.r_passes ~parity:req.r_parity
-          in
-          req.r_start <- start;
-          req.r_finish <- finish;
-          if start < op.began then op.began <- start;
-          t.in_service.(d) <- Some req;
-          db_grow t (t.db_len + 1);
-          let i = t.db_len in
-          t.db_drive.(i) <- d;
-          t.db_op_id.(i) <- op.op_id;
-          t.db_started.(i) <- start;
-          t.db_finished.(i) <- finish;
-          t.db_bytes.(i) <- req.r_bytes;
-          t.db_parity.(i) <- req.r_parity;
-          t.db_len <- i + 1
-    end
+  let queue = t.queues.(d) in
+  if Option.is_none t.in_service.(d) && not (Squeue.is_empty queue) then begin
+    let drive = t.drives.(d) in
+    let req = Squeue.take queue ~head:(Drive.head_cylinder drive) in
+    let op = req.r_op in
+    let start = Float.max now (Drive.busy_until drive) in
+    (* An operation submitted before a sink was attached has no
+       breakdown record; its chunks accumulate into the scratch. *)
+    let o = match op.o_obs with Some o -> o | None -> t.op_obs in
+    let finish =
+      serve_chunk t o ~op_id:op.op_id ~disk:d ~start ~offset:req.r_offset
+        ~bytes:req.r_bytes ~passes:req.r_passes ~parity:req.r_parity
+    in
+    req.r_start <- start;
+    req.r_finish <- finish;
+    if start < op.began then op.began <- start;
+    t.in_service.(d) <- Some req;
+    db_grow t (t.db_len + 1);
+    let i = t.db_len in
+    t.db_drive.(i) <- d;
+    t.db_op_id.(i) <- op.op_id;
+    t.db_started.(i) <- start;
+    t.db_finished.(i) <- finish;
+    t.db_bytes.(i) <- req.r_bytes;
+    t.db_parity.(i) <- req.r_parity;
+    t.db_len <- i + 1
+  end
 
 let dispatched_len t = t.db_len
 let dispatched_op_id t i = t.db_op_id.(i)

@@ -22,23 +22,31 @@
     served in arrival order, and every remaining tie is broken the same
     way on every run.  None of them preempts — a choice is made only
     when the drive falls idle, which is exactly when the simulation
-    engine consults the queue.  A queue is plain closure-free data, so a
-    checkpoint marshals it whole. *)
+    engine consults the queue.
+
+    Under SSTF, SCAN and C-LOOK a queue keeps one FIFO per cylinder and
+    a bitset of the cylinders with requests pending, so each choice is
+    one or two bitset scans from the head; FCFS keeps a single arrival
+    FIFO.  A queue is plain closure-free data, so a checkpoint marshals
+    it whole. *)
 
 type 'a t
 
-val create : Policy.t -> 'a t
+val create : Policy.t -> cylinders:int -> 'a t
+(** An empty queue for a drive with [cylinders] cylinders, numbered
+    from [0].  Requires [cylinders > 0]. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val add : 'a t -> cylinder:int -> 'a -> unit
 (** Enqueue a request whose first byte lives on [cylinder].
-    Requires [cylinder >= 0]. *)
+    Requires [0 <= cylinder < cylinders]. *)
 
-val take : 'a t -> head:int -> (int * 'a) option
-(** Remove and return the request the policy services next with the
-    arm at cylinder [head], as [(cylinder, payload)]; [None] when
-    empty. *)
+val take : 'a t -> head:int -> 'a
+(** Remove and return the payload of the request the policy services
+    next with the arm at cylinder [head].  Raises [Invalid_argument]
+    when the queue is empty. *)
 
 val clear : 'a t -> unit
 (** Drop every pending request; SCAN's next sweep starts upward again. *)

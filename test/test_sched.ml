@@ -36,20 +36,27 @@ let check_exact_float name a b = Alcotest.(check (float 0.)) name a b
 (* Queue level                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The queue hands back payloads only.  These tests store each
+   request's cylinder in its payload, so a take reads back the cylinder
+   it served.  Cylinders run from 0 to 1000. *)
+let create policy = Squeue.create policy ~cylinders:1001
+let add q ~cylinder v = Squeue.add q ~cylinder (cylinder, v)
+let take q ~head = if Squeue.is_empty q then None else Some (Squeue.take q ~head)
+
 (* Drain [q] following the arm: each take's cylinder becomes the next
    head, as in the array, where the arm parks where it last served. *)
 let drain q ~head =
   let rec go head acc =
-    match Squeue.take q ~head with
+    match take q ~head with
     | None -> List.rev acc
     | Some (cyl, v) -> go cyl ((cyl, v) :: acc)
   in
   go head []
 
-let add_all q reqs = List.iter (fun (cyl, v) -> Squeue.add q ~cylinder:cyl v) reqs
+let add_all q reqs = List.iter (fun (cyl, v) -> add q ~cylinder:cyl v) reqs
 
 let test_fcfs_arrival_order () =
-  let q = Squeue.create Policy.Fcfs in
+  let q = create Policy.Fcfs in
   let reqs = [ (500, "a"); (3, "b"); (900, "c"); (3, "d"); (120, "e") ] in
   add_all q reqs;
   Alcotest.(check (list string))
@@ -57,7 +64,7 @@ let test_fcfs_arrival_order () =
     (List.map snd (drain q ~head:450))
 
 let test_sstf_nearest () =
-  let q = Squeue.create Policy.Sstf in
+  let q = create Policy.Sstf in
   add_all q [ (90, "far-low"); (105, "near-high"); (100, "here"); (400, "far-high") ];
   Alcotest.(check (list string))
     "SSTF walks nearest-first"
@@ -65,9 +72,9 @@ let test_sstf_nearest () =
     (List.map snd (drain q ~head:100))
 
 let test_sstf_tie_goes_low () =
-  let q = Squeue.create Policy.Sstf in
+  let q = create Policy.Sstf in
   add_all q [ (105, "high"); (95, "low") ];
-  let cyl, v = Option.get (Squeue.take q ~head:100) in
+  let cyl, v = Option.get (take q ~head:100) in
   check_int "tie at distance 5 picks the lower cylinder" 95 cyl;
   check_bool "and its payload" true (v = "low")
 
@@ -75,7 +82,7 @@ let test_same_cylinder_fifo () =
   (* Arrival order within one cylinder, on every policy. *)
   List.iter
     (fun policy ->
-      let q = Squeue.create policy in
+      let q = create policy in
       add_all q [ (7, 1); (7, 2); (7, 3) ];
       Alcotest.(check (list int))
         (Policy.name policy ^ " keeps same-cylinder FIFO")
@@ -84,7 +91,7 @@ let test_same_cylinder_fifo () =
     Policy.all
 
 let test_scan_sweeps_then_reverses () =
-  let q = Squeue.create Policy.Scan in
+  let q = create Policy.Scan in
   add_all q [ (60, "b"); (40, "d"); (55, "a"); (70, "c") ];
   (* Starts upward from 50: 55, 60, 70; nothing above 70 left, so the
      elevator reverses and comes back for 40. *)
@@ -93,7 +100,7 @@ let test_scan_sweeps_then_reverses () =
     (List.map snd (drain q ~head:50))
 
 let test_clook_wraps () =
-  let q = Squeue.create Policy.Clook in
+  let q = create Policy.Clook in
   add_all q [ (60, "b"); (40, "c"); (55, "a") ];
   (* Upward from 50: 55, 60; then wraps to the lowest pending (40)
      instead of sweeping back down. *)
@@ -104,12 +111,33 @@ let test_clook_wraps () =
 let test_clear () =
   List.iter
     (fun policy ->
-      let q = Squeue.create policy in
+      let q = create policy in
       add_all q [ (1, 1); (2, 2) ];
       Squeue.clear q;
       check_bool (Policy.name policy ^ " clears") true (Squeue.is_empty q);
       check_int "length 0" 0 (Squeue.length q))
     Policy.all
+
+let test_bounds () =
+  List.iter
+    (fun policy ->
+      let q = Squeue.create policy ~cylinders:10 in
+      let name = Policy.name policy in
+      Alcotest.check_raises (name ^ ": cylinder past the drive")
+        (Invalid_argument "Scheduler.add: cylinder out of range") (fun () ->
+          Squeue.add q ~cylinder:10 ());
+      Alcotest.check_raises (name ^ ": negative cylinder")
+        (Invalid_argument "Scheduler.add: cylinder out of range") (fun () ->
+          Squeue.add q ~cylinder:(-1) ());
+      Alcotest.check_raises (name ^ ": take from an empty queue")
+        (Invalid_argument "Scheduler.take: empty queue") (fun () -> Squeue.take q ~head:0);
+      Squeue.add q ~cylinder:9 ();
+      Squeue.take q ~head:0;
+      check_bool (name ^ ": the top cylinder is served") true (Squeue.is_empty q))
+    Policy.all;
+  Alcotest.check_raises "no cylinders"
+    (Invalid_argument "Scheduler.create: need at least one cylinder") (fun () ->
+      ignore (Squeue.create Policy.Sstf ~cylinders:0 : unit Squeue.t))
 
 let cylinders = QCheck.(list_of_size Gen.(int_range 1 80) (int_bound 1000))
 
@@ -121,7 +149,7 @@ let prop_conservation =
     (fun (first, second) ->
       List.for_all
         (fun policy ->
-          let q = Squeue.create policy in
+          let q = create policy in
           let tag = List.mapi (fun i c -> (c, i)) in
           let batch1 = tag first in
           let n1 = List.length batch1 in
@@ -131,7 +159,7 @@ let prop_conservation =
           let took = ref [] in
           let head = ref 500 in
           for _ = 1 to n1 / 2 do
-            match Squeue.take q ~head:!head with
+            match take q ~head:!head with
             | Some (cyl, v) ->
                 head := cyl;
                 took := v :: !took
@@ -146,18 +174,18 @@ let prop_conservation =
 
 let prop_fcfs_is_arrival_order =
   QCheck.Test.make ~name:"FCFS serves in arrival order" ~count:200 cylinders (fun cyls ->
-      let q = Squeue.create Policy.Fcfs in
+      let q = create Policy.Fcfs in
       add_all q (List.mapi (fun i c -> (c, i)) cyls);
       List.map snd (drain q ~head:0) = List.init (List.length cyls) Fun.id)
 
 let prop_sstf_is_nearest =
   QCheck.Test.make ~name:"SSTF always serves a closest pending cylinder" ~count:200 cylinders
     (fun cyls ->
-      let q = Squeue.create Policy.Sstf in
+      let q = create Policy.Sstf in
       add_all q (List.mapi (fun i c -> (c, i)) cyls);
       let pending = ref cyls in
       let rec go head =
-        match Squeue.take q ~head with
+        match take q ~head with
         | None -> !pending = []
         | Some (cyl, _) ->
             let nearest = List.fold_left (fun acc c -> min acc (abs (c - head))) max_int !pending in
@@ -251,7 +279,7 @@ let prop_queues_match_model =
     (fun (ops, roundtrip_at) ->
       List.for_all
         (fun policy ->
-          let q = ref (Squeue.create policy) in
+          let q = ref (create policy) in
           let m = { pending = []; up = true } in
           let next = ref 0 in
           List.for_all
@@ -262,11 +290,11 @@ let prop_queues_match_model =
               let same =
                 match op with
                 | Add cylinder ->
-                    Squeue.add !q ~cylinder !next;
+                    add !q ~cylinder !next;
                     m.pending <- m.pending @ [ (cylinder, !next) ];
                     incr next;
                     true
-                | Take head -> Squeue.take !q ~head = model_take policy m ~head
+                | Take head -> take !q ~head = model_take policy m ~head
                 | Clear ->
                     Squeue.clear !q;
                     m.pending <- [];
@@ -284,19 +312,19 @@ let prop_queues_match_model =
    never move the sweep backward for a new arrival, so the victim is
    reached within one sweep no matter what the adversary does. *)
 let victim_position policy =
-  let q = Squeue.create policy in
-  Squeue.add q ~cylinder:900 "victim";
-  Squeue.add q ~cylinder:150 "waypoint";
-  Squeue.add q ~cylinder:300 "waypoint";
-  Squeue.add q ~cylinder:99 "hot";
+  let q = create policy in
+  add q ~cylinder:900 "victim";
+  add q ~cylinder:150 "waypoint";
+  add q ~cylinder:300 "waypoint";
+  add q ~cylinder:99 "hot";
   let rec go head takes =
     if takes > 200 then None
     else
-      match Squeue.take q ~head with
+      match take q ~head with
       | None -> None
       | Some (_, "victim") -> Some takes
       | Some (cyl, _) ->
-          Squeue.add q ~cylinder:(max 0 (cyl - 1)) "hot";
+          add q ~cylinder:(max 0 (cyl - 1)) "hot";
           go cyl (takes + 1)
   in
   go 100 0
@@ -635,6 +663,7 @@ let () =
           quick "scan does not starve" test_scan_no_starvation;
           quick "clook does not starve" test_clook_no_starvation;
           quick "sstf starves (known)" test_sstf_starves;
+          quick "cylinder range and empty take" test_bounds;
         ] );
       ( "array dispatch",
         [
