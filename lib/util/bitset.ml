@@ -118,13 +118,8 @@ let rec scan_chunks t ~hi c lo =
   end
 
 let first_set_in t ~lo ~hi =
-  let lo = max lo 0 and hi = min hi t.length in
-  if lo >= hi || t.cardinal = 0 then -1
-  else begin
-    let c = lo / chunk_bits in
-    if c >= t.low then scan_chunks t ~hi c lo
-    else scan_chunks t ~hi t.low (t.low * chunk_bits)
-  end
+  let lo = max lo (t.low * chunk_bits) and hi = min hi t.length in
+  if lo >= hi || t.cardinal = 0 then -1 else scan_chunks t ~hi (lo / chunk_bits) lo
 
 let first_set_from t i = first_set_in t ~lo:i ~hi:t.length
 
