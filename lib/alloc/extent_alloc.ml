@@ -1,16 +1,5 @@
 module Free_tree = Rofs_util.Free_tree
 
-(* Best fit's by-size index: free extents ordered by (len, addr), so the
-   first element with len >= want is the smallest adequate extent,
-   lowest-addressed among equals.  First fit needs no such index. *)
-module Size_set = Set.Make (struct
-  type t = int * int
-
-  let compare (l1, a1) (l2, a2) =
-    let c = Int.compare l1 l2 in
-    if c <> 0 then c else Int.compare a1 a2
-end)
-
 type fit = First_fit | Best_fit
 
 type config = { unit_bytes : int; fit : fit; range_means_bytes : int list }
@@ -18,21 +7,29 @@ type config = { unit_bytes : int; fit : fit; range_means_bytes : int list }
 let config ?(unit_bytes = 1024) ?(fit = First_fit) ~range_means_bytes () =
   { unit_bytes; fit; range_means_bytes }
 
+(* Best fit's by-size index is a second free tree, each extent keyed
+   [len lsl addr_bits lor addr] with its own length.  Key order is then
+   (len, addr) order, so the first fit for [want] in it is the smallest
+   adequate extent, lowest-addressed among equals.  First fit leaves it
+   empty. *)
+let addr_bits = 30
+let addr_mask = (1 lsl addr_bits) - 1
+
 type space = {
   cfg : config;
   tree : Free_tree.t;  (** updated in place *)
-  mutable by_size : Size_set.t;  (** best fit only; empty under first fit *)
+  by_size : Free_tree.t;  (** best fit only; empty under first fit *)
   rng : Rofs_util.Rng.t;  (** per-file extent-size draws *)
 }
 
 let index t ~addr ~len =
   match t.cfg.fit with
-  | Best_fit -> t.by_size <- Size_set.add (len, addr) t.by_size
+  | Best_fit -> Free_tree.insert t.by_size ~addr:((len lsl addr_bits) lor addr) ~len
   | First_fit -> ()
 
 let unindex t ~addr ~len =
   match t.cfg.fit with
-  | Best_fit -> t.by_size <- Size_set.remove (len, addr) t.by_size
+  | Best_fit -> Free_tree.remove t.by_size ~addr:((len lsl addr_bits) lor addr)
   | First_fit -> ()
 
 (* The free extent [(addr, len)] becomes [(new_addr, new_len)]; no other
@@ -69,11 +66,9 @@ let release t ~addr ~len =
 let find_fit t want =
   match t.cfg.fit with
   | First_fit -> Free_tree.first_fit t.tree ~want
-  | Best_fit -> begin
-      match Size_set.find_first_opt (fun (l, _) -> l >= want) t.by_size with
-      | Some (_, addr) -> addr
-      | None -> -1
-    end
+  | Best_fit ->
+      let key = Free_tree.first_fit t.by_size ~want in
+      if key < 0 then -1 else key land addr_mask
 
 (* Carve as many [want]-unit pieces off the front of one fit as the file
    still needs and the fit holds, in a single update.  This is exactly
@@ -130,7 +125,9 @@ let free_hist t =
 let create cfg ~total_units ~rng =
   if cfg.unit_bytes <= 0 || total_units <= 0 then invalid_arg "Extent_alloc.create";
   if cfg.range_means_bytes = [] then invalid_arg "Extent_alloc.create: no extent ranges";
-  let t = { cfg; tree = Free_tree.create (); by_size = Size_set.empty; rng } in
+  if total_units > addr_mask then
+    invalid_arg "Extent_alloc.create: total_units must be below 2^30";
+  let t = { cfg; tree = Free_tree.create (); by_size = Free_tree.create (); rng } in
   release t ~addr:0 ~len:total_units;
   let name =
     Printf.sprintf "extent(%s, %d ranges)"

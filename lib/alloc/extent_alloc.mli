@@ -32,4 +32,6 @@ val config : ?unit_bytes:int -> ?fit:fit -> range_means_bytes:int list -> unit -
     tables live in [Rofs_workload.Workload.extent_ranges]. *)
 
 val create : config -> total_units:int -> rng:Rofs_util.Rng.t -> Policy.t
-(** [rng] drives the per-file extent-size draws. *)
+(** [rng] drives the per-file extent-size draws.  Raises
+    [Invalid_argument] when [total_units >= 2^30]: best fit packs an
+    extent's length and address into one int. *)

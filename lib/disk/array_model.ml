@@ -47,19 +47,31 @@ type req = {
   mutable r_finish : float;
 }
 
-type t = {
-  config : config;
-  geometry : Geometry.t;  (** representative drive (the first) *)
+(* Everything the array checkpoints, in one closure-free record behind
+   one mutable slot: a snapshot marshals it whole, and a restore swaps
+   it in.  Queued requests share their [op] records (and an in-service
+   request shares its op with still-queued siblings); [Marshal]
+   preserves sharing within one value, so completions after a restore
+   decrement the same [chunks_left] the originals did.  The engine
+   references operations only by integer id, never by pointer, so
+   decoded op records need no fix-up. *)
+type state = {
   drives : Drive.t array;
-  drive_capacity : int;  (** usable bytes per drive: the smallest drive's capacity *)
-  per_drive_sustained : float;  (** sequential rate of the slowest drive *)
   rng : Rofs_util.Rng.t;
   mutable bytes_moved : int;
-  scheduler : Sched_policy.t;
   queues : req Squeue.t array;  (** pending requests, one dispatch queue per drive *)
   in_service : req option array;  (** the request each drive is currently moving *)
   mutable next_op_id : int;
-  mutable fault : Fault.t;  (** drive health, media-error and dirty-region state *)
+  fault : Fault.t;  (** drive health, media-error and dirty-region state *)
+}
+
+type t = {
+  config : config;
+  geometry : Geometry.t;  (** representative drive (the first) *)
+  drive_capacity : int;  (** usable bytes per drive: the smallest drive's capacity *)
+  per_drive_sustained : float;  (** sequential rate of the slowest drive *)
+  scheduler : Sched_policy.t;
+  mutable st : state;
   media_on : bool;  (** media faults configured: consult [fault] per chunk *)
   all_drives : int list;  (** [0; ...; disks-1], the reconstruction group *)
   mutable obs : Sink.t option;  (** instrumentation sink; [None] ⇒ no recording *)
@@ -122,18 +134,23 @@ let create_mixed ?(seed = 0) ?(scheduler = Sched_policy.Fcfs) ?(faults = Fault_p
   {
     config;
     geometry = List.hd geometries;
-    drives = Array.of_list (List.map Drive.create geometries);
     drive_capacity = fold (fun acc g -> min acc (Geometry.capacity_bytes g)) max_int;
     per_drive_sustained = fold (fun acc g -> Float.min acc (Geometry.sustained_bytes_per_ms g)) infinity;
-    rng = Rofs_util.Rng.create ~seed;
-    bytes_moved = 0;
     scheduler;
-    queues =
-      Array.of_list
-        (List.map (fun g -> Squeue.create scheduler ~cylinders:g.Geometry.cylinders) geometries);
-    in_service = Array.make disks None;
-    next_op_id = 0;
-    fault = Fault.create faults ~drives:disks;
+    st =
+      {
+        drives = Array.of_list (List.map Drive.create geometries);
+        rng = Rofs_util.Rng.create ~seed;
+        bytes_moved = 0;
+        queues =
+          Array.of_list
+            (List.map
+               (fun g -> Squeue.create scheduler ~cylinders:g.Geometry.cylinders)
+               geometries);
+        in_service = Array.make disks None;
+        next_op_id = 0;
+        fault = Fault.create faults ~drives:disks;
+      };
     media_on = Fault_plan.media_faults faults;
     all_drives = List.init disks Fun.id;
     obs = None;
@@ -167,11 +184,11 @@ let attach_obs t sink = t.obs <- Some sink
 let obs t = t.obs
 
 let config t = t.config
-let disks t = Array.length t.drives
+let disks t = Array.length t.st.drives
 let geometry t = t.geometry
 let scheduler t = t.scheduler
 let synchronous t = match t.scheduler with Sched_policy.Fcfs -> true | _ -> false
-let fault_state t = t.fault
+let fault_state t = t.st.fault
 
 let drive_capacity t = t.drive_capacity
 
@@ -246,7 +263,8 @@ let iter_striped ~stripe ~place (addr, len) =
 
 (* Queued + in-service depth of one drive's dispatch queue. *)
 let load t d =
-  Squeue.length t.queues.(d) + (match t.in_service.(d) with Some _ -> 1 | None -> 0)
+  let st = t.st in
+  Squeue.length st.queues.(d) + (match st.in_service.(d) with Some _ -> 1 | None -> 0)
 
 (* Reconstruct one unit of a dead drive from its redundancy group: read
    the same [take]-byte region of every surviving member, paying each
@@ -255,12 +273,12 @@ let load t d =
    others are redundancy traffic.  A second unavailable member means the
    group cannot cover the loss. *)
 let reconstruct_chunks t ~dead ~members ~offset ~take =
-  Fault.note_reconstructed_read t.fault;
+  Fault.note_reconstructed_read t.st.fault;
   let first = ref true in
   List.iter
     (fun d ->
       if d <> dead then begin
-        if Fault.readable t.fault ~drive:d ~offset ~bytes:take then begin
+        if Fault.readable t.st.fault ~drive:d ~offset ~bytes:take then begin
           cb_push t ~disk:d ~offset ~bytes:take ~parity:(not !first) ~rmw:false;
           first := false
         end
@@ -280,14 +298,15 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
   match t.config with
   | Striped { stripe_unit } ->
       let place idx within take =
+        let fault = t.st.fault in
         let disk = idx mod n in
         let offset = (idx / n * stripe_unit) + within in
         (* No redundancy: a dead drive's units are simply gone, and a
            write that cannot land has nowhere else to go. *)
         let lost =
           match kind with
-          | Read -> not (Fault.readable t.fault ~drive:disk ~offset ~bytes:take)
-          | Write -> not (Fault.writable t.fault ~drive:disk)
+          | Read -> not (Fault.readable fault ~drive:disk ~offset ~bytes:take)
+          | Write -> not (Fault.writable fault ~drive:disk)
         in
         if lost then raise (Fault.Data_loss { drive = disk; offset; bytes = take });
         cb_push_data t ~disk ~offset ~bytes:take
@@ -296,37 +315,39 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
   | Mirrored { stripe_unit } ->
       let pairs = n / 2 in
       let place idx within take =
+        let st = t.st in
         let pair = idx mod pairs in
         let offset = (idx / pairs * stripe_unit) + within in
         let primary = 2 * pair and secondary = (2 * pair) + 1 in
         match kind with
         | Read ->
-            let pok = Fault.readable t.fault ~drive:primary ~offset ~bytes:take in
-            let sok = Fault.readable t.fault ~drive:secondary ~offset ~bytes:take in
+            let pok = Fault.readable st.fault ~drive:primary ~offset ~bytes:take in
+            let sok = Fault.readable st.fault ~drive:secondary ~offset ~bytes:take in
             let disk =
               if pok && sok then
                 (* Both arms alive: prefer the arm already streaming this
                    extent; otherwise the shorter queue (dispatch-queue
                    depth when scheduling is queued, the busy clock on the
                    FCFS fast path). *)
-                if Drive.next_sequential t.drives.(primary) = offset then primary
-                else if Drive.next_sequential t.drives.(secondary) = offset then secondary
+                if Drive.next_sequential st.drives.(primary) = offset then primary
+                else if Drive.next_sequential st.drives.(secondary) = offset then secondary
                 else if queued && load t primary <> load t secondary then
                   if load t primary < load t secondary then primary else secondary
-                else if Drive.busy_until t.drives.(primary) <= Drive.busy_until t.drives.(secondary)
+                else if
+                  Drive.busy_until st.drives.(primary) <= Drive.busy_until st.drives.(secondary)
                 then primary
                 else secondary
               else if pok || sok then begin
                 (* Failover: the surviving arm serves the read alone. *)
-                Fault.note_reconstructed_read t.fault;
+                Fault.note_reconstructed_read st.fault;
                 if pok then primary else secondary
               end
               else raise (Fault.Data_loss { drive = primary; offset; bytes = take })
             in
             cb_push_data t ~disk ~offset ~bytes:take
         | Write ->
-            let pok = Fault.writable t.fault ~drive:primary in
-            let sok = Fault.writable t.fault ~drive:secondary in
+            let pok = Fault.writable st.fault ~drive:primary in
+            let sok = Fault.writable st.fault ~drive:secondary in
             if pok && sok then begin
               cb_push_data t ~disk:primary ~offset ~bytes:take;
               cb_push t ~disk:secondary ~offset ~bytes:take ~parity:true ~rmw:false
@@ -334,9 +355,9 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
             else if pok || sok then begin
               (* Degraded write: skip the dead arm and remember what it
                  missed; the rebuild sweep will restore it. *)
-              Fault.note_degraded_write t.fault;
+              Fault.note_degraded_write st.fault;
               let dead = if pok then secondary else primary in
-              Fault.log_dirty t.fault ~drive:dead ~offset ~bytes:take;
+              Fault.log_dirty st.fault ~drive:dead ~offset ~bytes:take;
               cb_push_data t ~disk:(if pok then primary else secondary) ~offset ~bytes:take
             end
             else raise (Fault.Data_loss { drive = primary; offset; bytes = take })
@@ -345,6 +366,7 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
   | Raid5 { stripe_unit } ->
       let data_per_row = n - 1 in
       let place idx within take =
+        let fault = t.st.fault in
         let row = idx / data_per_row in
         let pos = idx mod data_per_row in
         let parity_disk = row mod n in
@@ -352,14 +374,14 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
         let offset = (row * stripe_unit) + within in
         match kind with
         | Read ->
-            if Fault.readable t.fault ~drive:disk ~offset ~bytes:take then
+            if Fault.readable fault ~drive:disk ~offset ~bytes:take then
               cb_push_data t ~disk ~offset ~bytes:take
             else
               (* Degraded read: XOR of the row's surviving units. *)
               reconstruct_chunks t ~dead:disk ~members:t.all_drives ~offset ~take
         | Write ->
-            let dok = Fault.writable t.fault ~drive:disk in
-            let pok = Fault.writable t.fault ~drive:parity_disk in
+            let dok = Fault.writable fault ~drive:disk in
+            let pok = Fault.writable fault ~drive:parity_disk in
             if dok && pok then begin
               (* Small-write penalty: read-modify-write of the data unit
                  and of the row's parity unit. *)
@@ -369,14 +391,14 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
             else if pok then begin
               (* Dead data arm: keep the row's parity current so the data
                  is recoverable, and log the dirty region. *)
-              Fault.note_degraded_write t.fault;
-              Fault.log_dirty t.fault ~drive:disk ~offset ~bytes:take;
+              Fault.note_degraded_write fault;
+              Fault.log_dirty fault ~drive:disk ~offset ~bytes:take;
               cb_push t ~disk:parity_disk ~offset ~bytes:take ~parity:true ~rmw:true
             end
             else if dok then begin
               (* Dead parity arm: plain write, nothing to read-modify. *)
-              Fault.note_degraded_write t.fault;
-              Fault.log_dirty t.fault ~drive:parity_disk ~offset ~bytes:take;
+              Fault.note_degraded_write fault;
+              Fault.log_dirty fault ~drive:parity_disk ~offset ~bytes:take;
               cb_push t ~disk ~offset ~bytes:take ~parity:false ~rmw:false
             end
             else raise (Fault.Data_loss { drive = disk; offset; bytes = take })
@@ -388,12 +410,13 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
       let parity_span = drive_capacity t - per_drive in
       let rec go addr len =
         if len > 0 then begin
+          let fault = t.st.fault in
           let disk = addr / per_drive in
           let within = addr mod per_drive in
           let take = min len (per_drive - within) in
           (match kind with
           | Read ->
-              if Fault.readable t.fault ~drive:disk ~offset:within ~bytes:take then
+              if Fault.readable fault ~drive:disk ~offset:within ~bytes:take then
                 cb_push_data t ~disk ~offset:within ~bytes:take
               else
                 reconstruct_chunks t ~dead:disk ~members:t.all_drives ~offset:within ~take
@@ -403,20 +426,20 @@ let gen_extent ?(queued = false) t ~kind (addr, len) =
               let pdisk = (disk + 1) mod n in
               let poff = parity_base + (within mod parity_span) in
               let pbytes = min take (drive_capacity t - poff) in
-              let dok = Fault.writable t.fault ~drive:disk in
-              let pok = Fault.writable t.fault ~drive:pdisk in
+              let dok = Fault.writable fault ~drive:disk in
+              let pok = Fault.writable fault ~drive:pdisk in
               if dok && pok then begin
                 cb_push_data t ~disk ~offset:within ~bytes:take;
                 cb_push t ~disk:pdisk ~offset:poff ~bytes:pbytes ~parity:true ~rmw:true
               end
               else if pok then begin
-                Fault.note_degraded_write t.fault;
-                Fault.log_dirty t.fault ~drive:disk ~offset:within ~bytes:take;
+                Fault.note_degraded_write fault;
+                Fault.log_dirty fault ~drive:disk ~offset:within ~bytes:take;
                 cb_push t ~disk:pdisk ~offset:poff ~bytes:pbytes ~parity:true ~rmw:true
               end
               else if dok then begin
-                Fault.note_degraded_write t.fault;
-                Fault.log_dirty t.fault ~drive:pdisk ~offset:poff ~bytes:pbytes;
+                Fault.note_degraded_write fault;
+                Fault.log_dirty fault ~drive:pdisk ~offset:poff ~bytes:pbytes;
                 cb_push_data t ~disk ~offset:within ~bytes:take
               end
               else raise (Fault.Data_loss { drive = disk; offset = within; bytes = take }));
@@ -435,10 +458,11 @@ let gen_extents ?queued t ~kind extents =
 let media_stall t ~disk ~offset ~bytes ~default =
   if not t.media_on then default
   else begin
-    let drive = t.drives.(disk) in
+    let st = t.st in
+    let drive = st.drives.(disk) in
     let g = Drive.geometry drive in
     let extra =
-      Fault.media_extra_ms t.fault ~drive:disk ~rotation_ms:g.Geometry.rotation_ms
+      Fault.media_extra_ms st.fault ~drive:disk ~rotation_ms:g.Geometry.rotation_ms
         ~sector_bytes:g.Geometry.sector_bytes ~offset ~bytes
     in
     Drive.stall drive ~ms:extra
@@ -460,7 +484,8 @@ let media_stall t ~disk ~offset ~bytes ~default =
    accumulate into [o], and [op_id] labels its trace events ([-1] on
    the synchronous path, which has no operation handle). *)
 let serve_chunk t o ~op_id ~disk ~start ~offset ~bytes ~passes ~parity =
-  let drive = t.drives.(disk) in
+  let st = t.st in
+  let drive = st.drives.(disk) in
   (match t.obs with
   | None -> ()
   | Some _ ->
@@ -468,7 +493,7 @@ let serve_chunk t o ~op_id ~disk ~start ~offset ~bytes ~passes ~parity =
       b.(0) <- Drive.seek_ms_total drive;
       b.(1) <- Drive.rotation_ms_total drive;
       b.(2) <- Drive.transfer_ms_total drive);
-  let served = Drive.serve drive ~start ~rng:t.rng ~offset ~bytes ~passes in
+  let served = Drive.serve drive ~start ~rng:st.rng ~offset ~bytes ~passes in
   let finish = media_stall t ~disk ~offset ~bytes ~default:served in
   (match t.obs with
   | None -> ()
@@ -491,7 +516,7 @@ let serve_chunk t o ~op_id ~disk ~start ~offset ~bytes ~passes ~parity =
           Sink.event sink
             { Tr.at_ms = served; dur_ms = extra; kind = Tr.Media; drive = disk; op_id; bytes = 0 }
       end);
-  if not parity then t.bytes_moved <- t.bytes_moved + bytes;
+  if not parity then st.bytes_moved <- st.bytes_moved + bytes;
   finish
 
 (* Synchronous path: issue the buffered chunks in generation order, each
@@ -500,6 +525,7 @@ let serve_chunk t o ~op_id ~disk ~start ~offset ~bytes ~passes ~parity =
    chunk starts moving — after any queueing behind earlier
    operations. *)
 let perform_buf t ~now =
+  let drives = t.st.drives in
   t.pc_finish <- now;
   t.pc_began <- infinity;
   let o = t.op_obs in
@@ -509,7 +535,7 @@ let perform_buf t ~now =
   o.ob_penalty <- 0.;
   for i = 0 to t.cb_len - 1 do
     let disk = t.cb_disk.(i) in
-    let start = Float.max now (Drive.busy_until t.drives.(disk)) in
+    let start = Float.max now (Drive.busy_until drives.(disk)) in
     if start < t.pc_began then t.pc_began <- start;
     let finish =
       serve_chunk t o ~op_id:(-1) ~disk ~start ~offset:t.cb_offset.(i) ~bytes:t.cb_bytes.(i)
@@ -552,7 +578,7 @@ let op_began (op : op) = if op.began = infinity then op.submitted else op.began
 let op_finished (op : op) = Float.max op.last_finish op.submitted
 
 let in_service_finish t ~drive =
-  match t.in_service.(drive) with Some r -> Some r.r_finish | None -> None
+  match t.st.in_service.(drive) with Some r -> Some r.r_finish | None -> None
 
 let db_grow t need =
   let cap = Array.length t.db_drive in
@@ -572,9 +598,10 @@ let db_grow t need =
 (* Start the next pending request on an idle drive, if any; a started
    request is appended to the dispatch buffer. *)
 let dispatch_push t d ~now =
-  let queue = t.queues.(d) in
-  if Option.is_none t.in_service.(d) && not (Squeue.is_empty queue) then begin
-    let drive = t.drives.(d) in
+  let st = t.st in
+  let queue = st.queues.(d) in
+  if Option.is_none st.in_service.(d) && not (Squeue.is_empty queue) then begin
+    let drive = st.drives.(d) in
     let req = Squeue.take queue ~head:(Drive.head_cylinder drive) in
     let op = req.r_op in
     let start = Float.max now (Drive.busy_until drive) in
@@ -588,7 +615,7 @@ let dispatch_push t d ~now =
     req.r_start <- start;
     req.r_finish <- finish;
     if start < op.began then op.began <- start;
-    t.in_service.(d) <- Some req;
+    st.in_service.(d) <- Some req;
     db_grow t (t.db_len + 1);
     let i = t.db_len in
     t.db_drive.(i) <- d;
@@ -612,9 +639,10 @@ let dispatched_parity t i = t.db_parity.(i)
    drive that received work; started requests land in the dispatch
    buffer in first-touch drive order. *)
 let submit_buf t ~now =
+  let st = t.st in
   let op =
     {
-      op_id = t.next_op_id;
+      op_id = st.next_op_id;
       submitted = now;
       chunks_left = t.cb_len;
       began = infinity;
@@ -627,14 +655,14 @@ let submit_buf t ~now =
   | None -> ()
   | Some _ ->
       op.o_obs <- Some { ob_seek = 0.; ob_rotation = 0.; ob_transfer = 0.; ob_penalty = 0. });
-  t.next_op_id <- t.next_op_id + 1;
+  st.next_op_id <- st.next_op_id + 1;
   t.touched_len <- 0;
   for i = 0 to t.cb_len - 1 do
     let disk = t.cb_disk.(i) in
     let offset = t.cb_offset.(i) in
     let bytes = t.cb_bytes.(i) in
     let parity = t.cb_parity.(i) in
-    let cylinder = Geometry.cylinder_of_offset (Drive.geometry t.drives.(disk)) offset in
+    let cylinder = Geometry.cylinder_of_offset (Drive.geometry st.drives.(disk)) offset in
     let req =
       {
         r_op = op;
@@ -647,7 +675,7 @@ let submit_buf t ~now =
       }
     in
     if not parity then op.o_bytes <- op.o_bytes + bytes;
-    Squeue.add t.queues.(disk) ~cylinder req;
+    Squeue.add st.queues.(disk) ~cylinder req;
     if not t.touched_mark.(disk) then begin
       t.touched_mark.(disk) <- true;
       t.touched.(t.touched_len) <- disk;
@@ -687,14 +715,15 @@ let submit_flat t ~now ~kind ~extents =
   submit_buf t ~now
 
 let complete_flat t ~drive =
-  match t.in_service.(drive) with
+  let st = t.st in
+  match st.in_service.(drive) with
   | None ->
       invalid_arg
         (Printf.sprintf
            "Array_model.complete_flat: drive %d has nothing in service (queue depth %d)" drive
-           (Squeue.length t.queues.(drive)))
+           (Squeue.length st.queues.(drive)))
   | Some req ->
-      t.in_service.(drive) <- None;
+      st.in_service.(drive) <- None;
       let op = req.r_op in
       op.chunks_left <- op.chunks_left - 1;
       if req.r_finish > op.last_finish then op.last_finish <- req.r_finish;
@@ -713,7 +742,7 @@ let check_drive t drive =
 
 let fail_drive t ~drive =
   check_drive t drive;
-  Fault.fail t.fault ~drive
+  Fault.fail t.st.fault ~drive
 
 let repair_drive t ~drive =
   check_drive t drive;
@@ -721,11 +750,11 @@ let repair_drive t ~drive =
      returns to service immediately (its old contents were already
      reported lost); redundant layouts enter the rebuild sweep. *)
   let rebuild = match t.config with Striped _ -> false | _ -> true in
-  Fault.repair t.fault ~drive ~rebuild
+  Fault.repair t.st.fault ~drive ~rebuild
 
 let drive_state t ~drive =
   check_drive t drive;
-  match Fault.status t.fault ~drive with
+  match Fault.status t.st.fault ~drive with
   | Fault.Healthy -> `Healthy
   | Fault.Failed -> `Failed
   | Fault.Rebuilding r -> `Rebuilding (float_of_int r.pos /. float_of_int (drive_capacity t))
@@ -746,26 +775,27 @@ type rebuild_step =
 
 let rebuild_step t ~now ~drive =
   check_drive t drive;
-  match Fault.status t.fault ~drive with
+  let fault = t.st.fault in
+  match Fault.status fault ~drive with
   | Fault.Healthy | Fault.Failed -> Rebuild_idle
   | Fault.Rebuilding r ->
       if r.pos >= drive_capacity t then begin
-        Fault.finish_rebuild t.fault ~drive;
+        Fault.finish_rebuild fault ~drive;
         Rebuild_done
       end
       else begin
         let pos = r.pos in
         let bytes =
-          min (Fault.config t.fault).Fault_plan.rebuild_chunk_bytes (drive_capacity t - pos)
+          min (Fault.config fault).Fault_plan.rebuild_chunk_bytes (drive_capacity t - pos)
         in
         let sources = rebuild_sources t ~drive in
         if sources = [] then begin
-          Fault.finish_rebuild t.fault ~drive;
+          Fault.finish_rebuild fault ~drive;
           Rebuild_done
         end
         else if
           List.exists
-            (fun s -> not (Fault.readable t.fault ~drive:s ~offset:pos ~bytes))
+            (fun s -> not (Fault.readable fault ~drive:s ~offset:pos ~bytes))
             sources
         then Rebuild_blocked
         else begin
@@ -778,7 +808,7 @@ let rebuild_step t ~now ~drive =
             (fun s -> cb_push t ~disk:s ~offset:pos ~bytes ~parity:true ~rmw:false)
             sources;
           cb_push t ~disk:drive ~offset:pos ~bytes ~parity:true ~rmw:false;
-          Fault.rebuild_advance t.fault ~drive ~bytes;
+          Fault.rebuild_advance fault ~drive ~bytes;
           if synchronous t then begin
             perform_buf t ~now;
             Rebuild_sync t.pc_finish
@@ -788,7 +818,7 @@ let rebuild_step t ~now ~drive =
       end
 
 let time_of t ~kind ~extents =
-  let geometries = Array.to_list (Array.map Drive.geometry t.drives) in
+  let geometries = Array.to_list (Array.map Drive.geometry t.st.drives) in
   let scratch = create_mixed ~seed:0 ~geometries t.config in
   serve_extents scratch ~now:0. ~kind ~extents;
   scratch.pc_finish
@@ -796,67 +826,36 @@ let time_of t ~kind ~extents =
 let utilization t ~now =
   if now <= 0. then 0.
   else begin
-    let busy = Array.fold_left (fun acc d -> acc +. (Drive.stats d).Drive.busy_ms) 0. t.drives in
+    let busy = Array.fold_left (fun acc d -> acc +. (Drive.stats d).Drive.busy_ms) 0. t.st.drives in
     busy /. (now *. float_of_int (disks t))
   end
 
-let bytes_moved t = t.bytes_moved
+let bytes_moved t = t.st.bytes_moved
 
-(* Checkpoint.  Drives, dispatch queues, in-service slots and the fault
-   state go in ONE Marshal blob: queued requests share their [op]
-   records (and an in-service request shares its op with still-queued
-   siblings), and Marshal preserves sharing within a single blob, so
-   completions after restore decrement the same [chunks_left] the
-   originals did.  The engine references operations only by integer
-   id, never by pointer, so rebuilt op records need no external
-   fix-up.  The restored fault state replaces [t.fault] wholesale; the
-   scratch buffers are dead between events and simply reset. *)
-let ckpt_save t =
-  Marshal.to_string
-    ( t.drives,
-      Rofs_util.Rng.copy t.rng,
-      t.bytes_moved,
-      t.queues,
-      t.in_service,
-      t.next_op_id,
-      t.fault )
-    []
-
-let ckpt_load t blob =
-  let drives, rng, bytes_moved, queues, in_service, next_op_id, fault =
-    (Marshal.from_string blob 0
-      : Drive.t array
-        * Rofs_util.Rng.t
-        * int
-        * req Squeue.t array
-        * req option array
-        * int
-        * Fault.t)
-  in
-  Array.iteri (fun i d -> t.drives.(i) <- d) drives;
-  Rofs_util.Rng.assign ~dst:t.rng ~src:rng;
-  t.bytes_moved <- bytes_moved;
-  Array.iteri (fun i q -> t.queues.(i) <- q) queues;
-  Array.blit in_service 0 t.in_service 0 (Array.length t.in_service);
-  t.next_op_id <- next_op_id;
-  t.fault <- fault;
+(* The scratch buffers are dead between events: a restore or a reset
+   empties them. *)
+let clear_scratch t =
   t.cb_len <- 0;
   t.db_len <- 0;
   t.touched_len <- 0;
   Array.fill t.touched_mark 0 (Array.length t.touched_mark) false
 
-let reset t =
-  Array.iter Drive.reset t.drives;
-  Array.iter Squeue.clear t.queues;
-  Array.fill t.in_service 0 (Array.length t.in_service) None;
-  t.cb_len <- 0;
-  t.db_len <- 0;
-  t.touched_len <- 0;
-  Array.fill t.touched_mark 0 (Array.length t.touched_mark) false;
-  t.bytes_moved <- 0
+let ckpt_save t = Marshal.to_string t.st []
 
-let drive_stats t = Array.map Drive.stats t.drives
-let drive_busy_until t ~drive = Drive.busy_until t.drives.(drive)
+let ckpt_load t blob =
+  t.st <- (Marshal.from_string blob 0 : state);
+  clear_scratch t
+
+let reset t =
+  let st = t.st in
+  Array.iter Drive.reset st.drives;
+  Array.iter Squeue.clear st.queues;
+  Array.fill st.in_service 0 (Array.length st.in_service) None;
+  st.bytes_moved <- 0;
+  clear_scratch t
+
+let drive_stats t = Array.map Drive.stats t.st.drives
+let drive_busy_until t ~drive = Drive.busy_until t.st.drives.(drive)
 
 let pp_config ppf = function
   | Striped { stripe_unit } ->

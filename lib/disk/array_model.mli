@@ -256,10 +256,11 @@ val ckpt_save : t -> string
 
 val ckpt_load : t -> string -> unit
 (** Restore a {!ckpt_save} snapshot into [t]: [t] itself stays the
-    value callers hold, while its fault state is swapped for the
-    snapshot's (see {!fault_state}).  [t] must have been built with the
-    same geometry, disk count, scheduler, fault config and layout; the
-    engine validates this with a config fingerprint. *)
+    value callers hold, while its drives, queues and fault state are
+    swapped for the snapshot's (see {!fault_state}).  [t] must have
+    been built with the same geometry, disk count, scheduler, fault
+    config and layout; the engine validates this with a config
+    fingerprint. *)
 
 val reset : t -> unit
 (** Reset every drive's clock, arm and statistics. *)

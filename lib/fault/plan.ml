@@ -60,13 +60,16 @@ let action_drive = function Fail d | Repair d -> d
 
 (* Exponential plans hold, per drive, the time and kind of that drive's
    next event; consuming it draws the drive's following one, so failures
-   and repairs alternate forever on each drive's own stream. *)
-type t = {
-  config : config;
+   and repairs alternate forever on each drive's own stream.  The
+   cursor is one closure-free record behind one mutable slot: a
+   snapshot marshals it whole, and a restore swaps it in. *)
+type state = {
   mutable script : (float * action) list;  (** sorted, remaining *)
   rngs : Rng.t array;  (** one stream per drive (exponential plans) *)
   next : (float * action) array;  (** per-drive upcoming event *)
 }
+
+type t = { config : config; mutable st : state }
 
 let create config ~drives =
   validate config;
@@ -94,48 +97,40 @@ let create config ~drives =
   in
   {
     config;
-    script = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) config.script;
-    rngs;
-    next;
+    st =
+      {
+        script = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) config.script;
+        rngs;
+        next;
+      };
   }
 
 let pop t =
-  match t.script with
+  let st = t.st in
+  match st.script with
   | ev :: rest ->
-      t.script <- rest;
+      st.script <- rest;
       Some ev
   | [] ->
-      if Array.length t.next = 0 then None
+      if Array.length st.next = 0 then None
       else begin
         let best = ref 0 in
-        Array.iteri (fun d (at, _) -> if at < fst t.next.(!best) then best := d) t.next;
+        Array.iteri (fun d (at, _) -> if at < fst st.next.(!best) then best := d) st.next;
         let d = !best in
-        let (at, action) = t.next.(d) in
+        let (at, action) = st.next.(d) in
         (* Draw the drive's following event: a failure is followed by a
            repair after MTTR, a repair by the next failure after MTTF. *)
         let following =
           match action with
-          | Fail _ -> (at +. Dist.exponential t.rngs.(d) ~mean:t.config.mttr_ms, Repair d)
-          | Repair _ -> (at +. Dist.exponential t.rngs.(d) ~mean:t.config.mttf_ms, Fail d)
+          | Fail _ -> (at +. Dist.exponential st.rngs.(d) ~mean:t.config.mttr_ms, Repair d)
+          | Repair _ -> (at +. Dist.exponential st.rngs.(d) ~mean:t.config.mttf_ms, Fail d)
         in
-        t.next.(d) <- following;
+        st.next.(d) <- following;
         Some (at, action)
       end
 
-(* Checkpoint: the remaining script and per-drive cursors are plain
-   data; per-drive RNG streams restore in place so any aliases held by
-   the caller stay valid. *)
-let ckpt_save t =
-  Marshal.to_string (t.script, Array.map Rng.copy t.rngs, t.next) []
-
-let ckpt_load t blob =
-  let script, rngs, next =
-    (Marshal.from_string blob 0
-      : (float * action) list * Rng.t array * (float * action) array)
-  in
-  t.script <- script;
-  Array.iteri (fun d src -> Rng.assign ~dst:t.rngs.(d) ~src) rngs;
-  Array.blit next 0 t.next 0 (Array.length t.next)
+let ckpt_save t = Marshal.to_string t.st []
+let ckpt_load t blob = t.st <- (Marshal.from_string blob 0 : state)
 
 let pp_action ppf = function
   | Fail d -> Format.fprintf ppf "fail drive %d" d

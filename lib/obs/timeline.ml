@@ -41,7 +41,11 @@ type sample = {
    [w_at] (the gauge fields of [w_delta] are [w_at]'s, unread). *)
 type window = { w_index : int; w_delta : sample; w_at : sample; w_latency : Hist.t }
 
-type t = {
+(* Everything a timeline checkpoints, in one closure-free record behind
+   one mutable slot: a snapshot marshals it whole, and a restore swaps
+   it in.  It carries its window width so that a restore can refuse a
+   different cadence. *)
+type state = {
   every_ms : float;
   mutable closed_rev : window list;
   mutable nclosed : int;
@@ -49,22 +53,24 @@ type t = {
   mutable prev : sample;  (* cumulative baseline of the open window *)
 }
 
+type t = { mutable st : state }
+
 let create ~every_ms ~baseline =
   if not (Float.is_finite every_ms && every_ms > 0.) then
     invalid_arg "Timeline.create: every_ms must be a finite positive number";
-  { every_ms; closed_rev = []; nclosed = 0; lat = [||]; prev = baseline }
+  { st = { every_ms; closed_rev = []; nclosed = 0; lat = [||]; prev = baseline } }
 
-let every_ms t = t.every_ms
-let window_count t = t.nclosed
+let every_ms t = t.st.every_ms
+let window_count t = t.st.nclosed
 
-let lat_hist t idx =
-  let len = Array.length t.lat in
+let lat_hist st idx =
+  let len = Array.length st.lat in
   if idx >= len then begin
     let grown = Array.init (max (idx + 1) (max 8 (2 * len))) (fun _ -> Hist.create ()) in
-    Array.blit t.lat 0 grown 0 len;
-    t.lat <- grown
+    Array.blit st.lat 0 grown 0 len;
+    st.lat <- grown
   end;
-  t.lat.(idx)
+  st.lat.(idx)
 
 let record_latency t ~at v =
   (* The synchronous fast path records an operation when it is issued,
@@ -72,8 +78,9 @@ let record_latency t ~at v =
      by the completion timestamp, not the call time.  [max nclosed]
      guards the (never expected) case of a timestamp behind the open
      window; a closed window cannot be amended. *)
-  let idx = max t.nclosed (int_of_float (at /. t.every_ms)) in
-  Hist.add (lat_hist t idx) v
+  let st = t.st in
+  let idx = max st.nclosed (int_of_float (at /. st.every_ms)) in
+  Hist.add (lat_hist st idx) v
 
 (* [a] minus [b] on the cumulative fields; gauges are [a]'s.  A drive
    [b] has not seen counts from zero. *)
@@ -102,12 +109,13 @@ let diff a b =
   }
 
 let tick t sample =
-  let idx = t.nclosed in
-  let w_latency = if idx < Array.length t.lat then t.lat.(idx) else Hist.create () in
-  let w = { w_index = idx; w_delta = diff sample t.prev; w_at = sample; w_latency } in
-  t.closed_rev <- w :: t.closed_rev;
-  t.nclosed <- idx + 1;
-  t.prev <- sample
+  let st = t.st in
+  let idx = st.nclosed in
+  let w_latency = if idx < Array.length st.lat then st.lat.(idx) else Hist.create () in
+  let w = { w_index = idx; w_delta = diff sample st.prev; w_at = sample; w_latency } in
+  st.closed_rev <- w :: st.closed_rev;
+  st.nclosed <- idx + 1;
+  st.prev <- sample
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
@@ -161,7 +169,7 @@ let combine_samples a b =
     s_cleaner_passes = a.s_cleaner_passes + b.s_cleaner_passes;
   }
 
-let merge a b =
+let merge { st = a } { st = b } =
   if a.every_ms <> b.every_ms then invalid_arg "Timeline.merge: window width mismatch";
   let wa = Array.of_list (List.rev a.closed_rev) in
   let wb = Array.of_list (List.rev b.closed_rev) in
@@ -184,30 +192,26 @@ let merge a b =
       :: !closed_rev
   done;
   {
-    every_ms = a.every_ms;
-    closed_rev = !closed_rev;
-    nclosed = n;
-    lat = [||];  (* a merged timeline is read-only: no open window *)
-    prev = combine_samples a.prev b.prev;
+    st =
+      {
+        every_ms = a.every_ms;
+        closed_rev = !closed_rev;
+        nclosed = n;
+        lat = [||];  (* a merged timeline is read-only: no open window *)
+        prev = combine_samples a.prev b.prev;
+      };
   }
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint                                                          *)
 
-let ckpt_save t =
-  Marshal.to_string (t.every_ms, t.closed_rev, t.nclosed, t.lat, t.prev) []
+let ckpt_save t = Marshal.to_string t.st []
 
 let ckpt_load t blob =
-  let every_ms, closed_rev, nclosed, lat, prev =
-    (Marshal.from_string blob 0
-      : float * window list * int * Hist.t array * sample)
-  in
-  if every_ms <> t.every_ms then
+  let st = (Marshal.from_string blob 0 : state) in
+  if st.every_ms <> t.st.every_ms then
     invalid_arg "Timeline.ckpt_load: window width mismatch (resume must use the original cadence)";
-  t.closed_rev <- closed_rev;
-  t.nclosed <- nclosed;
-  t.lat <- lat;
-  t.prev <- prev
+  t.st <- st
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
@@ -231,8 +235,8 @@ let free_sizes s =
   List.iter (fun (size, count) -> Hist.add_n h (float_of_int size) count) s.s_free_hist;
   h
 
-let t_start_ms t w = float_of_int w.w_index *. t.every_ms
-let t_end_ms t w = float_of_int (w.w_index + 1) *. t.every_ms
+let t_start_ms t w = float_of_int w.w_index *. t.st.every_ms
+let t_end_ms t w = float_of_int (w.w_index + 1) *. t.st.every_ms
 
 let window_json t w =
   let d = w.w_delta and a = w.w_at in
@@ -305,8 +309,8 @@ let to_json t =
   Json.Obj
     [
       ("schema", Json.Str schema);
-      ("every_ms", Json.Float t.every_ms);
-      ("windows", Json.Arr (List.rev_map (window_json t) t.closed_rev));
+      ("every_ms", Json.Float t.st.every_ms);
+      ("windows", Json.Arr (List.rev_map (window_json t) t.st.closed_rev));
     ]
 
 (* Per-drive arrays collapse to mean / max (0 when empty), so the CSV's
@@ -363,4 +367,4 @@ let to_csv t =
   let row cells = String.concat "," cells ^ "\n" in
   String.concat ""
     (row (List.map fst columns)
-    :: List.rev_map (fun w -> row (List.map (fun (_, cell) -> cell w) columns)) t.closed_rev)
+    :: List.rev_map (fun w -> row (List.map (fun (_, cell) -> cell w) columns)) t.st.closed_rev)

@@ -1653,15 +1653,11 @@ let rec run_sequential_test t =
 
 (* The engine snapshot is a list of named opaque sections; the CLI
    wraps them in the checksummed [Rofs_ckpt.Ckpt] container.  One rule
-   for every section that can follow it: the owner's checkpointed data
-   is one closure-free record behind one mutable slot, saved with one
-   [Marshal] and restored by swapping the decoded record in.  The
-   engine's own section is [t.s]; the policy section is the allocator's
-   [Policy.state]; the volume section is its [s]; the array section
-   carries the fault state; the sink and cache sections are their [m] /
-   [st] records (the cache's replacement order lives in its [st]).  The
-   fault plan keeps hand-written save/load: its per-drive RNG streams
-   restore in place. *)
+   for every section: the owner's checkpointed data is one closure-free
+   record behind one mutable slot, saved with one [Marshal] and
+   restored by swapping the decoded record in.  The engine's own
+   section is [t.s]; every other section belongs to an owner named
+   once, in [owners]. *)
 (* Everything the simulated results depend on that is fixed at engine
    construction: resuming under a different configuration, policy or
    workload would silently compute garbage, so [restore] refuses when
@@ -1676,7 +1672,7 @@ let fingerprint t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( 12 (* fingerprint layout version *),
+          ( 13 (* fingerprint layout version *),
             (c.seed, c.disks, c.stripe_unit_bytes, array_desc, c.scheduler),
             ( c.lower_bound,
               c.upper_bound,
@@ -1697,18 +1693,41 @@ let fingerprint t =
             t.workload )
           []))
 
-let sections t =
+(* An owner the engine may run without: its section is a marshalled
+   [string option], and a restore refuses a snapshot whose presence
+   differs from the engine's, either way. *)
+let optional name what owner ~save ~load =
+  ( name,
+    (fun t -> Marshal.to_string (Option.map save (owner t)) []),
+    fun t payload ->
+      match (owner t, (Marshal.from_string payload 0 : string option)) with
+      | Some o, Some blob -> load o blob
+      | None, None -> ()
+      | Some _, None -> invalid_arg ("snapshot: the original run had no " ^ what ^ " attached")
+      | None, Some _ -> invalid_arg ("snapshot: the original run had a " ^ what ^ " attached") )
+
+(* Every owner section as [(name, save, load)], in snapshot order.  A
+   constant table of functions of the engine, so taking a snapshot
+   builds no closures. *)
+let owners =
   [
-    ("fingerprint", fingerprint t);
-    ("engine", Marshal.to_string t.s []);
-    ("policy", (Volume.policy t.volume).Rofs_alloc.Policy.ckpt_save ());
-    ("volume", Volume.ckpt_save t.volume);
-    ("array", Array_model.ckpt_save t.array);
-    ("fault_plan", Marshal.to_string (Option.map Fault_plan.ckpt_save t.fault_plan) []);
-    ("cache", Marshal.to_string (Option.map Cache.ckpt_save t.cache) []);
-    ("obs", Marshal.to_string (Option.map Sink.ckpt_save t.obs) []);
-    ("timeline", Marshal.to_string (Option.map Timeline.ckpt_save t.timeline) []);
+    ( "policy",
+      (fun t -> (Volume.policy t.volume).Rofs_alloc.Policy.ckpt_save ()),
+      fun t -> (Volume.policy t.volume).Rofs_alloc.Policy.ckpt_load );
+    ("volume", (fun t -> Volume.ckpt_save t.volume), fun t -> Volume.ckpt_load t.volume);
+    ("array", (fun t -> Array_model.ckpt_save t.array), fun t -> Array_model.ckpt_load t.array);
+    optional "fault_plan" "fault plan" (fun t -> t.fault_plan) ~save:Fault_plan.ckpt_save
+      ~load:Fault_plan.ckpt_load;
+    optional "cache" "cache" (fun t -> t.cache) ~save:Cache.ckpt_save ~load:Cache.ckpt_load;
+    optional "obs" "metrics sink" (fun t -> t.obs) ~save:Sink.ckpt_save ~load:Sink.ckpt_load;
+    optional "timeline" "timeline" (fun t -> t.timeline) ~save:Timeline.ckpt_save
+      ~load:Timeline.ckpt_load;
   ]
+
+let sections t =
+  ("fingerprint", fingerprint t)
+  :: ("engine", Marshal.to_string t.s [])
+  :: List.map (fun (name, save, _) -> (name, save t)) owners
 
 let checkpoint t =
   if t.replay <> None then
@@ -1732,27 +1751,7 @@ let load t sections =
   let s = (Marshal.from_string (sec "engine") 0 : state) in
   if Array.length s.users <> Array.length t.s.users then
     invalid_arg "snapshot: user population mismatch";
-  (Volume.policy t.volume).Rofs_alloc.Policy.ckpt_load (sec "policy");
-  Volume.ckpt_load t.volume (sec "volume");
-  Array_model.ckpt_load t.array (sec "array");
-  (match (t.fault_plan, (Marshal.from_string (sec "fault_plan") 0 : string option)) with
-  | Some plan, Some blob -> Fault_plan.ckpt_load plan blob
-  | None, None -> ()
-  | Some _, None | None, Some _ -> invalid_arg "snapshot: fault-plan configuration mismatch");
-  (match (t.cache, (Marshal.from_string (sec "cache") 0 : string option)) with
-  | Some cache, Some blob -> Cache.ckpt_load cache blob
-  | None, None -> ()
-  | Some _, None | None, Some _ -> invalid_arg "snapshot: cache configuration mismatch");
-  (match (t.obs, (Marshal.from_string (sec "obs") 0 : string option)) with
-  | Some sink, Some blob -> Sink.ckpt_load sink blob
-  | None, None -> ()
-  | Some _, None -> invalid_arg "snapshot: the original run had no metrics sink attached"
-  | None, Some _ -> invalid_arg "snapshot: the original run had a metrics sink attached");
-  (match (t.timeline, (Marshal.from_string (sec "timeline") 0 : string option)) with
-  | Some tl, Some blob -> Timeline.ckpt_load tl blob
-  | None, None -> ()
-  | Some _, None -> invalid_arg "snapshot: the original run had no timeline attached"
-  | None, Some _ -> invalid_arg "snapshot: the original run had a timeline attached");
+  List.iter (fun (name, _, load) -> load t (sec name)) owners;
   (* The snapshot's cadence wins: the tick chain in the restored heap
      was scheduled under it, and keeping it preserves bit-identity with
      the uninterrupted armed run even if the caller re-armed with a

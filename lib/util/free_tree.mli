@@ -8,7 +8,9 @@
 
     The tree stores extents as given; callers wanting coalescing look up
     neighbours with {!pred}/{!length} and grow, move or insert extents
-    with {!replace}/{!insert}.
+    with {!replace}/{!insert}.  Keys are never checked for overlap, so
+    any distinct int keys work: keyed by packed (length, address),
+    {!first_fit} is a best-fit search.
 
     A [t] is a handle updated in place: {!insert} allocates one node,
     while {!remove}, {!replace}, the rebalancing rotations and every

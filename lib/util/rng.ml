@@ -37,7 +37,6 @@ let create ~seed =
   of_words s0 s1 s2 s3
 
 let copy = Bytes.copy
-let assign ~dst ~src = Bytes.blit src 0 dst 0 32
 
 let derive_seed ~seed ~stream =
   (* Mix the pair through splitmix64 so that (seed, 0), (seed, 1), ...

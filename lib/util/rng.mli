@@ -18,13 +18,6 @@ val copy : t -> t
 (** [copy t] is an independent generator starting from [t]'s current
     state. *)
 
-val assign : dst:t -> src:t -> unit
-(** [assign ~dst ~src] overwrites [dst]'s state with [src]'s in place,
-    so every alias of [dst] continues the stream from [src]'s position.
-    This is the checkpoint-restore primitive: engine subsystems hold
-    references to their generators, and restoring must not replace the
-    record they share. *)
-
 val derive_seed : seed:int -> stream:int -> int
 (** [derive_seed ~seed ~stream] maps a (seed, stream-index) pair to a
     fresh positive seed, a pure function of both arguments.  Used by the

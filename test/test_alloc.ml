@@ -1407,8 +1407,10 @@ let extent_churn_words_per_op fit =
    [Rng] (the churn's own draws) brought it to 39.3 / 271.9, and a flat
    file table (two int arrays per file, no block per extent) to
    31.0 / 263.6, and 31.8 / 264.4 once a truncation gives spare slots
-   back.  Each budget sits ~10% above 31.0 / 263.6, so all of the older
-   designs fail it. *)
+   back.  Best fit's by-size index as a second free tree keyed by
+   packed (len, addr), in place of a persistent [Set.Make] of pairs,
+   read 54.7.  Each budget sits ~10% above today's count (31.0 / 54.7),
+   so all of the older designs fail it. *)
 let test_extent_allocation_budget () =
   List.iter
     (fun (fit, name, budget) ->
@@ -1416,7 +1418,14 @@ let test_extent_allocation_budget () =
       if per_op > budget then
         Alcotest.failf "%s churn allocates %.1f minor words per op (budget %.0f)" name per_op
           budget)
-    [ (Extent_alloc.First_fit, "first fit", 34.); (Extent_alloc.Best_fit, "best fit", 290.) ]
+    [ (Extent_alloc.First_fit, "first fit", 34.); (Extent_alloc.Best_fit, "best fit", 60.) ]
+
+(* Best fit packs an extent's length and address into one int key, so
+   the address must fit in 30 bits. *)
+let test_extent_refuses_huge_volume () =
+  Alcotest.check_raises "2^30 units"
+    (Invalid_argument "Extent_alloc.create: total_units must be below 2^30") (fun () ->
+      ignore (ext ~fit:Extent_alloc.Best_fit ~total:(1 lsl 30) () : Policy.t))
 
 (* ------------------------------------------------------------------ *)
 (* Fixed block *)
@@ -2006,13 +2015,21 @@ let prop_lfs_matches_reference =
    checks.  Measured with OCaml 5.1 without flambda: a persistent
    [Set.Make] of (garbage, segment) pairs, path-copied on every free,
    and an [IntSet] of clean segments read 46.7 words per op; a bitset
-   for each read 7.3.  The budget sits ~10% above today's count. *)
+   for each read 7.3.  The same churn on 128M fills the volume, so it
+   counts the cleaner too: 12.3 words per op.  Each budget sits ~10%
+   above today's count. *)
 let test_lfs_allocation_budget () =
-  let per_op =
-    churn_words_per_op (Log_structured.create (Log_structured.config ()) ~total_units:262_144)
-  in
-  if per_op > 8.1 then
-    Alcotest.failf "log-structured churn allocates %.1f minor words per op (budget 8.1)" per_op
+  List.iter
+    (fun (total_units, cleans, budget) ->
+      let p = Log_structured.create (Log_structured.config ()) ~total_units in
+      let per_op = churn_words_per_op p in
+      if cleans && (p.Policy.churn_stats ()).Policy.cs_cleaner_passes = 0 then
+        Alcotest.failf "the %d-unit churn never ran the cleaner" total_units;
+      if per_op > budget then
+        Alcotest.failf
+          "log-structured churn on %d units allocates %.1f minor words per op (budget %.1f)"
+          total_units per_op budget)
+    [ (262_144, false, 8.1); (131_072, true, 13.5) ]
 
 (* ------------------------------------------------------------------ *)
 (* Every policy *)
@@ -2328,6 +2345,7 @@ let () =
           quick "disk full when no fit" test_extent_disk_full_when_no_fit;
           quick "range assignment by hint" test_extent_range_assignment_by_hint;
           quick "truncate frees tail" test_extent_truncate_frees_tail;
+          quick "refuses 2^30 units" test_extent_refuses_huge_volume;
           QCheck_alcotest.to_alcotest prop_extent_conservation_and_coalescing;
           QCheck_alcotest.to_alcotest prop_extent_matches_reference;
           Alcotest.test_case "minor words per churn op bounded" `Slow test_extent_allocation_budget;

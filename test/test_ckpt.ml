@@ -526,7 +526,31 @@ let test_restore_refusals () =
       ("trace ring capacity mismatch: refused", snap_with (traced 1024), traced 2048);
     ];
   check_bool "matching traced sink accepted" false
-    (raises_invalid (fun () -> Engine.restore (with_sink (traced 1024)) (snap_with (traced 1024))))
+    (raises_invalid (fun () -> Engine.restore (with_sink (traced 1024)) (snap_with (traced 1024))));
+  (* timeline rows: presence both ways *)
+  let with_timeline () =
+    let e = fresh () in
+    Engine.attach_timeline e ~every_ms;
+    e
+  in
+  refused_unchanged "timeline in snapshot, none attached: refused" (fresh ())
+    (filled (with_timeline ()));
+  refused_unchanged "no timeline in snapshot, one attached: refused" (with_timeline ()) snap;
+  (* A fault plan or a cache that the snapshot lacks while the
+     fingerprint matches: a real config change trips the fingerprint
+     first, so the section is edited by hand. *)
+  let loaded () = Experiment.make_engine ~config:loaded_config spec w in
+  let loaded_snap = filled (loaded ()) in
+  List.iter
+    (fun section ->
+      let edited =
+        List.map
+          (fun (n, payload) ->
+            (n, if n = section then Marshal.to_string (None : string option) [] else payload))
+          loaded_snap
+      in
+      refused_unchanged (section ^ " section empty, owner present: refused") (loaded ()) edited)
+    [ "fault_plan"; "cache" ]
 
 (* A snapshot taken with no checkpoint cadence armed (here, of an
    engine that has not run yet) adopts the one the resuming caller arms:
