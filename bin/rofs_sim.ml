@@ -282,6 +282,12 @@ let run policy sizes grow unclustered fit ranges block workload_name test seed s
     media_error_rate rebuild_rate measure_ms age_ms age_occupancy_pct json trace_file
     metrics_file replay_file record_file timeline_file timeline_every ckpt_every ckpt_file
     resume_file =
+  let seeds =
+    match seeds with
+    | Some [] -> invalid_arg "--seeds names no seed (expected e.g. --seeds 41,42,43)"
+    | Some seeds -> seeds
+    | None -> []
+  in
   match C.Workload.by_name workload_name with
   | None ->
       Printf.eprintf "unknown workload %S (expected ts, tp or sc)\n" workload_name;
@@ -444,7 +450,7 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed."
 let seeds_arg =
   Arg.(
     value
-    & opt (list int) []
+    & opt (some (list int)) None
     & info [ "seeds" ]
       ~doc:
         "Comma-separated seed list, e.g. 41,42,43: replicate the throughput pair once per \

@@ -8,16 +8,8 @@ let end_ e = e.addr + e.len
 
 let contains e u = u >= e.addr && u < end_ e
 
-let adjacent a b = end_ a = b.addr || end_ b = a.addr
-
-let overlap a b = a.addr < end_ b && b.addr < end_ a
-
 let sub e ~off ~len =
   if off < 0 || len <= 0 || off + len > e.len then invalid_arg "Extent.sub";
   { addr = e.addr + off; len }
 
 let equal a b = a.addr = b.addr && a.len = b.len
-
-let compare_addr a b = compare a.addr b.addr
-
-let pp ppf e = Format.fprintf ppf "[%d,+%d)" e.addr e.len

@@ -16,16 +16,9 @@ val end_ : t -> int
 val contains : t -> int -> bool
 (** Whether a unit address falls inside the extent. *)
 
-val adjacent : t -> t -> bool
-(** Whether one extent ends exactly where the other begins. *)
-
-val overlap : t -> t -> bool
-
 val sub : t -> off:int -> len:int -> t
 (** [sub e ~off ~len] is the extent covering units [off .. off+len)
     {e relative to the start of [e]}.  Requires the range to lie within
     [e]. *)
 
 val equal : t -> t -> bool
-val compare_addr : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -142,9 +142,6 @@ let make ~name ~unit_bytes ~total_units ?(prepare = ignore) ?(moved = fun _ -> (
     ckpt_load = (fun blob -> slot := (Marshal.from_string blob 0 : (_, _) state));
   }
 
-let allocated_total t ~files =
-  List.fold_left (fun acc file -> acc + t.allocated_units ~file) 0 files
-
 let used_units t = t.total_units - t.free_units ()
 
 let utilization t = float_of_int (used_units t) /. float_of_int t.total_units

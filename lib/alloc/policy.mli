@@ -145,12 +145,6 @@ val make :
        cs_cleaner_passes)] for {!churn_stats}.}}
     Unknown or duplicate files raise [Invalid_argument]. *)
 
-val allocated_total : t -> files:int list -> int
-(** Sum of [allocated_units] over [files]. *)
-
-val used_units : t -> int
-(** [total_units - free_units ()]. *)
-
 val utilization : t -> float
 (** Fraction of the address space currently allocated. *)
 

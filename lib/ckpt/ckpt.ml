@@ -175,8 +175,3 @@ let load_file path =
       match Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_all ic) with
       | exception Sys_error msg -> Error ("snapshot: " ^ msg)
       | data -> decode data)
-
-let section sections name =
-  match List.assoc_opt name sections with
-  | Some payload -> Ok payload
-  | None -> Error (Printf.sprintf "snapshot: missing section %S" name)

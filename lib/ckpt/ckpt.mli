@@ -29,9 +29,6 @@
     section holds (the engine stores [Marshal] blobs plus a plain-text
     fingerprint section). *)
 
-val format_version : int
-(** The container format version this build writes and accepts. *)
-
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a string, as a
     non-negative int in [\[0, 2^32)]; [crc32 "123456789"] is
@@ -61,7 +58,3 @@ val save_file : string -> (string * string) list -> unit
 val load_file : string -> ((string * string) list, string) result
 (** Read and {!decode} a snapshot file.  An unreadable file (missing,
     permission) is an [Error] too, never an exception. *)
-
-val section : (string * string) list -> string -> (string, string) result
-(** Look up a section by name; [Error "snapshot: missing section '...'"]
-    when absent. *)

@@ -55,7 +55,7 @@ module Fault = Rofs_fault.State
 
     Pay-for-what-you-use instrumentation: log-bucketed latency
     histograms with service-time breakdown, per-drive counters, a
-    bounded event trace (JSONL / Chrome trace format) and a small JSON
+    bounded event trace (Chrome trace format) and a small JSON
     codec for machine-readable reports.  With no sink attached the
     simulation allocates nothing extra and produces bit-identical
     results. *)

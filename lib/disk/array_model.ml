@@ -181,12 +181,9 @@ let create ?(geometry = Geometry.cdc_wren_iv) ?seed ?scheduler ?faults ~disks co
   create_mixed ?seed ?scheduler ?faults ~geometries:(List.init disks (fun _ -> geometry)) config
 
 let attach_obs t sink = t.obs <- Some sink
-let obs t = t.obs
 
 let config t = t.config
 let disks t = Array.length t.st.drives
-let geometry t = t.geometry
-let scheduler t = t.scheduler
 let synchronous t = match t.scheduler with Sched_policy.Fcfs -> true | _ -> false
 let fault_state t = t.st.fault
 

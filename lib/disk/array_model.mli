@@ -66,10 +66,6 @@ val create_mixed :
 
 val config : t -> config
 val disks : t -> int
-val geometry : t -> Geometry.t
-
-val scheduler : t -> Rofs_sched.Policy.t
-(** Dispatch policy of the queued path. *)
 
 val synchronous : t -> bool
 (** The array serves on the synchronous path: its scheduler is FCFS.
@@ -284,8 +280,6 @@ val attach_obs : t -> Rofs_obs.Sink.t -> unit
 (** Route per-request instrumentation — service-time breakdown,
     seek-distance and queue-depth samples, fault penalties, and (when
     the sink traces) chunk-level events — into [sink]. *)
-
-val obs : t -> Rofs_obs.Sink.t option
 
 val last_breakdown : t -> float * float * float * float
 (** [(seek, rotation, transfer, fault_penalty)] totals in ms of the most

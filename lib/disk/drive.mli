@@ -35,13 +35,6 @@ val head_cylinder : t -> int
 val next_sequential : t -> int
 (** Byte offset one past the previous transfer; [-1] before any. *)
 
-val access : t -> now:float -> rng:Rofs_util.Rng.t -> offset:int -> bytes:int -> float
-(** [access t ~now ~rng ~offset ~bytes] queues a transfer of [bytes]
-    bytes at byte [offset] of this drive, starting no earlier than [now],
-    and returns its completion time.  Updates arm position, busy clock
-    and statistics.  Requires [bytes >= 0] and the transfer to lie within
-    the drive. *)
-
 val stall : t -> ms:float -> float
 (** Extend the drive's current busy period by [ms] (media-error retries,
     sector-remap relocation) and return the new [busy_until].  Counts as
@@ -49,7 +42,7 @@ val stall : t -> ms:float -> float
 
 val serve : t -> start:float -> rng:Rofs_util.Rng.t -> offset:int -> bytes:int -> passes:int -> float
 (** Perform the transfer [passes] times back to back (2 for a
-    read-modify-write), each pass an {!access}, beginning exactly at
+    read-modify-write), each pass one positioned transfer, beginning exactly at
     [start], and return the completion time.  Both of the array's
     service paths issue every chunk through this.  The caller guarantees
     the drive is idle at [start] ([busy_until t <= start]); raises

@@ -38,19 +38,8 @@ let transfer_ms t ~bytes =
   assert (bytes >= 0);
   t.rotation_ms *. float_of_int bytes /. float_of_int t.track_bytes
 
-let avg_rotational_latency_ms t = t.rotation_ms /. 2.
-
 let sustained_bytes_per_ms t =
   let cylinder_time =
     (float_of_int t.platters *. t.rotation_ms) +. t.single_track_seek_ms
   in
   float_of_int (cylinder_bytes t) /. cylinder_time
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>%s:@ %d platters, %d cylinders, %a/track (sector %a)@ seek %.2f + n*%.4f ms, \
-     rotation %.2f ms@ capacity %a, sustained %.2f M/s@]"
-    t.name t.platters t.cylinders Rofs_util.Units.pp_bytes t.track_bytes
-    Rofs_util.Units.pp_bytes t.sector_bytes t.single_track_seek_ms t.seek_incremental_ms
-    t.rotation_ms Rofs_util.Units.pp_bytes (capacity_bytes t)
-    (sustained_bytes_per_ms t *. 1000. /. 1048576.)

@@ -39,12 +39,7 @@ val transfer_ms : t -> bytes:int -> float
 (** Media transfer time for [bytes] contiguous bytes at full rotation
     speed, excluding seeks and rotational latency. *)
 
-val avg_rotational_latency_ms : t -> float
-(** Half a rotation — the expectation of the uniform latency draw. *)
-
 val sustained_bytes_per_ms : t -> float
 (** Long-run sequential rate of one drive: a full cylinder per
     [platters] rotations plus one single-track seek.  For the Wren IV
     this works out to the paper's 10.8 M/s across eight drives. *)
-
-val pp : Format.formatter -> t -> unit

@@ -131,7 +131,3 @@ let pop t =
 
 let ckpt_save t = Marshal.to_string t.st []
 let ckpt_load t blob = t.st <- (Marshal.from_string blob 0 : state)
-
-let pp_action ppf = function
-  | Fail d -> Format.fprintf ppf "fail drive %d" d
-  | Repair d -> Format.fprintf ppf "repair drive %d" d

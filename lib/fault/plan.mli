@@ -85,5 +85,3 @@ val ckpt_save : t -> string
 val ckpt_load : t -> string -> unit
 (** Restore a snapshot taken by {!ckpt_save} into [t], in place.  [t]
     must have been built from the same config and drive count. *)
-
-val pp_action : Format.formatter -> action -> unit

@@ -49,7 +49,6 @@ let create config ~drives =
   }
 
 let config t = t.config
-let impaired t = t.impaired
 
 let check_drive t d =
   if d < 0 || d >= Array.length t.statuses then
@@ -92,10 +91,6 @@ let repair t ~drive ~rebuild =
         set_status t ~drive (Rebuilding { pos = 0 })
       end
       else set_status t ~drive Healthy
-
-let rebuild_pos t ~drive =
-  check_drive t drive;
-  match t.statuses.(drive) with Rebuilding r -> Some r.pos | Healthy | Failed -> None
 
 let rebuild_advance t ~drive ~bytes =
   check_drive t drive;
@@ -200,8 +195,3 @@ let counters t =
     reconstructed_reads = t.reconstructed_reads;
     degraded_writes = t.degraded_writes;
   }
-
-let pp_status ppf = function
-  | Healthy -> Format.pp_print_string ppf "healthy"
-  | Failed -> Format.pp_print_string ppf "failed"
-  | Rebuilding r -> Format.fprintf ppf "rebuilding@%d" r.pos

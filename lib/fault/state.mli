@@ -46,9 +46,6 @@ type t
 val create : Plan.config -> drives:int -> t
 val config : t -> Plan.config
 
-val impaired : t -> int
-(** Number of drives not [Healthy]; [0] is the fault-free fast path. *)
-
 val status : t -> drive:int -> status
 
 val readable : t -> drive:int -> offset:int -> bytes:int -> bool
@@ -70,7 +67,6 @@ val repair : t -> drive:int -> rebuild:bool -> unit
     nothing to reconstruct from — returns it straight to [Healthy].
     No-op unless the drive is [Failed]. *)
 
-val rebuild_pos : t -> drive:int -> int option
 val rebuild_advance : t -> drive:int -> bytes:int -> unit
 val finish_rebuild : t -> drive:int -> unit
 
@@ -93,5 +89,3 @@ val note_reconstructed_read : t -> unit
 val note_degraded_write : t -> unit
 
 val counters : t -> counters
-
-val pp_status : Format.formatter -> status -> unit

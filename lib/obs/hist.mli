@@ -71,9 +71,6 @@ val buckets : t -> (float * float * int) list
 
 (** Bucket arithmetic, exposed for property tests. *)
 
-val index_of : int -> int
-(** Flat bucket index of a non-negative milli-unit value. *)
-
 val bucket_lower : int -> int
 (** Inclusive lower bound (milli-units) of bucket [i]. *)
 

@@ -122,11 +122,6 @@ let queue_wait t = t.m.queue_wait
 let seek t = t.m.seek
 let rotation t = t.m.rotation
 let transfer t = t.m.transfer
-let fault_penalty t = t.m.fault_penalty
-let drive_count t = Array.length t.m.drives
-
-let drive_seek_dist { m } d =
-  if d >= 0 && d < Array.length m.drives then m.drives.(d).seek_dist else Hist.create ()
 
 let drive_queue_depth { m } d =
   if d >= 0 && d < Array.length m.drives && m.drives.(d).qd_n > 0 then begin
@@ -180,7 +175,7 @@ let merge ?drive_offset { m = a } { m = b } =
     | ta, tb ->
         let capacity =
           let cap = function None -> 0 | Some ring -> max (Trace.length ring) 1 in
-          max Trace.(default_capacity) (max (cap ta) (cap tb))
+          max Trace.default_capacity (max (cap ta) (cap tb))
         in
         let merged = Trace.create ~capacity () in
         Option.iter (fun ring -> Trace.merge_into merged ring) ta;

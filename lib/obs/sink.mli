@@ -63,30 +63,10 @@ val queue_wait : t -> Hist.t
 val seek : t -> Hist.t
 val rotation : t -> Hist.t
 val transfer : t -> Hist.t
-val fault_penalty : t -> Hist.t
-
-val drive_count : t -> int
-(** Highest instrumented drive index + 1. *)
-
-val drive_seek_dist : t -> int -> Hist.t
-(** Seek-distance histogram of one drive (empty hist if never seen). *)
 
 val drive_queue_depth : t -> int -> float * int
 (** [(mean, max)] sampled queue depth of one drive; [(0., 0)] if never
     sampled. *)
-
-type cache_totals = {
-  ct_lookups : int;  (** [ct_hits + ct_misses] *)
-  ct_hits : int;
-  ct_misses : int;
-  ct_evictions : int;
-  ct_prefetched : int;
-  ct_flushes : int;
-  ct_flushed_bytes : int;
-}
-
-val cache_totals : t -> cache_totals
-(** Buffer-cache counters; all zero when no cache was active. *)
 
 val trace_ref : t -> Trace.t option
 

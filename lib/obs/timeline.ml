@@ -60,7 +60,6 @@ let create ~every_ms ~baseline =
     invalid_arg "Timeline.create: every_ms must be a finite positive number";
   { st = { every_ms; closed_rev = []; nclosed = 0; lat = [||]; prev = baseline } }
 
-let every_ms t = t.st.every_ms
 let window_count t = t.st.nclosed
 
 let lat_hist st idx =

@@ -75,8 +75,6 @@ val create : every_ms:float -> baseline:sample -> t
     state at attach time (window 0's deltas are taken against it).
     Raises [Invalid_argument] unless [every_ms] is finite and positive. *)
 
-val every_ms : t -> float
-
 val window_count : t -> int
 (** Closed windows so far. *)
 
@@ -104,9 +102,6 @@ val ckpt_load : t -> string -> unit
 (** Restore a {!ckpt_save} snapshot in place.  Raises
     [Invalid_argument] when the snapshot's window width differs from
     [t]'s (resume must use the original cadence). *)
-
-val schema : string
-(** ["rofs-timeline-v1"]. *)
 
 val to_json : t -> Json.t
 (** The timeline as a [{schema; every_ms; windows}] document: one

@@ -193,44 +193,15 @@ let merge_into ?(drive_offset = 0) dst src =
     (order src);
   dst.dropped <- dst.dropped + src.dropped
 
-(* Both serializations write each event straight from the ring's flat
-   arrays into one buffer: no event record, list or [Json.t] per event.
-   Kind names need no escaping.  The buffer is sized for a typical
-   event so it rarely grows. *)
 let add_int buffer i = Buffer.add_string buffer (string_of_int i)
-
-let to_jsonl t =
-  let buffer = Buffer.create ((t.stored * 96) + 64) in
-  Array.iter
-    (fun i ->
-      Buffer.add_string buffer "{\"at_ms\":";
-      Json.add_float buffer t.r_at.(i);
-      Buffer.add_string buffer ",\"dur_ms\":";
-      Json.add_float buffer t.r_dur.(i);
-      Buffer.add_string buffer ",\"kind\":\"";
-      Buffer.add_string buffer kind_names.(t.r_kind.(i));
-      Buffer.add_string buffer "\",\"drive\":";
-      add_int buffer t.r_drive.(i);
-      Buffer.add_string buffer ",\"op\":";
-      add_int buffer t.r_op.(i);
-      Buffer.add_string buffer ",\"bytes\":";
-      add_int buffer t.r_bytes.(i);
-      Buffer.add_string buffer "}\n")
-    (order t);
-  (* Footer: a summary line so a truncated trace is visibly truncated.
-     Distinguished from event lines by its "trace_footer" key. *)
-  Buffer.add_string buffer "{\"trace_footer\":true,\"events\":";
-  add_int buffer t.stored;
-  Buffer.add_string buffer ",\"dropped\":";
-  add_int buffer t.dropped;
-  Buffer.add_string buffer "}\n";
-  Buffer.contents buffer
 
 (* Chrome trace-event format.  Timestamps are microseconds; the
    simulation clock is milliseconds, so scale by 1000.  Drive-level
    events get tid = drive index; operation-level / global events get a
-   dedicated track.  The event array is rendered here and handed to
-   [Json] as [Raw] text; the other members stay ordinary values. *)
+   dedicated track.  Each event is written straight from the ring's
+   flat arrays into one buffer (no event record, list or [Json.t] per
+   event; kind names need no escaping), and the event array is handed
+   to [Json] as [Raw] text; the other members stay ordinary values. *)
 
 let op_track_tid = 1000
 

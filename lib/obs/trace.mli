@@ -12,15 +12,13 @@
     The arrays are allocated on the first {!record} and double up to
     the capacity, so a ring that never records costs a few words.
 
-    Two serializations, both written straight from the flat arrays
-    into one buffer, in timestamp order (ties keep recording order),
-    without building a record or a {!Json.t} per event:
-    - {!to_jsonl}: one JSON object per line — greppable, streams well.
-    - {!chrome_json}: Chrome trace-event format ([{"traceEvents":[…]}])
-      loadable in Perfetto / [chrome://tracing].  Chunk-level events
-      with a duration become ["ph":"X"] complete events on one track
-      per drive; operation-level and instantaneous events land on a
-      dedicated track. *)
+    One serialization, {!chrome_json}, written straight from the flat
+    arrays into one buffer, in timestamp order (ties keep recording
+    order), without building a record or a {!Json.t} per event: Chrome
+    trace-event format ([{"traceEvents":[…]}]) loadable in Perfetto /
+    [chrome://tracing].  Chunk-level events with a duration become
+    ["ph":"X"] complete events on one track per drive; operation-level
+    and instantaneous events land on a dedicated track. *)
 
 type kind =
   | Arrival  (** a logical operation entered the system *)
@@ -34,8 +32,6 @@ type kind =
   | Cache_miss  (** a cache fetch was issued for missing pages *)
   | Cache_evict  (** dirty pages were written back to free frames *)
   | Cache_flush  (** the periodic flush pushed dirty pages out *)
-
-val kind_name : kind -> string
 
 type event = {
   at_ms : float;  (** simulated time the event (or its service) started *)
@@ -77,12 +73,6 @@ val merge_into : ?drive_offset:int -> t -> t -> unit
 
 val capacity : t -> int
 (** Most events the ring holds before it starts dropping the oldest. *)
-
-val to_jsonl : t -> string
-(** One compact JSON object per event, one per line, timestamp order,
-    terminated by a summary footer line
-    [{"trace_footer":true,"events":N,"dropped":D}] so a truncated trace
-    is visibly truncated. *)
 
 val chrome_json : t -> Json.t
 (** The trace as a Chrome trace-event document, with a top-level

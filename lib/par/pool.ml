@@ -14,8 +14,6 @@ let default_jobs () =
           invalid_arg
             (Printf.sprintf "ROFS_JOBS=%S: expected a positive integer" s))
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
 let map ?jobs f tasks =
   let n = Array.length tasks in
   let jobs = match jobs with Some j -> j | None -> default_jobs () in

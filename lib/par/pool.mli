@@ -18,10 +18,6 @@ val default_jobs : unit -> int
     unset.  Raises [Invalid_argument] if set to anything but a positive
     integer. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — what [--jobs] should be for
-    a saturating run on this machine. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f tasks] applies [f] to every task, running up to [jobs]
     tasks concurrently ([jobs] defaults to {!default_jobs}; at most one

@@ -440,8 +440,6 @@ let attach_obs t sink =
   t.obs <- Some sink;
   Array_model.attach_obs t.array sink
 
-let obs t = t.obs
-
 let drive_reports t =
   Array.mapi
     (fun i (s : Drive.stats) ->

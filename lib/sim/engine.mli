@@ -424,8 +424,6 @@ val attach_obs : t -> Rofs_obs.Sink.t -> unit
     running a test; attaching mid-run simply starts recording from that
     point. *)
 
-val obs : t -> Rofs_obs.Sink.t option
-
 val attach_timeline : t -> every_ms:float -> unit
 (** Arm windowed time-series telemetry: every [every_ms] of simulated
     time a sampling tick closes the next {!Rofs_obs.Timeline} window

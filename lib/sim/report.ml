@@ -1,20 +1,20 @@
 let mb_per_s bytes_per_ms = bytes_per_ms *. 1000. /. (1024. *. 1024.)
 
-let pp_alloc ppf (r : Engine.alloc_report) =
-  Format.fprintf ppf "internal %.1f%%, external %.1f%% (%d ops, util %.1f%%, %s)"
+let alloc_to_string (r : Engine.alloc_report) =
+  Printf.sprintf "internal %.1f%%, external %.1f%% (%d ops, util %.1f%%, %s)"
     (100. *. r.Engine.internal_frag)
     (100. *. r.Engine.external_frag)
     r.Engine.alloc_ops
     (100. *. r.Engine.utilization_at_end)
     (if r.Engine.failed then "failed as expected" else "op cap reached")
 
-let pp_throughput ppf (r : Engine.throughput_report) =
-  Format.fprintf ppf "%.1f%% of max (%.2f MB/s, %d I/Os, %s)" r.Engine.pct_of_max
+let throughput_to_string (r : Engine.throughput_report) =
+  Printf.sprintf "%.1f%% of max (%.2f MB/s, %d I/Os, %s)" r.Engine.pct_of_max
     (mb_per_s r.Engine.bytes_per_ms)
     r.Engine.io_ops
     (if r.Engine.stabilized then "stabilized" else "time-capped")
 
-let pp_fault ppf (r : Engine.fault_report) =
+let fault_to_string (r : Engine.fault_report) =
   let healthy, failed, rebuilding =
     Array.fold_left
       (fun (h, f, r) -> function
@@ -23,14 +23,14 @@ let pp_fault ppf (r : Engine.fault_report) =
         | `Rebuilding _ -> (h, f, r + 1))
       (0, 0, 0) r.Engine.drive_states
   in
-  Format.fprintf ppf
+  Printf.sprintf
     "%d healthy / %d failed / %d rebuilding; %d lost ops, %d media errors (%d retries, %d \
      remaps), %d degraded reads, %d degraded writes, %d rebuild I/Os"
     healthy failed rebuilding r.Engine.data_loss r.Engine.media_errors r.Engine.retries
     r.Engine.remaps r.Engine.reconstructed_reads r.Engine.degraded_writes r.Engine.rebuild_ios
 
-let pp_cache ppf (r : Engine.cache_report) =
-  Format.fprintf ppf
+let cache_to_string (r : Engine.cache_report) =
+  Printf.sprintf
     "%s/%s, %d x %dK pages: %d/%d hits (%.1f%%), %d evictions (%d dirty), %d flushes, %s \
      written back"
     r.Engine.cr_policy r.Engine.cr_write_mode r.Engine.cr_pages
@@ -38,25 +38,19 @@ let pp_cache ppf (r : Engine.cache_report) =
     r.Engine.cr_hits r.Engine.cr_lookups
     (100. *. r.Engine.cr_hit_rate)
     r.Engine.cr_evictions r.Engine.cr_dirty_evictions r.Engine.cr_flushes
-    (Format.asprintf "%a" Rofs_util.Units.pp_bytes r.Engine.cr_writeback_bytes)
+    (Rofs_util.Units.to_string r.Engine.cr_writeback_bytes)
 
-let pp_churn ppf (c : Rofs_alloc.Policy.churn_stats) =
-  Format.fprintf ppf "write cost %.3fx (%d user units, %d cleaner-moved, %d passes)"
+let churn_to_string (c : Rofs_alloc.Policy.churn_stats) =
+  Printf.sprintf "write cost %.3fx (%d user units, %d cleaner-moved, %d passes)"
     (Rofs_alloc.Policy.write_cost c)
     c.Rofs_alloc.Policy.cs_user_units c.Rofs_alloc.Policy.cs_moved_units
     c.Rofs_alloc.Policy.cs_cleaner_passes
-
-let alloc_to_string r = Format.asprintf "%a" pp_alloc r
-let throughput_to_string r = Format.asprintf "%a" pp_throughput r
-let fault_to_string r = Format.asprintf "%a" pp_fault r
-let cache_to_string r = Format.asprintf "%a" pp_cache r
-let churn_to_string c = Format.asprintf "%a" pp_churn c
 
 let drive_to_string (d : Engine.drive_report) =
   Printf.sprintf "util %5.1f%%, queue %.1f mean / %d max, %d reqs, %d seeks, %s"
     (100. *. d.Engine.dr_utilization)
     d.Engine.dr_queue_mean d.Engine.dr_queue_max d.Engine.dr_requests d.Engine.dr_seeks
-    (Format.asprintf "%a" Rofs_util.Units.pp_bytes d.Engine.dr_bytes)
+    (Rofs_util.Units.to_string d.Engine.dr_bytes)
 
 let summary ?faults ?cache ?drives ?churn ~workload ~policy ~alloc ~application ~sequential ()
     =

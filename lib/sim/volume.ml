@@ -82,9 +82,6 @@ let delete t ~file =
 let file_exists t ~file = Hashtbl.mem t.s.files file
 let logical_bytes t ~file = (info t file).logical
 
-let allocated_bytes t ~file =
-  Policy.bytes_of_units t.policy (t.policy.Policy.allocated_units ~file)
-
 let extent_count t ~file = t.policy.Policy.extent_count ~file
 let type_of_file t ~file = (info t file).type_idx
 
@@ -92,10 +89,6 @@ let random_file t rng ~type_idx =
   let vec = t.s.by_type.(type_idx) in
   let n = Vec.length vec in
   if n = 0 then None else Some (Vec.get vec (Rofs_util.Rng.int rng n))
-
-let file_count t ~type_idx = Vec.length t.s.by_type.(type_idx)
-
-let live_files t = Hashtbl.fold (fun id _ acc -> id :: acc) t.s.files []
 
 let slice_bytes t ~file ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Volume.slice_bytes";
@@ -113,7 +106,6 @@ let slice_bytes t ~file ~off ~len =
 let total_bytes t = Policy.bytes_of_units t.policy t.policy.Policy.total_units
 let free_bytes t = Policy.bytes_of_units t.policy (t.policy.Policy.free_units ())
 let used_bytes t = total_bytes t - free_bytes t
-let total_logical_bytes t = t.s.total_logical
 
 let utilization t = float_of_int (used_bytes t) /. float_of_int (total_bytes t)
 

@@ -32,15 +32,11 @@ val delete : t -> file:int -> unit
 
 val file_exists : t -> file:int -> bool
 val logical_bytes : t -> file:int -> int
-val allocated_bytes : t -> file:int -> int
 val extent_count : t -> file:int -> int
 val type_of_file : t -> file:int -> int
 
 val random_file : t -> Rofs_util.Rng.t -> type_idx:int -> int option
 (** A uniformly random live file of the given type. *)
-
-val file_count : t -> type_idx:int -> int
-val live_files : t -> int list
 
 val slice_bytes : t -> file:int -> off:int -> len:int -> (int * int) list
 (** Physical [(byte_offset, byte_length)] runs backing the logical byte
@@ -49,10 +45,6 @@ val slice_bytes : t -> file:int -> off:int -> len:int -> (int * int) list
 
 val used_bytes : t -> int
 (** Bytes allocated to files (policy view). *)
-
-val total_bytes : t -> int
-val free_bytes : t -> int
-val total_logical_bytes : t -> int
 
 val utilization : t -> float
 (** Allocated / total. *)

@@ -159,10 +159,9 @@ let decode s =
       events := { Trace.time_ms; file; op } :: !events
     done;
     if !pos <> String.length s then raise (Bad "trailing bytes");
-    Ok { Trace.name; initial = List.rev !initial; events = List.rev !events }
+    let t = { Trace.name; initial = List.rev !initial; events = List.rev !events } in
+    Result.map (fun _ -> t) (Trace.validate t)
   with Bad msg -> Error ("binary trace: " ^ msg)
-
-let write_channel oc t = output_string oc (encode t)
 
 let read_all ic =
   let buf = Buffer.create 65536 in
@@ -177,8 +176,6 @@ let read_all ic =
   go ();
   Buffer.contents buf
 
-let read_channel ic = decode (read_all ic)
-
 (* Atomic: the trace lands under a temp name and renames into place, so
    a crash mid-save never leaves a torn file where a previous good
    trace (or nothing) used to be. *)
@@ -189,7 +186,4 @@ let save_file path t =
 let load_file path =
   let ic = open_in_bin path in
   let data = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_all ic) in
-  let parsed = if is_binary data then decode data else Trace.load data in
-  match parsed with
-  | Error _ as e -> e
-  | Ok t -> ( match Trace.validate t with Ok _ -> Ok t | Error msg -> Error msg)
+  if is_binary data then decode data else Trace.load data

@@ -14,39 +14,23 @@
     zigzag-LEB128 so the format is byte-cheap for the small
     non-negative values that dominate real traces.
 
-    [encode]/[decode] are exact inverses on any structurally valid
-    trace; [decode] checks structure (magic, version, tags, truncation)
-    but does not semantically validate — callers wanting
-    {!Rofs_workload.Trace.validate} run it themselves, as {!load_file}
-    does. *)
-
-val magic : string
-(** ["ROFT"]. *)
-
-val version : int
+    [encode]/[decode] are exact inverses on any valid trace; like
+    {!Rofs_workload.Trace.load}, [decode] checks structure (magic,
+    version, tags, truncation) and then runs
+    {!Rofs_workload.Trace.validate}. *)
 
 val encode : Rofs_workload.Trace.t -> string
 
 val decode : string -> (Rofs_workload.Trace.t, string) result
-(** Structural inverse of {!encode}; descriptive error on bad magic,
-    unsupported version, unknown tag or truncated input. *)
-
-val is_binary : string -> bool
-(** Content sniff: does this buffer (or its first bytes) start with the
-    magic? *)
-
-val binary_path : string -> bool
-(** Filename convention: [.bin] / [.rtb] extensions select the binary
-    format for {!save_file}. *)
-
-val write_channel : out_channel -> Rofs_workload.Trace.t -> unit
-val read_channel : in_channel -> (Rofs_workload.Trace.t, string) result
+(** Inverse of {!encode}; descriptive error on bad magic, unsupported
+    version, unknown tag, truncated input or a trace that does not
+    validate. *)
 
 val save_file : string -> Rofs_workload.Trace.t -> unit
-(** Write [trace] to a path: binary when {!binary_path} says so, the
-    text format otherwise. *)
+(** Write [trace] to a path: binary for a [.bin] / [.rtb] extension,
+    the text format otherwise. *)
 
 val load_file : string -> (Rofs_workload.Trace.t, string) result
 (** Read a trace from a path, sniffing the magic to pick the decoder
-    (the extension is not trusted on input), then semantically
-    validate. *)
+    (the extension is not trusted on input); either decoder
+    validates. *)

@@ -58,6 +58,27 @@ let foreach_line text f =
     (String.split_on_char '\n' text);
   !err
 
+(* One request's time and byte range, refused when the time is not
+   finite or the offset or end of the range overflows an [int]. *)
+let request ~sector_bytes ~seconds ~sector ~len =
+  let time_ms = seconds *. 1000. in
+  if not (Float.is_finite time_ms) then Error "non-finite timestamp"
+  else if sector > max_int / sector_bytes then Error "byte offset overflows"
+  else
+    let off = sector * sector_bytes in
+    if len > max_int - off then Error "request end overflows" else Ok (time_ms, off)
+
+(* Parse every line of [text] into [requests], then assemble.  A
+   non-positive sector or hint size would give the trace invalid
+   offsets or hints, so it is refused first. *)
+let import ~name ~sector_bytes ~hint_bytes text parse requests =
+  if sector_bytes <= 0 then Error "sector_bytes must be positive"
+  else if hint_bytes <= 0 then Error "hint_bytes must be positive"
+  else
+    match foreach_line text parse with
+    | Some msg -> Error msg
+    | None -> Ok (assemble ~name ~hint_bytes (List.rev !requests))
+
 let kind_of_rwbs rwbs = if String.contains rwbs 'R' || String.contains rwbs 'r' then `Read else `Write
 
 let spc ?(name = "spc-import") ?(sector_bytes = 512) ?(hint_bytes = 64 * 1024) text =
@@ -71,18 +92,16 @@ let spc ?(name = "spc-import") ?(sector_bytes = 512) ?(hint_bytes = 64 * 1024) t
             float_of_string_opt (String.trim timestamp) )
         with
         | Some lba, Some size, Some seconds when lba >= 0 && size >= 0 && seconds >= 0. ->
-            let kind = kind_of_rwbs (String.trim opcode) in
-            requests :=
-              (seconds *. 1000., String.trim asu, kind, lba * sector_bytes, size)
-              :: !requests;
-            Ok ()
+            Result.map
+              (fun (time_ms, off) ->
+                let kind = kind_of_rwbs (String.trim opcode) in
+                requests := (time_ms, String.trim asu, kind, off, size) :: !requests)
+              (request ~sector_bytes ~seconds ~sector:lba ~len:size)
         | _ -> Error "malformed SPC record"
       end
     | _ -> Error "expected asu,lba,size,opcode,timestamp"
   in
-  match foreach_line text parse with
-  | Some msg -> Error msg
-  | None -> Ok (assemble ~name ~hint_bytes (List.rev !requests))
+  import ~name ~sector_bytes ~hint_bytes text parse requests
 
 let blktrace ?(name = "blktrace-import") ?(sector_bytes = 512) ?(hint_bytes = 64 * 1024) text
     =
@@ -99,14 +118,13 @@ let blktrace ?(name = "blktrace-import") ?(sector_bytes = 512) ?(hint_bytes = 64
           with
           | Some seconds, Some sector, Some nsectors
             when seconds >= 0. && sector >= 0 && nsectors >= 0 ->
-              requests :=
-                ( seconds *. 1000.,
-                  dev,
-                  kind_of_rwbs rwbs,
-                  sector * sector_bytes,
-                  nsectors * sector_bytes )
-                :: !requests;
-              Ok ()
+              if nsectors > max_int / sector_bytes then Error "request length overflows"
+              else
+                let len = nsectors * sector_bytes in
+                Result.map
+                  (fun (time_ms, off) ->
+                    requests := (time_ms, dev, kind_of_rwbs rwbs, off, len) :: !requests)
+                  (request ~sector_bytes ~seconds ~sector ~len)
           | _ -> Error "malformed blktrace record"
       end
     (* blkparse output interleaves message and summary lines with other
@@ -114,6 +132,4 @@ let blktrace ?(name = "blktrace-import") ?(sector_bytes = 512) ?(hint_bytes = 64
        noise to us. *)
     | _ -> Ok ()
   in
-  match foreach_line text parse with
-  | Some msg -> Error msg
-  | None -> Ok (assemble ~name ~hint_bytes (List.rev !requests))
+  import ~name ~sector_bytes ~hint_bytes text parse requests

@@ -6,7 +6,12 @@
     file sized to the largest byte offset it is ever asked for, so the
     resulting trace validates with zero stale references and replays
     with no out-of-range clipping.  File types all map to type 0 —
-    foreign traces carry no equivalent of the workload type table. *)
+    foreign traces carry no equivalent of the workload type table.
+
+    A record whose timestamp is not finite, or whose byte offset or
+    end overflows an [int], is refused with a [line N:] error, as is a
+    malformed one; a non-positive [sector_bytes] or [hint_bytes] is
+    refused outright.  Neither importer raises. *)
 
 val spc :
   ?name:string ->

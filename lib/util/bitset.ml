@@ -162,13 +162,3 @@ let rec scan_chunks_down t ~lo c hi =
 let last_set_in t ~lo ~hi =
   let lo = max lo 0 and hi = min hi t.length in
   if lo >= hi || t.cardinal = 0 then -1 else scan_chunks_down t ~lo ((hi - 1) / chunk_bits) hi
-
-let iter_set t f =
-  let rec go i =
-    let j = first_set_from t i in
-    if j >= 0 then begin
-      f j;
-      go (j + 1)
-    end
-  in
-  go 0

@@ -37,6 +37,3 @@ val first_set_from : t -> int -> int
 val last_set_in : t -> lo:int -> hi:int -> int
 (** Largest set index in [\[lo, hi)], or [-1]; the mirror of
     {!first_set_in}, scanning down. *)
-
-val iter_set : t -> (int -> unit) -> unit
-(** Apply to every set index in increasing order. *)

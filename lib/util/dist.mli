@@ -15,9 +15,6 @@ val exponential : Rng.t -> mean:float -> float
 (** Exponential deviate with the given mean (used for process/think
     times).  Requires [mean > 0]. *)
 
-val normal : Rng.t -> mean:float -> std:float -> float
-(** Normal deviate (Box–Muller). *)
-
 val normal_positive : Rng.t -> mean:float -> std:float -> float
 (** Normal deviate resampled until strictly positive — extent sizes and
     request sizes must be positive.  Requires [mean > 0]. *)

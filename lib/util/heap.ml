@@ -78,36 +78,6 @@ let push t ~prio value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-(* Batched insert for the completion bursts the queued dispatch path
-   generates (one event per drive an operation touched).  A small batch
-   landing on a large heap sifts each element up — the same work, and
-   the same equal-priority order, as pushing one at a time.  A batch
-   that dominates the heap (k >= size, e.g. re-seeding after a clear)
-   appends everything and rebuilds with one Floyd sift-down pass, O(n)
-   instead of O(k log n); the heap interface leaves equal-priority
-   order unspecified, and only this path may arrange ties differently
-   from sequential pushes. *)
-let push_batch t ~prios ~values len =
-  if len < 0 || len > Array.length prios || len > Array.length values then
-    invalid_arg "Heap.push_batch: bad length";
-  if len > 0 then begin
-    reserve t values.(0) len;
-    if len < t.size then
-      for i = 0 to len - 1 do
-        push t ~prio:prios.(i) values.(i)
-      done
-    else begin
-      Array.blit prios 0 t.prios t.size len;
-      Array.blit values 0 t.data t.size len;
-      t.size <- t.size + len;
-      for i = ((t.size - 2) / 2) downto 0 do
-        sift_down t i
-      done
-    end
-  end
-
-let peek t = if t.size = 0 then None else Some (t.prios.(0), t.data.(0))
-
 (* Non-allocating pop: read {!min_prio}, then {!take_min}. *)
 let min_prio t =
   if t.size = 0 then invalid_arg "Heap.min_prio: empty heap";
@@ -131,12 +101,3 @@ let pop t =
   end
 
 let clear t = t.size <- 0
-
-let to_sorted_list t =
-  let copy = { prios = Array.sub t.prios 0 t.size; data = Array.sub t.data 0 t.size; size = t.size } in
-  let rec drain acc =
-    match pop copy with
-    | None -> List.rev acc
-    | Some pair -> drain (pair :: acc)
-  in
-  drain []

@@ -65,12 +65,10 @@ let[@inline] next t =
   set t 3 (rotl s3 45);
   result
 
-let bits64 t = next t
-
 let split t =
   (* Seed the child from two parent outputs; mixing through splitmix64
      decorrelates the child stream from subsequent parent outputs. *)
-  let state = ref (Int64.logxor (bits64 t) (rotl (bits64 t) 23)) in
+  let state = ref (Int64.logxor (next t) (rotl (next t) 23)) in
   let s0 = splitmix64 state in
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
@@ -95,9 +93,3 @@ let rec draw t n mask =
 let int t n =
   assert (n > 0);
   if n = 1 then 0 else draw t n (widen n 1)
-
-let int_in t ~lo ~hi =
-  assert (lo <= hi);
-  lo + int t (hi - lo + 1)
-
-let bool t = Int64.logand (next t) 1L = 1L

@@ -30,18 +30,8 @@ val split : t -> t
     file type its own stream so adding one file type does not perturb the
     draws seen by another. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output word. *)
-
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)]. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  Requires [n > 0]. *)
-
-val int_in : t -> lo:int -> hi:int -> int
-(** [int_in t ~lo ~hi] is uniform in [\[lo, hi\]] inclusive.  Requires
-    [lo <= hi]. *)
-
-val bool : t -> bool
-(** Fair coin flip. *)

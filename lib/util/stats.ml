@@ -70,8 +70,6 @@ module Series = struct
 
   let last t = match t.samples with [] -> None | x :: _ -> Some x
 
-  let samples t = List.rev t.samples
-
   let is_stable t =
     let rec take n xs =
       match (n, xs) with

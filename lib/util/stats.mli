@@ -14,9 +14,6 @@ val count : t -> int
 val mean : t -> float
 (** Mean of the samples; [0.] when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [0.] with fewer than two samples. *)
-
 val stddev : t -> float
 val min_value : t -> float option
 (** Smallest sample; [None] when empty (so merging empty partitions can
@@ -26,9 +23,6 @@ val max_value : t -> float option
 (** Largest sample; [None] when empty. *)
 
 val total : t -> float
-
-val copy : t -> t
-(** Independent snapshot of the accumulator. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh accumulator equivalent to having seen [a]'s
@@ -48,8 +42,6 @@ module Series : sig
 
   val add : t -> float -> unit
   val last : t -> float option
-  val samples : t -> float list
-  (** All samples, oldest first. *)
 
   val is_stable : t -> bool
   (** Whether the last [window] samples span at most [tolerance]. *)

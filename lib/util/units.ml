@@ -2,10 +2,6 @@ let kib = 1024
 let mib = 1024 * kib
 let gib = 1024 * mib
 
-let of_kib n = n * kib
-let of_mib n = n * mib
-let of_gib g = int_of_float (g *. float_of_int gib)
-
 let pp_scaled ppf value unit_bytes suffix =
   let scaled = float_of_int value /. float_of_int unit_bytes in
   if Float.is_integer scaled then Format.fprintf ppf "%.0f%s" scaled suffix

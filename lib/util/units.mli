@@ -6,11 +6,6 @@
 
 val kib : int
 val mib : int
-val gib : int
-
-val of_kib : int -> int
-val of_mib : int -> int
-val of_gib : float -> int
 
 val pp_bytes : Format.formatter -> int -> unit
 (** Render a byte count the way the paper writes it: [512], [8K], [1M],

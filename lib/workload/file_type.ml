@@ -69,12 +69,3 @@ let draw_initial_bytes t rng =
       ~dev:(float_of_int t.initial_dev_bytes)
   in
   max 0 (int_of_float v)
-
-let pp_op ppf op =
-  Format.pp_print_string ppf
-    (match op with
-    | Read -> "read"
-    | Write -> "write"
-    | Extend -> "extend"
-    | Truncate -> "truncate"
-    | Delete -> "delete")

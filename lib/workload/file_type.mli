@@ -49,8 +49,6 @@ val validate : t -> unit
 (** Raises [Invalid_argument] when percentages or sizes are out of
     range. *)
 
-val deallocate_pct : t -> int
-
 val pick_op : t -> Rofs_util.Rng.t -> op
 (** Draw an operation according to the type's mix. *)
 
@@ -66,5 +64,3 @@ val draw_rw_bytes : t -> Rofs_util.Rng.t -> int
 
 val draw_initial_bytes : t -> Rofs_util.Rng.t -> int
 (** Initial file size: uniform on mean ± deviation, at least 0. *)
-
-val pp_op : Format.formatter -> op -> unit

@@ -31,7 +31,8 @@ let validate t =
   let rec events last = function
     | [] -> Ok { stale_refs = !stale }
     | e :: rest ->
-        if e.time_ms < last then Error "events out of time order"
+        if not (Float.is_finite e.time_ms) then Error "non-finite event time"
+        else if e.time_ms < last then Error "events out of time order"
         else if e.file < 0 then Error "negative file id"
         else begin
           let sized =

@@ -52,8 +52,8 @@ type warnings = { stale_refs : int }
     the importer dropped its creates. *)
 
 val validate : t -> (warnings, string) result
-(** Check time ordering, id sanity and non-negative sizes; on success
-    report the stale-reference count. *)
+(** Check finite, time-ordered event times, id sanity and non-negative
+    sizes; on success report the stale-reference count. *)
 
 val synthesize :
   workload:Workload.t -> duration_ms:float -> seed:int -> t

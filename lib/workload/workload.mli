@@ -50,11 +50,6 @@ val extent_ranges : t -> int -> int list
 val map_types : t -> f:(File_type.t -> File_type.t) -> t
 (** Per-type rewrite, e.g. to override a parameter for an ablation. *)
 
-val with_counts : t -> f:(File_type.t -> int) -> t
-(** Replace each type's file count (a common ablation: shifting the
-    proportion of large and small files, the paper's Section 6 "varying
-    the file distributions"). *)
-
 val scaled : t -> factor:float -> t
 (** Multiply every type's file count by [factor] (at least 1 file per
     type) — a cheap way to shrink a workload for fast tests while

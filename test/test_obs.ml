@@ -57,14 +57,22 @@ let check_exact_float name a b = Alcotest.(check (float 0.)) name a b
 
 let prop_bucket_monotone =
   QCheck.Test.make ~name:"bucket index and bounds are monotone" ~count:500
-    QCheck.(pair (int_bound 1_000_000_000) (int_bound 1_000_000_000))
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
     (fun (a, b) ->
+      (* Whole units, so the scaling to milli-units is exact. *)
+      let bucket x =
+        let h = Hist.create () in
+        Hist.add h (float_of_int x);
+        match Hist.buckets h with [ (lower, upper, 1) ] -> (lower, upper) | _ -> (nan, nan)
+      in
       let lo = min a b and hi = max a b in
-      Hist.index_of lo <= Hist.index_of hi
-      && Hist.bucket_lower (Hist.index_of lo) <= lo
+      let lo_lower, lo_upper = bucket lo and hi_lower, hi_upper = bucket hi in
+      lo_lower <= hi_lower && lo_upper <= hi_upper
+      && lo_lower <= float_of_int lo && float_of_int lo < lo_upper
+      && hi_lower <= float_of_int hi && float_of_int hi < hi_upper
       &&
-      let i = Hist.index_of hi in
-      i + 1 >= Hist.bucket_count || Hist.bucket_lower (i + 1) > hi)
+      let i = a mod (Hist.bucket_count - 1) in
+      Hist.bucket_lower i < Hist.bucket_lower (i + 1))
 
 let prop_quantiles_ordered =
   QCheck.Test.make ~name:"quantiles are ordered and bounded" ~count:300
@@ -373,22 +381,11 @@ let test_trace_merge_fill_levels_and_dropped () =
   check_int "nonempty into empty keeps events" 4 (Trace.length fresh);
   check_int "nonempty into empty keeps drops" 6 (Trace.dropped fresh)
 
-(* The truncation is visible in every serialization: the JSONL footer
-   line, the Chrome document's top-level member and the sink JSON's
-   trace block. *)
+(* The truncation is visible in the Chrome document's top-level
+   member. *)
 let test_trace_dropped_exported () =
   let tr = Trace.create ~capacity:2 () in
   List.iter (fun t -> Trace.record tr (ev t Trace.Arrival 0)) [ 1.; 2.; 3.; 4.; 5. ];
-  let lines = String.split_on_char '\n' (String.trim (Trace.to_jsonl tr)) in
-  (match List.rev lines with
-  | footer :: _ -> (
-      match Json.parse footer with
-      | Ok doc ->
-          check_bool "footer marker" true (Json.member "trace_footer" doc = Some (Json.Bool true));
-          check_bool "footer events" true (Json.member "events" doc = Some (Json.Int 2));
-          check_bool "footer dropped" true (Json.member "dropped" doc = Some (Json.Int 3))
-      | Error e -> Alcotest.failf "footer is not JSON: %s" e)
-  | [] -> Alcotest.fail "empty jsonl");
   check_bool "chrome dropped member" true
     (Json.member "dropped" (Trace.chrome_json tr) = Some (Json.Int 3))
 
@@ -476,34 +473,18 @@ module Ref = struct
     emit buffer v;
     Buffer.contents buffer
 
-  let event_json (e : Trace.event) =
-    Json.Obj
-      [
-        ("at_ms", Json.Float e.at_ms);
-        ("dur_ms", Json.Float e.dur_ms);
-        ("kind", Json.Str (Trace.kind_name e.kind));
-        ("drive", Json.Int e.drive);
-        ("op", Json.Int e.op_id);
-        ("bytes", Json.Int e.bytes);
-      ]
-
-  let to_jsonl r =
-    let buffer = Buffer.create 4096 in
-    List.iter
-      (fun e ->
-        Buffer.add_string buffer (to_string (event_json e));
-        Buffer.add_char buffer '\n')
-      (events r);
-    Buffer.add_string buffer
-      (to_string
-         (Json.Obj
-            [
-              ("trace_footer", Json.Bool true);
-              ("events", Json.Int (List.length r.held));
-              ("dropped", Json.Int r.dropped);
-            ]));
-    Buffer.add_char buffer '\n';
-    Buffer.contents buffer
+  let kind_name : Trace.kind -> string = function
+    | Arrival -> "arrival"
+    | Dispatch -> "dispatch"
+    | Completion -> "completion"
+    | Fault_fail -> "fault_fail"
+    | Fault_repair -> "fault_repair"
+    | Rebuild -> "rebuild"
+    | Media -> "media"
+    | Cache_hit -> "cache_hit"
+    | Cache_miss -> "cache_miss"
+    | Cache_evict -> "cache_evict"
+    | Cache_flush -> "cache_flush"
 
   let chrome_json r =
     let us ms = ms *. 1000. in
@@ -528,7 +509,7 @@ module Ref = struct
         (fun (e : Trace.event) ->
           let tid = if e.drive >= 0 then e.drive else 1000 in
           let args = Json.Obj [ ("op", Json.Int e.op_id); ("bytes", Json.Int e.bytes) ] in
-          let name = ("name", Json.Str (Trace.kind_name e.kind)) in
+          let name = ("name", Json.Str (kind_name e.kind)) in
           if e.dur_ms > 0. then
             Json.Obj
               [
@@ -605,13 +586,12 @@ let show_ring (capacity, events) =
 
 let same_exports tr model =
   Json.to_string (Trace.chrome_json tr) = Ref.chrome_json model
-  && Trace.to_jsonl tr = Ref.to_jsonl model
   (* [compare], not [=], so a NaN timestamp equals itself *)
   && compare (Trace.events tr) (Ref.events model) = 0
   && Trace.dropped tr = model.Ref.dropped
 
 let prop_exports_match_reference =
-  QCheck.Test.make ~name:"streamed chrome and jsonl match the tree-building reference" ~count:300
+  QCheck.Test.make ~name:"streamed chrome export matches the tree-building reference" ~count:300
     (QCheck.make ~print:show_ring trace_ring_gen) (fun ring ->
       let tr, model = build_rings ring in
       same_exports tr model)
@@ -638,7 +618,9 @@ let test_trace_merge_into_self () =
       Trace.merge_into ~drive_offset:3 tr tr;
       Trace.merge_into ~drive_offset:3 twin (fst (rings ()));
       Ref.merge_into ~drive_offset:3 model (snd (rings ()));
-      check_string "self-merge equals merging a copy" (Trace.to_jsonl twin) (Trace.to_jsonl tr);
+      check_string "self-merge equals merging a copy"
+        (Json.to_string (Trace.chrome_json twin))
+        (Json.to_string (Trace.chrome_json tr));
       check_bool "and the reference" true (same_exports tr model))
     [ (8, 5); (8, 8); (8, 21); (1, 3); (64, 40) ]
 
@@ -664,6 +646,16 @@ let test_chrome_export_allocation_budget () =
 (* Sink                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The per-drive members of a sink's metrics document. *)
+let sink_drives s =
+  match Json.member "drives" (Sink.to_json s) with Some (Json.Arr ds) -> ds | _ -> []
+
+let drive_seek_count s d =
+  let hist = Json.member "seek_dist_cylinders" (List.nth (sink_drives s) d) in
+  match Option.bind hist (Json.member "count") with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "drive %d has no seek-distance count" d
+
 let test_sink_merge_counts () =
   let a = Sink.create () and b = Sink.create () in
   Sink.record_op a ~latency:10. ~queue_wait:1. ~seek:2. ~rotation:3. ~transfer:4.;
@@ -674,9 +666,9 @@ let test_sink_merge_counts () =
   let m = Sink.merge a b in
   check_int "latency samples add" 3 (Hist.count (Sink.latency m));
   check_exact_float "latency mass adds" 60. (Hist.total (Sink.latency m));
-  check_int "drive axis widens to the larger sink" 3 (Sink.drive_count m);
-  check_int "drive 0 seeks survive" 1 (Hist.count (Sink.drive_seek_dist m 0));
-  check_int "drive 2 seeks survive" 1 (Hist.count (Sink.drive_seek_dist m 2))
+  check_int "drive axis widens to the larger sink" 3 (List.length (sink_drives m));
+  check_int "drive 0 seeks survive" 1 (drive_seek_count m 0);
+  check_int "drive 2 seeks survive" 1 (drive_seek_count m 2)
 
 let test_sink_merge_empty_cases () =
   let both_empty = Sink.merge (Sink.create ()) (Sink.create ()) in
@@ -689,7 +681,7 @@ let test_sink_merge_empty_cases () =
     (fun m ->
       check_int "empty side is the identity" 1 (Hist.count (Sink.latency m));
       check_exact_float "sample mass survives" 5. (Hist.total (Sink.latency m));
-      check_int "drive axis survives" 2 (Sink.drive_count m))
+      check_int "drive axis survives" 2 (List.length (sink_drives m)))
     [ left; right ];
   (* trace presence: merged sink carries a ring when either side does,
      with both sides' events and drops *)
@@ -1247,8 +1239,7 @@ let () =
             quick "chrome document loads" test_chrome_json_loads;
             quick "merge across fill levels propagates drops"
               test_trace_merge_fill_levels_and_dropped;
-            quick "dropped exported in footer and chrome metadata"
-              test_trace_dropped_exported;
+            quick "dropped exported in chrome metadata" test_trace_dropped_exported;
             quick "merging a ring into itself" test_trace_merge_into_self;
             quick "chrome export minor words per event bounded"
               test_chrome_export_allocation_budget;

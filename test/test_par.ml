@@ -74,8 +74,7 @@ let test_default_jobs_env () =
       check_bool "garbage rejected" true
         (match Pool.default_jobs () with
         | _ -> false
-        | exception Invalid_argument _ -> true));
-  check_bool "recommended_jobs positive" true (Pool.recommended_jobs () >= 1)
+        | exception Invalid_argument _ -> true))
 
 (* ------------------------------------------------------------------ *)
 (* Stats.merge                                                        *)
@@ -129,7 +128,7 @@ let prop_merge_partition =
       && Stats.min_value merged = Stats.min_value whole
       && Stats.max_value merged = Stats.max_value whole
       && close (Stats.mean merged) (Stats.mean whole)
-      && close (Stats.variance merged) (Stats.variance whole))
+      && close (Stats.stddev merged) (Stats.stddev whole))
 
 let prop_merge_empty_identity =
   QCheck.Test.make ~name:"merge with an empty accumulator is the identity" ~count:200
@@ -141,7 +140,7 @@ let prop_merge_empty_identity =
         Stats.count a = Stats.count b
         && Stats.total a = Stats.total b
         && Stats.mean a = Stats.mean b
-        && Stats.variance a = Stats.variance b
+        && Stats.stddev a = Stats.stddev b
         && Stats.min_value a = Stats.min_value b
         && Stats.max_value a = Stats.max_value b
       in

@@ -116,7 +116,7 @@ let test_codec_edge_sizes () =
   let t =
     {
       Trace.name = "edges";
-      initial = [ (0, big, 0, 0); (7, 0, big, 3) ];
+      initial = [ (0, big, 1, 0); (7, 0, big, 3) ];
       events =
         [
           ev 0.1 0 (Trace.Read { off = big; bytes = big });
@@ -143,13 +143,41 @@ let test_codec_rejects_garbage () =
   let trailing = good ^ "x" in
   check_bool "trailing bytes" true (is_err (Codec.decode trailing))
 
+(* An infinite (or NaN) event time compares as neither earlier nor
+   later than its predecessor, so only an explicit finiteness check
+   keeps it out; the text, binary and validate paths all refuse it. *)
+let test_non_finite_event_time () =
+  let text = "# rofs-trace v2 inf\nfile 0 4096 4096 0\nev inf 0 read 4096 4096\n" in
+  check_bool "text load refuses inf" true (Result.is_error (Trace.load text));
+  List.iter
+    (fun time_ms ->
+      let t =
+        {
+          Trace.name = "non-finite";
+          initial = [ (0, 4096, 4096, 0) ];
+          events = [ ev time_ms 0 (Trace.Read { off = 4096; bytes = 4096 }) ];
+        }
+      in
+      let label = Printf.sprintf "%h" time_ms in
+      check_bool (label ^ " fails validate") true (Result.is_error (Trace.validate t));
+      check_bool (label ^ " binary refused") true (Result.is_error (Codec.decode (Codec.encode t))))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
 let test_codec_sniff_and_paths () =
   let t = { Trace.name = "sniff"; initial = []; events = [] } in
-  check_bool "binary sniffed" true (Codec.is_binary (Codec.encode t));
-  check_bool "text not binary" false (Codec.is_binary (Trace.save t));
-  check_bool ".bin is binary" true (Codec.binary_path "run.bin");
-  check_bool ".rtb is binary" true (Codec.binary_path "run.rtb");
-  check_bool ".trace is text" false (Codec.binary_path "run.trace")
+  List.iter
+    (fun (ext, binary) ->
+      let path = Filename.temp_file "rofs_sniff" ext in
+      Codec.save_file path t;
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      check_bool (ext ^ " selects the format") binary (String.starts_with ~prefix:"ROFT" data);
+      let text_path = Filename.temp_file "rofs_sniff" ".trace" in
+      Out_channel.with_open_bin text_path (fun oc -> output_string oc data);
+      check_bool (ext ^ " content is sniffed, not the extension") true
+        (Codec.load_file text_path = Ok t);
+      Sys.remove text_path)
+    [ (".bin", true); (".rtb", true); (".trace", false) ]
 
 (* Random structurally-valid traces: lowercase names, non-decreasing
    times, sizes mixing small values with the top of the varint range. *)
@@ -249,9 +277,128 @@ let test_import_spc () =
       | Ok w -> check_int "no stale refs" 0 w.Trace.stale_refs
       | Error e -> Alcotest.fail e)
 
+let line_error name = function
+  | Ok _ -> Alcotest.failf "%s: accepted" name
+  | Error msg ->
+      check_bool (name ^ ": " ^ msg) true (String.starts_with ~prefix:"line 2: " msg)
+
 let test_import_spc_rejects_malformed () =
   check_bool "bad field count" true (Result.is_error (Import.spc "0,1,2\n"));
-  check_bool "negative lba" true (Result.is_error (Import.spc "0,-1,512,r,0.5\n"))
+  check_bool "negative lba" true (Result.is_error (Import.spc "0,-1,512,r,0.5\n"));
+  (* Each bad record follows a good one, so the error names line 2. *)
+  List.iter
+    (fun (name, record) -> line_error name (Import.spc ("0,0,4096,r,0.1\n" ^ record)))
+    [
+      ("lba * sector_bytes overflows", "0,18014398509481984,4096,r,0.5");
+      ("offset + size overflows", "0,1,4611686018427387903,w,0.5");
+      ("infinite timestamp", "0,0,4096,r,inf");
+      ("NaN timestamp", "0,0,4096,r,nan");
+      ("timestamp overflows to infinite ms", "0,0,4096,r,1e308");
+    ];
+  List.iter
+    (fun sector_bytes ->
+      check_bool
+        (Printf.sprintf "sector_bytes %d refused" sector_bytes)
+        true
+        (Result.is_error (Import.spc ~sector_bytes "0,0,4096,r,0.1\n")))
+    [ 0; -512 ]
+
+let test_import_blktrace_rejects_overflow () =
+  let good = "259,0 0 1 0.000001000 123 Q R 2048 + 8 [fio]\n" in
+  List.iter
+    (fun (name, record) -> line_error name (Import.blktrace (good ^ record)))
+    [
+      ("sector * sector_bytes overflows", "259,0 0 2 0.5 123 Q R 18014398509481984 + 8 [fio]");
+      ("nsectors * sector_bytes overflows", "259,0 0 2 0.5 123 Q R 0 + 18014398509481984 [fio]");
+      ( "offset + length overflows",
+        "259,0 0 2 0.5 123 Q W 9007199254740990 + 9007199254740990 [fio]" );
+      ("infinite timestamp", "259,0 0 2 inf 123 Q R 0 + 8 [fio]");
+    ];
+  check_bool "sector_bytes 0 refused" true (Result.is_error (Import.blktrace ~sector_bytes:0 good))
+
+(* Every input path either refuses its input with an [Error] or returns
+   a trace that validates; none raises.  Inputs are random bytes and
+   valid records with tokens or bytes swapped for hostile ones. *)
+let hostile_tokens =
+  [| "inf"; "-inf"; "nan"; "1e308"; "-1"; "0"; "-0"; "4611686018427387903";
+     "18014398509481984"; "9007199254740990"; "0x7fffffffffffffff"; ""; "+"; "Q"; "ev" |]
+
+let flip_byte s =
+  let open QCheck.Gen in
+  if s = "" then return s
+  else
+    let* i = int_bound (String.length s - 1) and* c = char in
+    return (String.mapi (fun j x -> if j = i then c else x) s)
+
+(* Two lines of [base], the second with one field or one byte swapped. *)
+let mutate_gen base =
+  let open QCheck.Gen in
+  let token_swap s =
+    let* i = int_bound 7 and* tok = oneofa hostile_tokens in
+    let sep = if String.contains s ',' then ',' else ' ' in
+    let parts = String.split_on_char sep s in
+    let n = List.length parts in
+    let swapped = List.mapi (fun j p -> if j = i mod n then tok else p) parts in
+    return (String.concat (String.make 1 sep) swapped)
+  in
+  let* line = oneofl base in
+  let* mutated = frequency [ (3, token_swap line); (1, flip_byte line) ] in
+  let* pre = oneofl base in
+  return (pre ^ "\n" ^ mutated ^ "\n")
+
+let spc_lines = [ "0,0,4096,r,0.001"; "0,8,8192,W,0.002"; "1,0,512,w,0.003" ]
+
+let blk_lines =
+  [
+    "259,0 0 1 0.000001000 123 Q R 2048 + 8 [fio]";
+    "259,0 1 3 0.000003000 123 Q WS 4096 + 16 [fio]";
+  ]
+
+let text_trace_lines =
+  [ "# rofs-trace v2 fuzz"; "file 0 4096 4096 0"; "ev 1.5 0 read 4096 0";
+    "ev 2 0 create 8192 4096 1"; "ev 3 0 truncate 512 -" ]
+
+let binary_trace =
+  Codec.encode
+    {
+      Trace.name = "fuzz";
+      initial = [ (0, 4096, 4096, 0) ];
+      events = [ ev 1.5 0 (Trace.Read { off = 0; bytes = 4096 }); ev 2. 0 Trace.Delete ];
+    }
+
+let validates = function
+  | Error _ -> true
+  | Ok t -> Result.is_ok (Trace.validate t)
+
+let all_paths_hold ~sector_bytes text =
+  validates (Import.spc ~sector_bytes text)
+  && validates (Import.blktrace ~sector_bytes text)
+  && validates (Codec.decode text)
+  && validates (Trace.load text)
+
+let prop_input_paths_never_raise_random =
+  QCheck.Test.make ~name:"importers and decoders: random bytes never raise" ~count:2000
+    QCheck.(pair (oneofl [ -1; 0; 1; 512; max_int ]) string)
+    (fun (sector_bytes, text) -> all_paths_hold ~sector_bytes text)
+
+let prop_input_paths_never_raise_mutated =
+  let gen =
+    let open QCheck.Gen in
+    let* sector_bytes = oneofl [ 0; 1; 512; 4096; max_int ] in
+    let+ text =
+      frequency
+        [
+          (3, mutate_gen spc_lines);
+          (3, mutate_gen blk_lines);
+          (3, mutate_gen text_trace_lines);
+          (2, flip_byte binary_trace);
+        ]
+    in
+    (sector_bytes, text)
+  in
+  QCheck.Test.make ~name:"importers and decoders: mutated records validate or fail" ~count:3000
+    (QCheck.make ~print:(fun (sb, text) -> Printf.sprintf "sector_bytes %d: %S" sb text) gen)
+    (fun (sector_bytes, text) -> all_paths_hold ~sector_bytes text)
 
 let test_import_blktrace () =
   let text =
@@ -438,6 +585,7 @@ let () =
           quick "edge sizes" test_codec_edge_sizes;
           quick "rejects garbage" test_codec_rejects_garbage;
           quick "sniff and paths" test_codec_sniff_and_paths;
+          quick "non-finite event time refused" test_non_finite_event_time;
           QCheck_alcotest.to_alcotest prop_binary_roundtrip;
           QCheck_alcotest.to_alcotest prop_text_fixed_point;
           QCheck_alcotest.to_alcotest prop_binary_of_loaded_text_roundtrip;
@@ -447,6 +595,9 @@ let () =
           quick "spc" test_import_spc;
           quick "spc rejects malformed" test_import_spc_rejects_malformed;
           quick "blktrace" test_import_blktrace;
+          quick "blktrace rejects overflow" test_import_blktrace_rejects_overflow;
+          QCheck_alcotest.to_alcotest prop_input_paths_never_raise_random;
+          QCheck_alcotest.to_alcotest prop_input_paths_never_raise_mutated;
         ] );
       ( "semantics",
         [

@@ -22,26 +22,26 @@ let check_bool = Alcotest.(check bool)
 let test_rng_deterministic () =
   let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    Alcotest.(check (float 0.)) "same stream" (Rng.float a) (Rng.float b)
   done
 
 let test_rng_seeds_differ () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Rng.bits64 a = Rng.bits64 b then incr same
+    if Rng.float a = Rng.float b then incr same
   done;
   check_bool "different seeds diverge" true (!same < 4)
 
 let test_rng_copy_independent () =
   let a = Rng.create ~seed:3 in
-  ignore (Rng.bits64 a);
+  ignore (Rng.float a);
   let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b);
+  Alcotest.(check (float 0.)) "copy continues identically" (Rng.float a) (Rng.float b);
   (* advancing one does not affect the other *)
-  ignore (Rng.bits64 a);
-  ignore (Rng.bits64 a);
-  let x = Rng.bits64 a and y = Rng.bits64 b in
+  ignore (Rng.float a);
+  ignore (Rng.float a);
+  let x = Rng.float a and y = Rng.float b in
   check_bool "streams now desynchronized" true (x <> y)
 
 let test_rng_split_decorrelates () =
@@ -49,7 +49,7 @@ let test_rng_split_decorrelates () =
   let child = Rng.split parent in
   let matches = ref 0 in
   for _ = 1 to 64 do
-    if Rng.bits64 parent = Rng.bits64 child then incr matches
+    if Rng.float parent = Rng.float child then incr matches
   done;
   check_bool "split streams differ" true (!matches < 4)
 
@@ -77,13 +77,6 @@ let test_rng_int_covers_all () =
   done;
   Array.iteri (fun i hit -> check_bool (Printf.sprintf "value %d seen" i) true hit) seen
 
-let test_rng_int_in () =
-  let rng = Rng.create ~seed:19 in
-  for _ = 1 to 1000 do
-    let v = Rng.int_in rng ~lo:(-5) ~hi:5 in
-    check_bool "in [-5,5]" true (v >= -5 && v <= 5)
-  done
-
 let test_rng_uniformity () =
   (* Chi-squared-ish sanity: 16 buckets over 32k draws should each hold
      within 20% of the expected count. *)
@@ -101,22 +94,22 @@ let test_rng_uniformity () =
         (abs (c - expected) < expected / 5))
     buckets
 
-(* A mixed stream of [int] / [float] / [bits64] draws plus a split,
-   digested.  The digest was captured from the boxed-[int64] generator
-   this one replaced: changing how the state is stored must not change
-   a single draw. *)
+(* A mixed stream of [int] / [float] draws plus a split, digested.  A
+   draw of [int r max_int] is the low 62 bits of one raw output word.
+   The digest pins the generator's stream: changing how the state is
+   stored must not change a single draw. *)
 let test_rng_stream_golden () =
   let r = Rng.create ~seed:42 in
   let b = Buffer.create 4096 in
   for i = 1 to 1000 do
     if i mod 3 = 0 then Buffer.add_string b (Printf.sprintf "%h," (Rng.float r))
     else if i mod 3 = 1 then Buffer.add_string b (Printf.sprintf "%d," (Rng.int r (1 + (i * 7919))))
-    else Buffer.add_string b (Printf.sprintf "%Ld," (Rng.bits64 r))
+    else Buffer.add_string b (Printf.sprintf "%d," (Rng.int r max_int))
   done;
   let s = Rng.split r in
-  Buffer.add_string b (Printf.sprintf "%d %b" (Rng.int s 1000000) (Rng.bool s));
+  Buffer.add_string b (Printf.sprintf "%d %d" (Rng.int s 1000000) (Rng.int s 2));
   Alcotest.(check string)
-    "stream digest" "84b228d0d0876043793f77f43e021872"
+    "stream digest" "9d4c84363ef44b67911c88bbcbba4e2e"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_rng_marshal () =
@@ -124,7 +117,7 @@ let test_rng_marshal () =
   ignore (Rng.int a 100);
   let c = (Marshal.from_string (Marshal.to_string a []) 0 : Rng.t) in
   for _ = 1 to 50 do
-    Alcotest.(check int64) "a marshalled copy continues the stream" (Rng.bits64 a) (Rng.bits64 c)
+    Alcotest.(check (float 0.)) "a marshalled copy continues the stream" (Rng.float a) (Rng.float c)
   done
 
 (* Minor words per draw over [n] draws of [f]. *)
@@ -189,7 +182,7 @@ let test_dist_normal_moments () =
   let rng = Rng.create ~seed:43 in
   let s = Stats.create () in
   for _ = 1 to 50_000 do
-    Stats.add s (Dist.normal rng ~mean:10. ~std:2.)
+    Stats.add s (Dist.normal_positive rng ~mean:10. ~std:2.)
   done;
   check_bool "mean near 10" true (Float.abs (Stats.mean s -. 10.) < 0.1);
   check_bool "std near 2" true (Float.abs (Stats.stddev s -. 2.) < 0.1)
@@ -203,20 +196,23 @@ let test_dist_normal_positive () =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* Pop every element, in priority order. *)
+let drain h =
+  let rec go acc = match Heap.pop h with None -> List.rev acc | Some pair -> go (pair :: acc) in
+  go []
+
 let test_heap_empty () =
   let h : int Heap.t = Heap.create () in
   check_bool "is_empty" true (Heap.is_empty h);
   check_int "length" 0 (Heap.length h);
-  check_bool "pop none" true (Heap.pop h = None);
-  check_bool "peek none" true (Heap.peek h = None)
+  check_bool "pop none" true (Heap.pop h = None)
 
 let test_heap_ordering () =
   let h = Heap.create () in
   List.iter (fun p -> Heap.push h ~prio:p p) [ 5.; 1.; 4.; 2.; 3. ];
-  let order = List.map fst (Heap.to_sorted_list h) in
-  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] order;
-  (* to_sorted_list is non-destructive *)
-  check_int "still 5 elements" 5 (Heap.length h)
+  check_int "5 elements" 5 (Heap.length h);
+  let order = List.map fst (drain h) in
+  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] order
 
 let test_heap_pop_order () =
   let h = Heap.create () in
@@ -237,7 +233,7 @@ let test_heap_interleaved () =
   let h = Heap.create () in
   Heap.push h ~prio:2. "b";
   Heap.push h ~prio:1. "a";
-  check_bool "peek a" true (Heap.peek h = Some (1., "a"));
+  check_bool "min is a" true (Heap.min_prio h = 1.);
   check_bool "pop a" true (Heap.pop h = Some (1., "a"));
   Heap.push h ~prio:0.5 "c";
   check_bool "pop c" true (Heap.pop h = Some (0.5, "c"));
@@ -260,7 +256,7 @@ let prop_heap_sorts =
     (fun floats ->
       let h = Heap.create () in
       List.iter (fun f -> Heap.push h ~prio:f f) floats;
-      let drained = List.map fst (Heap.to_sorted_list h) in
+      let drained = List.map fst (drain h) in
       drained = List.sort compare floats)
 
 let test_heap_min_prio_take_min () =
@@ -282,55 +278,6 @@ let test_heap_min_prio_take_min () =
   check_bool "drain order" true
     (drain [] = [ (1., 1); (2., 2); (3., 3); (4., 4); (5., 5) ])
 
-let test_heap_push_batch_basic () =
-  let h = Heap.create () in
-  (* a batch that dominates the heap takes the bulk-append path *)
-  Heap.push h ~prio:1. 1;
-  Heap.push_batch h ~prios:[| 5.; 3.; 4. |] ~values:[| 5; 3; 4 |] 3;
-  (* one that does not (2. undercuts the existing 3.) takes the
-     push-loop path *)
-  Heap.push_batch h ~prios:[| 2.; 6. |] ~values:[| 2; 6 |] 2;
-  (* len < array length inserts a prefix only *)
-  Heap.push_batch h ~prios:[| 0.5; 99. |] ~values:[| 0; 99 |] 1;
-  check_int "length" 7 (Heap.length h);
-  check_bool "drains sorted" true
-    (List.map snd (Heap.to_sorted_list h) = [ 0; 1; 2; 3; 4; 5; 6 ]);
-  check_bool "empty batch is a no-op" true
-    (Heap.push_batch h ~prios:[||] ~values:[||] 0;
-     Heap.length h = 7);
-  check_bool "oversized len raises" true
-    (match Heap.push_batch h ~prios:[| 1. |] ~values:[| 1; 2 |] 2 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
-
-(* Batched insertion interleaved with drains is observationally equal to
-   one-at-a-time pushes: same drained (prio, value) sequences.  Values
-   equal priorities so equal-priority ties (unspecified order) cannot
-   produce a false mismatch. *)
-let prop_heap_push_batch_equiv =
-  QCheck.Test.make ~name:"push_batch equals one-at-a-time pushes" ~count:200
-    QCheck.(list (pair (list_of_size Gen.(int_bound 12) (float_bound_inclusive 1000.)) (int_bound 5)))
-    (fun rounds ->
-      let batched = Heap.create () and reference = Heap.create () in
-      let drained_b = ref [] and drained_r = ref [] in
-      List.iter
-        (fun (batch, drains) ->
-          let prios = Array.of_list batch in
-          Heap.push_batch batched ~prios ~values:prios (Array.length prios);
-          Array.iter (fun p -> Heap.push reference ~prio:p p) prios;
-          for _ = 1 to drains do
-            if not (Heap.is_empty batched) then begin
-              let p = Heap.min_prio batched in
-              let v = Heap.take_min batched in
-              drained_b := (p, v) :: !drained_b;
-              drained_r := Option.get (Heap.pop reference) :: !drained_r
-            end
-          done)
-        rounds;
-      !drained_b = !drained_r
-      && List.map fst (Heap.to_sorted_list batched)
-         = List.map fst (Heap.to_sorted_list reference))
-
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -340,7 +287,7 @@ let test_stats_basic () =
   List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   check_int "count" 8 (Stats.count s);
   check_float "mean" 5. (Stats.mean s);
-  check_bool "variance (unbiased)" true (Float.abs (Stats.variance s -. (32. /. 7.)) < 1e-9);
+  check_bool "stddev (unbiased)" true (Float.abs (Stats.stddev s -. sqrt (32. /. 7.)) < 1e-9);
   Alcotest.(check (option (float 0.))) "min" (Some 2.) (Stats.min_value s);
   Alcotest.(check (option (float 0.))) "max" (Some 9.) (Stats.max_value s);
   check_float "total" 40. (Stats.total s);
@@ -352,7 +299,7 @@ let test_stats_single () =
   let s = Stats.create () in
   Stats.add s 3.5;
   check_float "mean" 3.5 (Stats.mean s);
-  check_float "variance" 0. (Stats.variance s);
+  check_float "stddev" 0. (Stats.stddev s);
   Alcotest.(check (option (float 0.))) "min=max" (Some 3.5) (Stats.min_value s)
 
 let test_series_stability () =
@@ -380,8 +327,7 @@ let test_series_accessors () =
   check_bool "last of empty" true (Stats.Series.last s = None);
   Stats.Series.add s 1.;
   Stats.Series.add s 2.;
-  check_bool "last" true (Stats.Series.last s = Some 2.);
-  Alcotest.(check (list (float 0.))) "samples oldest first" [ 1.; 2. ] (Stats.Series.samples s)
+  check_bool "last" true (Stats.Series.last s = Some 2.)
 
 let prop_stats_mean_matches_naive =
   QCheck.Test.make ~name:"running mean equals naive mean" ~count:200
@@ -438,9 +384,8 @@ let test_bitset_first_set () =
 let test_bitset_iter () =
   let b = Bitset.create 64 in
   List.iter (Bitset.set b) [ 1; 7; 8; 31; 63 ];
-  let collected = ref [] in
-  Bitset.iter_set b (fun i -> collected := i :: !collected);
-  Alcotest.(check (list int)) "iterates in order" [ 1; 7; 8; 31; 63 ] (List.rev !collected)
+  let rec collect i = match Bitset.first_set_from b i with -1 -> [] | j -> j :: collect (j + 1) in
+  Alcotest.(check (list int)) "iterates in order" [ 1; 7; 8; 31; 63 ] (collect 0)
 
 let test_bitset_bounds () =
   let b = Bitset.create 10 in
@@ -515,7 +460,7 @@ let prop_bitset_steps_match_scan =
       let steps = 200 in
       for step = 1 to steps do
         let i = pool.(Rng.int rng (Array.length pool)) in
-        let set = Rng.bool rng in
+        let set = Rng.int rng 2 = 1 in
         if set then Bitset.set !b i else Bitset.clear !b i;
         model.(i) <- set;
         if step = steps / 2 then b := Marshal.from_string (Marshal.to_string !b []) 0;
@@ -762,17 +707,14 @@ let test_vec_clear () =
 
 let test_units_constants () =
   check_int "kib" 1024 Units.kib;
-  check_int "mib" (1024 * 1024) Units.mib;
-  check_int "of_kib" (8 * 1024) (Units.of_kib 8);
-  check_int "of_mib" (16 * 1024 * 1024) (Units.of_mib 16);
-  check_int "of_gib" (Units.gib * 2) (Units.of_gib 2.)
+  check_int "mib" (1024 * 1024) Units.mib
 
 let test_units_formatting () =
   Alcotest.(check string) "bytes" "512" (Units.to_string 512);
   Alcotest.(check string) "8K" "8K" (Units.to_string (8 * 1024));
   Alcotest.(check string) "1M" "1M" (Units.to_string (1024 * 1024));
   Alcotest.(check string) "16M" "16M" (Units.to_string (16 * 1024 * 1024));
-  Alcotest.(check string) "2.5G" "2.5G" (Units.to_string (Units.of_gib 2.5));
+  Alcotest.(check string) "2.5G" "2.5G" (Units.to_string (5 * 512 * Units.mib));
   Alcotest.(check string) "1.5K" "1.5K" (Units.to_string 1536);
   Alcotest.(check string) "negative" "-8K" (Units.to_string (-8192))
 
@@ -827,7 +769,6 @@ let () =
           quick "float range" test_rng_float_range;
           quick "int range" test_rng_int_range;
           quick "int covers all values" test_rng_int_covers_all;
-          quick "int_in inclusive" test_rng_int_in;
           quick "uniformity" test_rng_uniformity;
           quick "stream matches frozen digest" test_rng_stream_golden;
           quick "marshal continues the stream" test_rng_marshal;
@@ -850,9 +791,7 @@ let () =
           quick "interleaved push/pop" test_heap_interleaved;
           quick "clear" test_heap_clear;
           quick "min_prio / take_min" test_heap_min_prio_take_min;
-          quick "push_batch paths" test_heap_push_batch_basic;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
-          QCheck_alcotest.to_alcotest prop_heap_push_batch_equiv;
         ] );
       ( "stats",
         [
